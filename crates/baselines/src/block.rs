@@ -17,6 +17,7 @@ use wsvd_jacobi::fits::svd_fits_in_sm;
 use wsvd_jacobi::onesided::OneSidedConfig;
 use wsvd_jacobi::Ordering;
 use wsvd_linalg::gemm::dot;
+use wsvd_linalg::matrix::partition_cols;
 use wsvd_linalg::verify::columns_converged;
 use wsvd_linalg::Matrix;
 
@@ -148,7 +149,7 @@ pub fn block_jacobi_svd(
                 }
                 for &(bi, bj) in &sched[step] {
                     refs.push((t, parts[t][bi], parts[t][bj]));
-                    blocks.push(gather(&tasks[t], parts[t][bi], parts[t][bj]));
+                    blocks.push(tasks[t].paired_col_blocks(parts[t][bi], parts[t][bj]));
                 }
             }
             if blocks.is_empty() {
@@ -183,7 +184,7 @@ pub fn block_jacobi_svd(
                         let sub: Vec<Matrix> = sm_idx.iter().map(|&i| blocks[i].clone()).collect();
                         let (svds, _) = batched_svd_sm(gpu, &sub, &one_sided, cfg.kernel_threads)?;
                         for (&i, svd) in sm_idx.iter().zip(svds) {
-                            blocks[i] = rotated(&svd, blocks[i].shape());
+                            blocks[i] = svd.rotated_block();
                             js[i] = Some(svd.v);
                         }
                     }
@@ -191,7 +192,7 @@ pub fn block_jacobi_svd(
                         let sub: Vec<Matrix> = gm_idx.iter().map(|&i| blocks[i].clone()).collect();
                         let (svds, _) = batched_svd_gm(gpu, &sub, &one_sided, cfg.kernel_threads)?;
                         for (&i, svd) in gm_idx.iter().zip(svds) {
-                            blocks[i] = rotated(&svd, blocks[i].shape());
+                            blocks[i] = svd.rotated_block();
                             js[i] = Some(svd.v);
                         }
                     }
@@ -215,9 +216,9 @@ pub fn block_jacobi_svd(
             let mut v_blocks = Vec::new();
             let mut v_meta = Vec::new();
             for ((&(t, bi, bj), block), j) in refs.iter().zip(&blocks).zip(&js) {
-                scatter(&mut tasks[t], bi, bj, block);
-                if vs[t].is_some() {
-                    v_blocks.push(gather(vs[t].as_ref().unwrap(), bi, bj));
+                tasks[t].store_paired_col_blocks(bi, bj, block);
+                if let Some(v) = &vs[t] {
+                    v_blocks.push(v.paired_col_blocks(bi, bj));
                     v_meta.push((t, bi, bj, j.clone()));
                 }
             }
@@ -225,7 +226,7 @@ pub fn block_jacobi_svd(
                 let v_js: Vec<Matrix> = v_meta.iter().map(|(_, _, _, j)| j.clone()).collect();
                 batched_update(gpu, &mut v_blocks, &v_js, strategy)?;
                 for ((t, bi, bj, _), vb) in v_meta.into_iter().zip(v_blocks) {
-                    scatter(vs[t].as_mut().unwrap(), bi, bj, &vb);
+                    vs[t].as_mut().unwrap().store_paired_col_blocks(bi, bj, &vb);
                 }
             }
         }
@@ -271,50 +272,6 @@ pub fn rotations_per_sweep(n: usize, w: usize) -> u64 {
         blocks
     };
     (steps * (blocks / 2)) as u64
-}
-
-fn partition_cols(n: usize, w: usize) -> Vec<(usize, usize)> {
-    let mut parts = Vec::new();
-    let mut start = 0;
-    while start < n {
-        let width = w.min(n - start);
-        parts.push((start, width));
-        start += width;
-    }
-    parts
-}
-
-fn gather(m: &Matrix, (si, wi): (usize, usize), (sj, wj): (usize, usize)) -> Matrix {
-    let mut out = Matrix::zeros(m.rows(), wi + wj);
-    for c in 0..wi {
-        out.col_mut(c).copy_from_slice(m.col(si + c));
-    }
-    for c in 0..wj {
-        out.col_mut(wi + c).copy_from_slice(m.col(sj + c));
-    }
-    out
-}
-
-fn scatter(m: &mut Matrix, (si, wi): (usize, usize), (sj, wj): (usize, usize), block: &Matrix) {
-    for c in 0..wi {
-        m.col_mut(si + c).copy_from_slice(block.col(c));
-    }
-    for c in 0..wj {
-        m.col_mut(sj + c).copy_from_slice(block.col(wi + c));
-    }
-}
-
-fn rotated(svd: &wsvd_jacobi::JacobiSvd, shape: (usize, usize)) -> Matrix {
-    let (m, n) = shape;
-    let mut out = Matrix::zeros(m, n);
-    for (k, &s) in svd.sigma.iter().enumerate() {
-        let src = svd.u.col(k);
-        let dst = out.col_mut(k);
-        for i in 0..m {
-            dst[i] = s * src[i];
-        }
-    }
-    out
 }
 
 fn extract(conv: &Matrix, v: Option<Matrix>) -> (Matrix, Vec<f64>, Option<Matrix>) {

@@ -25,6 +25,7 @@ use wsvd_jacobi::evd::EvdConfig;
 use wsvd_jacobi::fits::{evd_fits_in_sm, svd_fits_in_sm};
 use wsvd_jacobi::onesided::{JacobiSvd, OneSidedConfig};
 use wsvd_linalg::gemm::{dot, matmul};
+use wsvd_linalg::matrix::partition_cols;
 use wsvd_linalg::verify::{columns_converged, max_column_coherence, orthonormality_error};
 use wsvd_linalg::Matrix;
 
@@ -465,14 +466,13 @@ struct LevelOutcome {
     sweeps: usize,
 }
 
-/// One pair block gathered for rotation.
+/// One pair block gathered for rotation: its task and the `(start, width)`
+/// column blocks `A_i`, `A_j` it pairs.
 #[derive(Clone, Copy)]
 struct PairRef {
     task: usize,
-    i_start: usize,
-    i_width: usize,
-    j_start: usize,
-    j_width: usize,
+    bi: (usize, usize),
+    bj: (usize, usize),
 }
 
 /// Orthogonalizes every task's columns via block rotations at `level`,
@@ -642,17 +642,10 @@ fn decompose_level(
                 if !active[t] || step >= sched.len() {
                     continue;
                 }
-                for &(bi, bj) in &sched[step] {
-                    let (i_start, i_width) = parts[t][bi];
-                    let (j_start, j_width) = parts[t][bj];
-                    refs.push(PairRef {
-                        task: t,
-                        i_start,
-                        i_width,
-                        j_start,
-                        j_width,
-                    });
-                    blocks.push(gather_pair(&tasks[t], i_start, i_width, j_start, j_width));
+                for &(i, j) in &sched[step] {
+                    let (bi, bj) = (parts[t][i], parts[t][j]);
+                    refs.push(PairRef { task: t, bi, bj });
+                    blocks.push(tasks[t].paired_col_blocks(bi, bj));
                 }
             }
             if blocks.is_empty() {
@@ -697,7 +690,7 @@ fn decompose_level(
                 let (svds, _) = batched_svd_sm(gpu, &sub, &one_sided, cfg.kernel_threads)?;
                 stats.sm_svd_blocks += ga.len() as u64;
                 for (&i, svd) in ga.iter().zip(svds) {
-                    blocks[i] = rotated_block(&svd, blocks[i].shape());
+                    blocks[i] = svd.rotated_block();
                     rotations[i] = Some(svd.v);
                 }
             }
@@ -751,7 +744,7 @@ fn decompose_level(
             }
             for (k, r) in refs.iter().enumerate() {
                 if let Some(v) = vs[r.task].as_ref() {
-                    upd_mats.push(gather_pair(v, r.i_start, r.i_width, r.j_start, r.j_width));
+                    upd_mats.push(v.paired_col_blocks(r.bi, r.bj));
                     upd_js.push(
                         rotations[k]
                             .as_ref()
@@ -769,14 +762,14 @@ fn decompose_level(
                         _ => {
                             let r = refs[idx];
                             let v = vs[r.task].as_mut().unwrap();
-                            scatter_pair(v, &r, &updated);
+                            v.store_paired_col_blocks(r.bi, r.bj, &updated);
                         }
                     }
                 }
             }
             // Scatter every rotated pair block back into its task.
             for (r, block) in refs.iter().zip(&blocks) {
-                scatter_pair(&mut tasks[r.task], r, block);
+                tasks[r.task].store_paired_col_blocks(r.bi, r.bj, block);
             }
         }
 
@@ -1012,55 +1005,6 @@ fn dynamic_schedule(task: &Matrix, parts: &[(usize, usize)]) -> Vec<Vec<(usize, 
     steps
 }
 
-/// Columns `[start, start+w)` blocks of an `n`-column matrix (ragged tail).
-fn partition_cols(n: usize, w: usize) -> Vec<(usize, usize)> {
-    let mut parts = Vec::new();
-    let mut start = 0;
-    while start < n {
-        let width = w.min(n - start);
-        parts.push((start, width));
-        start += width;
-    }
-    parts
-}
-
-fn gather_pair(m: &Matrix, i_start: usize, i_w: usize, j_start: usize, j_w: usize) -> Matrix {
-    let rows = m.rows();
-    let mut out = Matrix::zeros(rows, i_w + j_w);
-    for c in 0..i_w {
-        out.col_mut(c).copy_from_slice(m.col(i_start + c));
-    }
-    for c in 0..j_w {
-        out.col_mut(i_w + c).copy_from_slice(m.col(j_start + c));
-    }
-    out
-}
-
-fn scatter_pair(m: &mut Matrix, r: &PairRef, block: &Matrix) {
-    for c in 0..r.i_width {
-        m.col_mut(r.i_start + c).copy_from_slice(block.col(c));
-    }
-    for c in 0..r.j_width {
-        m.col_mut(r.j_start + c)
-            .copy_from_slice(block.col(r.i_width + c));
-    }
-}
-
-/// Rebuilds the rotated pair block `A_ij J = U Σ` (zero-padded for
-/// rank-deficient wide blocks) from the SM SVD kernel's output.
-fn rotated_block(svd: &JacobiSvd, shape: (usize, usize)) -> Matrix {
-    let (m, n) = shape;
-    let mut out = Matrix::zeros(m, n);
-    for (k, &s) in svd.sigma.iter().enumerate() {
-        let src = svd.u.col(k);
-        let dst = out.col_mut(k);
-        for i in 0..m {
-            dst[i] = s * src[i];
-        }
-    }
-    out
-}
-
 fn resolve_plan(
     gpu: &Gpu,
     cfg: &WCycleConfig,
@@ -1199,12 +1143,6 @@ mod tests {
     fn run(mats: &[Matrix], cfg: &WCycleConfig) -> WCycleOutput {
         let gpu = Gpu::new(V100);
         wcycle_svd(&gpu, mats, cfg).unwrap()
-    }
-
-    #[test]
-    fn partition_cols_ragged() {
-        assert_eq!(partition_cols(10, 4), vec![(0, 4), (4, 4), (8, 2)]);
-        assert_eq!(partition_cols(4, 2), vec![(0, 2), (2, 2)]);
     }
 
     #[test]

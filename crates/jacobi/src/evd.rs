@@ -18,7 +18,7 @@ use wsvd_gpu_sim::{BlockCtx, KernelError, SmemBuf};
 use wsvd_linalg::givens::{two_sided_rotation, Rotation};
 use wsvd_linalg::Matrix;
 
-use crate::ordering::round_robin;
+use crate::ordering::{round_robin, Schedule};
 
 /// Shared-memory placement of the EVD kernel's working set, used by the
 /// hazard sanitizer to attribute lane accesses to the real buffers.
@@ -114,12 +114,16 @@ pub fn evd_in_block(
     let fro = work.fro_norm().max(f64::MIN_POSITIVE);
     let mut sweeps = 0;
     let mut converged = work.off_diag_norm() <= cfg.tol * fro;
+    let schedule = round_robin(s);
+    let mut step = StepBuffers::new(s);
 
     while !converged && sweeps < cfg.max_sweeps {
         sweeps += 1;
         match cfg.variant {
             EvdVariant::Sequential => sequential_sweep(&mut work, &mut j, ctx, &lay),
-            EvdVariant::Parallel => parallel_sweep(&mut work, &mut j, ctx, &lay),
+            EvdVariant::Parallel => {
+                parallel_sweep(&mut work, &mut j, &schedule, &mut step, ctx, &lay)
+            }
         }
         converged = work.off_diag_norm() <= cfg.tol * fro;
     }
@@ -179,21 +183,78 @@ fn sequential_sweep(b: &mut Matrix, j: &mut Matrix, ctx: &mut BlockCtx, lay: &Ev
     }
 }
 
+/// Working storage of the parallel sweep, allocated once per block and
+/// reused by every step of every sweep.
+struct StepBuffers {
+    /// The step's rotations `(p, q, G_pq)`.
+    rots: Vec<(usize, usize, Rotation)>,
+    /// `partner[i]`: the index paired with `i` this step (`i` if idle).
+    partner: Vec<usize>,
+    /// `diag[i] = G[i, i]` and `off[i] = G[partner[i], i]`: the two
+    /// non-zeros of column `i` of the step's combined Givens matrix `G`.
+    diag: Vec<f64>,
+    off: Vec<f64>,
+    /// `B` before the step (swapped with `B`, never copied).
+    old: Matrix,
+    /// Columns `p` and `q` of `old` with each row `r` replaced by row
+    /// `partner[r]`, for the column pair `(p, q)` being updated.
+    swapped_p: Vec<f64>,
+    swapped_q: Vec<f64>,
+}
+
+impl StepBuffers {
+    fn new(s: usize) -> Self {
+        Self {
+            rots: Vec::with_capacity(s / 2),
+            partner: vec![0; s],
+            diag: vec![1.0; s],
+            off: vec![0.0; s],
+            old: Matrix::zeros(s, s),
+            swapped_p: vec![0.0; s],
+            swapped_q: vec![0.0; s],
+        }
+    }
+
+    /// Loads one step's rotations and derives each index's partner and
+    /// Givens column entries.
+    fn load(&mut self, rots: impl IntoIterator<Item = (usize, usize, Rotation)>) {
+        self.rots.clear();
+        self.rots.extend(rots);
+        for (i, p) in self.partner.iter_mut().enumerate() {
+            *p = i;
+        }
+        self.diag.fill(1.0);
+        self.off.fill(0.0);
+        for &(p, q, r) in &self.rots {
+            self.partner[p] = q;
+            self.partner[q] = p;
+            (self.diag[p], self.off[p]) = givens_col_entries(p, q, r);
+            (self.diag[q], self.off[q]) = givens_col_entries(q, p, r);
+        }
+    }
+}
+
 /// The paper's parallel sweep: round-robin steps of disjoint pairs; all
 /// rotations of a step are computed from the current `B`, then applied at
 /// once via the `x^T B y` element-wise formula.
-fn parallel_sweep(b: &mut Matrix, j: &mut Matrix, ctx: &mut BlockCtx, lay: &EvdSmemLayout<'_>) {
+fn parallel_sweep(
+    b: &mut Matrix,
+    j: &mut Matrix,
+    schedule: &Schedule,
+    buf: &mut StepBuffers,
+    ctx: &mut BlockCtx,
+    lay: &EvdSmemLayout<'_>,
+) {
     let s = b.rows();
-    let schedule = round_robin(s);
-    for step in &schedule {
+    for step in schedule {
         if step.is_empty() {
             continue;
         }
         // Compute all rotations of the step concurrently from the current B.
-        let rots: Vec<(usize, usize, Rotation)> = step
-            .iter()
-            .map(|&(p, q)| (p, q, two_sided_rotation(b[(p, p)], b[(p, q)], b[(q, q)])))
-            .collect();
+        buf.load(
+            step.iter()
+                .map(|&(p, q)| (p, q, two_sided_rotation(b[(p, p)], b[(p, q)], b[(q, q)]))),
+        );
         ctx.team_step(step.len(), 1, 1, 20);
         // Rotation epoch: lane `t` reads its 2x2 pivot block of B and
         // publishes (c, s) into the rotation table.
@@ -207,23 +268,10 @@ fn parallel_sweep(b: &mut Matrix, j: &mut Matrix, ctx: &mut BlockCtx, lay: &EvdS
         }
         ctx.sync_threads();
 
-        // Element-wise B̂ = G^T B G: column map col->(partner, c, s).
-        let mut partner: Vec<usize> = (0..s).collect();
-        let mut cs: Vec<Rotation> = vec![Rotation::IDENTITY; s];
-        for &(p, q, r) in &rots {
-            partner[p] = q;
-            partner[q] = p;
-            cs[p] = r;
-            cs[q] = r;
-        }
-        // x-vector for row r of G^T and y-vector for column c of G each have
-        // at most 2 non-zeros: 6 multiplications + 3 additions per element.
-        let old = b.clone();
-        for col in 0..s {
-            for row in 0..s {
-                b[(row, col)] = combined_element(&old, row, col, &partner, &cs);
-            }
-        }
+        // Element-wise B̂ = G^T B G: x-vector for row r of G^T and y-vector
+        // for column c of G each have at most 2 non-zeros: 6 multiplications
+        // + 3 additions per element.
+        rotate_step(b, buf);
         ctx.par_step(s * s, 9);
         // The in-place update is staged through the half-matrix scratch
         // panel: each panel pass is two epochs — lanes (one per column) read
@@ -250,13 +298,13 @@ fn parallel_sweep(b: &mut Matrix, j: &mut Matrix, ctx: &mut BlockCtx, lay: &EvdS
         }
 
         // J <- J * G (disjoint column pairs, all parallel).
-        for &(p, q, r) in &rots {
+        for &(p, q, r) in &buf.rots {
             apply_right_rotation(j, p, q, r);
         }
         ctx.par_step(step.len() * s, 6);
         // J-update epoch: lane `t` owns columns (p, q) of J exclusively.
         if ctx.sanitizing() {
-            for (t, &(p, q, _)) in rots.iter().enumerate() {
+            for (t, &(p, q, _)) in buf.rots.iter().enumerate() {
                 ctx.smem_read(t, lay.rots, 2 * t, 2);
                 ctx.smem_write(t, lay.j, p * s, s);
                 ctx.smem_write(t, lay.j, q * s, s);
@@ -266,35 +314,67 @@ fn parallel_sweep(b: &mut Matrix, j: &mut Matrix, ctx: &mut BlockCtx, lay: &EvdS
     }
 }
 
-/// `b̂_rc = (row r of G^T) · B · (column c of G)` with the 2-non-zero
-/// structure of Givens matrices (Fig. 5).
-#[inline]
-fn combined_element(
-    old: &Matrix,
-    row: usize,
-    col: usize,
-    partner: &[usize],
-    cs: &[Rotation],
-) -> f64 {
-    // Row r of G^T = column r of G: entries at (r) and (partner[r]).
-    let (rp, rr) = (partner[row], cs[row]);
-    // x has x[row] = a, x[rp] = b.
-    let (xa, xb) = givens_col_entries(row, rp, rr);
-    let (cp, cr) = (partner[col], cs[col]);
-    let (ya, yb) = givens_col_entries(col, cp, cr);
-
-    // x^T B y over the at-most-2x2 support.
-    let mut v = xa * ya * old[(row, col)];
-    if cp != col {
-        v += xa * yb * old[(row, cp)];
-    }
-    if rp != row {
-        v += xb * ya * old[(rp, col)];
-        if cp != col {
-            v += xb * yb * old[(rp, cp)];
+/// `B <- G^T B G` for the step loaded into `buf`, one output column (or
+/// rotated column pair) at a time:
+/// `b̂_rc = xa*ya*o[r,c] + xa*yb*o[r,cp] + xb*ya*o[rp,c] + xb*yb*o[rp,cp]`,
+/// summed in that order, where `(xa, xb)` and `(ya, yb)` are the Givens
+/// column entries of `r` and `c` and `rp`, `cp` their partners (Fig. 5).
+/// Terms involving an idle index's missing partner are skipped, exactly as
+/// the reference `combined_element` skips them.
+fn rotate_step(b: &mut Matrix, buf: &mut StepBuffers) {
+    let s = b.rows();
+    std::mem::swap(b, &mut buf.old);
+    let old = &buf.old;
+    let partner = &buf.partner[..s];
+    let (xa, xb) = (&buf.diag[..s], &buf.off[..s]);
+    if 2 * buf.rots.len() == s {
+        // Every index is paired (every even-width pair block), so no term is
+        // ever skipped. Output columns `p` and `q` read the same four inputs
+        // per row: `old[r, p]`, `old[r, q]` and their partner-row copies.
+        let (sp, sq) = (&mut buf.swapped_p[..s], &mut buf.swapped_q[..s]);
+        for &(p, q, _) in &buf.rots {
+            let (o_p, o_q) = (&old.col(p)[..s], &old.col(q)[..s]);
+            for ((dp, dq), &rp) in sp.iter_mut().zip(&mut *sq).zip(partner) {
+                (*dp, *dq) = (o_p[rp], o_q[rp]);
+            }
+            let (ya, yb, za, zb) = (xa[p], xb[p], xa[q], xb[q]);
+            let (out_p, out_q) = b.col_pair_mut(p, q);
+            let (out_p, out_q) = (&mut out_p[..s], &mut out_q[..s]);
+            for r in 0..s {
+                let mut v = xa[r] * ya * o_p[r];
+                v += xa[r] * yb * o_q[r];
+                v += xb[r] * ya * sp[r];
+                v += xb[r] * yb * sq[r];
+                out_p[r] = v;
+                let mut w = xa[r] * za * o_q[r];
+                w += xa[r] * zb * o_p[r];
+                w += xb[r] * za * sq[r];
+                w += xb[r] * zb * sp[r];
+                out_q[r] = w;
+            }
+        }
+    } else {
+        for c in 0..s {
+            let cp = partner[c];
+            let (ya, yb) = (xa[c], xb[c]);
+            let (o_c, o_cp) = (&old.col(c)[..s], &old.col(cp)[..s]);
+            let out = &mut b.col_mut(c)[..s];
+            for r in 0..s {
+                let rp = partner[r];
+                let mut v = xa[r] * ya * o_c[r];
+                if cp != c {
+                    v += xa[r] * yb * o_cp[r];
+                }
+                if rp != r {
+                    v += xb[r] * ya * o_c[rp];
+                    if cp != c {
+                        v += xb[r] * yb * o_cp[rp];
+                    }
+                }
+                out[r] = v;
+            }
         }
     }
-    v
 }
 
 /// Entries of column `i` of the step's combined Givens matrix `G`:
@@ -347,6 +427,72 @@ mod tests {
     use wsvd_linalg::generate::{random_spd, random_symmetric};
     use wsvd_linalg::svd::evd_residual;
     use wsvd_linalg::verify::orthonormality_error;
+
+    /// Scalar reference for one element of a parallel step, the kernel's
+    /// original per-element body: `b̂_rc = x^T B y` over the at-most-2x2
+    /// support of the Givens columns `x = G e_r`, `y = G e_c`.
+    fn combined_element(
+        old: &Matrix,
+        row: usize,
+        col: usize,
+        partner: &[usize],
+        cs: &[Rotation],
+    ) -> f64 {
+        let (rp, rr) = (partner[row], cs[row]);
+        let (xa, xb) = givens_col_entries(row, rp, rr);
+        let (cp, cr) = (partner[col], cs[col]);
+        let (ya, yb) = givens_col_entries(col, cp, cr);
+        let mut v = xa * ya * old[(row, col)];
+        if cp != col {
+            v += xa * yb * old[(row, cp)];
+        }
+        if rp != row {
+            v += xb * ya * old[(rp, col)];
+            if cp != col {
+                v += xb * yb * old[(rp, cp)];
+            }
+        }
+        v
+    }
+
+    #[test]
+    fn parallel_steps_match_combined_element_bitwise() {
+        // Even s pairs every index (the branch-free path); odd s leaves one
+        // index idle per step. One buffer serves a whole sweep, as in the
+        // kernel.
+        for s in [2usize, 3, 8, 9, 16, 31, 32] {
+            let mut b = random_symmetric(s, 100 + s as u64);
+            let schedule = round_robin(s);
+            // A zero pivot gives the first step an identity rotation.
+            let (p, q) = schedule[0][0];
+            b[(p, q)] = 0.0;
+            b[(q, p)] = 0.0;
+            let mut buf = StepBuffers::new(s);
+            for step in &schedule {
+                let rots: Vec<_> = step
+                    .iter()
+                    .map(|&(p, q)| (p, q, two_sided_rotation(b[(p, p)], b[(p, q)], b[(q, q)])))
+                    .collect();
+                let mut partner: Vec<usize> = (0..s).collect();
+                let mut cs = vec![Rotation::IDENTITY; s];
+                for &(p, q, r) in &rots {
+                    partner[p] = q;
+                    partner[q] = p;
+                    cs[p] = r;
+                    cs[q] = r;
+                }
+                let old = b.clone();
+                buf.load(rots);
+                rotate_step(&mut b, &mut buf);
+                for c in 0..s {
+                    for r in 0..s {
+                        let want = combined_element(&old, r, c, &partner, &cs);
+                        assert_eq!(b[(r, c)].to_bits(), want.to_bits(), "s={s} ({r},{c})");
+                    }
+                }
+            }
+        }
+    }
 
     fn run(b: &Matrix, cfg: &EvdConfig) -> (JacobiEvd, wsvd_gpu_sim::LaunchStats) {
         let gpu = Gpu::new(V100);

@@ -17,7 +17,7 @@
 //! caching that avoids two-thirds of the dot products.
 
 use wsvd_gpu_sim::{BlockCtx, KernelError, SmemBuf};
-use wsvd_linalg::gemm::dot;
+use wsvd_linalg::gemm::{col_pair_dots, dot};
 use wsvd_linalg::givens::{one_sided_rotation, rotate_columns, rotated_norms};
 use wsvd_linalg::Matrix;
 
@@ -163,6 +163,7 @@ pub fn one_sided_sweeps_in(
     let schedule = cfg.ordering.schedule(n);
     let tpp = cfg.threads_per_pair.max(1);
     let mut norms: Vec<f64> = Vec::new();
+    let mut step_dots: Vec<f64> = Vec::new();
 
     // De Rijk deflation: columns whose squared norm falls below
     // (eps * ||A||_F)^2 are numerically zero — rotating against them only
@@ -236,8 +237,11 @@ pub fn one_sided_sweeps_in(
                 }
             }
 
+            // The step's pairs are disjoint, so every `a_i · a_j` can be taken
+            // before any of its rotations, four pairs at a time.
+            col_pair_dots(a, step, &mut step_dots);
             let mut rotated_pairs = 0usize;
-            for &(i, j) in step {
+            for (&(i, j), &aij) in step.iter().zip(&step_dots) {
                 let (aii, ajj) = if cfg.cache_norms {
                     (norms[i], norms[j])
                 } else {
@@ -247,7 +251,6 @@ pub fn one_sided_sweeps_in(
                 if aii <= deflate_below || ajj <= deflate_below {
                     continue; // numerically zero column: deflated
                 }
-                let aij = dot(a.col(i), a.col(j));
                 stats.dots_computed += 1;
                 if cfg.cache_norms {
                     stats.dots_avoided += 2;
@@ -333,6 +336,23 @@ pub struct JacobiSvd {
     /// Per-sweep maximum coherence (empty unless
     /// [`OneSidedConfig::record_coherence`] was set).
     pub coherence_per_sweep: Vec<f64>,
+}
+
+impl JacobiSvd {
+    /// The rotated block `A V = U Σ`, shaped like `A` (`U`'s rows by `V`'s
+    /// columns); columns beyond `Σ` (rank-deficient wide blocks) are zero.
+    pub fn rotated_block(&self) -> Matrix {
+        let m = self.u.rows();
+        let mut out = Matrix::zeros(m, self.v.cols());
+        for (k, &s) in self.sigma.iter().enumerate() {
+            let src = self.u.col(k);
+            let dst = out.col_mut(k);
+            for i in 0..m {
+                dst[i] = s * src[i];
+            }
+        }
+        out
+    }
 }
 
 /// Extracts `U` and `Σ` from converged columns (`A_conv = U Σ`), sorting all

@@ -73,6 +73,7 @@ pub fn two_sided_rotation(bii: f64, bij: f64, bjj: f64) -> Rotation {
 pub fn rotate_columns(rot: Rotation, x: &mut [f64], y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len());
     let (c, s) = (rot.c, rot.s);
+    let y = &mut y[..x.len()];
     for k in 0..x.len() {
         let xi = x[k];
         let yi = y[k];

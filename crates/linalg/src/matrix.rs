@@ -169,42 +169,53 @@ impl Matrix {
         }
     }
 
-    /// Copies a pair of equally wide column blocks `[i*w, i*w+w)` and
-    /// `[j*w, j*w+w)` into one `rows x 2w` matrix `A_ij = [A_i, A_j]`.
-    pub fn paired_col_blocks(&self, i: usize, j: usize, w: usize) -> Matrix {
-        assert!(i * w + w <= self.cols && j * w + w <= self.cols);
-        let mut data = Vec::with_capacity(self.rows * 2 * w);
-        data.extend_from_slice(&self.data[i * w * self.rows..(i * w + w) * self.rows]);
-        data.extend_from_slice(&self.data[j * w * self.rows..(j * w + w) * self.rows]);
+    /// Copies the column blocks `bi = (start_i, width_i)` and
+    /// `bj = (start_j, width_j)` into one `rows x (width_i + width_j)` pair
+    /// block `A_ij = [A_i, A_j]` (the blocks may differ in width).
+    pub fn paired_col_blocks(&self, bi: (usize, usize), bj: (usize, usize)) -> Matrix {
+        let r = self.rows;
+        let mut data = Vec::with_capacity(r * (bi.1 + bj.1));
+        for (start, width) in [bi, bj] {
+            data.extend_from_slice(&self.data[start * r..(start + width) * r]);
+        }
         Matrix {
-            rows: self.rows,
-            cols: 2 * w,
+            rows: r,
+            cols: bi.1 + bj.1,
             data,
         }
     }
 
-    /// Writes `block` (of width `2w`) back into column blocks `i` and `j`.
-    pub fn store_paired_col_blocks(&mut self, i: usize, j: usize, w: usize, block: &Matrix) {
+    /// Writes a pair block from [`Matrix::paired_col_blocks`] back into
+    /// column blocks `bi` and `bj`.
+    pub fn store_paired_col_blocks(
+        &mut self,
+        bi: (usize, usize),
+        bj: (usize, usize),
+        block: &Matrix,
+    ) {
         assert_eq!(block.rows, self.rows);
-        assert_eq!(block.cols, 2 * w);
+        assert_eq!(block.cols, bi.1 + bj.1);
         let r = self.rows;
-        self.data[i * w * r..(i * w + w) * r].copy_from_slice(&block.data[..w * r]);
-        self.data[j * w * r..(j * w + w) * r].copy_from_slice(&block.data[w * r..]);
+        let (head, tail) = block.data.split_at(bi.1 * r);
+        self.data[bi.0 * r..(bi.0 + bi.1) * r].copy_from_slice(head);
+        self.data[bj.0 * r..(bj.0 + bj.1) * r].copy_from_slice(tail);
     }
 
     /// Copies the rectangular sub-matrix with top-left `(row, col)`.
     pub fn sub_matrix(&self, row: usize, col: usize, nrows: usize, ncols: usize) -> Matrix {
         assert!(row + nrows <= self.rows && col + ncols <= self.cols);
-        Matrix::from_fn(nrows, ncols, |i, j| self[(row + i, col + j)])
+        let mut data = Vec::with_capacity(nrows * ncols);
+        for j in col..col + ncols {
+            data.extend_from_slice(&self.col(j)[row..row + nrows]);
+        }
+        Matrix::from_col_major(nrows, ncols, data)
     }
 
     /// Writes `block` into the rectangle with top-left `(row, col)`.
     pub fn set_sub_matrix(&mut self, row: usize, col: usize, block: &Matrix) {
         assert!(row + block.rows <= self.rows && col + block.cols <= self.cols);
         for j in 0..block.cols {
-            for i in 0..block.rows {
-                self[(row + i, col + j)] = block[(i, j)];
-            }
+            self.col_mut(col + j)[row..row + block.rows].copy_from_slice(block.col(j));
         }
     }
 
@@ -282,6 +293,19 @@ impl Matrix {
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
     }
+}
+
+/// Splits `n` columns into consecutive `(start, width)` blocks of width `w`;
+/// the last block is narrower when `w` does not divide `n`.
+pub fn partition_cols(n: usize, w: usize) -> Vec<(usize, usize)> {
+    let mut parts = Vec::new();
+    let mut start = 0;
+    while start < n {
+        let width = w.min(n - start);
+        parts.push((start, width));
+        start += width;
+    }
+    parts
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -391,13 +415,30 @@ mod tests {
     #[test]
     fn paired_col_blocks_roundtrip() {
         let m = Matrix::from_fn(4, 8, |i, j| (i + j * 4) as f64);
-        let blk = m.paired_col_blocks(0, 3, 2);
+        let blk = m.paired_col_blocks((0, 2), (6, 2));
         assert_eq!(blk.shape(), (4, 4));
         assert_eq!(blk.col(0), m.col(0));
         assert_eq!(blk.col(3), m.col(7));
-        let mut m2 = m.clone();
-        m2.store_paired_col_blocks(0, 3, 2, &blk);
-        assert_eq!(m2, m);
+        // Ragged: a 3-wide block paired with the 1-wide tail.
+        let parts = partition_cols(7, 3);
+        assert_eq!(parts, vec![(0, 3), (3, 3), (6, 1)]);
+        let blk = m.paired_col_blocks(parts[0], parts[2]);
+        assert_eq!(blk.shape(), (4, 4));
+        assert_eq!(blk.col(2), m.col(2));
+        assert_eq!(blk.col(3), m.col(6));
+        let mut m2 = Matrix::zeros(4, 8);
+        m2.store_paired_col_blocks(parts[0], parts[2], &blk);
+        for j in [0, 1, 2, 6] {
+            assert_eq!(m2.col(j), m.col(j));
+        }
+        assert!(m2.col(3).iter().chain(m2.col(7)).all(|&x| x == 0.0));
+    }
+
+    #[test]
+    fn partition_cols_ragged() {
+        assert_eq!(partition_cols(10, 4), vec![(0, 4), (4, 4), (8, 2)]);
+        assert_eq!(partition_cols(4, 2), vec![(0, 2), (2, 2)]);
+        assert!(partition_cols(0, 3).is_empty());
     }
 
     #[test]
