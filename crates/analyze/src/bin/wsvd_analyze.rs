@@ -18,9 +18,11 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use wsvd_analyze::interleave::{
-    self, cas_blind_store, cas_commit, cas_load, cas_no_lost_update, ring_newest_wins,
-    ring_publish_guarded, ring_publish_unguarded, ring_reserve, CasLocal, CasState, RingLocal,
-    RingState,
+    self, cas_blind_store, cas_commit, cas_load, cas_no_lost_update, deque_claim_atomic,
+    deque_exactly_once, deque_load_cursor, deque_store_claim_lossy, pool_no_touch_after_return,
+    ring_newest_wins, ring_publish_guarded, ring_publish_unguarded, ring_reserve, CasLocal,
+    CasState, DequeLocal, DequeState, PoolLocal, PoolState, RingLocal, RingState, POOL_SUBMITTER,
+    POOL_SUBMITTER_WAIT_FIRST, POOL_WORKER, POOL_WORKER_SPLIT_REGISTER,
 };
 use wsvd_analyze::lint::{lint_source, lint_workspace};
 use wsvd_analyze::plan_space::{
@@ -112,63 +114,108 @@ fn run_self_test(root: &Path) -> Result<(), String> {
         }
     }
 
-    // 3. The interleaving checker must reject the broken protocol variants.
-    let guarded: &[interleave::Op<RingState, RingLocal>] = &[ring_reserve, ring_publish_guarded];
-    let blind: &[interleave::Op<RingState, RingLocal>] = &[ring_reserve, ring_publish_unguarded];
-    let locals = [RingLocal::default(), RingLocal::default()];
-    if !interleave::explore(
-        &RingState::default(),
-        &locals,
-        [guarded, guarded],
-        &ring_newest_wins,
-    )
-    .holds()
-    {
-        return Err("self-test: guarded ring publish violated newest-wins".into());
-    }
-    if interleave::explore(
-        &RingState::default(),
-        &locals,
-        [blind, blind],
-        &ring_newest_wins,
-    )
-    .holds()
-    {
-        return Err("self-test: blind ring publish went unnoticed (vacuous checker)".into());
-    }
-    let cas: &[interleave::Op<CasState, CasLocal>] = &[cas_load, cas_commit];
-    let racy: &[interleave::Op<CasState, CasLocal>] = &[cas_load, cas_blind_store];
-    let deltas = [
-        CasLocal {
-            observed: 0,
-            delta: 3,
-        },
-        CasLocal {
-            observed: 0,
-            delta: 5,
-        },
+    // 3. The interleaving checker must prove each protocol and catch each
+    //    planted bug.
+    let ring = |writer: &[interleave::Op<RingState, RingLocal>]| {
+        interleave::explore(
+            &RingState::default(),
+            &[RingLocal::default(), RingLocal::default()],
+            [writer, writer],
+            &ring_newest_wins,
+        )
+    };
+    let cas = |shard: &[interleave::Op<CasState, CasLocal>]| {
+        let deltas = [
+            CasLocal {
+                observed: 0,
+                delta: 3,
+            },
+            CasLocal {
+                observed: 0,
+                delta: 5,
+            },
+        ];
+        interleave::explore(
+            &CasState::default(),
+            &deltas,
+            [shard, shard],
+            &cas_no_lost_update,
+        )
+    };
+    let deque = |puller: &[interleave::Op<DequeState, DequeLocal>]| {
+        interleave::explore(
+            &DequeState { next: 0, len: 2 },
+            &[DequeLocal::default(), DequeLocal::default()],
+            [puller, puller],
+            &deque_exactly_once,
+        )
+    };
+    let pool = |submitter, worker| {
+        interleave::explore(
+            &PoolState::published(2),
+            &[PoolLocal::default(), PoolLocal::default()],
+            [submitter, worker],
+            &pool_no_touch_after_return,
+        )
+    };
+    let models = [
+        (
+            "ring publish",
+            ring(&[ring_reserve, ring_publish_guarded]),
+            vec![(
+                "blind overwrite",
+                ring(&[ring_reserve, ring_publish_unguarded]),
+            )],
+        ),
+        (
+            "CAS accumulation",
+            cas(&[cas_load, cas_commit]),
+            vec![("load-add-store", cas(&[cas_load, cas_blind_store]))],
+        ),
+        (
+            "deque claim",
+            deque(&[deque_claim_atomic, deque_claim_atomic]),
+            vec![(
+                "split claim",
+                deque(&[
+                    deque_load_cursor,
+                    deque_store_claim_lossy,
+                    deque_load_cursor,
+                    deque_store_claim_lossy,
+                ]),
+            )],
+        ),
+        (
+            "pool job",
+            pool(POOL_SUBMITTER, POOL_WORKER),
+            vec![
+                (
+                    "wait-then-unpublish",
+                    pool(POOL_SUBMITTER_WAIT_FIRST, POOL_WORKER),
+                ),
+                (
+                    "split registration",
+                    pool(POOL_SUBMITTER, POOL_WORKER_SPLIT_REGISTER),
+                ),
+            ],
+        ),
     ];
-    if !interleave::explore(
-        &CasState::default(),
-        &deltas,
-        [cas, cas],
-        &cas_no_lost_update,
-    )
-    .holds()
-    {
-        return Err("self-test: CAS loop lost an update".into());
+    for (protocol, sound, planted) in models {
+        if !sound.holds() {
+            return Err(format!(
+                "self-test: {protocol} protocol violated: {:?}",
+                sound.violations
+            ));
+        }
+        for (bug, run) in planted {
+            if run.holds() {
+                return Err(format!(
+                    "self-test: planted {bug} in {protocol} went unnoticed (vacuous checker)"
+                ));
+            }
+        }
+        println!("self-test: interleaving checker proves {protocol}, catches its planted bugs");
     }
-    if interleave::explore(
-        &CasState::default(),
-        &deltas,
-        [racy, racy],
-        &cas_no_lost_update,
-    )
-    .holds()
-    {
-        return Err("self-test: load-add-store race went unnoticed (vacuous checker)".into());
-    }
-    println!("self-test: interleaving checker sound on both protocols, catches both planted bugs");
     Ok(())
 }
 

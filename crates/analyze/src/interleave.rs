@@ -1,13 +1,15 @@
 //! Exhaustive two-thread interleaving exploration.
 //!
-//! The workspace has three lock-free protocols whose correctness arguments
+//! The workspace has four concurrent protocols whose correctness arguments
 //! live in comments: the flight-recorder ring's reserve-then-publish
 //! protocol (`wsvd_health::FlightRecorder::record` — "never overwrite newer
 //! with older"), the cluster model's CAS accumulation loop
 //! (`wsvd_gpu_sim::cluster` — "a plain load-add-store here loses updates"),
-//! and the elastic work deque's claim protocol
+//! the elastic work deque's claim protocol
 //! (`wsvd_gpu_sim::cluster::queue::RankQueue::claim` — a single `fetch_add`
-//! hands each chunk to exactly one puller, whether owner or thief).
+//! hands each chunk to exactly one puller, whether owner or thief), and the
+//! block-worker pool's job protocol (the vendored `rayon` shim — a job's
+//! borrowed closure is never reached after its submitter returns).
 //! `loom` is not vendorable, so this module implements the small fragment
 //! needed to *prove* those comments: each protocol is modelled as two
 //! threads of atomic steps over a shared state, and a depth-first search
@@ -15,9 +17,12 @@
 //! terminal state.
 //!
 //! A step is a plain function `fn(&mut S, &mut L) -> Step`; `Step::Goto`
-//! expresses CAS-retry back-edges. Exploration clones the state at each
-//! branch point, so models stay small (the real ones here have ≤ 4 steps
-//! per thread and < 100 distinct executions).
+//! expresses CAS-retry back-edges and `Step::Blocked` a blocking wait (a
+//! condition-variable wait whose condition is false); a state in which
+//! every unfinished thread is blocked is reported as a deadlock.
+//! Exploration clones the state at each branch point, so models stay small
+//! (the real ones here have ≤ 5 steps per thread and < 120 distinct
+//! executions).
 //!
 //! The checker itself is validated by *planted-bug* models: the same
 //! protocols with the guard removed (unconditional publish; non-atomic
@@ -33,6 +38,10 @@ pub enum Step {
     Goto(usize),
     /// Terminate this thread early.
     Done,
+    /// The step cannot fire in this state (a blocking wait): the thread
+    /// stays at this op and only the other thread may move. Any mutation
+    /// the op made is discarded.
+    Blocked,
 }
 
 /// One atomic step: observes/mutates the shared state `S` and this
@@ -128,6 +137,7 @@ fn dfs<S: Clone, L: Clone>(
             .push(format!("{schedule}: step budget exhausted (livelock?)"));
         return;
     }
+    let mut fired = false;
     for t in runnable {
         let mut s = shared.clone();
         let mut l = locals.clone();
@@ -137,7 +147,9 @@ fn dfs<S: Clone, L: Clone>(
             Step::Next => pc[t] + 1,
             Step::Goto(i) => i,
             Step::Done => programs[t].len(),
+            Step::Blocked => continue,
         };
+        fired = true;
         schedule.push(if t == 0 { 'A' } else { 'B' });
         dfs(
             &s,
@@ -150,6 +162,11 @@ fn dfs<S: Clone, L: Clone>(
             out,
         );
         schedule.pop();
+    }
+    if !fired {
+        out.violations.push(format!(
+            "{schedule}: deadlock (every unfinished thread is blocked)"
+        ));
     }
 }
 
@@ -335,6 +352,202 @@ pub fn deque_exactly_once(s: &DequeState, l: &[DequeLocal; 2]) -> Result<(), Str
     Ok(())
 }
 
+// ---------------------------------------------------------------------------
+// Model: block-worker pool job protocol.
+// ---------------------------------------------------------------------------
+
+/// Shared state of one pool job: the submitter (thread A) has published it
+/// and races one worker (thread B). `returned` and `late_touch` record the
+/// property under test.
+#[derive(Clone, Debug, Default)]
+pub struct PoolState {
+    /// The job is in the pool's queue.
+    pub published: bool,
+    /// Workers registered on the job.
+    pub active: usize,
+    /// The `fetch_add` next-index counter.
+    pub next: usize,
+    /// Number of indices.
+    pub len: usize,
+    /// The submitter has returned: the job's borrows are dead.
+    pub returned: bool,
+    /// The first worker step that touched the job after the return.
+    pub late_touch: Option<&'static str>,
+}
+
+impl PoolState {
+    /// A published job of `len` indices, nothing claimed yet.
+    pub fn published(len: usize) -> Self {
+        PoolState {
+            published: true,
+            len,
+            ..Self::default()
+        }
+    }
+
+    fn touch(&mut self, what: &'static str) {
+        if self.returned && self.late_touch.is_none() {
+            self.late_touch = Some(what);
+        }
+    }
+}
+
+/// Per-thread state: the indices this thread ran.
+#[derive(Clone, Debug, Default)]
+pub struct PoolLocal {
+    /// Indices claimed (and run) by this thread.
+    pub claimed: Vec<usize>,
+}
+
+/// One `next.fetch_add(1)`; runs the index if it is in range.
+fn pool_claim_one(s: &mut PoolState, l: &mut PoolLocal) -> bool {
+    let i = s.next;
+    s.next += 1;
+    if i < s.len {
+        l.claimed.push(i);
+    }
+    i < s.len
+}
+
+/// Submitter step: claim indices until none are left (`claim_all`); the
+/// program's first op.
+pub fn pool_submitter_claim(s: &mut PoolState, l: &mut PoolLocal) -> Step {
+    if pool_claim_one(s, l) {
+        Step::Goto(0)
+    } else {
+        Step::Next
+    }
+}
+
+/// Submitter step: remove the job from the queue, under the queue lock.
+pub fn pool_unpublish(s: &mut PoolState, _l: &mut PoolLocal) -> Step {
+    s.published = false;
+    Step::Next
+}
+
+/// Submitter step: wait until no worker is registered, then return.
+pub fn pool_wait_idle_and_return(s: &mut PoolState, _l: &mut PoolLocal) -> Step {
+    if s.active > 0 {
+        return Step::Blocked;
+    }
+    s.returned = true;
+    Step::Next
+}
+
+/// The planted wrong order, first half: wait for `active == 0` while the
+/// job is still published...
+pub fn pool_wait_idle(s: &mut PoolState, _l: &mut PoolLocal) -> Step {
+    if s.active > 0 {
+        Step::Blocked
+    } else {
+        Step::Next
+    }
+}
+
+/// ...second half: then unpublish and return at once. A worker that
+/// registers between the two halves outlives the submitter.
+pub fn pool_unpublish_and_return(s: &mut PoolState, _l: &mut PoolLocal) -> Step {
+    s.published = false;
+    s.returned = true;
+    Step::Next
+}
+
+/// Worker step, as in the pool: check "published" and register as active
+/// in one step under the queue lock; skip the job if it is gone.
+pub fn pool_worker_register(s: &mut PoolState, _l: &mut PoolLocal) -> Step {
+    if !s.published {
+        return Step::Done;
+    }
+    s.active += 1;
+    Step::Next
+}
+
+/// Worker step: claim and run at most one index. A worker program repeats
+/// it once per index it may win.
+pub fn pool_worker_claim(s: &mut PoolState, l: &mut PoolLocal) -> Step {
+    s.touch("claim");
+    pool_claim_one(s, l);
+    Step::Next
+}
+
+/// Worker step: deregister (`active -= 1` under the job's lock).
+pub fn pool_worker_deregister(s: &mut PoolState, _l: &mut PoolLocal) -> Step {
+    s.touch("deregister");
+    s.active -= 1;
+    Step::Next
+}
+
+/// The planted split registration, first half: read "published"...
+pub fn pool_worker_check_published(s: &mut PoolState, _l: &mut PoolLocal) -> Step {
+    if s.published {
+        Step::Next
+    } else {
+        Step::Done
+    }
+}
+
+/// ...second half: register on the strength of a stale read.
+pub fn pool_worker_register_late(s: &mut PoolState, _l: &mut PoolLocal) -> Step {
+    s.touch("register");
+    s.active += 1;
+    Step::Next
+}
+
+/// The pool's submitter: claim until exhausted, unpublish, wait for idle,
+/// return.
+pub const POOL_SUBMITTER: &[Op<PoolState, PoolLocal>] = &[
+    pool_submitter_claim,
+    pool_unpublish,
+    pool_wait_idle_and_return,
+];
+
+/// The pool's worker on a two-index job: register, claim twice,
+/// deregister.
+pub const POOL_WORKER: &[Op<PoolState, PoolLocal>] = &[
+    pool_worker_register,
+    pool_worker_claim,
+    pool_worker_claim,
+    pool_worker_deregister,
+];
+
+/// Planted bug: the submitter waits for idle *before* unpublishing.
+pub const POOL_SUBMITTER_WAIT_FIRST: &[Op<PoolState, PoolLocal>] = &[
+    pool_submitter_claim,
+    pool_wait_idle,
+    pool_unpublish_and_return,
+];
+
+/// Planted bug: the worker checks "published" and registers in two steps.
+pub const POOL_WORKER_SPLIT_REGISTER: &[Op<PoolState, PoolLocal>] = &[
+    pool_worker_check_published,
+    pool_worker_register_late,
+    pool_worker_claim,
+    pool_worker_claim,
+    pool_worker_deregister,
+];
+
+/// Invariant of the pool model: the submitter returned, no worker touched
+/// the job after that, and every index ran exactly once.
+pub fn pool_no_touch_after_return(s: &PoolState, l: &[PoolLocal; 2]) -> Result<(), String> {
+    if !s.returned {
+        return Err("submitter never returned".into());
+    }
+    if let Some(what) = s.late_touch {
+        return Err(format!(
+            "worker {what} touched the job after the submitter returned"
+        ));
+    }
+    let mut ran: Vec<usize> = l.iter().flat_map(|t| t.claimed.iter().copied()).collect();
+    ran.sort_unstable();
+    if ran != (0..s.len).collect::<Vec<_>>() {
+        return Err(format!(
+            "indices run {ran:?}, want each of 0..{} once",
+            s.len
+        ));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,6 +701,71 @@ mod tests {
         assert!(!r.holds());
         assert!(
             r.violations.iter().any(|v| v.contains("livelock")),
+            "{:?}",
+            r.violations
+        );
+    }
+
+    fn explore_pool(
+        submitter: &[Op<PoolState, PoolLocal>],
+        worker: &[Op<PoolState, PoolLocal>],
+    ) -> Exploration {
+        explore(
+            &PoolState::published(2),
+            &[PoolLocal::default(), PoolLocal::default()],
+            [submitter, worker],
+            &pool_no_touch_after_return,
+        )
+    }
+
+    #[test]
+    fn pool_job_is_never_touched_after_its_submitter_returns() {
+        let r = explore_pool(POOL_SUBMITTER, POOL_WORKER);
+        assert!(r.holds(), "{:?}", r.violations);
+        // Across these, the worker wins zero, one or both indices.
+        assert_eq!(r.executions, 57);
+    }
+
+    #[test]
+    fn waiting_before_unpublishing_lets_a_worker_outlive_the_submitter() {
+        let r = explore_pool(POOL_SUBMITTER_WAIT_FIRST, POOL_WORKER);
+        assert!(
+            !r.holds(),
+            "checker is vacuous: wait-then-unpublish went unnoticed"
+        );
+        assert!(
+            r.violations
+                .iter()
+                .any(|v| v.contains("worker claim touched the job after the submitter returned")),
+            "{:?}",
+            r.violations
+        );
+    }
+
+    #[test]
+    fn split_registration_lets_a_worker_outlive_the_submitter() {
+        let r = explore_pool(POOL_SUBMITTER, POOL_WORKER_SPLIT_REGISTER);
+        assert!(
+            !r.holds(),
+            "checker is vacuous: the split registration went unnoticed"
+        );
+        assert!(
+            r.violations
+                .iter()
+                .any(|v| v.contains("worker register touched the job after the submitter returned")),
+            "{:?}",
+            r.violations
+        );
+    }
+
+    #[test]
+    fn deadlock_is_reported() {
+        // A submitter waiting on a worker that registered but never
+        // deregisters: the wait blocks forever.
+        let stuck: &[Op<PoolState, PoolLocal>] = &[pool_worker_register];
+        let r = explore_pool(POOL_SUBMITTER, stuck);
+        assert!(
+            r.violations.iter().any(|v| v.contains("deadlock")),
             "{:?}",
             r.violations
         );

@@ -20,7 +20,7 @@
 //!    registry/exposition code, no float `==` in convergence logic.
 //!
 //! [`interleave`] adds an exhaustive two-thread interleaving checker for
-//! the workspace's two lock-free protocols, and [`lex`] the comment/string
+//! the workspace's concurrent protocols, and [`lex`] the comment/string
 //! masking scanner the lints run on (no `syn` in the vendored set).
 
 pub mod interleave;
