@@ -99,6 +99,7 @@ fn run_self_test(root: &Path) -> Result<(), String> {
             "partial_cmp.rs",
             "crates/core/src/fixture.rs",
         ),
+        ("no-fma", "fma.rs", "crates/linalg/src/fixture.rs"),
     ];
     for (rule, file, pretend) in fixtures {
         let path = root.join("crates/analyze/fixtures").join(file);

@@ -32,6 +32,13 @@
 //!   explicit tiebreak where equal keys must resolve deterministically. A
 //!   deliberate partial order carries a
 //!   `// wsvd-lint: allow(no-partial-cmp-sort)` pragma with its reason.
+//! * **`no-fma`** — no fused multiply-add in the numerical crates (linalg,
+//!   jacobi, batched, core, baselines): no `mul_add`, no `_mm*_fmadd` /
+//!   `fmsub` (or `fnmadd` / `fnmsub`) intrinsics, and no
+//!   `target_feature(enable = "…fma…")`. A fused multiply-add rounds once
+//!   where the scalar reference rounds twice, so it would break the
+//!   bit-identical summation order of the host kernels (DESIGN.md §6) and
+//!   with it every sweep count and simulated time.
 //!
 //! Suppression: `// wsvd-lint: allow(<rule>)` on the finding's line, the
 //! line above it, or within the three lines above the enclosing `fn` header
@@ -67,12 +74,13 @@ impl fmt::Display for Finding {
 }
 
 /// Every rule identifier in the catalog.
-pub const RULES: [&str; 5] = [
+pub const RULES: [&str; 6] = [
     "sink-guard",
     "no-wall-clock",
     "no-hashmap",
     "no-float-eq",
     "no-partial-cmp-sort",
+    "no-fma",
 ];
 
 const SINK_RECEIVERS: [&str; 4] = ["trace", "metrics", "health", "sink"];
@@ -151,6 +159,15 @@ fn float_eq_scope(rel: &str) -> bool {
         "crates/linalg/src/verify.rs",
     ]
     .contains(&rel)
+}
+
+/// Whether `no-fma` applies: the crates whose float arithmetic feeds the
+/// simulated numerics.
+fn fma_scope(rel: &str) -> bool {
+    ["linalg", "jacobi", "batched", "core", "baselines"]
+        .iter()
+        .any(|c| rel.starts_with(&format!("crates/{c}/src/")))
+        && rel.ends_with(".rs")
 }
 
 /// Lints one file's source. `rel` is the workspace-relative path (unix
@@ -290,7 +307,55 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Finding> {
         }
     }
 
+    if fma_scope(rel) {
+        for (idx, (line, raw)) in masked_lines.iter().zip(&raw_lines).enumerate() {
+            let l = idx + 1;
+            if in_tests(l) || allowed("no-fma", l) {
+                continue;
+            }
+            if let Some(what) = fma_use(line, raw) {
+                findings.push(Finding {
+                    rule: "no-fma",
+                    file: rel.to_string(),
+                    line: l,
+                    message: format!(
+                        "{what}: a fused multiply-add rounds once where the scalar reference \
+                         rounds twice, breaking the bit-identical host kernels"
+                    ),
+                });
+            }
+        }
+    }
+
     findings
+}
+
+/// The fused multiply-add on a line, if any: a `mul_add` call, an FMA
+/// intrinsic, or a `target_feature(...)` attribute whose (raw, unmasked)
+/// arguments enable `fma`.
+fn fma_use(masked: &str, raw: &str) -> Option<String> {
+    if has_word(masked, "mul_add") {
+        return Some("`mul_add`".to_string());
+    }
+    let words = masked.split(|c: char| !(c.is_alphanumeric() || c == '_'));
+    for w in words {
+        let fused = ["fmadd", "fmsub", "fnmadd", "fnmsub"]
+            .iter()
+            .any(|f| w.contains(f));
+        if w.starts_with("_mm") && fused {
+            return Some(format!("FMA intrinsic `{w}`"));
+        }
+    }
+    let at = masked.find("target_feature")?;
+    let rest = &masked[at + "target_feature".len()..];
+    let open = at + "target_feature".len() + rest.find(|c: char| c != ' ')?;
+    if !masked[open..].starts_with('(') {
+        return None;
+    }
+    let close = masked[open..].find(')').map_or(masked.len(), |c| open + c);
+    let args = raw.get(open..close)?;
+    (args.contains("enable") && args.contains("fma"))
+        .then(|| "`target_feature` enabling `fma`".to_string())
 }
 
 /// Finds `receiver.producer(` on a line where the receiver is one of the
@@ -536,6 +601,48 @@ mod tests {
         assert!(lint_source("crates/jacobi/src/evd.rs", pragma).is_empty());
         // Out of crate sources (root tests, binaries outside src/) stays silent.
         assert!(lint_source("tests/serve_integration.rs", src).is_empty());
+    }
+
+    #[test]
+    fn fma_fires_in_numerical_crates_only() {
+        for (src, what) in [
+            (
+                "fn f(a: f64, b: f64, c: f64) -> f64 { a.mul_add(b, c) }\n",
+                "mul_add",
+            ),
+            ("fn f(a: f64) -> f64 { f64::mul_add(a, a, a) }\n", "mul_add"),
+            ("let s = _mm256_fmadd_pd(x, y, acc);\n", "_mm256_fmadd_pd"),
+            ("let s = _mm_fnmsub_sd(x, y, acc);\n", "_mm_fnmsub_sd"),
+            (
+                "#[target_feature(enable = \"avx2,fma\")]\nfn f() {}\n",
+                "target_feature",
+            ),
+        ] {
+            for rel in [
+                "crates/linalg/src/gemm.rs",
+                "crates/jacobi/src/evd.rs",
+                "crates/baselines/src/block.rs",
+            ] {
+                let f = lint_source(rel, src);
+                assert_eq!(f.len(), 1, "{rel}: {src}");
+                assert_eq!(f[0].rule, "no-fma");
+                assert!(f[0].message.contains(what), "{}", f[0].message);
+            }
+            assert!(lint_source("crates/bench/src/x.rs", src).is_empty());
+        }
+        // AVX2 without FMA, FMA checks, comments and strings stay silent.
+        for src in [
+            "#[target_feature(enable = \"avx2\")] // not fma\nfn f() {}\n",
+            "let on = cfg!(target_feature = \"fma\");\n",
+            "// a.mul_add(b, c) would round once\n",
+            "let s = \"_mm256_fmadd_pd\";\n",
+            "let s = _mm256_mul_pd(x, y);\n",
+        ] {
+            assert!(
+                lint_source("crates/linalg/src/simd.rs", src).is_empty(),
+                "{src}"
+            );
+        }
     }
 
     #[test]

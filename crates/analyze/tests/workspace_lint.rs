@@ -58,6 +58,7 @@ fn every_rule_has_a_firing_fixture() {
         lint_fixture("hashmap.rs", "crates/metrics/src/fixture.rs"),
         lint_fixture("float_eq.rs", "crates/core/src/wcycle.rs"),
         lint_fixture("partial_cmp.rs", "crates/core/src/fixture.rs"),
+        lint_fixture("fma.rs", "crates/linalg/src/fixture.rs"),
     ]
     .iter()
     .flat_map(|fs| fs.iter().map(|f| f.rule))
@@ -73,6 +74,16 @@ fn partial_cmp_fires_on_fixture() {
     // Exactly the planted sort comparator, not the pragma'd partial order.
     assert_eq!(f.len(), 1, "{f:?}");
     assert_eq!(f[0].rule, "no-partial-cmp-sort");
+}
+
+#[test]
+fn fma_fires_on_fixture() {
+    let f = lint_fixture("fma.rs", "crates/linalg/src/fixture.rs");
+    // `mul_add`, the FMA target feature and its intrinsic; not the AVX2-only
+    // variant.
+    let lines: Vec<usize> = f.iter().map(|x| x.line).collect();
+    assert_eq!(lines, [8, 13, 15], "{f:?}");
+    assert!(f.iter().all(|x| x.rule == "no-fma"));
 }
 
 #[test]

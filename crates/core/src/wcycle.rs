@@ -677,7 +677,7 @@ fn decompose_level(
             // Group (i): direct SM SVD — avoids the Gram GEMM (Obs. 1) and
             // the update GEMM (the kernel's converged columns are A_ij J).
             if !ga.is_empty() {
-                let sub: Vec<Matrix> = ga.iter().map(|&i| blocks[i].clone()).collect();
+                let sub: Vec<Matrix> = ga.iter().map(|&i| std::mem::take(&mut blocks[i])).collect();
                 let m_star = sub.iter().map(|s| s.rows()).max().unwrap();
                 let one_sided = OneSidedConfig {
                     tol: inner_tol,
@@ -697,9 +697,10 @@ fn decompose_level(
 
             // Group (ii): Gram GEMM -> SM EVD. The `A_ij J_ij` update joins
             // the fused batched-update launch below.
+            let gb_blocks: Vec<Matrix> =
+                gb.iter().map(|&i| std::mem::take(&mut blocks[i])).collect();
             if !gb.is_empty() {
-                let sub: Vec<Matrix> = gb.iter().map(|&i| blocks[i].clone()).collect();
-                let (grams, _) = batched_gram(gpu, &sub, strategy)?;
+                let (grams, _) = batched_gram(gpu, &gb_blocks, strategy)?;
                 let evd_cfg = EvdConfig {
                     tol: 1e-15,
                     max_sweeps: 30,
@@ -714,7 +715,8 @@ fn decompose_level(
 
             // Group (iii): recurse with a smaller width (Level h+1).
             if !gc.is_empty() {
-                let mut sub: Vec<Matrix> = gc.iter().map(|&i| blocks[i].clone()).collect();
+                let mut sub: Vec<Matrix> =
+                    gc.iter().map(|&i| std::mem::take(&mut blocks[i])).collect();
                 let all_v = vec![true; sub.len()];
                 let next_cap = plan.w.saturating_sub(1).max(1);
                 let sub_cfg = WCycleConfig {
@@ -733,13 +735,19 @@ fn decompose_level(
             // One fused batched-update launch: the group-(ii) `A_ij J_ij`
             // products and all V-accumulator updates (groups (i)/(iii) left
             // their blocks already rotated, so only their V parts join).
-            let mut upd_mats: Vec<Matrix> = Vec::new();
+            // Blocks and rotations move into the launch; a group-(ii)
+            // rotation is copied only when its V pair needs it too.
+            let mut upd_mats: Vec<Matrix> = gb_blocks;
             let mut upd_js: Vec<Matrix> = Vec::new();
             // (kind, index): kind 0 = A-block of group (ii), 1 = V pair.
             let mut upd_meta: Vec<(u8, usize)> = Vec::new();
             for &i in &gb {
-                upd_mats.push(blocks[i].clone());
-                upd_js.push(rotations[i].as_ref().unwrap().clone());
+                let j = if vs[refs[i].task].is_some() {
+                    rotations[i].clone()
+                } else {
+                    rotations[i].take()
+                };
+                upd_js.push(j.expect("EVD computed for every group-(ii) block"));
                 upd_meta.push((0, i));
             }
             for (k, r) in refs.iter().enumerate() {
@@ -747,9 +755,8 @@ fn decompose_level(
                     upd_mats.push(v.paired_col_blocks(r.bi, r.bj));
                     upd_js.push(
                         rotations[k]
-                            .as_ref()
-                            .expect("rotation computed for every block")
-                            .clone(),
+                            .take()
+                            .expect("rotation computed for every block"),
                     );
                     upd_meta.push((1, k));
                 }

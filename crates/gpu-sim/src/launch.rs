@@ -1155,7 +1155,7 @@ mod tests {
                 Ok(())
             })
             .unwrap_err();
-        matches!(err, KernelError::Smem(_));
+        assert!(matches!(err, KernelError::Smem(_)), "{err:?}");
     }
 
     #[test]

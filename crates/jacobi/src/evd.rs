@@ -16,6 +16,7 @@
 
 use wsvd_gpu_sim::{BlockCtx, KernelError, SmemBuf};
 use wsvd_linalg::givens::{two_sided_rotation, Rotation};
+use wsvd_linalg::simd::Isa;
 use wsvd_linalg::Matrix;
 
 use crate::ordering::{round_robin, Schedule};
@@ -87,6 +88,21 @@ pub fn evd_in_block(
     cfg: &EvdConfig,
     ctx: &mut BlockCtx,
 ) -> Result<JacobiEvd, KernelError> {
+    evd_in_block_by(b, cfg, ctx, evd_sweeps)
+}
+
+/// The signature of [`evd_sweeps`].
+type EvdSweepsFn =
+    fn(&mut Matrix, &mut Matrix, &EvdConfig, &mut BlockCtx, &EvdSmemLayout<'_>) -> (usize, bool);
+
+/// [`evd_in_block`] running its sweeps through `sweeps` (the tests pass the
+/// portable body).
+fn evd_in_block_by(
+    b: &Matrix,
+    cfg: &EvdConfig,
+    ctx: &mut BlockCtx,
+    sweeps: EvdSweepsFn,
+) -> Result<JacobiEvd, KernelError> {
     let (s, s2) = b.shape();
     assert_eq!(s, s2, "EVD requires a square matrix");
     debug_assert!(
@@ -111,22 +127,7 @@ pub fn evd_in_block(
 
     let mut work = b.clone();
     let mut j = Matrix::identity(s);
-    let fro = work.fro_norm().max(f64::MIN_POSITIVE);
-    let mut sweeps = 0;
-    let mut converged = work.off_diag_norm() <= cfg.tol * fro;
-    let schedule = round_robin(s);
-    let mut step = StepBuffers::new(s);
-
-    while !converged && sweeps < cfg.max_sweeps {
-        sweeps += 1;
-        match cfg.variant {
-            EvdVariant::Sequential => sequential_sweep(&mut work, &mut j, ctx, &lay),
-            EvdVariant::Parallel => {
-                parallel_sweep(&mut work, &mut j, &schedule, &mut step, ctx, &lay)
-            }
-        }
-        converged = work.off_diag_norm() <= cfg.tol * fro;
-    }
+    let (sweeps, converged) = sweeps(&mut work, &mut j, cfg, ctx, &lay);
     // Write-back barrier, then the cooperative GM store.
     ctx.sync_threads();
     ctx.count_gm_store(2 * s * s); // write back Λ diagnostics and J
@@ -149,8 +150,49 @@ pub fn evd_in_block(
     })
 }
 
+wsvd_linalg::dispatch! {
+    /// The sweep loop of [`evd_in_block`]: diagonalizes `work` in place and
+    /// accumulates the rotations into `j`. Returns the sweeps run and whether
+    /// the off-diagonal tolerance was met.
+    fn evd_sweeps(
+        work: &mut Matrix,
+        j: &mut Matrix,
+        cfg: &EvdConfig,
+        ctx: &mut BlockCtx,
+        lay: &EvdSmemLayout<'_>,
+    ) -> (usize, bool) => evd_sweeps_with
+}
+
+/// The body of [`evd_sweeps`] for instruction set `I`.
+#[inline(always)]
+fn evd_sweeps_with<I: Isa>(
+    _isa: I,
+    work: &mut Matrix,
+    j: &mut Matrix,
+    cfg: &EvdConfig,
+    ctx: &mut BlockCtx,
+    lay: &EvdSmemLayout<'_>,
+) -> (usize, bool) {
+    let s = work.rows();
+    let fro = work.fro_norm().max(f64::MIN_POSITIVE);
+    let mut sweeps = 0;
+    let mut converged = work.off_diag_norm() <= cfg.tol * fro;
+    let schedule = round_robin(s);
+    let mut step = StepBuffers::new(s);
+    while !converged && sweeps < cfg.max_sweeps {
+        sweeps += 1;
+        match cfg.variant {
+            EvdVariant::Sequential => sequential_sweep(work, j, ctx, lay),
+            EvdVariant::Parallel => parallel_sweep(work, j, &schedule, &mut step, ctx, lay),
+        }
+        converged = work.off_diag_norm() <= cfg.tol * fro;
+    }
+    (sweeps, converged)
+}
+
 /// Classic cyclic sweep: one elimination at a time, rows and columns updated
 /// in place. Span: each elimination serializes behind the previous one.
+#[inline(always)]
 fn sequential_sweep(b: &mut Matrix, j: &mut Matrix, ctx: &mut BlockCtx, lay: &EvdSmemLayout<'_>) {
     let s = b.rows();
     for p in 0..s {
@@ -237,6 +279,7 @@ impl StepBuffers {
 /// The paper's parallel sweep: round-robin steps of disjoint pairs; all
 /// rotations of a step are computed from the current `B`, then applied at
 /// once via the `x^T B y` element-wise formula.
+#[inline(always)]
 fn parallel_sweep(
     b: &mut Matrix,
     j: &mut Matrix,
@@ -321,6 +364,7 @@ fn parallel_sweep(
 /// column entries of `r` and `c` and `rp`, `cp` their partners (Fig. 5).
 /// Terms involving an idle index's missing partner are skipped, exactly as
 /// the reference `combined_element` skips them.
+#[inline(always)]
 fn rotate_step(b: &mut Matrix, buf: &mut StepBuffers) {
     let s = b.rows();
     std::mem::swap(b, &mut buf.old);
@@ -395,6 +439,7 @@ fn givens_col_entries(i: usize, partner: usize, r: Rotation) -> (f64, f64) {
 }
 
 /// Applies `B <- G^T B G` for a single rotation on rows/cols `(p, q)`.
+#[inline(always)]
 fn apply_two_sided(b: &mut Matrix, p: usize, q: usize, r: Rotation) {
     let s = b.rows();
     let (c, sn) = (r.c, r.s);
@@ -415,6 +460,7 @@ fn apply_two_sided(b: &mut Matrix, p: usize, q: usize, r: Rotation) {
 }
 
 /// Applies `M <- M * G` on columns `(p, q)`.
+#[inline(always)]
 fn apply_right_rotation(m: &mut Matrix, p: usize, q: usize, r: Rotation) {
     let (cp, cq) = m.col_pair_mut(p, q);
     wsvd_linalg::rotate_columns(r, cp, cq);
@@ -425,6 +471,7 @@ mod tests {
     use super::*;
     use wsvd_gpu_sim::{Gpu, KernelConfig, V100};
     use wsvd_linalg::generate::{random_spd, random_symmetric};
+    use wsvd_linalg::simd::Portable;
     use wsvd_linalg::svd::evd_residual;
     use wsvd_linalg::verify::orthonormality_error;
 
@@ -482,14 +529,69 @@ mod tests {
                     cs[q] = r;
                 }
                 let old = b.clone();
+                // Both compiled copies of the step must meet the oracle.
+                let (mut portable, mut portable_buf) = (b.clone(), StepBuffers::new(s));
+                portable_buf.load(rots.iter().copied());
+                rotate_step(&mut portable, &mut portable_buf);
                 buf.load(rots);
-                rotate_step(&mut b, &mut buf);
+                rotate_step_dispatched(&mut b, &mut buf);
                 for c in 0..s {
                     for r in 0..s {
                         let want = combined_element(&old, r, c, &partner, &cs);
                         assert_eq!(b[(r, c)].to_bits(), want.to_bits(), "s={s} ({r},{c})");
+                        let got = portable[(r, c)];
+                        assert_eq!(got.to_bits(), want.to_bits(), "s={s} ({r},{c}) portable");
                     }
                 }
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn rotate_step_with<I: Isa>(_isa: I, b: &mut Matrix, buf: &mut StepBuffers) {
+        rotate_step(b, buf);
+    }
+
+    wsvd_linalg::dispatch! {
+        /// `rotate_step` through the dispatch, so its AVX2 copy meets the
+        /// scalar oracle too.
+        fn rotate_step_dispatched(b: &mut Matrix, buf: &mut StepBuffers) => rotate_step_with
+    }
+
+    #[test]
+    fn dispatched_and_portable_kernels_are_bitwise_equal() {
+        // The public entry (the AVX2 copy on CPUs that have it) against the
+        // portable body, on even and odd widths, for both variants.
+        let portable: EvdSweepsFn =
+            |work, j, cfg, ctx, lay| evd_sweeps_with(Portable, work, j, cfg, ctx, lay);
+        for s in [2usize, 3, 7, 8, 9, 16, 31, 33, 44] {
+            let b = random_symmetric(s, 300 + s as u64);
+            for variant in [EvdVariant::Parallel, EvdVariant::Sequential] {
+                let cfg = EvdConfig {
+                    variant,
+                    ..Default::default()
+                };
+                let run = |sweeps: EvdSweepsFn| {
+                    let kc = KernelConfig::new(1, 256, 48 * 1024, "isa-evd");
+                    let (mut out, stats) = Gpu::new(V100)
+                        .launch_collect(kc, |_, ctx| evd_in_block_by(&b, &cfg, ctx, sweeps))
+                        .unwrap();
+                    (out.pop().unwrap(), stats)
+                };
+                let ((x, xs), (y, ys)) = (run(evd_sweeps), run(portable));
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&x.lambda), bits(&y.lambda), "s={s} {variant:?}");
+                assert_eq!(
+                    bits(x.j.as_slice()),
+                    bits(y.j.as_slice()),
+                    "s={s} {variant:?}"
+                );
+                assert_eq!((x.sweeps, x.converged), (y.sweeps, y.converged));
+                assert_eq!(
+                    xs.seconds().to_bits(),
+                    ys.seconds().to_bits(),
+                    "s={s} {variant:?}"
+                );
             }
         }
     }
@@ -628,7 +730,7 @@ mod tests {
         let err = gpu
             .launch_collect(kc, |_, ctx| evd_in_block(&b, &EvdConfig::default(), ctx))
             .unwrap_err();
-        matches!(err, KernelError::Smem(_));
+        assert!(matches!(err, KernelError::Smem(_)), "{err:?}");
         // And the predicate agrees.
         assert!(!crate::fits::evd_fits_in_sm(64, 48 * 1024));
     }

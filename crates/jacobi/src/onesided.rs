@@ -17,8 +17,9 @@
 //! caching that avoids two-thirds of the dot products.
 
 use wsvd_gpu_sim::{BlockCtx, KernelError, SmemBuf};
-use wsvd_linalg::gemm::{col_pair_dots, dot};
-use wsvd_linalg::givens::{one_sided_rotation, rotate_columns, rotated_norms};
+use wsvd_linalg::gemm::{col_pair_dots_with, dot};
+use wsvd_linalg::givens::{one_sided_rotation, rotate_columns, rotated_norms, Rotation};
+use wsvd_linalg::simd::Isa;
 use wsvd_linalg::Matrix;
 
 use crate::ordering::Ordering;
@@ -130,13 +131,26 @@ pub fn one_sided_sweeps(
     one_sided_sweeps_in(a, cfg, ctx, space, None)
 }
 
-/// [`one_sided_sweeps`] with an explicit shared-memory layout so the hazard
-/// sanitizer can check the kernel's barrier structure: each rotation step is
-/// one barrier epoch in which pair-team `t` owns columns `(i_t, j_t)` of the
-/// matrix and of `V` plus their two norm-cache slots; the per-sweep norm
-/// refresh is its own epoch (lane = column). A schedule with overlapping
-/// pairs therefore surfaces as a write–write race on the shared column.
-pub fn one_sided_sweeps_in(
+wsvd_linalg::dispatch! {
+    /// [`one_sided_sweeps`] with an explicit shared-memory layout so the hazard
+    /// sanitizer can check the kernel's barrier structure: each rotation step is
+    /// one barrier epoch in which pair-team `t` owns columns `(i_t, j_t)` of the
+    /// matrix and of `V` plus their two norm-cache slots; the per-sweep norm
+    /// refresh is its own epoch (lane = column). A schedule with overlapping
+    /// pairs therefore surfaces as a write–write race on the shared column.
+    pub fn one_sided_sweeps_in(
+        a: &mut Matrix,
+        cfg: &OneSidedConfig,
+        ctx: &mut BlockCtx,
+        space: MemSpace,
+        layout: Option<&SvdSmemLayout<'_>>,
+    ) -> SweepOutcome => one_sided_sweeps_with
+}
+
+/// The body of [`one_sided_sweeps_in`] for instruction set `I`.
+#[inline(always)]
+fn one_sided_sweeps_with<I: Isa>(
+    isa: I,
     a: &mut Matrix,
     cfg: &OneSidedConfig,
     ctx: &mut BlockCtx,
@@ -162,8 +176,9 @@ pub fn one_sided_sweeps_in(
 
     let schedule = cfg.ordering.schedule(n);
     let tpp = cfg.threads_per_pair.max(1);
-    let mut norms: Vec<f64> = Vec::new();
+    let mut norms = vec![0.0; n];
     let mut step_dots: Vec<f64> = Vec::new();
+    let mut step_rots: Vec<(usize, usize, Rotation)> = Vec::new();
 
     // De Rijk deflation: columns whose squared norm falls below
     // (eps * ||A||_F)^2 are numerically zero — rotating against them only
@@ -187,7 +202,16 @@ pub fn one_sided_sweeps_in(
         if cfg.cache_norms {
             // Refresh the cached norms once per sweep (the cache is updated
             // analytically by Eq. 6 within the sweep).
-            norms = (0..n).map(|j| dot(a.col(j), a.col(j))).collect();
+            // Four independent column norms at a time.
+            let mut j = 0;
+            while j + 4 <= n {
+                let cols = [a.col(j), a.col(j + 1), a.col(j + 2), a.col(j + 3)];
+                norms[j..j + 4].copy_from_slice(&isa.dot4(cols, cols));
+                j += 4;
+            }
+            for (j, nj) in norms.iter_mut().enumerate().skip(j) {
+                *nj = dot(a.col(j), a.col(j));
+            }
             stats.dots_computed += n as u64;
             ctx.team_reduce(n, tpp, m);
             if space == MemSpace::Global {
@@ -237,10 +261,12 @@ pub fn one_sided_sweeps_in(
                 }
             }
 
-            // The step's pairs are disjoint, so every `a_i · a_j` can be taken
-            // before any of its rotations, four pairs at a time.
-            col_pair_dots(a, step, &mut step_dots);
-            let mut rotated_pairs = 0usize;
+            // The step's pairs are disjoint, so its work runs in phases with
+            // the same result as pair by pair: every `a_i · a_j` (four pairs
+            // at a time), then every rotation and Eq.-6 norm update, then
+            // the rotations of A, then those of V.
+            col_pair_dots_with(isa, a, step, &mut step_dots);
+            step_rots.clear();
             for (&(i, j), &aij) in step.iter().zip(&step_dots) {
                 let (aii, ajj) = if cfg.cache_norms {
                     (norms[i], norms[j])
@@ -264,22 +290,23 @@ pub fn one_sided_sweeps_in(
                 }
 
                 let rot = one_sided_rotation(aii, aij, ajj);
-                {
-                    let (ci, cj) = a.col_pair_mut(i, j);
-                    rotate_columns(rot, ci, cj);
+                if cfg.cache_norms {
+                    (norms[i], norms[j]) = rotated_norms(rot, aii, aij, ajj);
                 }
-                if let Some(v) = v.as_mut() {
+                step_rots.push((i, j, rot));
+            }
+            for &(i, j, rot) in &step_rots {
+                let (ci, cj) = a.col_pair_mut(i, j);
+                rotate_columns(rot, ci, cj);
+            }
+            if let Some(v) = v.as_mut() {
+                for &(i, j, rot) in &step_rots {
                     let (vi, vj) = v.col_pair_mut(i, j);
                     rotate_columns(rot, vi, vj);
                 }
-                if cfg.cache_norms {
-                    let (nii, njj) = rotated_norms(rot, aii, aij, ajj);
-                    norms[i] = nii;
-                    norms[j] = njj;
-                }
-                stats.rotations += 1;
-                rotated_pairs += 1;
             }
+            let rotated_pairs = step_rots.len();
+            stats.rotations += rotated_pairs as u64;
 
             if rotated_pairs > 0 {
                 // Rotation parameters (Eq. 4): ~20 scalar ops per team.
@@ -414,6 +441,27 @@ pub fn svd_in_block(
     ctx: &mut BlockCtx,
     space: MemSpace,
 ) -> Result<JacobiSvd, KernelError> {
+    svd_in_block_by(a, cfg, ctx, space, one_sided_sweeps_in)
+}
+
+/// The signature of [`one_sided_sweeps_in`].
+type SweepsFn = fn(
+    &mut Matrix,
+    &OneSidedConfig,
+    &mut BlockCtx,
+    MemSpace,
+    Option<&SvdSmemLayout<'_>>,
+) -> SweepOutcome;
+
+/// [`svd_in_block`] running its sweeps through `sweeps` (the tests pass the
+/// portable body).
+fn svd_in_block_by(
+    a: &Matrix,
+    cfg: &OneSidedConfig,
+    ctx: &mut BlockCtx,
+    space: MemSpace,
+    sweeps: SweepsFn,
+) -> Result<JacobiSvd, KernelError> {
     let (m, n) = a.shape();
     if m >= n {
         // Charge the SM working set: matrix + V accumulation + norm caches.
@@ -442,7 +490,7 @@ pub fn svd_in_block(
             accumulate_v: true,
             ..*cfg
         };
-        let out = one_sided_sweeps_in(&mut work, &cfg, ctx, space, layout.as_ref());
+        let out = sweeps(&mut work, &cfg, ctx, space, layout.as_ref());
         if space == MemSpace::Shared {
             // Write-back barrier, then the cooperative GM store.
             ctx.sync_threads();
@@ -477,7 +525,7 @@ pub fn svd_in_block(
             accumulate_v: true,
             ..*cfg
         };
-        let out = one_sided_sweeps_in(&mut work, &cfg_t, ctx, space, layout.as_ref());
+        let out = sweeps(&mut work, &cfg_t, ctx, space, layout.as_ref());
         if space == MemSpace::Shared {
             ctx.sync_threads();
             ctx.count_gm_store(n * m + m * m);
@@ -547,6 +595,7 @@ mod tests {
     use super::*;
     use wsvd_gpu_sim::{Gpu, KernelConfig, V100};
     use wsvd_linalg::generate::{random_uniform, with_spectrum};
+    use wsvd_linalg::simd::Portable;
     use wsvd_linalg::svd::singular_values;
     use wsvd_linalg::verify::{max_column_coherence, orthonormality_error};
 
@@ -664,7 +713,7 @@ mod tests {
 
     #[test]
     fn columns_orthogonal_after_sweeps() {
-        let mut a = random_uniform(10, 10, 13);
+        let a = random_uniform(10, 10, 13);
         let gpu = Gpu::new(V100);
         let kc = KernelConfig::new(1, 128, 0, "sweeps");
         gpu.launch_collect(kc, |_, ctx| {
@@ -675,8 +724,6 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        // silence unused-mut
-        a.scale(1.0);
     }
 
     #[test]
@@ -690,7 +737,7 @@ mod tests {
                 svd_in_block(&a, &OneSidedConfig::default(), ctx, MemSpace::Shared)
             })
             .unwrap_err();
-        matches!(err, KernelError::Smem(_));
+        assert!(matches!(err, KernelError::Smem(_)), "{err:?}");
     }
 
     #[test]
@@ -787,5 +834,64 @@ mod tests {
         let svd = run_one(&a, &OneSidedConfig::default(), MemSpace::Shared);
         let want = dot(a.col(0), a.col(0)).sqrt();
         assert!((svd.sigma[0] - want).abs() < 1e-12);
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn dispatched_and_portable_kernels_are_bitwise_equal() {
+        // The public entry (the AVX2 copy on CPUs that have it) against the
+        // portable body: tall, wide, square and odd-width inputs, with and
+        // without the norm cache, in both memory spaces.
+        let portable: SweepsFn =
+            |a, cfg, ctx, space, lay| one_sided_sweeps_with(Portable, a, cfg, ctx, space, lay);
+        let shapes = [
+            (24, 8),
+            (9, 16),
+            (17, 17),
+            (33, 7),
+            (5, 13),
+            (40, 31),
+            (2, 3),
+        ];
+        for (t, &(m, n)) in shapes.iter().enumerate() {
+            let a = random_uniform(m, n, 500 + t as u64);
+            for cache_norms in [true, false] {
+                for space in [MemSpace::Shared, MemSpace::Global] {
+                    let cfg = OneSidedConfig {
+                        cache_norms,
+                        record_coherence: true,
+                        ..Default::default()
+                    };
+                    let run = |sweeps: SweepsFn| {
+                        let kc = KernelConfig::new(1, 128, 48 * 1024, "isa-svd");
+                        let (mut out, stats) = Gpu::new(V100)
+                            .launch_collect(kc, |_, ctx| {
+                                svd_in_block_by(&a, &cfg, ctx, space, sweeps)
+                            })
+                            .unwrap();
+                        (out.pop().unwrap(), stats)
+                    };
+                    let ((x, xs), (y, ys)) = (run(one_sided_sweeps_in), run(portable));
+                    let case = format!("{m}x{n} cache={cache_norms} {space:?}");
+                    assert_eq!(bits(&x.u), bits(&y.u), "{case}");
+                    assert_eq!(bits(&x.v), bits(&y.v), "{case}");
+                    let sig =
+                        |s: &JacobiSvd| s.sigma.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(sig(&x), sig(&y), "{case}");
+                    let coh = |s: &JacobiSvd| {
+                        s.coherence_per_sweep
+                            .iter()
+                            .map(|x| x.to_bits())
+                            .collect::<Vec<_>>()
+                    };
+                    assert_eq!(coh(&x), coh(&y), "{case}");
+                    assert_eq!(x.stats, y.stats, "{case}");
+                    assert_eq!(xs.seconds().to_bits(), ys.seconds().to_bits(), "{case}");
+                }
+            }
+        }
     }
 }

@@ -12,8 +12,13 @@
 //! running several *independent* reductions in lockstep ([`dot4`]), never
 //! by reassociating one, so their results are bit-identical to the plain
 //! scalar loops.
+//!
+//! [`gemm`], [`gram`] and [`col_pair_dots`] are dispatched entries
+//! ([`crate::simd`]): each runs its `*_with` body compiled for AVX2 when the
+//! CPU has it, portable otherwise, with the same bits either way.
 
 use crate::matrix::Matrix;
+use crate::simd::Isa;
 
 /// Operation applied to a GEMM operand.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,12 +39,30 @@ impl Op {
 }
 
 /// Cache-block edge for the k dimension.
-const KC: usize = 256;
+pub const KC: usize = 256;
 
-/// `C = alpha * op_a(A) * op_b(B) + beta * C`.
-///
-/// Panics on dimension mismatch.
-pub fn gemm(alpha: f64, a: &Matrix, op_a: Op, b: &Matrix, op_b: Op, beta: f64, c: &mut Matrix) {
+crate::dispatch! {
+    /// `C = alpha * op_a(A) * op_b(B) + beta * C`.
+    ///
+    /// Panics on dimension mismatch.
+    pub fn gemm(alpha: f64, a: &Matrix, op_a: Op, b: &Matrix, op_b: Op, beta: f64, c: &mut Matrix)
+        => gemm_with
+}
+
+/// The body of [`gemm`] for instruction set `I` (`gemm_with(Portable, ..)`
+/// is the portable copy).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_with<I: Isa>(
+    _isa: I,
+    alpha: f64,
+    a: &Matrix,
+    op_a: Op,
+    b: &Matrix,
+    op_b: Op,
+    beta: f64,
+    c: &mut Matrix,
+) {
     let (m, ka) = op_a.dims(a);
     let (kb, n) = op_b.dims(b);
     assert_eq!(ka, kb, "gemm inner dimensions differ: {ka} vs {kb}");
@@ -111,7 +134,7 @@ pub fn gemm(alpha: f64, a: &Matrix, op_a: Op, b: &Matrix, op_b: Op, beta: f64, c
 }
 
 /// `c += (alpha * b_pj) * a_col`, skipped entirely when `b_pj` is zero.
-#[inline]
+#[inline(always)]
 fn axpy(alpha: f64, b_pj: f64, a_col: &[f64], c_col: &mut [f64]) {
     if b_pj == 0.0 {
         return;
@@ -130,19 +153,25 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
     c
 }
 
-/// Gram matrix `B = A^T A` (first batched GEMM of each W-cycle level).
-///
-/// Exploits symmetry: only the upper triangle is computed, then mirrored.
-/// Entry `(i, j)` is `a_i · a_j` summed over rows in ascending order, four
-/// entries of a column at a time.
-pub fn gram(a: &Matrix) -> Matrix {
+crate::dispatch! {
+    /// Gram matrix `B = A^T A` (first batched GEMM of each W-cycle level).
+    ///
+    /// Exploits symmetry: only the upper triangle is computed, then mirrored.
+    /// Entry `(i, j)` is `a_i · a_j` summed over rows in ascending order, four
+    /// entries of a column at a time.
+    pub fn gram(a: &Matrix) -> Matrix => gram_with
+}
+
+/// The body of [`gram`] for instruction set `I`.
+#[inline(always)]
+pub fn gram_with<I: Isa>(isa: I, a: &Matrix) -> Matrix {
     let n = a.cols();
     let mut b = Matrix::zeros(n, n);
     for j in 0..n {
         let aj = a.col(j);
         let mut i = 0;
         while i + 4 <= j + 1 {
-            let s = dot4(
+            let s = isa.dot4(
                 [a.col(i), a.col(i + 1), a.col(i + 2), a.col(i + 3)],
                 [aj; 4],
             );
@@ -162,7 +191,7 @@ pub fn gram(a: &Matrix) -> Matrix {
 }
 
 /// Dot product of two equal-length slices.
-#[inline]
+#[inline(always)]
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     debug_assert_eq!(x.len(), y.len());
     let y = &y[..x.len()];
@@ -179,7 +208,7 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
 /// interleaving of the four reductions differs.
 ///
 /// Panics unless all eight slices have the same length.
-#[inline]
+#[inline(always)]
 pub fn dot4(xs: [&[f64]; 4], ys: [&[f64]; 4]) -> [f64; 4] {
     let len = xs[0].len();
     assert!(
@@ -198,14 +227,26 @@ pub fn dot4(xs: [&[f64]; 4], ys: [&[f64]; 4]) -> [f64; 4] {
     s
 }
 
-/// Column inner products `a_i · a_j` for every pair `(i, j)`, written to
-/// `out` in pair order and computed four pairs at a time by [`dot4`]; each
-/// value is bit-identical to `dot(a.col(i), a.col(j))`.
-pub fn col_pair_dots(a: &Matrix, pairs: &[(usize, usize)], out: &mut Vec<f64>) {
+crate::dispatch! {
+    /// Column inner products `a_i · a_j` for every pair `(i, j)`, written to
+    /// `out` in pair order and computed four pairs at a time by [`dot4`]; each
+    /// value is bit-identical to `dot(a.col(i), a.col(j))`.
+    pub fn col_pair_dots(a: &Matrix, pairs: &[(usize, usize)], out: &mut Vec<f64>)
+        => col_pair_dots_with
+}
+
+/// The body of [`col_pair_dots`] for instruction set `I`.
+#[inline(always)]
+pub fn col_pair_dots_with<I: Isa>(
+    isa: I,
+    a: &Matrix,
+    pairs: &[(usize, usize)],
+    out: &mut Vec<f64>,
+) {
     out.clear();
     let mut quads = pairs.chunks_exact(4);
     for q in &mut quads {
-        out.extend(dot4(
+        out.extend(isa.dot4(
             [a.col(q[0].0), a.col(q[1].0), a.col(q[2].0), a.col(q[3].0)],
             [a.col(q[0].1), a.col(q[1].1), a.col(q[2].1), a.col(q[3].1)],
         ));

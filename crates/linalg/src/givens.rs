@@ -69,7 +69,7 @@ pub fn two_sided_rotation(bii: f64, bij: f64, bjj: f64) -> Rotation {
 
 /// Applies `(x, y) <- (x, y) * [[c, -s], [s, c]]` to two column vectors:
 /// `x' = c*x + s*y`, `y' = -s*x + c*y` (Eq. 3 with our sign convention).
-#[inline]
+#[inline(always)]
 pub fn rotate_columns(rot: Rotation, x: &mut [f64], y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len());
     let (c, s) = (rot.c, rot.s);

@@ -14,7 +14,9 @@
 //!   ([`householder`]) plus implicit-shift QR ([`bidiag_svd`]) — the
 //!   MAGMA-style two-stage SVD used both as a baseline and a test oracle;
 //! * seeded workload generators ([`generate`]) and verification helpers
-//!   ([`verify`]).
+//!   ([`verify`]);
+//! * the instruction-set dispatch of the host kernels ([`simd`],
+//!   [`dispatch!`]): one body compiled twice, portable and AVX2.
 
 #![warn(missing_docs)]
 
@@ -27,6 +29,7 @@ pub mod householder;
 pub mod lowp;
 pub mod matrix;
 pub mod qr;
+pub mod simd;
 pub mod svd;
 pub mod verify;
 

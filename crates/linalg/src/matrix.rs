@@ -10,7 +10,8 @@ use std::ops::{Index, IndexMut};
 /// A dense, column-major, `f64` matrix.
 ///
 /// Element `(i, j)` lives at `data[i + j * rows]`. Columns are contiguous.
-#[derive(Clone, PartialEq)]
+/// The default is the empty `0 x 0` matrix.
+#[derive(Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -127,6 +128,7 @@ impl Matrix {
     /// Two distinct mutable column slices (for plane rotations).
     ///
     /// Panics if `a == b`.
+    #[inline]
     pub fn col_pair_mut(&mut self, a: usize, b: usize) -> (&mut [f64], &mut [f64]) {
         assert_ne!(a, b, "col_pair_mut requires distinct columns");
         let r = self.rows;

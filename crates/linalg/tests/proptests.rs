@@ -1,14 +1,50 @@
 //! Property-based tests of the linear-algebra substrate.
 
 use proptest::prelude::*;
-use wsvd_linalg::gemm::{col_pair_dots, dot, dot4};
+use wsvd_linalg::gemm::{col_pair_dots, col_pair_dots_with, dot, dot4, gemm_with, gram_with, KC};
 use wsvd_linalg::generate::{random_uniform, with_spectrum};
 use wsvd_linalg::householder::{bidiagonalize, seeded_orthogonal};
+use wsvd_linalg::simd::{Isa, Portable};
 use wsvd_linalg::verify::orthonormality_error;
 use wsvd_linalg::{
     gemm, gram, matmul, one_sided_rotation, rotate_columns, singular_values, svd_reference, Matrix,
     Op,
 };
+
+/// Both compiled copies of each dispatched kernel: the public entry (the
+/// AVX2 copy on CPUs that have it) and the portable body.
+type GemmFn = fn(f64, &Matrix, Op, &Matrix, Op, f64, &mut Matrix);
+const GEMMS: [GemmFn; 2] = [gemm, |alpha, a, op_a, b, op_b, beta, c| {
+    gemm_with(Portable, alpha, a, op_a, b, op_b, beta, c)
+}];
+const GRAMS: [fn(&Matrix) -> Matrix; 2] = [gram, |a| gram_with(Portable, a)];
+type PairDotsFn = fn(&Matrix, &[(usize, usize)], &mut Vec<f64>);
+const PAIR_DOTS: [PairDotsFn; 2] = [col_pair_dots, |a, pairs, out| {
+    col_pair_dots_with(Portable, a, pairs, out)
+}];
+
+type Dot4Fn = fn([&[f64]; 4], [&[f64]; 4]) -> [f64; 4];
+
+/// Every `dot4` the kernels can run: the scalar helper, the portable
+/// token's, and the AVX2 register-transpose kernel where the CPU has AVX2.
+fn dot4_kernels() -> Vec<Dot4Fn> {
+    let portable: [Dot4Fn; 2] = [dot4, |xs, ys| Portable.dot4(xs, ys)];
+    #[cfg(target_arch = "x86_64")]
+    let avx2 = wsvd_linalg::simd::Avx2::detect().map(|_| avx2_dot4 as Dot4Fn);
+    #[cfg(not(target_arch = "x86_64"))]
+    let avx2 = None;
+    portable.into_iter().chain(avx2).collect()
+}
+
+#[cfg(target_arch = "x86_64")]
+fn avx2_dot4(xs: [&[f64]; 4], ys: [&[f64]; 4]) -> [f64; 4] {
+    let isa = wsvd_linalg::simd::Avx2::detect().expect("listed only on AVX2 CPUs");
+    isa.dot4(xs, ys)
+}
+
+/// Reduction lengths that reach every remainder of the four-wide loops:
+/// 0..=9 and 4k ± 1.
+const LENS: [usize; 16] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 17, 31, 33, 63, 65];
 
 fn arb_mat(max_m: usize, max_n: usize) -> impl Strategy<Value = Matrix> {
     (1..=max_m, 1..=max_n, any::<u64>()).prop_map(|(m, n, s)| random_uniform(m, n, s))
@@ -115,8 +151,28 @@ fn with_zeros(rows: usize, cols: usize, seed: u64, stride: usize) -> Matrix {
 const ALPHAS: [f64; 4] = [1.0, -0.75, 2.5, 0.0];
 const BETAS: [f64; 4] = [0.0, 1.0, 0.5, -1.25];
 
-/// One `gemm` case against the scalar kernel, bit for bit.
+/// One `gemm` case against the scalar kernel, bit for bit, on both copies.
 fn gemm_matches_scalar(
+    (m, n, k): (usize, usize, usize),
+    (op_a, op_b): (Op, Op),
+    (alpha, beta): (f64, f64),
+    zero_stride: usize,
+    seed: u64,
+) -> bool {
+    GEMMS.iter().all(|&kernel| {
+        gemm_copy_matches_scalar(
+            kernel,
+            (m, n, k),
+            (op_a, op_b),
+            (alpha, beta),
+            zero_stride,
+            seed,
+        )
+    })
+}
+
+fn gemm_copy_matches_scalar(
+    kernel: GemmFn,
     (m, n, k): (usize, usize, usize),
     (op_a, op_b): (Op, Op),
     (alpha, beta): (f64, f64),
@@ -133,7 +189,7 @@ fn gemm_matches_scalar(
     };
     let c0 = random_uniform(m, n, seed ^ 0xc0c0);
     let (mut got, mut want) = (c0.clone(), c0);
-    gemm(alpha, &a, op_a, &b, op_b, beta, &mut got);
+    kernel(alpha, &a, op_a, &b, op_b, beta, &mut got);
     scalar::gemm(alpha, &a, op_a, &b, op_b, beta, &mut want);
     same_bits(got.as_slice(), want.as_slice())
 }
@@ -141,15 +197,7 @@ fn gemm_matches_scalar(
 #[test]
 fn gemm_is_bitwise_scalar_past_the_k_block() {
     // k > KC = 256 and not a multiple of 4, in every transpose combination.
-    for (t, ops) in [
-        (Op::NoTrans, Op::NoTrans),
-        (Op::Trans, Op::NoTrans),
-        (Op::NoTrans, Op::Trans),
-        (Op::Trans, Op::Trans),
-    ]
-    .into_iter()
-    .enumerate()
-    {
+    for (t, ops) in OPS.into_iter().enumerate() {
         for zero_stride in [0, 3, 4] {
             assert!(gemm_matches_scalar(
                 (5, 3, 256 + 17),
@@ -158,6 +206,104 @@ fn gemm_is_bitwise_scalar_past_the_k_block() {
                 zero_stride,
                 t as u64
             ));
+        }
+    }
+}
+
+const OPS: [(Op, Op); 4] = [
+    (Op::NoTrans, Op::NoTrans),
+    (Op::Trans, Op::NoTrans),
+    (Op::NoTrans, Op::Trans),
+    (Op::Trans, Op::Trans),
+];
+
+#[test]
+fn gemm_copies_are_bitwise_scalar_at_every_remainder() {
+    // Inner dimensions at every remainder of the four-`p` groups, and on
+    // both sides of the k-block edge; row counts at every remainder of the
+    // vectorized `i` loop.
+    let ks = LENS.iter().copied().chain([KC - 1, KC + 1]);
+    for (t, k) in ks.enumerate() {
+        for (o, &ops) in OPS.iter().enumerate() {
+            let m = LENS[(t + o) % LENS.len()];
+            for zero_stride in [0, 3] {
+                let case = (
+                    (m, 3, k),
+                    ops,
+                    (-0.75, 0.5),
+                    zero_stride,
+                    (t * 4 + o) as u64,
+                );
+                assert!(
+                    gemm_matches_scalar(case.0, case.1, case.2, case.3, case.4),
+                    "{case:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn gram_and_pair_dots_copies_are_bitwise_scalar_at_every_remainder() {
+    let pairs = [
+        (0, 1),
+        (2, 3),
+        (4, 5),
+        (6, 7),
+        (8, 9),
+        (1, 0),
+        (3, 3),
+        (9, 2),
+        (5, 7),
+    ];
+    for (t, &m) in LENS.iter().enumerate() {
+        let a = random_uniform(m, 10, 700 + t as u64);
+        for n in [1, 4, 5, 9, 10] {
+            let sub = a.col_block(0, n);
+            let want = scalar::gram(&sub);
+            for kernel in GRAMS {
+                assert!(
+                    same_bits(kernel(&sub).as_slice(), want.as_slice()),
+                    "m={m} n={n}"
+                );
+            }
+        }
+        for count in 0..=pairs.len() {
+            for kernel in PAIR_DOTS {
+                let mut got = vec![f64::NAN; 2];
+                kernel(&a, &pairs[..count], &mut got);
+                assert_eq!(got.len(), count);
+                for (&(i, j), g) in pairs.iter().zip(&got) {
+                    let want = scalar::dot(a.col(i), a.col(j));
+                    assert_eq!(g.to_bits(), want.to_bits(), "m={m} pair ({i},{j})");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn dot4_kernels_are_bitwise_scalar_at_every_remainder() {
+    for (t, &len) in LENS.iter().enumerate() {
+        // Signed zeros and mixed magnitudes: the sum must round exactly as
+        // the scalar loop's does, term by term.
+        let mut a = random_uniform(len, 8, 900 + t as u64);
+        for (idx, x) in a.as_mut_slice().iter_mut().enumerate() {
+            match idx % 7 {
+                0 => *x = -0.0,
+                3 => *x *= 1e12,
+                5 => *x *= -1e-9,
+                _ => {}
+            }
+        }
+        let xs = [a.col(0), a.col(1), a.col(2), a.col(3)];
+        let ys = [a.col(4), a.col(5), a.col(6), a.col(7)];
+        for kernel in dot4_kernels() {
+            let got = kernel(xs, ys);
+            for k in 0..4 {
+                let want = scalar::dot(xs[k], ys[k]);
+                assert_eq!(got[k].to_bits(), want.to_bits(), "len={len} lane {k}");
+            }
         }
     }
 }
@@ -264,19 +410,24 @@ proptest! {
     #[test]
     fn gram_is_bitwise_scalar(m in 0usize..20, n in 0usize..14, seed in any::<u64>()) {
         let a = random_uniform(m, n, seed);
-        prop_assert!(same_bits(gram(&a).as_slice(), scalar::gram(&a).as_slice()));
+        let want = scalar::gram(&a);
+        for kernel in GRAMS {
+            prop_assert!(same_bits(kernel(&a).as_slice(), want.as_slice()));
+        }
     }
 
     #[test]
     fn dot_kernels_are_bitwise_scalar(len in 0usize..40, seed in any::<u64>()) {
         let a = random_uniform(len, 8, seed);
         prop_assert_eq!(dot(a.col(0), a.col(1)).to_bits(), scalar::dot(a.col(0), a.col(1)).to_bits());
-        let got = dot4(
-            [a.col(0), a.col(1), a.col(2), a.col(3)],
-            [a.col(4), a.col(5), a.col(6), a.col(7)],
-        );
-        for (k, g) in got.iter().enumerate() {
-            prop_assert_eq!(g.to_bits(), scalar::dot(a.col(k), a.col(k + 4)).to_bits());
+        for kernel in dot4_kernels() {
+            let got = kernel(
+                [a.col(0), a.col(1), a.col(2), a.col(3)],
+                [a.col(4), a.col(5), a.col(6), a.col(7)],
+            );
+            for (k, g) in got.iter().enumerate() {
+                prop_assert_eq!(g.to_bits(), scalar::dot(a.col(k), a.col(k + 4)).to_bits());
+            }
         }
     }
 
@@ -304,11 +455,13 @@ proptest! {
         let a = random_uniform(dims.0, dims.1, seed);
         let pairs: Vec<(usize, usize)> =
             pairs.iter().map(|&(i, j)| (i % dims.1, j % dims.1)).collect();
-        let mut got = vec![f64::NAN; 3];
-        col_pair_dots(&a, &pairs, &mut got);
-        prop_assert_eq!(got.len(), pairs.len());
-        for (&(i, j), g) in pairs.iter().zip(&got) {
-            prop_assert_eq!(g.to_bits(), dot(a.col(i), a.col(j)).to_bits());
+        for kernel in PAIR_DOTS {
+            let mut got = vec![f64::NAN; 3];
+            kernel(&a, &pairs, &mut got);
+            prop_assert_eq!(got.len(), pairs.len());
+            for (&(i, j), g) in pairs.iter().zip(&got) {
+                prop_assert_eq!(g.to_bits(), dot(a.col(i), a.col(j)).to_bits());
+            }
         }
     }
 
