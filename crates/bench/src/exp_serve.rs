@@ -13,9 +13,9 @@
 //!   amortizes launches — fewer, bigger dispatches.
 //!
 //! Each row reports the request count, dispatched buckets, p50/p99
-//! end-to-end latency (rank-based quantiles over the registry's
-//! fixed-bucket histograms — exact at bucket resolution), mean queueing
-//! delay, sustained throughput and SLO violations. Everything runs on
+//! end-to-end latency (exact order statistics of the served records),
+//! mean queueing delay, sustained (work-normalized) throughput and SLO
+//! violations. Everything runs on
 //! simulated time with seeded generators, so the whole table is
 //! bit-identical across runs and `repro --check` can pin it. The expected
 //! shape is the serving tradeoff itself: for a given trace the throughput

@@ -3,11 +3,20 @@
 //! The same three seeded traces as `ext-serve`, but offered at a rate
 //! deliberately placed **between** the two policies' sustained capacities:
 //! the eager `low_latency` policy (200 µs / 8) saturates the device — its
-//! launch-heavy stream of small buckets cannot keep up, so a backlog of
-//! dispatched buckets builds and the tail is device-bound — while the
-//! patient `high_throughput` policy (20 000 µs / 64) amortizes launches
-//! into large buckets, keeps the device ahead of arrivals, and pays for it
-//! with admission wait, so its tail is policy-bound.
+//! launch-heavy stream of small buckets cannot keep up even on concurrent
+//! streams, so a backlog of dispatched buckets builds and the tail is
+//! device-bound — while the patient `high_throughput` policy
+//! (20 000 µs / 64) amortizes launches into large buckets, keeps the device
+//! ahead of arrivals, and pays for it with admission wait, so its tail is
+//! policy-bound.
+//!
+//! The dimensions reach past the level-0 in-SM limit (48) at both scales.
+//! Buckets of in-SM matrices only hold a few SMs and little bandwidth, so
+//! the streams run them side by side faster than the trace generator's
+//! 1 µs arrival resolution can offer them: no offered rate saturates an
+//! eager policy over 8..48. Multilevel buckets hold bandwidth-heavy
+//! launches, so they contend for the device and an eager stream of them
+//! can fall behind.
 //!
 //! Each row attributes the p99 tail of one (trace, policy) cell to the
 //! waterfall components of DESIGN.md §15 (`admission` = trigger − arrival,
@@ -49,13 +58,16 @@ fn run_cell(trace: &Trace, policy: BatchPolicy) -> TailReport {
 /// The `ext-tail` experiment (see the module docs for the row contract).
 pub fn ext_tail(scale: Scale) -> Report {
     let requests = scale.pick(384usize, 192);
-    let (min_dim, max_dim) = scale.pick((8usize, 48usize), (16, 256));
+    let (min_dim, max_dim) = scale.pick((8usize, 64usize), (16, 256));
     let points = scale.pick(384usize, 192);
-    // Between the policies' sustained capacities at each scale (measured
-    // from `ServeSummary::throughput_rps` at saturation: eager ≈210k vs
-    // patient ≈807k r/s reduced, ≈1.9k vs ≈5.8k full), so the eager
-    // policy backlogs while the patient one keeps up.
-    let rate_hz = scale.pick(400_000.0, 3_500.0);
+    // Between the policies' sustained capacities at each scale, so the
+    // eager policy backlogs while the patient one keeps up. Both are
+    // measured offered at 1M r/s. The eager capacity is requests /
+    // makespan (its buckets overlap on the streams): ≈108k–179k r/s
+    // reduced, ≈2.8k–3.2k full. The patient capacity is
+    // `ServeSummary::throughput_rps` (its buckets hold most of the device,
+    // about one at a time): ≈300k–449k reduced, ≈4.4k–5.8k full.
+    let rate_hz = scale.pick(250_000.0, 3_500.0);
     // Bursts arrive at the base rate (not ext-serve's ×4): the point is
     // saturating the *eager* policy only, and ×4 would swamp both.
     let traces = [

@@ -25,6 +25,7 @@ use crate::sanitize::{
     bump_global_violations, BlockSanitizeOutcome, HazardTracker, SanitizeMode, SanitizerReport,
 };
 use crate::smem::{SharedMem, SmemBuf, SmemOverflow};
+use crate::stream::{Footprint, Interval};
 
 /// Per-block fixed cost (scheduling, prologue/epilogue), in cycles.
 const BLOCK_OVERHEAD_CYCLES: f64 = 200.0;
@@ -330,6 +331,7 @@ pub struct Gpu {
     sanitize: SanitizeMode,
     sanitizer: Mutex<SanitizerReport>,
     graph: Mutex<GraphState>,
+    interval: Mutex<Option<Interval>>,
 }
 
 impl Gpu {
@@ -366,6 +368,7 @@ impl Gpu {
             sanitize: SanitizeMode::resolved(),
             sanitizer: Mutex::new(SanitizerReport::default()),
             graph: Mutex::new(GraphState::default()),
+            interval: Mutex::new(None),
         }
     }
 
@@ -462,6 +465,23 @@ impl Gpu {
     /// baseline that loops over single-matrix API calls).
     pub fn add_host_seconds(&self, seconds: f64) {
         self.timeline.lock().seconds += seconds;
+        if let Some(iv) = self.interval.lock().as_mut() {
+            iv.seconds += seconds;
+        }
+    }
+
+    /// Runs `f` as one stream interval (see [`crate::stream`]) and returns
+    /// its result with the interval's simulated seconds and footprint. The
+    /// seconds are summed from zero in launch order, so they are bitwise
+    /// what a fresh `Gpu` running only `f` would report as
+    /// [`Gpu::elapsed_seconds`]; the timeline still records every launch.
+    /// Intervals do not nest.
+    pub fn interval<R>(&self, f: impl FnOnce() -> R) -> (R, Interval) {
+        let outer = self.interval.lock().replace(Interval::default());
+        assert!(outer.is_none(), "stream intervals do not nest");
+        let r = f();
+        let iv = self.interval.lock().take().expect("the interval is open");
+        (r, iv)
     }
 
     /// Launches a kernel whose blocks each mutate one item of `items`
@@ -625,6 +645,17 @@ impl Gpu {
         for c in &blocks {
             totals.merge(c);
         }
+        // The resources these blocks were modelled with, for a stream
+        // interval's reservation: the SMs the resident blocks spread over,
+        // and the GM rate over the launch's own (un-ridden) makespan.
+        let footprint = Footprint {
+            sms: concurrent.div_ceil(blocks_per_sm),
+            gm_bytes_per_cycle: if full_cycles > 0.0 {
+                totals.gm_bytes() as f64 / full_cycles
+            } else {
+                0.0
+            },
+        };
         let stats = LaunchStats {
             grid: cfg.grid,
             threads_per_block: cfg.threads_per_block,
@@ -638,6 +669,10 @@ impl Gpu {
             self.trace_launch(&cfg, &stats, &placements);
         }
         self.timeline.lock().record(&stats);
+        if let Some(iv) = self.interval.lock().as_mut() {
+            iv.seconds += stats.seconds();
+            iv.footprint = iv.footprint.max(footprint);
+        }
         self.profiler.lock().record(cfg.label, &stats);
         if self.metrics.is_enabled() {
             self.record_metrics(cfg.label, &stats);
@@ -1142,6 +1177,33 @@ mod tests {
             assert_eq!(*x, b as f64);
         }
         assert_eq!(gpu.timeline().launches, 1);
+    }
+
+    #[test]
+    fn interval_measures_what_a_fresh_gpu_would() {
+        let run = |gpu: &Gpu| {
+            for (grid, words) in [(4, 0), (200, 50_000)] {
+                let cfg = KernelConfig::new(grid, 256, 1024, "interval");
+                gpu.launch_collect(cfg, |_, ctx| {
+                    ctx.par_step(1000, 2);
+                    ctx.count_gm_load(words);
+                    Ok(())
+                })
+                .unwrap();
+            }
+            gpu.add_host_seconds(3e-6);
+        };
+        let gpu = Gpu::new(V100);
+        run(&gpu); // a non-zero timeline base
+        let ((), iv) = gpu.interval(|| run(&gpu));
+        let fresh = Gpu::new(V100);
+        run(&fresh);
+        assert_eq!(iv.seconds.to_bits(), fresh.elapsed_seconds().to_bits());
+        assert_eq!(gpu.timeline().launches, 4, "the timeline still records");
+        // The widest launch: 200 resident blocks, 3 per SM, on 67 SMs.
+        assert_eq!(iv.footprint.sms, 200usize.div_ceil(200usize.div_ceil(80)));
+        let gm = iv.footprint.gm_bytes_per_cycle;
+        assert!(gm > 0.0 && gm <= V100.gm_bytes_per_cycle, "{gm} B/cycle");
     }
 
     #[test]

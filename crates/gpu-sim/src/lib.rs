@@ -14,7 +14,10 @@
 //! * **global-memory traffic**: coalesced transaction counts (Fig. 11b);
 //! * **occupancy** and resident-block limits (Fig. 11a);
 //! * a **roofline timing model** with list scheduling of block durations
-//!   onto SM slots, yielding deterministic *simulated seconds*.
+//!   onto SM slots, yielding deterministic *simulated seconds*;
+//! * **concurrent streams** ([`StreamDevice`]): independent stretches of
+//!   launches share the device's SMs and bandwidth, each holding the
+//!   resources its kernels were modelled with.
 
 #![warn(missing_docs)]
 
@@ -27,6 +30,7 @@ pub mod profile;
 pub mod resource;
 pub mod sanitize;
 pub mod smem;
+pub mod stream;
 
 pub use cluster::{
     resume_elastic, run_elastic, size_class_chunks, unrecovered_total, ElasticCheckpoint,
@@ -45,3 +49,4 @@ pub use sanitize::{
     HazardKind, HazardTracker, SanitizeMode, SanitizerReport, SmemRequirement, Violation,
 };
 pub use smem::{SharedMem, SmemBuf, SmemOverflow};
+pub use stream::{Footprint, Interval, StreamDevice, StreamSlot};

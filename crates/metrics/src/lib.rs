@@ -191,28 +191,6 @@ impl Histogram {
             0.0
         }
     }
-
-    /// Rank-based quantile at bucket resolution: the upper bound of the
-    /// first bucket whose cumulative count reaches `ceil(q * total)`
-    /// observations, or `f64::INFINITY` when that rank lands in the
-    /// overflow bucket. The answer is exact given the fixed bucket layout
-    /// (no interpolation), so two identical runs report bit-identical
-    /// quantiles; resolution is limited to the bucket bounds. Returns
-    /// `None` for an empty histogram or `q` outside `(0, 1]`.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.total == 0 || q.is_nan() || q <= 0.0 || q > 1.0 {
-            return None;
-        }
-        let rank = ((q * self.total as f64).ceil() as u64).max(1);
-        let mut cumulative = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            cumulative += c;
-            if cumulative >= rank {
-                return Some(self.bounds.get(i).copied().unwrap_or(f64::INFINITY));
-            }
-        }
-        None
-    }
 }
 
 #[derive(Default)]
@@ -689,29 +667,6 @@ mod tests {
         assert_eq!(h.total, 4);
         assert!((h.sum - 2.95).abs() < 1e-12);
         assert!((h.mean() - 0.7375).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quantiles_are_rank_based_bucket_bounds() {
-        let s = MetricsSink::enabled();
-        s.set_experiment("e");
-        let bounds = [1.0, 2.0, 4.0, 8.0];
-        // 10 observations: 5 in (..1], 3 in (1..2], 1 in (2..4], 1 overflow.
-        for v in [0.1, 0.2, 0.3, 0.5, 1.0, 1.5, 1.6, 2.0, 3.0, 100.0] {
-            s.observe("k", None, "lat", &bounds, v);
-        }
-        let snap = s.snapshot();
-        let h = snap.histogram("e", "k", None, "lat").unwrap();
-        // rank(0.5) = 5 -> first bucket; rank(0.8) = 8 -> second bucket;
-        // rank(0.9) = 9 -> third; rank(0.99) = 10 -> overflow.
-        assert_eq!(h.quantile(0.5), Some(1.0));
-        assert_eq!(h.quantile(0.8), Some(2.0));
-        assert_eq!(h.quantile(0.9), Some(4.0));
-        assert_eq!(h.quantile(0.99), Some(f64::INFINITY));
-        assert_eq!(h.quantile(1.0), Some(f64::INFINITY));
-        assert_eq!(h.quantile(0.0), None);
-        assert_eq!(h.quantile(1.5), None);
-        assert_eq!(Histogram::default().quantile(0.5), None);
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //!                                    --slo-p99-us, else 1e6)
 //!              [--why-slow K]        print the top-K slowest requests as
 //!                                    admission/backlog/service waterfalls
-//!                                    plus the p99-tail attribution
+//!                                    plus the p99-tail attribution;
+//!                                    backlog is the wait for SMs or
+//!                                    bandwidth held by earlier buckets
+//!                                    on the concurrent-stream device
 //!              [--prom FILE]         write the Prometheus exposition
 //! ```
 //!

@@ -6,37 +6,43 @@
 //! deadlines beating arrivals at the same timestamp (a request arriving
 //! exactly at a bucket's deadline joins the *next* bucket) and tied
 //! deadlines resolving by ascending size class. Dispatched buckets run as a
-//! single batched W-cycle SVD on the device; the device serves buckets
-//! FIFO in trigger order, so a bucket triggered while the device is busy
-//! starts at `free_at`.
+//! single batched W-cycle SVD, measured as one stream interval
+//! ([`Gpu::interval`]): its simulated duration and the SMs and GM
+//! bandwidth its launches were modelled with. The device runs buckets on
+//! concurrent streams ([`StreamDevice`], DESIGN.md §14): a bucket starts
+//! at or after its trigger, never before an earlier-triggered bucket, as
+//! soon as its SMs and bandwidth are free beside the buckets still running.
+//! Each stream has one host submitter, so a bucket's launch overheads stay
+//! inside its own service time.
 //!
 //! Latency accounting (DESIGN.md §14–15): per request the wait decomposes
 //! into the policy-induced and the device-induced share,
 //! `admission_wait = bucket_trigger − arrival` (how long the admission
 //! policy held the request for batch-mates) and
 //! `backlog = batch_start − bucket_trigger` (how long the dispatched bucket
-//! sat behind earlier buckets on the FIFO device); `queue_delay` is
+//! waited for SMs or bandwidth held by earlier buckets); `queue_delay` is
 //! *defined* as their sum, `service` is the simulated duration of the
 //! bucket's batched SVD, and `end_to_end = queue_delay + service` — the
 //! property suite asserts both identities bitwise. All five feed
 //! fixed-bucket log-spaced histograms ([`latency_bounds`]) in the metrics
-//! registry (with the request id as each bucket's retained exemplar), and
-//! p50/p99 come from [`wsvd_metrics::Histogram::quantile`] — rank-based and
-//! exact at bucket resolution, so repeated seeded runs report identical
+//! registry (with the request id as each bucket's retained exemplar) for
+//! exposition; the summary's p50/p99 are exact order statistics of the
+//! records ([`nearest_rank`]), so repeated seeded runs report identical
 //! quantiles.
 //!
 //! With an enabled trace sink (threaded through the [`Gpu`], installed
 //! globally by `repro --trace`), a served trace additionally exports as a
 //! request waterfall: one span per request lifetime (arrival→completion) on
 //! a per-size-class track, one span per dispatched bucket on the serving
-//! process's `device` track, and a mirror `bucket` span on the GPU's
+//! process's `stream <s>` track of the stream that ran it (spans on one
+//! track never overlap), and a mirror `bucket` span on the GPU's
 //! `wcycle` track that encloses — and therefore parents, in Perfetto's
 //! nesting — the existing per-level W-cycle spans of that bucket's batched
 //! SVD. The sink only observes: a disabled (or enabled) sink never touches
 //! the simulated timeline.
 
 use wsvd_core::{wcycle_svd, WCycleConfig};
-use wsvd_gpu_sim::{Gpu, KernelError};
+use wsvd_gpu_sim::{Gpu, KernelError, StreamDevice};
 use wsvd_linalg::generate::random_uniform;
 use wsvd_linalg::Matrix;
 use wsvd_metrics::{MetricsSink, Snapshot};
@@ -92,11 +98,15 @@ pub struct BatchRecord {
     pub trigger: BatchTrigger,
     /// Simulated microseconds the trigger fired at.
     pub trigger_us: u64,
-    /// Simulated microseconds the batched SVD started on the device
-    /// (`max(trigger_us, device free_at)`).
+    /// Simulated microseconds the batched SVD started on the device: the
+    /// first time at or after the trigger, and after every earlier bucket's
+    /// start, at which its SMs and bandwidth were free.
     pub start_us: f64,
-    /// Simulated microseconds the batched SVD took.
+    /// Simulated microseconds the batched SVD took: what a fresh device
+    /// running only this bucket would report.
     pub service_us: f64,
+    /// The device stream (0-based) that ran it.
+    pub stream: usize,
 }
 
 /// One served request's latency record.
@@ -122,8 +132,8 @@ pub struct RequestRecord {
     /// microsecond difference).
     pub admission_wait_us: f64,
     /// Device-induced wait: `batch start − trigger`, the time the
-    /// dispatched bucket sat behind earlier buckets on the FIFO device
-    /// (0 when the device was idle at the trigger).
+    /// dispatched bucket waited for SMs or bandwidth held by earlier
+    /// buckets (0 when they were free at the trigger).
     pub backlog_us: f64,
     /// `admission_wait_us + backlog_us`, definitionally — the bitwise
     /// identity the property suite pins.
@@ -137,23 +147,25 @@ pub struct RequestRecord {
 /// The full outcome of serving one trace.
 #[derive(Clone, Debug, Default)]
 pub struct ServeOutcome {
-    /// Per-request latency records, in completion (batch-dispatch) order.
+    /// Per-request latency records, in batch-dispatch order (buckets on
+    /// concurrent streams may complete in another order).
     pub records: Vec<RequestRecord>,
     /// Per-bucket dispatch records, in dispatch order.
     pub batches: Vec<BatchRecord>,
     /// Requests refused at admission (dimensions above every Table VI cap).
     pub rejected: usize,
-    /// Simulated microseconds from time zero until the device finished the
-    /// last bucket (0 when nothing dispatched).
+    /// Simulated microseconds from time zero until the last bucket
+    /// completed (0 when nothing dispatched).
     pub makespan_us: f64,
-    /// Total simulated microseconds the device spent serving buckets (the
-    /// sum of every batch's `service_us`).
+    /// Work-normalized device time: the sum of every batch's `service_us`,
+    /// as if the buckets ran one at a time. Concurrent buckets overlap in
+    /// wall time, so this can exceed `makespan_us`.
     pub busy_us: f64,
 }
 
 /// Log-spaced latency bucket bounds in microseconds: 1 µs up to ~20 s in
 /// ×1.25 steps. Shared by every serve histogram so snapshots from
-/// different runs and policies stay comparable, with ≤25 % quantile
+/// different runs and policies stay comparable, with ≤25 % bucket
 /// resolution across the whole range.
 pub fn latency_bounds() -> Vec<f64> {
     let mut bounds = Vec::new();
@@ -163,6 +175,19 @@ pub fn latency_bounds() -> Vec<f64> {
         b *= 1.25;
     }
     bounds
+}
+
+/// The exact nearest-rank quantile of `values`: the `ceil(q·n)`-th
+/// smallest (0 for no values). The one rank convention of this crate,
+/// shared by [`summarize`] and [`crate::tail_report`].
+pub fn nearest_rank(values: &[f64], q: f64) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1]
 }
 
 /// Serves one trace to completion and returns every latency record.
@@ -184,14 +209,14 @@ pub fn serve_trace(
     };
     let mut adm = Admission::new(cfg.policy);
     let mut out = ServeOutcome::default();
-    let mut free_at_us = 0.0f64;
+    let mut device = StreamDevice::new(gpu.device());
     let mut next = 0usize;
     // One shared bucket layout for every latency histogram of this run —
     // computed once here, not per served request.
     let bounds = latency_bounds();
     // Request-scoped tracing rides the GPU's sink (disabled unless the host
     // installed one): the serving process gets its own trace pid with
-    // per-size-class request tracks plus a `device` bucket track.
+    // per-size-class request tracks plus one bucket track per stream.
     let tracer = gpu.trace();
     let serve_pid = if tracer.is_enabled() {
         tracer.register_process(&format!("wsvd-serve [{}]", trace.name))
@@ -199,11 +224,11 @@ pub fn serve_trace(
         0
     };
 
-    // One batched SVD per bucket; the device serves buckets FIFO in
-    // trigger order.
+    // One batched SVD per bucket, started on the streams as soon as its
+    // resources are free.
     let dispatch = |adm: &mut Admission,
                     out: &mut ServeOutcome,
-                    free_at_us: &mut f64,
+                    device: &mut StreamDevice,
                     class: usize,
                     trigger_us: u64,
                     trigger: BatchTrigger|
@@ -214,12 +239,14 @@ pub fn serve_trace(
             .iter()
             .map(|p| random_uniform(p.rows, p.cols, p.data_seed))
             .collect();
-        let start_us = (trigger_us as f64).max(*free_at_us);
         let before = gpu.elapsed_seconds();
-        wcycle_svd(gpu, &mats, &wcfg)?;
+        let (svd, interval) = gpu.interval(|| wcycle_svd(gpu, &mats, &wcfg));
+        svd?;
         let after = gpu.elapsed_seconds();
-        let service_us = (after - before) * 1.0e6;
-        *free_at_us = start_us + service_us;
+        let service_us = interval.seconds * 1.0e6;
+        let slot = device.submit(trigger_us as f64, service_us, interval.footprint);
+        let start_us = slot.start;
+        out.makespan_us = out.makespan_us.max(slot.end);
         out.busy_us += service_us;
         let batch_id = out.batches.len();
         if tracer.is_enabled() {
@@ -227,12 +254,12 @@ pub fn serve_trace(
                 BatchTrigger::Full => "full",
                 BatchTrigger::Deadline => "deadline",
             };
-            // The serving timeline's view of the bucket: dispatched at
-            // `start` (trigger plus any device backlog), busy for the
-            // batched SVD's duration.
+            // The serving timeline's view of the bucket: on its stream's
+            // track from `start` (trigger plus any device backlog), busy
+            // for the batched SVD's duration.
             tracer.span(
                 serve_pid,
-                "device",
+                &format!("stream {}", slot.stream),
                 &format!("bucket {batch_id}"),
                 start_us * 1.0e-6,
                 service_us * 1.0e-6,
@@ -269,6 +296,7 @@ pub fn serve_trace(
             trigger_us,
             start_us,
             service_us,
+            stream: slot.stream,
         });
         for p in members {
             // The waterfall decomposition (both identities bitwise by
@@ -325,7 +353,7 @@ pub fn serve_trace(
                 dispatch(
                     &mut adm,
                     &mut out,
-                    &mut free_at_us,
+                    &mut device,
                     class,
                     d,
                     BatchTrigger::Deadline,
@@ -343,7 +371,7 @@ pub fn serve_trace(
                     Admit::Full(class) => dispatch(
                         &mut adm,
                         &mut out,
-                        &mut free_at_us,
+                        &mut device,
                         class,
                         req.arrival_us,
                         BatchTrigger::Full,
@@ -361,7 +389,7 @@ pub fn serve_trace(
                 dispatch(
                     &mut adm,
                     &mut out,
-                    &mut free_at_us,
+                    &mut device,
                     class,
                     d,
                     BatchTrigger::Deadline,
@@ -370,7 +398,6 @@ pub fn serve_trace(
             (None, None) => break,
         }
     }
-    out.makespan_us = free_at_us;
     if sink.is_enabled() {
         sink.counter_add("serve", None, "batches", out.batches.len() as f64);
         sink.gauge_set("serve", None, "makespan_us", out.makespan_us);
@@ -414,11 +441,10 @@ fn record_request(sink: &MetricsSink, bounds: &[f64], r: &RequestRecord, cfg: &S
     }
 }
 
-/// The operator-facing summary of one served trace, derived from the
-/// metrics registry (quantiles are rank-based bucket bounds — see
-/// [`wsvd_metrics::Histogram::quantile`]) plus the outcome's makespan.
-/// Requires the snapshot of an **enabled** sink; every latency field is 0
-/// for an empty snapshot.
+/// The operator-facing summary of one served trace: exact quantiles of the
+/// outcome's records ([`nearest_rank`]), means and counters from the
+/// metrics registry, and the outcome's busy time. Requires the snapshot of
+/// an **enabled** sink; every latency field is 0 when nothing was served.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServeSummary {
     /// Requests served.
@@ -427,19 +453,17 @@ pub struct ServeSummary {
     pub batches: u64,
     /// Requests refused at admission.
     pub rejected: u64,
-    /// Median end-to-end latency (µs, bucket-bound resolution).
+    /// Median end-to-end latency (µs).
     pub p50_e2e_us: f64,
-    /// 99th-percentile end-to-end latency (µs, bucket-bound resolution).
+    /// 99th-percentile end-to-end latency (µs).
     pub p99_e2e_us: f64,
-    /// Median admission + backlog wait (µs, bucket-bound resolution).
+    /// Median admission + backlog wait (µs).
     pub p50_queue_us: f64,
-    /// 99th-percentile admission + backlog wait (µs, bucket-bound
-    /// resolution).
+    /// 99th-percentile admission + backlog wait (µs).
     pub p99_queue_us: f64,
-    /// Median batched-SVD service time (µs, bucket-bound resolution).
+    /// Median batched-SVD service time (µs).
     pub p50_service_us: f64,
-    /// 99th-percentile batched-SVD service time (µs, bucket-bound
-    /// resolution).
+    /// 99th-percentile batched-SVD service time (µs).
     pub p99_service_us: f64,
     /// Mean admission + backlog wait (µs).
     pub mean_queue_us: f64,
@@ -449,11 +473,12 @@ pub struct ServeSummary {
     pub mean_admission_us: f64,
     /// Mean device-induced wait (µs): `batch start − trigger`.
     pub mean_backlog_us: f64,
-    /// Sustained throughput: served requests divided by total device busy
-    /// time (requests/second). This is the device-limited rate the policy
-    /// sustains at saturation — unlike `requests / makespan`, it is not
-    /// distorted by the final `max_wait_us` drain of a short committed
-    /// trace (see DESIGN.md §14).
+    /// Sustained throughput: served requests divided by the outcome's
+    /// work-normalized `busy_us` (requests/second), the rate the policy
+    /// sustains with one bucket on the device at a time. Unlike
+    /// `requests / makespan`, it is not distorted by the final
+    /// `max_wait_us` drain of a short committed trace or by how buckets
+    /// overlap (see DESIGN.md §14).
     pub throughput_rps: f64,
     /// Requests whose end-to-end latency exceeded the SLO target.
     pub slo_violations: u64,
@@ -462,12 +487,16 @@ pub struct ServeSummary {
 /// Builds the summary for `experiment` from a registry snapshot and the
 /// serve outcome.
 pub fn summarize(snapshot: &Snapshot, experiment: &str, outcome: &ServeOutcome) -> ServeSummary {
-    let e2e = snapshot.histogram(experiment, "serve", None, "e2e_us");
     let queue = snapshot.histogram(experiment, "serve", None, "queue_delay_us");
     let service = snapshot.histogram(experiment, "serve", None, "service_us");
     let admission = snapshot.histogram(experiment, "serve", None, "admission_wait_us");
     let backlog = snapshot.histogram(experiment, "serve", None, "backlog_us");
     let requests = outcome.records.len() as u64;
+    let column =
+        |f: fn(&RequestRecord) -> f64| -> Vec<f64> { outcome.records.iter().map(f).collect() };
+    let e2e = column(|r| r.end_to_end_us);
+    let queue_us = column(|r| r.queue_delay_us);
+    let service_us = column(|r| r.service_us);
     let throughput_rps = if outcome.busy_us > 0.0 {
         requests as f64 / (outcome.busy_us / 1.0e6)
     } else {
@@ -477,12 +506,12 @@ pub fn summarize(snapshot: &Snapshot, experiment: &str, outcome: &ServeOutcome) 
         requests,
         batches: outcome.batches.len() as u64,
         rejected: outcome.rejected as u64,
-        p50_e2e_us: e2e.and_then(|h| h.quantile(0.5)).unwrap_or(0.0),
-        p99_e2e_us: e2e.and_then(|h| h.quantile(0.99)).unwrap_or(0.0),
-        p50_queue_us: queue.and_then(|h| h.quantile(0.5)).unwrap_or(0.0),
-        p99_queue_us: queue.and_then(|h| h.quantile(0.99)).unwrap_or(0.0),
-        p50_service_us: service.and_then(|h| h.quantile(0.5)).unwrap_or(0.0),
-        p99_service_us: service.and_then(|h| h.quantile(0.99)).unwrap_or(0.0),
+        p50_e2e_us: nearest_rank(&e2e, 0.5),
+        p99_e2e_us: nearest_rank(&e2e, 0.99),
+        p50_queue_us: nearest_rank(&queue_us, 0.5),
+        p99_queue_us: nearest_rank(&queue_us, 0.99),
+        p50_service_us: nearest_rank(&service_us, 0.5),
+        p99_service_us: nearest_rank(&service_us, 0.99),
         mean_queue_us: queue.map(|h| h.mean()).unwrap_or(0.0),
         mean_service_us: service.map(|h| h.mean()).unwrap_or(0.0),
         mean_admission_us: admission.map(|h| h.mean()).unwrap_or(0.0),
@@ -495,7 +524,7 @@ pub fn summarize(snapshot: &Snapshot, experiment: &str, outcome: &ServeOutcome) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsvd_gpu_sim::V100;
+    use wsvd_gpu_sim::{Footprint, V100};
 
     fn small_trace(seed: u64) -> Trace {
         Trace::poisson(12, 4000.0, (6, 30), seed)
@@ -556,7 +585,7 @@ mod tests {
     }
 
     #[test]
-    fn summary_quantiles_come_from_the_registry() {
+    fn summary_means_and_counters_come_from_the_registry() {
         let gpu = Gpu::new(V100);
         let sink = MetricsSink::enabled();
         sink.set_experiment("t");
@@ -584,6 +613,98 @@ mod tests {
             summary.mean_backlog_us,
             summary.mean_queue_us
         );
+    }
+
+    #[test]
+    fn summary_quantiles_are_exact_order_statistics() {
+        let gpu = Gpu::new(V100);
+        let sink = MetricsSink::enabled();
+        sink.set_experiment("t");
+        let trace = Trace::poisson(37, 9000.0, (6, 40), 17);
+        let out = serve_trace(&gpu, &trace, &ServeConfig::default(), &sink).unwrap();
+        let summary = summarize(&sink.snapshot(), "t", &out);
+        let n = out.records.len();
+        // ceil(q·n) in integers: ceil(n/2) and ceil(99n/100).
+        let (r50, r99) = (n.div_ceil(2), (99 * n).div_ceil(100));
+        let exact = |f: fn(&RequestRecord) -> f64, rank: usize| {
+            let mut v: Vec<f64> = out.records.iter().map(f).collect();
+            v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            v[rank - 1].to_bits()
+        };
+        let e2e = |r: &RequestRecord| r.end_to_end_us;
+        let queue = |r: &RequestRecord| r.queue_delay_us;
+        let service = |r: &RequestRecord| r.service_us;
+        assert_eq!(summary.p50_e2e_us.to_bits(), exact(e2e, r50));
+        assert_eq!(summary.p99_e2e_us.to_bits(), exact(e2e, r99));
+        assert_eq!(summary.p50_queue_us.to_bits(), exact(queue, r50));
+        assert_eq!(summary.p99_queue_us.to_bits(), exact(queue, r99));
+        assert_eq!(summary.p50_service_us.to_bits(), exact(service, r50));
+        assert_eq!(summary.p99_service_us.to_bits(), exact(service, r99));
+        assert_eq!(nearest_rank(&[], 0.99), 0.0);
+    }
+
+    #[test]
+    fn whole_device_streams_reproduce_the_fifo_bitwise() {
+        let gpu = Gpu::new(V100);
+        let trace = Trace::poisson(40, 20_000.0, (6, 60), 19);
+        let cfg = ServeConfig {
+            policy: BatchPolicy::low_latency(),
+            ..ServeConfig::default()
+        };
+        let out = serve_trace(&gpu, &trace, &cfg, &MetricsSink::disabled()).unwrap();
+        let whole = Footprint {
+            sms: V100.num_sms,
+            gm_bytes_per_cycle: V100.gm_bytes_per_cycle,
+        };
+        let mut device = StreamDevice::new(&V100);
+        let mut fifo_end_us = 0.0f64;
+        let mut backlogged = 0;
+        for b in &out.batches {
+            let fifo_start = (b.trigger_us as f64).max(fifo_end_us);
+            fifo_end_us = fifo_start + b.service_us;
+            let slot = device.submit(b.trigger_us as f64, b.service_us, whole);
+            assert_eq!(slot.start.to_bits(), fifo_start.to_bits());
+            assert_eq!(slot.end.to_bits(), fifo_end_us.to_bits());
+            assert_eq!(slot.stream, 0);
+            backlogged += usize::from(fifo_start > b.trigger_us as f64);
+        }
+        assert!(backlogged > 0, "the FIFO never backed up: vacuous");
+    }
+
+    #[test]
+    fn every_bucket_serves_as_long_as_it_would_alone() {
+        let gpu = Gpu::new(V100);
+        let trace = Trace::assimilation(24, 6, 80, 9000.0, 23);
+        let out = serve_trace(
+            &gpu,
+            &trace,
+            &ServeConfig::default(),
+            &MetricsSink::disabled(),
+        )
+        .unwrap();
+        let wcfg = WCycleConfig {
+            fused: true,
+            ..WCycleConfig::default()
+        };
+        for b in &out.batches {
+            let mats: Vec<Matrix> = out
+                .records
+                .iter()
+                .filter(|r| r.batch_id == b.batch_id)
+                .map(|r| {
+                    let req = &trace.requests[r.id];
+                    random_uniform(req.rows, req.cols, req.data_seed)
+                })
+                .collect();
+            let fresh = Gpu::new(V100);
+            wcycle_svd(&fresh, &mats, &wcfg).unwrap();
+            assert_eq!(
+                b.service_us.to_bits(),
+                (fresh.elapsed_seconds() * 1.0e6).to_bits(),
+                "bucket {}",
+                b.batch_id
+            );
+        }
     }
 
     #[test]

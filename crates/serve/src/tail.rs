@@ -13,14 +13,15 @@
 //! ([`TailReport::render`] is the `wsvd-loadgen --why-slow` output that CI
 //! byte-diffs).
 
-use crate::server::{RequestRecord, ServeOutcome};
+use crate::server::{nearest_rank, RequestRecord, ServeOutcome};
 
 /// The waterfall component that dominates a latency interval.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Component {
     /// Policy-induced admission wait (`trigger − arrival`) dominates.
     Admission,
-    /// Device-induced backlog (`batch start − trigger`) dominates.
+    /// Device-induced backlog (`batch start − trigger`: waiting for SMs or
+    /// bandwidth) dominates.
     Backlog,
     /// The bucket's batched-SVD service time dominates.
     Service,
@@ -40,8 +41,9 @@ impl Component {
 /// Aggregate attribution over the requests at or above the p99 threshold.
 #[derive(Clone, Debug)]
 pub struct TailAttribution {
-    /// The exact p99 end-to-end value (rank-based over the record values
-    /// themselves, not histogram buckets): the `ceil(0.99·n)`-th smallest.
+    /// The exact p99 end-to-end value ([`nearest_rank`] over the record
+    /// values themselves, not histogram buckets): the `ceil(0.99·n)`-th
+    /// smallest.
     pub threshold_us: f64,
     /// Requests with `end_to_end_us >= threshold_us`.
     pub count: usize,
@@ -167,40 +169,25 @@ pub fn tail_report(outcome: &ServeOutcome, k: usize) -> TailReport {
         .take(k.min(n))
         .map(|r| (*r).clone())
         .collect();
-    // Rank-based p99 over the exact per-request values: the
-    // ceil(0.99·n)-th smallest end-to-end latency. The tail is every
+    // The exact p99 over the per-request values. The tail is every
     // request at or above it — at least one for any non-empty outcome.
-    let tail = if n == 0 {
-        TailAttribution {
-            threshold_us: 0.0,
-            count: 0,
-            admission_us: 0.0,
-            backlog_us: 0.0,
-            service_us: 0.0,
-        }
-    } else {
-        let mut ascending: Vec<f64> = outcome.records.iter().map(|r| r.end_to_end_us).collect();
-        ascending.sort_by(|a, b| a.total_cmp(b));
-        let rank = ((0.99 * n as f64).ceil() as usize).clamp(1, n) - 1;
-        let threshold_us = ascending[rank];
-        let mut t = TailAttribution {
-            threshold_us,
-            count: 0,
-            admission_us: 0.0,
-            backlog_us: 0.0,
-            service_us: 0.0,
-        };
-        // Accumulate in record (completion) order: deterministic f64 sums.
-        for r in &outcome.records {
-            if r.end_to_end_us >= threshold_us {
-                t.count += 1;
-                t.admission_us += r.admission_wait_us;
-                t.backlog_us += r.backlog_us;
-                t.service_us += r.service_us;
-            }
-        }
-        t
+    let e2e: Vec<f64> = outcome.records.iter().map(|r| r.end_to_end_us).collect();
+    let mut tail = TailAttribution {
+        threshold_us: nearest_rank(&e2e, 0.99),
+        count: 0,
+        admission_us: 0.0,
+        backlog_us: 0.0,
+        service_us: 0.0,
     };
+    // Accumulate in record (dispatch) order: deterministic f64 sums.
+    for r in &outcome.records {
+        if r.end_to_end_us >= tail.threshold_us {
+            tail.count += 1;
+            tail.admission_us += r.admission_wait_us;
+            tail.backlog_us += r.backlog_us;
+            tail.service_us += r.service_us;
+        }
+    }
     TailReport {
         requests: n,
         slowest,

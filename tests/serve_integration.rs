@@ -8,8 +8,9 @@
 //! * identical seeds replay byte-identical latency histograms and
 //!   exemplars;
 //! * every request record has exactly one request span whose duration is
-//!   its end-to-end latency, and an enabled trace sink never perturbs the
-//!   served timeline.
+//!   its end-to-end latency, every bucket span sits on the track of the
+//!   stream that ran it with no two spans of a track overlapping, and an
+//!   enabled trace sink never perturbs the served timeline.
 
 use proptest::prelude::*;
 
@@ -217,14 +218,15 @@ fn every_record_has_exactly_one_request_span_of_its_end_to_end_duration() {
         assert_eq!(dur.to_bits(), (r.end_to_end_us * 1.0e-6).to_bits());
     }
     // Every dispatched bucket appears twice: once on the serving process's
-    // `device` track and once on the GPU's `wcycle` track.
+    // track of the stream that ran it and once on the GPU's `wcycle` track.
     let mut bucket_bounds = Vec::new();
     for b in &out.batches {
         let name = format!("bucket {}", b.batch_id);
+        let stream = format!("stream {}", b.stream);
         assert_eq!(
             events
                 .iter()
-                .filter(|e| e.name == name && e.track == "device")
+                .filter(|e| e.name == name && e.track == stream)
                 .count(),
             1
         );
@@ -258,6 +260,54 @@ fn every_record_has_exactly_one_request_span_of_its_end_to_end_duration() {
             .filter(|(lo, hi)| start >= *lo && start + dur <= hi + 1.0e-12)
             .count();
         assert_eq!(parents, 1, "a level span nests in {parents} bucket spans");
+    }
+}
+
+#[test]
+fn bucket_spans_on_one_stream_track_never_overlap() {
+    // Dense arrivals with multilevel dimensions: buckets overlap on the
+    // device, so several stream tracks exist and the property is not
+    // vacuous.
+    let trace = Trace::assimilation(48, 8, 128, 20_000.0, 107);
+    let sink = TraceSink::enabled();
+    let gpu = Gpu::with_trace(V100, sink.clone());
+    let cfg = ServeConfig {
+        policy: BatchPolicy::low_latency(),
+        ..ServeConfig::default()
+    };
+    let out = serve_trace(&gpu, &trace, &cfg, &MetricsSink::disabled()).unwrap();
+    let events = sink.events();
+    let mut by_track: std::collections::BTreeMap<&str, Vec<(f64, f64)>> = Default::default();
+    for e in &events {
+        if !e.track.starts_with("stream ") {
+            continue;
+        }
+        let EventKind::Span { start, dur } = e.kind else {
+            panic!("{} on {} is not a span", e.name, e.track);
+        };
+        by_track
+            .entry(e.track.as_str())
+            .or_default()
+            .push((start, start + dur));
+    }
+    assert!(
+        by_track.len() > 1,
+        "every bucket ran on one stream: vacuous"
+    );
+    let spans: usize = by_track.values().map(Vec::len).sum();
+    assert_eq!(spans, out.batches.len());
+    for (track, spans) in &mut by_track {
+        spans.sort_by(|a, b| a.0.total_cmp(&b.0));
+        // Back-to-back buckets meet exactly in µs; the seconds-scaled
+        // span ends may differ from the next start by rounding.
+        for w in spans.windows(2) {
+            assert!(
+                w[0].1 <= w[1].0 + 1.0e-12,
+                "{track}: {:?} overlaps {:?}",
+                w[0],
+                w[1]
+            );
+        }
     }
 }
 
