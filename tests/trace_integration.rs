@@ -9,6 +9,7 @@ use std::collections::BTreeMap;
 
 use wsvd_core::{wcycle_svd, WCycleConfig};
 use wsvd_gpu_sim::{Gpu, V100};
+use wsvd_health::{FlightKind, HealthSink, WatchdogConfig};
 use wsvd_linalg::generate::random_batch;
 use wsvd_trace::{chrome_trace_json, ArgValue, Event, EventKind, TraceSink};
 
@@ -187,4 +188,84 @@ fn repeated_seeded_runs_export_identical_traces() {
         last(&cache2, "hits") > last(&cache1, "hits"),
         "the second run must hit the warm plan cache"
     );
+}
+
+/// The three per-sweep views of one run — the trace's `wcycle/sweep`
+/// instants, the health flight recorder's `SweepSample`s and
+/// `WCycleStats::convergence` — carry the same (level, sweep, coherence,
+/// active) sequence, bitwise and in order, on a batch that mixes level-0
+/// kernel sweeps with multilevel block sweeps.
+#[test]
+fn sweep_views_agree_bitwise() {
+    let trace = TraceSink::enabled();
+    let health = HealthSink::with_config(WatchdogConfig {
+        ring_capacity: 1 << 16,
+        ..Default::default()
+    });
+    let mut gpu = Gpu::with_trace(V100, trace.clone());
+    gpu.set_health(health.clone());
+    let mut mats = random_batch(3, 24, 24, 7);
+    mats.extend(random_batch(1, 96, 96, 9));
+    let cfg = WCycleConfig {
+        record_convergence: true,
+        ..Default::default()
+    };
+    let out = wcycle_svd(&gpu, &mats, &cfg).unwrap();
+    let stats: Vec<(u64, u64, u64, u64)> = out
+        .stats
+        .convergence
+        .iter()
+        .map(|r| (r.level, r.sweep, r.off_norm.to_bits(), r.active))
+        .collect();
+    assert!(stats.iter().any(|r| r.0 == 0), "level-0 sweeps recorded");
+    assert!(stats.iter().any(|r| r.0 >= 1), "multilevel sweeps recorded");
+
+    let arg = |e: &Event, name: &str| {
+        e.args
+            .iter()
+            .find(|(k, _)| *k == name)
+            .map(|(_, v)| v.clone())
+            .unwrap_or_else(|| panic!("sweep instant lacks `{name}`"))
+    };
+    let u = |v: ArgValue| match v {
+        ArgValue::U64(x) => x,
+        other => panic!("expected an integer arg, got {other:?}"),
+    };
+    let traced: Vec<(u64, u64, u64, u64)> = trace
+        .events()
+        .iter()
+        .filter(|e| e.track == "wcycle" && e.name == "sweep")
+        .map(|e| {
+            let coherence = match arg(e, "coherence") {
+                ArgValue::F64(x) => x.to_bits(),
+                other => panic!("expected a float coherence, got {other:?}"),
+            };
+            (
+                u(arg(e, "level")),
+                u(arg(e, "sweep")),
+                coherence,
+                u(arg(e, "active")),
+            )
+        })
+        .collect();
+    assert_eq!(traced, stats, "trace sweep instants vs stats.convergence");
+
+    assert!(
+        health.events_recorded() < 1 << 16,
+        "flight ring kept every event"
+    );
+    let sampled: Vec<(u64, u64, u64, u64)> = health
+        .tail()
+        .into_iter()
+        .filter_map(|e| match e.kind {
+            FlightKind::SweepSample {
+                level,
+                sweep,
+                off_norm,
+                active,
+            } => Some((level, sweep, off_norm.to_bits(), active)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(sampled, stats, "health sweep samples vs stats.convergence");
 }
