@@ -2,7 +2,8 @@
 //! * `ext-ablation` — the design-choice ablations DESIGN.md §5 calls out
 //!   (the three advantages of §III-D plus the §IV optimizations);
 //! * `ext-lowp` — the §V-E low-precision sketch (f32/bf16 storage);
-//! * `ext-profile` — the per-kernel time/traffic breakdown behind §V-B;
+//! * `ext-profile` — the per-kernel time/traffic breakdown behind §V-B,
+//!   read from the metrics registry;
 //! * `ext-trace` — the structured-trace view of the fig7 workload
 //!   (kernel spans, sweep telemetry, auto-tuner decisions);
 //! * `ext-sanitize` — the wsvd-sanitizer in action: the fig7 workload under
@@ -12,8 +13,8 @@
 //!   repro tables expose: fig9's batch-1 columns and fig14b's sharded
 //!   cluster, serial vs fused, with the overhead share each pays.
 //! * `ext-metrics` — the wsvd-metrics registry in action: the fig9 batch-1
-//!   case runs with a metered GPU and the report is the per-kernel
-//!   profiler view (time share, occupancy, AI, roofline ceiling
+//!   case runs with a metered GPU and the report is the `--report`
+//!   per-kernel view (time share, occupancy, AI, roofline ceiling
 //!   attribution per Eqs. 8–10, GM-transaction efficiency).
 //! * `ext-certify` — wsvd-analyze's ahead-of-time plan-space certification:
 //!   every auto-tuner-reachable and pinned plan family proven safe on every
@@ -161,15 +162,38 @@ pub fn ext_lowp(scale: Scale) -> Report {
     rep
 }
 
-/// Per-kernel profile of a representative batched run (the §V-B analysis).
+/// Runs `work` on a V100 metered under experiment `id` and returns only
+/// what this run recorded. Under `repro --report` / `--bench-out` it reuses
+/// the global sink, so the series also land in snapshots and `--prom`
+/// exports; otherwise it meters into a private sink.
+fn metered_run(id: &str, work: impl FnOnce(&Gpu)) -> wsvd_metrics::Snapshot {
+    let global = wsvd_metrics::global();
+    let sink = if global.is_enabled() {
+        global
+    } else {
+        wsvd_metrics::MetricsSink::enabled()
+    };
+    sink.set_experiment(id);
+    let before = sink.snapshot();
+    let mut gpu = Gpu::new(V100);
+    gpu.set_metrics(sink.clone());
+    work(&gpu);
+    // Per-run delta: only what *this* experiment recorded, even when the
+    // process-global sink already carries earlier experiments' series.
+    sink.snapshot().since(&before)
+}
+
+/// Per-kernel profile of a representative batched run (the §V-B analysis),
+/// read from the metrics registry's per-kernel totals.
 pub fn ext_profile(scale: Scale) -> Report {
     let n = scale.dim(256, 2, 96);
     let batch = scale.dim(100, 5, 10);
-    let gpu = Gpu::new(V100);
     let mats = random_batch(batch, n, n, 2718);
-    wcycle_svd(&gpu, &mats, &WCycleConfig::default()).unwrap();
-    let profile = gpu.profile();
-    let total = profile.total_seconds();
+    let snap = metered_run("ext-profile", |gpu| {
+        wcycle_svd(gpu, &mats, &WCycleConfig::default()).unwrap();
+    });
+    let rows = crate::metrics_report::kernel_rows(&snap, "ext-profile");
+    let total: f64 = rows.iter().map(|r| r.seconds).sum();
 
     let mut rep = Report::new(
         "ext-profile",
@@ -178,19 +202,13 @@ pub fn ext_profile(scale: Scale) -> Report {
         &["kernel", "time%", "launches", "GM bytes", "occupancy"],
         "the EVD/SVD rotation kernels dominate; GEMMs carry the GM traffic",
     );
-    let mut rows: Vec<_> = profile.iter().collect();
-    rows.sort_by(|a, b| {
-        b.1.seconds
-            .total_cmp(&a.1.seconds)
-            .then_with(|| a.0.cmp(b.0))
-    });
-    for (label, k) in rows {
+    for r in &rows {
         rep.push_row(vec![
-            label.to_string(),
-            format!("{:.1}%", wsvd_gpu_sim::time_share_percent(k.seconds, total)),
-            k.launches.to_string(),
-            format!("{:.2e}", k.totals.gm_bytes() as f64),
-            format!("{:.3}", k.mean_occupancy()),
+            r.kernel.clone(),
+            format!("{:.1}%", wsvd_gpu_sim::time_share_percent(r.seconds, total)),
+            format!("{:.0}", r.launches),
+            format!("{:.2e}", r.observation.gm_bytes),
+            format!("{:.3}", r.occupancy),
         ]);
     }
     rep
@@ -200,29 +218,16 @@ pub fn ext_profile(scale: Scale) -> Report {
 /// extension): one matrix runs the full W-cycle on a metered [`Gpu`] and the
 /// report renders what the registry accumulated — per-kernel time share,
 /// achieved occupancy, arithmetic intensity, roofline ceiling attribution
-/// (Eqs. 8–10, the same [`wsvd_gpu_sim::KernelObservation::derive`] path the
-/// profiler uses), GM-transaction efficiency and launch-overhead share.
-/// Under `repro --report` the experiment reuses the global sink, so its
-/// series also land in `--bench-out` snapshots and `--prom` exports.
+/// (Eqs. 8–10, [`wsvd_gpu_sim::KernelObservation::derive`]), GM-transaction
+/// efficiency and launch-overhead share.
 pub fn ext_metrics(scale: Scale) -> Report {
     let n = scale.pick(128, 256);
-    let global = wsvd_metrics::global();
-    let sink = if global.is_enabled() {
-        global
-    } else {
-        wsvd_metrics::MetricsSink::enabled()
-    };
-    sink.set_experiment("ext-metrics");
-    let before = sink.snapshot();
-    let mut gpu = Gpu::new(V100);
-    gpu.set_metrics(sink.clone());
     // The fig9 batch-1 column: a single n x n matrix, where per-launch
     // overhead and per-level plan choices are most visible.
     let mats = random_batch(1, n, n, (3 * n + 1) as u64);
-    wcycle_svd(&gpu, &mats, &WCycleConfig::default()).unwrap();
-    // Per-run delta: only what *this* experiment recorded, even when the
-    // process-global sink already carries earlier experiments' series.
-    let snap = sink.snapshot().since(&before);
+    let snap = metered_run("ext-metrics", |gpu| {
+        wcycle_svd(gpu, &mats, &WCycleConfig::default()).unwrap();
+    });
 
     let mut rep = crate::metrics_report::kernel_report(&snap, "ext-metrics");
     rep.id = "ext-metrics".to_string();

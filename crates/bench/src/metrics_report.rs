@@ -1,14 +1,15 @@
-//! Per-kernel profiler reports and the perf-regression snapshot format.
+//! Per-kernel reports and the perf-regression snapshot format.
 //!
 //! This module turns a [`wsvd_metrics::Snapshot`] into the two artifacts the
 //! BENCH trajectory is built on:
 //!
 //! * **Reports** — for each experiment in the snapshot, a per-kernel table
 //!   attributing simulated time, achieved occupancy, arithmetic intensity and
-//!   the roofline ceiling of Eqs. 8–10 (via the *same*
-//!   [`wsvd_gpu_sim::KernelObservation::derive`] arithmetic the profiler
-//!   uses — there is exactly one roofline implementation in the tree), plus
-//!   GM-transaction efficiency and the launch/graph overhead share.
+//!   the roofline ceiling of Eqs. 8–10 (via
+//!   [`wsvd_gpu_sim::KernelObservation::derive`], the one roofline
+//!   implementation in the tree), plus GM-transaction efficiency and the
+//!   launch/graph overhead share. `ext-profile` renders its columns from the
+//!   same [`kernel_rows`].
 //! * **[`BenchSnapshot`]** — a stable, deterministic JSON snapshot of one
 //!   `repro` invocation (`repro --bench-out BENCH_<n>.json`), compared by the
 //!   `wsvd-bench-diff` binary under configurable relative tolerances so CI
@@ -351,7 +352,7 @@ mod tests {
     use super::*;
     use wsvd_metrics::MetricsSink;
 
-    fn sample_snapshot() -> Snapshot {
+    fn sample_sink() -> MetricsSink {
         let sink = MetricsSink::enabled();
         sink.set_experiment("t");
         sink.counter_add("evd", None, "launches", 2.0);
@@ -365,7 +366,11 @@ mod tests {
         sink.gauge_set("device", None, "peak_fp64_flops", 7.0e12);
         sink.gauge_set("device", None, "gm_bandwidth_bytes_per_s", 9.0e11);
         sink.gauge_set("device", None, "gm_transaction_bytes", 32.0);
-        sink.snapshot()
+        sink
+    }
+
+    fn sample_snapshot() -> Snapshot {
+        sample_sink().snapshot()
     }
 
     #[test]
@@ -384,6 +389,19 @@ mod tests {
         assert_eq!(rep.rows.len(), 1);
         assert_eq!(rep.rows[0][1], "100.0%");
         assert_eq!(rep.rows[0][4], "compute");
+
+        // NaN seconds must neither panic the sort nor scramble it:
+        // `total_cmp` orders a (positive) NaN above every finite time.
+        let sink = sample_sink();
+        sink.counter_add("nan", None, "launches", 1.0);
+        sink.counter_add("nan", None, "kernel_seconds", f64::NAN);
+        let snap = sink.snapshot();
+        let order: Vec<String> = kernel_rows(&snap, "t")
+            .into_iter()
+            .map(|r| r.kernel)
+            .collect();
+        assert_eq!(order, ["nan", "evd"]);
+        assert_eq!(kernel_report(&snap, "t").rows.len(), 2);
     }
 
     #[test]

@@ -2,9 +2,12 @@
 
 use serde::{Deserialize, Serialize};
 
-/// One per-sweep convergence sample of a W-cycle level — the off-diagonal
-/// tracker state a cluster checkpoint serializes for its completed chunks.
-/// Only recorded when the config's `record_convergence` flag is on.
+/// One per-sweep convergence sample of a W-cycle level. The W-cycle builds
+/// it once per sweep and sends it to every view that is on: the trace's
+/// `wcycle/sweep` instant, the health watchdogs and, under the config's
+/// `record_convergence` flag, [`WCycleStats::convergence`] — the
+/// off-diagonal tracker state a cluster checkpoint serializes for its
+/// completed chunks.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SweepRecord {
     /// W-cycle level (0 = whole-matrix SM kernel batch).

@@ -31,7 +31,7 @@ use wsvd_linalg::Matrix;
 
 use crate::certify::CertifyMode;
 use crate::config::{AlphaSelect, Tuning, WCycleConfig};
-use crate::stats::WCycleStats;
+use crate::stats::{SweepRecord, WCycleStats};
 use crate::verify::{effective_width, verify_level};
 use wsvd_jacobi::verify::{verify_schedule, Coverage};
 
@@ -77,10 +77,8 @@ pub fn wcycle_svd(
         }
     }
     let smem = gpu.device().smem_per_block_bytes;
-    let trace = gpu.trace().clone();
-    let traced = trace.is_enabled();
-    let health = gpu.health().clone();
-    let watched = health.is_enabled();
+    let traced = gpu.trace().is_enabled();
+    let watched = gpu.health().is_enabled();
     let mut stats = WCycleStats {
         sweeps_per_matrix: vec![0; mats.len()],
         ..Default::default()
@@ -136,16 +134,7 @@ pub fn wcycle_svd(
         let group: Vec<Matrix> = fit_idx.iter().map(|&k| prepared[k].0.clone()).collect();
         let m_star = group.iter().map(|g| g.rows()).max().unwrap_or(1);
         let threads_per_pair = cfg.alpha.resolve(m_star);
-        if traced {
-            trace_alpha_plan(
-                gpu,
-                &trace,
-                &cfg.alpha,
-                m_star,
-                group.len(),
-                threads_per_pair,
-            );
-        }
+        trace_alpha_plan(gpu, &cfg.alpha, m_star, group.len(), threads_per_pair);
         let one_sided = OneSidedConfig {
             tol: cfg.tol,
             threads_per_pair,
@@ -157,14 +146,19 @@ pub fn wcycle_svd(
         };
         let t_pre = gpu.elapsed_seconds();
         let (mut svds, _) = batched_svd_sm(gpu, &group, &one_sided, cfg.kernel_threads)?;
-        if traced {
-            trace_level0_sweeps(gpu, &trace, &svds, t_pre, gpu.elapsed_seconds());
-        }
-        if watched {
-            health_level0_sweeps(&health, &svds, t_pre, gpu.elapsed_seconds());
-        }
-        if cfg.record_convergence {
-            record_level0_convergence(&mut stats, &svds);
+        if one_sided.record_coherence {
+            // The launch spans `[t_pre, t_post]` in simulated time; sweep
+            // `s` of `S` is placed at the matching fraction of it.
+            let t_post = gpu.elapsed_seconds();
+            let records = level0_sweeps(&svds);
+            let s_max = records.len();
+            for (s, rec) in records.into_iter().enumerate() {
+                let ts = t_pre + (t_post - t_pre) * (s + 1) as f64 / s_max as f64;
+                let detail = SweepDetail::Kernel {
+                    matrices: svds.len(),
+                };
+                emit_sweep(gpu, cfg, &mut stats, rec, ts, detail);
+            }
         }
         stats.level0_sm_svds = svds.len();
         // Level-0 registry metrics mirror the per-level hook in
@@ -296,52 +290,10 @@ pub fn wcycle_svd(
     // `max_sweeps`, converged or not — the accuracy experiments use it to
     // chart error vs sweep count), so the convergence contract the drift
     // monitors enforce is waived there.
-    if watched && cfg.tol > 0.0 {
-        health_batch_checks(&health, gpu.elapsed_seconds(), mats, &results);
+    if cfg.tol > 0.0 {
+        health_batch_checks(gpu, mats, &results);
     }
     Ok(WCycleOutput { results, stats })
-}
-
-/// Mirrors [`trace_level0_sweeps`] into the health watchdogs: one
-/// [`sweep_sample`](wsvd_health::HealthSink::sweep_sample) per Level-0 sweep
-/// from the SM kernels' recorded coherence histories.
-// wsvd-lint: allow(sink-guard) — caller gates on `watched = health.is_enabled()`.
-fn health_level0_sweeps(
-    health: &wsvd_health::HealthSink,
-    svds: &[JacobiSvd],
-    t_pre: f64,
-    t_post: f64,
-) {
-    let s_max = svds.iter().map(|o| o.stats.sweeps).max().unwrap_or(0);
-    for s in 0..s_max {
-        let coherence = svds
-            .iter()
-            .filter_map(|o| o.coherence_per_sweep.get(s))
-            .fold(0.0f64, |acc, &c| acc.max(c));
-        let active = svds.iter().filter(|o| o.stats.sweeps > s + 1).count();
-        let ts = t_pre + (t_post - t_pre) * (s + 1) as f64 / s_max as f64;
-        health.sweep_sample(0, s + 1, coherence, active, ts);
-    }
-}
-
-/// Mirrors [`health_level0_sweeps`] into [`WCycleStats::convergence`]: the
-/// same per-sweep aggregation of the SM kernels' coherence histories, but
-/// surfaced as data for the cluster checkpoint instead of fed to a sink.
-fn record_level0_convergence(stats: &mut WCycleStats, svds: &[JacobiSvd]) {
-    let s_max = svds.iter().map(|o| o.stats.sweeps).max().unwrap_or(0);
-    for s in 0..s_max {
-        let off_norm = svds
-            .iter()
-            .filter_map(|o| o.coherence_per_sweep.get(s))
-            .fold(0.0f64, |acc, &c| acc.max(c));
-        let active = svds.iter().filter(|o| o.stats.sweeps > s + 1).count();
-        stats.convergence.push(crate::SweepRecord {
-            level: 0,
-            sweep: (s + 1) as u64,
-            off_norm,
-            active: active as u64,
-        });
-    }
 }
 
 /// End-of-run drift monitors: per matrix, the orthogonality error of the
@@ -355,13 +307,12 @@ fn record_level0_convergence(stats: &mut WCycleStats, svds: &[JacobiSvd]) {
 /// converging runs (`tol > 0`): a truncated run is unconverged by design
 /// and its factors make no orthogonality promise. Host-side and
 /// health-gated: never charged to the cost model.
-// wsvd-lint: allow(sink-guard) — caller gates on `watched = health.is_enabled()`.
-fn health_batch_checks(
-    health: &wsvd_health::HealthSink,
-    t_sim: f64,
-    mats: &[Matrix],
-    results: &[WSvd],
-) {
+fn health_batch_checks(gpu: &Gpu, mats: &[Matrix], results: &[WSvd]) {
+    let health = gpu.health();
+    if !health.is_enabled() {
+        return;
+    }
+    let t_sim = gpu.elapsed_seconds();
     for (k, (a, r)) in mats.iter().zip(results).enumerate() {
         let sigma_max = r.sigma.first().copied().unwrap_or(0.0);
         if !sigma_max.is_finite() || sigma_max <= 0.0 {
@@ -391,15 +342,11 @@ fn health_batch_checks(
 /// Emits the Level-0 α-warp selection (§IV-B1) as an auto-tuner plan event:
 /// the rule's rejected team widths from [`wsvd_batched::TPP_CANDIDATES`] go
 /// into the event args alongside the chosen one.
-// wsvd-lint: allow(sink-guard) — caller gates on `traced = trace.is_enabled()`.
-fn trace_alpha_plan(
-    gpu: &Gpu,
-    trace: &wsvd_trace::TraceSink,
-    alpha: &AlphaSelect,
-    m_star: usize,
-    batch: usize,
-    chosen: usize,
-) {
+fn trace_alpha_plan(gpu: &Gpu, alpha: &AlphaSelect, m_star: usize, batch: usize, chosen: usize) {
+    let trace = gpu.trace();
+    if !trace.is_enabled() {
+        return;
+    }
     let rejected = wsvd_batched::TPP_CANDIDATES
         .iter()
         .filter(|&&t| t != chosen)
@@ -423,39 +370,84 @@ fn trace_alpha_plan(
     );
 }
 
-/// Emits per-sweep convergence instants for a Level-0 batched SM SVD launch
-/// from the kernels' recorded coherence histories. The launch spans
-/// `[t_pre, t_post]` in simulated time; sweep `s` of `S` is placed at the
-/// matching fraction of that interval.
-// wsvd-lint: allow(sink-guard) — caller gates on `traced = trace.is_enabled()`.
-fn trace_level0_sweeps(
-    gpu: &Gpu,
-    trace: &wsvd_trace::TraceSink,
-    svds: &[JacobiSvd],
-    t_pre: f64,
-    t_post: f64,
-) {
+/// The per-sweep records of a Level-0 batched SM SVD launch, folded once
+/// from the kernels' recorded coherence histories: sweep `s` takes the
+/// largest coherence any matrix reached in it and counts the matrices still
+/// sweeping after it.
+fn level0_sweeps(svds: &[JacobiSvd]) -> Vec<SweepRecord> {
     let s_max = svds.iter().map(|o| o.stats.sweeps).max().unwrap_or(0);
-    for s in 0..s_max {
-        let coherence = svds
-            .iter()
-            .filter_map(|o| o.coherence_per_sweep.get(s))
-            .fold(0.0f64, |acc, &c| acc.max(c));
-        let active = svds.iter().filter(|o| o.stats.sweeps > s + 1).count();
-        let ts = t_pre + (t_post - t_pre) * (s + 1) as f64 / s_max as f64;
-        trace.instant(
-            gpu.trace_pid(),
-            "wcycle",
-            "sweep",
+    (0..s_max)
+        .map(|s| SweepRecord {
+            level: 0,
+            sweep: (s + 1) as u64,
+            off_norm: svds
+                .iter()
+                .filter_map(|o| o.coherence_per_sweep.get(s))
+                .fold(0.0f64, |acc, &c| acc.max(c)),
+            active: svds.iter().filter(|o| o.stats.sweeps > s + 1).count() as u64,
+        })
+        .collect()
+}
+
+/// What a sweep's trace instant says beyond its [`SweepRecord`].
+enum SweepDetail {
+    /// A Level-0 batched SM SVD launch over this many whole matrices.
+    Kernel { matrices: usize },
+    /// A Level-h sweep: block rotations, and how many pair blocks took each
+    /// of Algorithm 2's three routes (SM SVD, Gram + SM EVD, recursion).
+    Blocks {
+        rotations: u64,
+        ga: u64,
+        gb: u64,
+        gc: u64,
+    },
+}
+
+/// Sends one sweep's record, at simulated time `ts`, to every view that is
+/// on: the `wcycle/sweep` trace instant, the health watchdogs and
+/// [`WCycleStats::convergence`] (under `cfg.record_convergence`).
+fn emit_sweep(
+    gpu: &Gpu,
+    cfg: &WCycleConfig,
+    stats: &mut WCycleStats,
+    rec: SweepRecord,
+    ts: f64,
+    detail: SweepDetail,
+) {
+    let trace = gpu.trace();
+    if trace.is_enabled() {
+        let mut args = vec![("level", rec.level.into()), ("sweep", rec.sweep.into())];
+        if let SweepDetail::Blocks {
+            rotations,
+            ga,
+            gb,
+            gc,
+        } = detail
+        {
+            args.push(("rotations", rotations.into()));
+            args.push(("ga_sm_svd", ga.into()));
+            args.push(("gb_gram_evd", gb.into()));
+            args.push(("gc_recursed", gc.into()));
+        }
+        args.push(("coherence", rec.off_norm.into()));
+        args.push(("active", rec.active.into()));
+        if let SweepDetail::Kernel { matrices } = detail {
+            args.push(("matrices", matrices.into()));
+        }
+        trace.instant(gpu.trace_pid(), "wcycle", "sweep", ts, args);
+    }
+    let health = gpu.health();
+    if health.is_enabled() {
+        health.sweep_sample(
+            rec.level as usize,
+            rec.sweep as usize,
+            rec.off_norm,
+            rec.active as usize,
             ts,
-            vec![
-                ("level", 0usize.into()),
-                ("sweep", (s + 1).into()),
-                ("coherence", coherence.into()),
-                ("active", active.into()),
-                ("matrices", svds.len().into()),
-            ],
         );
+    }
+    if cfg.record_convergence {
+        stats.convergence.push(rec);
     }
 }
 
@@ -796,41 +788,19 @@ fn decompose_level(
             }
         }
         let still_active = active.iter().filter(|&&a| a).count();
-        if traced {
-            trace.instant(
-                gpu.trace_pid(),
-                "wcycle",
-                "sweep",
-                gpu.elapsed_seconds(),
-                vec![
-                    ("level", level.into()),
-                    ("sweep", (round + 1).into()),
-                    ("rotations", sweep_rotations.into()),
-                    ("ga_sm_svd", sweep_ga.into()),
-                    ("gb_gram_evd", sweep_gb.into()),
-                    ("gc_recursed", sweep_gc.into()),
-                    ("coherence", coherence.into()),
-                    ("active", still_active.into()),
-                ],
-            );
-        }
-        if watched {
-            health.sweep_sample(
-                level,
-                round + 1,
-                coherence,
-                still_active,
-                gpu.elapsed_seconds(),
-            );
-        }
-        if cfg.record_convergence {
-            stats.convergence.push(crate::SweepRecord {
-                level: level as u64,
-                sweep: (round + 1) as u64,
-                off_norm: coherence,
-                active: still_active as u64,
-            });
-        }
+        let rec = SweepRecord {
+            level: level as u64,
+            sweep: (round + 1) as u64,
+            off_norm: coherence,
+            active: still_active as u64,
+        };
+        let detail = SweepDetail::Blocks {
+            rotations: sweep_rotations,
+            ga: sweep_ga,
+            gb: sweep_gb,
+            gc: sweep_gc,
+        };
+        emit_sweep(gpu, cfg, stats, rec, gpu.elapsed_seconds(), detail);
     }
 
     if traced {

@@ -20,7 +20,6 @@ use wsvd_trace::TraceSink;
 use crate::counters::{BlockCounters, LaunchStats, Timeline};
 use crate::device::DeviceSpec;
 use crate::graph::{GraphState, GraphStats, LaunchGraph};
-use crate::profile::Profiler;
 use crate::sanitize::{
     bump_global_violations, BlockSanitizeOutcome, HazardTracker, SanitizeMode, SanitizerReport,
 };
@@ -323,7 +322,6 @@ impl BlockCtx {
 pub struct Gpu {
     device: DeviceSpec,
     timeline: Mutex<Timeline>,
-    profiler: Mutex<Profiler>,
     trace: TraceSink,
     trace_pid: u32,
     metrics: MetricsSink,
@@ -360,7 +358,6 @@ impl Gpu {
         Self {
             device,
             timeline: Mutex::new(Timeline::default()),
-            profiler: Mutex::new(Profiler::new()),
             trace,
             trace_pid,
             metrics: wsvd_metrics::global(),
@@ -435,11 +432,6 @@ impl Gpu {
         self.trace_pid
     }
 
-    /// Snapshot of the per-kernel-label profile (the §V-B nvprof view).
-    pub fn profile(&self) -> Profiler {
-        self.profiler.lock().clone()
-    }
-
     /// The device being simulated.
     pub fn device(&self) -> &DeviceSpec {
         &self.device
@@ -450,10 +442,9 @@ impl Gpu {
         self.timeline.lock().clone()
     }
 
-    /// Clears the timeline and the per-kernel profile.
+    /// Clears the timeline.
     pub fn reset_timeline(&self) {
         *self.timeline.lock() = Timeline::default();
-        *self.profiler.lock() = Profiler::new();
     }
 
     /// Total simulated seconds so far.
@@ -673,7 +664,6 @@ impl Gpu {
             iv.seconds += stats.seconds();
             iv.footprint = iv.footprint.max(footprint);
         }
-        self.profiler.lock().record(cfg.label, &stats);
         if self.metrics.is_enabled() {
             self.record_metrics(cfg.label, &stats);
         }
@@ -689,9 +679,10 @@ impl Gpu {
     }
 
     /// Mirrors one launch's [`LaunchStats`] — the *same* object the timeline
-    /// and profiler record — into the metrics registry, keyed by kernel
-    /// label. Only called when the sink is enabled; recording never touches
-    /// the timing model, so metrics-off runs stay bit-identical.
+    /// records — into the metrics registry, the store of per-kernel totals,
+    /// keyed by kernel label. Only called when the sink is enabled;
+    /// recording never touches the timing model, so metrics-off runs stay
+    /// bit-identical.
     fn record_metrics(&self, label: &str, stats: &LaunchStats) {
         let m = &self.metrics;
         m.counter_add(label, None, "launches", 1.0);
@@ -724,7 +715,7 @@ impl Gpu {
         m.counter_add(label, None, "kernel_seconds", stats.kernel_seconds);
         m.counter_add(label, None, "overhead_seconds", stats.overhead_seconds);
         // Time-weighted occupancy accumulator: reports divide by the kernel's
-        // total seconds to recover the profiler's mean occupancy.
+        // total seconds to recover its mean occupancy.
         m.counter_add(
             label,
             None,

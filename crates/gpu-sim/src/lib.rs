@@ -41,7 +41,7 @@ pub use counters::{BlockCounters, LaunchStats, Timeline};
 pub use device::{DeviceSpec, A100, ALL_DEVICES, P100, TITAN_X, V100, VEGA20};
 pub use graph::{GraphStats, LaunchGraph};
 pub use launch::{BlockCtx, BlockPlacement, Gpu, KernelConfig, KernelError, OCCUPANCY_BUCKETS};
-pub use profile::{time_share_percent, KernelDerived, KernelObservation, KernelProfile, Profiler};
+pub use profile::{time_share_percent, KernelDerived, KernelObservation};
 pub use resource::{
     BarrierDiscipline, KernelResource, ResourceFit, ResourceViolation, ScheduleFamily,
 };

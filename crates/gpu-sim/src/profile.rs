@@ -1,77 +1,22 @@
-//! Per-kernel profiling, in the spirit of the `nvprof` data behind the
-//! paper's §V-B speedup analysis.
+//! Per-kernel roofline arithmetic, in the spirit of the `nvprof` data behind
+//! the paper's §V-B speedup analysis.
 //!
-//! A [`Profiler`] wraps launch statistics grouped by kernel label, so a run
-//! can be broken down into "where did the simulated time and the GM traffic
-//! go" — the view Figs. 10–11 are built from.
-
-use std::collections::BTreeMap;
-
-use serde::{Deserialize, Serialize};
-
-use crate::counters::{BlockCounters, LaunchStats};
-use crate::device::DeviceSpec;
-
-/// Aggregated statistics for one kernel label.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct KernelProfile {
-    /// Number of launches with this label.
-    pub launches: u64,
-    /// Total blocks across launches.
-    pub blocks: u64,
-    /// Summed counters.
-    pub totals: BlockCounters,
-    /// Total simulated seconds (kernel + overhead).
-    pub seconds: f64,
-    /// Launch-overhead seconds included in `seconds`.
-    pub overhead_seconds: f64,
-    /// Time-weighted occupancy accumulator.
-    occ_weighted: f64,
-}
-
-impl KernelProfile {
-    /// Time-weighted mean occupancy for this kernel.
-    pub fn mean_occupancy(&self) -> f64 {
-        if self.seconds > 0.0 {
-            self.occ_weighted / self.seconds
-        } else {
-            0.0
-        }
-    }
-
-    /// The raw quantities the roofline report needs, paired with `device`'s
-    /// ceilings — the bridge into [`KernelObservation::derive`].
-    pub fn observation(&self, device: &DeviceSpec) -> KernelObservation {
-        KernelObservation {
-            flops: self.totals.flops as f64,
-            gm_bytes: self.totals.gm_bytes() as f64,
-            gm_transactions: self.totals.gm_transactions as f64,
-            kernel_seconds: self.seconds - self.overhead_seconds,
-            overhead_seconds: self.overhead_seconds,
-            peak_flops: device.peak_fp64_flops(),
-            gm_bandwidth: device.gm_bandwidth(),
-            gm_transaction_bytes: device.gm_transaction_bytes as f64,
-        }
-    }
-
-    /// Derived roofline metrics for this kernel on `device`.
-    pub fn derived(&self, device: &DeviceSpec) -> KernelDerived {
-        self.observation(device).derive()
-    }
-}
+//! Launch statistics are kept per kernel label in the metrics registry
+//! (`Gpu` mirrors every launch's [`crate::LaunchStats`] there); this module
+//! turns one kernel's totals into the view Figs. 10–11 are built from:
+//! time share, arithmetic intensity and the roofline ceiling (Eqs. 8–10).
 
 /// Percentage of `total_seconds` spent in a kernel — the one home for the
-/// time-share arithmetic shared by [`Profiler::render`], the bench
-/// experiments and the metrics report (an empty profile yields 0%).
+/// time-share arithmetic shared by the bench experiments and the metrics
+/// report (an empty run yields 0%).
 pub fn time_share_percent(seconds: f64, total_seconds: f64) -> f64 {
     100.0 * seconds / total_seconds.max(f64::MIN_POSITIVE)
 }
 
 /// Raw inputs to the roofline/AI derivation (Eqs. 8–10): one kernel's summed
-/// counters and simulated times plus the device ceilings. Built either from
-/// a [`KernelProfile`] ([`KernelProfile::observation`]) or from metrics
-/// registry counters — both paths share [`KernelObservation::derive`], so
-/// the arithmetic cannot diverge between the profiler and the reports.
+/// counters and simulated times plus the device ceilings, as read from the
+/// metrics registry. Every report derives through
+/// [`KernelObservation::derive`], so the arithmetic cannot diverge.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct KernelObservation {
     /// Total floating-point operations.
@@ -169,135 +114,12 @@ impl KernelObservation {
     }
 }
 
-/// Collects per-label kernel statistics.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct Profiler {
-    kernels: BTreeMap<String, KernelProfile>,
-}
-
-impl Profiler {
-    /// Creates an empty profiler.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one launch under `label`.
-    pub fn record(&mut self, label: &str, stats: &LaunchStats) {
-        let k = self.kernels.entry(label.to_string()).or_default();
-        k.launches += 1;
-        k.blocks += stats.grid as u64;
-        k.totals.merge(&stats.totals);
-        k.seconds += stats.seconds();
-        k.overhead_seconds += stats.overhead_seconds;
-        k.occ_weighted += stats.occupancy * stats.seconds();
-    }
-
-    /// Iterates `(label, profile)` pairs, alphabetical by label.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &KernelProfile)> {
-        self.kernels.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Profile for one label, if recorded.
-    pub fn get(&self, label: &str) -> Option<&KernelProfile> {
-        self.kernels.get(label)
-    }
-
-    /// Total simulated seconds across all kernels.
-    pub fn total_seconds(&self) -> f64 {
-        self.kernels.values().map(|k| k.seconds).sum()
-    }
-
-    /// Renders an `nvprof`-style summary table, sorted by time share.
-    pub fn render(&self) -> String {
-        use std::fmt::Write;
-        let total = self.total_seconds();
-        let mut rows: Vec<(&str, &KernelProfile)> = self.iter().collect();
-        // total_cmp: NaN-safe, so a pathological profile can't panic render.
-        rows.sort_by(|a, b| b.1.seconds.total_cmp(&a.1.seconds));
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:>7}  {:>9}  {:>9}  {:>12}  {:>12}  {:>6}  kernel",
-            "time%", "seconds", "launches", "flops", "gm bytes", "occ"
-        );
-        for (label, k) in rows {
-            let _ = writeln!(
-                out,
-                "{:>6.1}%  {:>9.3e}  {:>9}  {:>12.3e}  {:>12.3e}  {:>6.2}  {}",
-                time_share_percent(k.seconds, total),
-                k.seconds,
-                k.launches,
-                k.totals.flops as f64,
-                k.totals.gm_bytes() as f64,
-                k.mean_occupancy(),
-                label
-            );
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn stats(grid: usize, secs: f64, flops: u64) -> LaunchStats {
-        LaunchStats {
-            grid,
-            kernel_seconds: secs,
-            totals: BlockCounters {
-                flops,
-                ..Default::default()
-            },
-            occupancy: 0.5,
-            ..Default::default()
-        }
-    }
-
     #[test]
-    fn records_and_aggregates_by_label() {
-        let mut p = Profiler::new();
-        p.record("svd", &stats(4, 1.0, 100));
-        p.record("svd", &stats(2, 2.0, 50));
-        p.record("gemm", &stats(8, 0.5, 10));
-        let svd = p.get("svd").unwrap();
-        assert_eq!(svd.launches, 2);
-        assert_eq!(svd.blocks, 6);
-        assert_eq!(svd.totals.flops, 150);
-        assert!((svd.seconds - 3.0).abs() < 1e-12);
-        assert!((p.total_seconds() - 3.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn render_sorts_by_time() {
-        let mut p = Profiler::new();
-        p.record("cheap", &stats(1, 0.1, 1));
-        p.record("hot", &stats(1, 10.0, 1));
-        let s = p.render();
-        let hot_pos = s.find("hot").unwrap();
-        let cheap_pos = s.find("cheap").unwrap();
-        assert!(hot_pos < cheap_pos, "{s}");
-    }
-
-    #[test]
-    fn render_survives_nan_seconds() {
-        let mut p = Profiler::new();
-        p.record("ok", &stats(1, 1.0, 1));
-        p.record("nan", &stats(1, f64::NAN, 1));
-        // Must not panic; NaN sorts deterministically under total_cmp.
-        let s = p.render();
-        assert!(s.contains("ok") && s.contains("nan"));
-    }
-
-    #[test]
-    fn mean_occupancy_weighted() {
-        let mut p = Profiler::new();
-        p.record("k", &stats(1, 1.0, 0));
-        assert!((p.get("k").unwrap().mean_occupancy() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_share_handles_empty_profile() {
+    fn time_share_handles_an_empty_run() {
         assert_eq!(time_share_percent(0.0, 0.0), 0.0);
         assert!((time_share_percent(1.0, 4.0) - 25.0).abs() < 1e-12);
     }
@@ -354,18 +176,5 @@ mod tests {
         .derive();
         assert!((d.overhead_share - 0.25).abs() < 1e-12);
         assert_eq!(KernelObservation::default().derive().overhead_share, 0.0);
-    }
-
-    #[test]
-    fn profile_observation_splits_kernel_and_overhead() {
-        let mut p = Profiler::new();
-        let mut s = stats(2, 1.0, 1000);
-        s.overhead_seconds = 0.5;
-        p.record("k", &s);
-        let obs = p.get("k").unwrap().observation(&crate::device::V100);
-        assert!((obs.kernel_seconds - 1.0).abs() < 1e-12);
-        assert!((obs.overhead_seconds - 0.5).abs() < 1e-12);
-        assert_eq!(obs.flops, 1000.0);
-        assert!((obs.peak_flops - crate::device::V100.peak_fp64_flops()).abs() < 1.0);
     }
 }

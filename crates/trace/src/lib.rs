@@ -368,19 +368,6 @@ pub fn chrome_trace_json(events: &[Event], processes: &[(u32, String)]) -> Strin
     serde_json::to_string(&root).expect("trace serialization is infallible")
 }
 
-/// Total span seconds per span name (instants and counters ignored).
-/// The invariant tests compare this against the simulator's [`Profiler`]
-/// totals for the same run.
-pub fn span_totals_by_name(events: &[Event]) -> BTreeMap<String, f64> {
-    let mut totals = BTreeMap::new();
-    for ev in events {
-        if let EventKind::Span { dur, .. } = ev.kind {
-            *totals.entry(ev.name.clone()).or_insert(0.0) += dur;
-        }
-    }
-    totals
-}
-
 /// Renders a human-readable flame summary: per `(process, track)`, every
 /// span name with call count, total simulated seconds, and share of the
 /// track's busy time, hottest first.
@@ -518,15 +505,6 @@ mod tests {
             chrome_trace_json(&sink.events(), &sink.processes())
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn span_totals_aggregate_by_name() {
-        let sink = TraceSink::enabled();
-        sample_events(&sink);
-        let totals = span_totals_by_name(&sink.events());
-        assert!((totals["gemm"] - 4.0e-3).abs() < 1e-15);
-        assert!((totals["svd"] - 1.0e-3).abs() < 1e-15);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Cross-layer metrics integration: real W-cycle workloads drive the
 //! simulator with an enabled [`wsvd_metrics::MetricsSink`], and the registry
-//! must agree with the other two observability layers — the `Profiler`'s
-//! per-kernel accounting and the structured-trace span totals — while
-//! remaining a strict no-op (bit-identical simulated time and numerics)
-//! when disabled, and byte-identical across repeated seeded runs.
+//! — the store of per-kernel totals — must agree with the structured-trace
+//! span totals while remaining a strict no-op (bit-identical simulated time
+//! and numerics) when disabled, and byte-identical across repeated seeded
+//! runs.
 
 use std::collections::BTreeMap;
 
@@ -29,12 +29,12 @@ fn metered_run(sink: &MetricsSink, exp: &str, batch: &[(usize, usize, usize, u64
     gpu
 }
 
-/// The invariant the whole design hangs on: for every kernel label, the
-/// metrics registry, the `Profiler` and the trace-span totals all report the
-/// same simulated seconds and launch counts — they read the same
-/// `LaunchStats` accumulation path, so there is nothing to drift.
+/// The registry is the one store of per-kernel totals; the trace's kernel
+/// spans are a second view of the same launches. For every kernel label
+/// both report the same simulated seconds, launch count and FLOPs, and
+/// neither sees a label the other does not.
 #[test]
-fn metrics_totals_match_profiler_and_trace() {
+fn metrics_totals_match_trace_spans() {
     let trace = TraceSink::enabled();
     let sink = MetricsSink::enabled();
     sink.set_experiment("itest-totals");
@@ -44,49 +44,57 @@ fn metrics_totals_match_profiler_and_trace() {
     mats.extend(random_batch(1, 96, 96, 9));
     wcycle_svd(&gpu, &mats, &WCycleConfig::default()).unwrap();
 
-    // Trace-span totals per label: span duration + launch-overhead arg.
-    let mut trace_totals: BTreeMap<String, f64> = BTreeMap::new();
+    // Trace-span totals per label: span duration + launch-overhead arg,
+    // launch count and FLOPs.
+    let mut spans: BTreeMap<String, (f64, u64, u64)> = BTreeMap::new();
     for e in trace.events().iter().filter(|e| e.track == "kernels") {
         if let EventKind::Span { dur, .. } = e.kind {
-            let overhead = e
-                .args
-                .iter()
-                .find_map(|(k, v)| match (k, v) {
-                    (&"launch_overhead_s", ArgValue::F64(x)) => Some(*x),
-                    _ => None,
-                })
-                .expect("kernel spans carry launch_overhead_s");
-            *trace_totals.entry(e.name.clone()).or_insert(0.0) += dur + overhead;
+            let arg = |name: &str| {
+                e.args
+                    .iter()
+                    .find(|(k, _)| *k == name)
+                    .map(|(_, v)| v.clone())
+                    .unwrap_or_else(|| panic!("kernel spans carry {name}"))
+            };
+            let ArgValue::F64(overhead) = arg("launch_overhead_s") else {
+                panic!("launch_overhead_s is a float");
+            };
+            let ArgValue::U64(flops) = arg("flops") else {
+                panic!("flops is an integer");
+            };
+            let t = spans.entry(e.name.clone()).or_insert((0.0, 0, 0));
+            t.0 += dur + overhead;
+            t.1 += 1;
+            t.2 += flops;
         }
     }
 
     let snap = sink.snapshot();
-    let profile = gpu.profile();
-    let mut labels = 0usize;
-    for (label, k) in profile.iter() {
-        let c = |name: &str| snap.counter("itest-totals", label, None, name);
-        let registry_seconds = c("kernel_seconds") + c("overhead_seconds");
-        let tol = 1e-12 * k.seconds.max(1e-30);
+    let rows = kernel_rows(&snap, "itest-totals");
+    assert!(rows.len() >= 3, "expected several kernel labels");
+    for r in &rows {
+        let Some(&(seconds, launches, flops)) = spans.get(&r.kernel) else {
+            panic!("registry label {} has no trace spans", r.kernel);
+        };
         assert!(
-            (registry_seconds - k.seconds).abs() <= tol,
-            "label {label}: registry {registry_seconds} vs profiler {}",
-            k.seconds
+            (r.seconds - seconds).abs() <= 1e-12 * r.seconds.max(1e-30),
+            "label {}: registry {} vs trace {seconds}",
+            r.kernel,
+            r.seconds
         );
-        let trace_seconds = trace_totals.get(label).copied().unwrap_or(0.0);
-        assert!(
-            (registry_seconds - trace_seconds).abs() <= tol,
-            "label {label}: registry {registry_seconds} vs trace {trace_seconds}"
+        assert_eq!(r.launches, launches as f64, "label {} launches", r.kernel);
+        assert_eq!(
+            r.observation.flops, flops as f64,
+            "label {} flops",
+            r.kernel
         );
-        assert_eq!(c("launches") as u64, k.launches, "label {label}");
-        assert_eq!(c("flops"), k.totals.flops as f64, "label {label} flops");
-        labels += 1;
     }
-    assert!(labels >= 3, "expected several kernel labels, got {labels}");
-    assert_eq!(
-        kernel_rows(&snap, "itest-totals").len(),
-        labels,
-        "report rows must cover exactly the profiled kernels"
-    );
+    for label in spans.keys() {
+        assert!(
+            rows.iter().any(|r| &r.kernel == label),
+            "trace label {label} is missing from the registry"
+        );
+    }
 }
 
 /// Strips the `plan-cache` counter series, which carry per-run deltas of the
