@@ -457,16 +457,17 @@ impl Gpu {
     pub fn add_host_seconds(&self, seconds: f64) {
         self.timeline.lock().seconds += seconds;
         if let Some(iv) = self.interval.lock().as_mut() {
-            iv.seconds += seconds;
+            iv.record(seconds, Footprint::default());
         }
     }
 
     /// Runs `f` as one stream interval (see [`crate::stream`]) and returns
-    /// its result with the interval's simulated seconds and footprint. The
-    /// seconds are summed from zero in launch order, so they are bitwise
-    /// what a fresh `Gpu` running only `f` would report as
-    /// [`Gpu::elapsed_seconds`]; the timeline still records every launch.
-    /// Intervals do not nest.
+    /// its result with the interval's simulated seconds and reservation
+    /// profile: one phase per launch holding its footprint for its charged
+    /// seconds, host-side time as an empty phase. The seconds are summed
+    /// from zero in launch order, so they are bitwise what a fresh `Gpu`
+    /// running only `f` would report as [`Gpu::elapsed_seconds`]; the
+    /// timeline still records every launch. Intervals do not nest.
     pub fn interval<R>(&self, f: impl FnOnce() -> R) -> (R, Interval) {
         let outer = self.interval.lock().replace(Interval::default());
         assert!(outer.is_none(), "stream intervals do not nest");
@@ -636,9 +637,10 @@ impl Gpu {
         for c in &blocks {
             totals.merge(c);
         }
-        // The resources these blocks were modelled with, for a stream
-        // interval's reservation: the SMs the resident blocks spread over,
-        // and the GM rate over the launch's own (un-ridden) makespan.
+        // The resources these blocks were modelled with, for this launch's
+        // phase of a stream interval's reservation: the SMs the resident
+        // blocks spread over, and the GM rate over the launch's own
+        // (un-ridden) makespan.
         let footprint = Footprint {
             sms: concurrent.div_ceil(blocks_per_sm),
             gm_bytes_per_cycle: if full_cycles > 0.0 {
@@ -661,8 +663,7 @@ impl Gpu {
         }
         self.timeline.lock().record(&stats);
         if let Some(iv) = self.interval.lock().as_mut() {
-            iv.seconds += stats.seconds();
-            iv.footprint = iv.footprint.max(footprint);
+            iv.record(stats.seconds(), footprint);
         }
         if self.metrics.is_enabled() {
             self.record_metrics(cfg.label, &stats);
@@ -1173,27 +1174,44 @@ mod tests {
     #[test]
     fn interval_measures_what_a_fresh_gpu_would() {
         let run = |gpu: &Gpu| {
+            let mut launches = Vec::new();
             for (grid, words) in [(4, 0), (200, 50_000)] {
                 let cfg = KernelConfig::new(grid, 256, 1024, "interval");
-                gpu.launch_collect(cfg, |_, ctx| {
-                    ctx.par_step(1000, 2);
-                    ctx.count_gm_load(words);
-                    Ok(())
-                })
-                .unwrap();
+                let (_, stats) = gpu
+                    .launch_collect(cfg, |_, ctx| {
+                        ctx.par_step(1000, 2);
+                        ctx.count_gm_load(words);
+                        Ok(())
+                    })
+                    .unwrap();
+                launches.push(stats);
             }
             gpu.add_host_seconds(3e-6);
+            launches
         };
         let gpu = Gpu::new(V100);
         run(&gpu); // a non-zero timeline base
-        let ((), iv) = gpu.interval(|| run(&gpu));
+        let (launches, iv) = gpu.interval(|| run(&gpu));
         let fresh = Gpu::new(V100);
         run(&fresh);
         assert_eq!(iv.seconds.to_bits(), fresh.elapsed_seconds().to_bits());
         assert_eq!(gpu.timeline().launches, 4, "the timeline still records");
-        // The widest launch: 200 resident blocks, 3 per SM, on 67 SMs.
-        assert_eq!(iv.footprint.sms, 200usize.div_ceil(200usize.div_ceil(80)));
-        let gm = iv.footprint.gm_bytes_per_cycle;
+        // One phase per launch, then the host-side time holding nothing.
+        assert_eq!(iv.phases.len(), 3);
+        for (phase, stats) in iv.phases.iter().zip(&launches) {
+            assert_eq!(phase.seconds.to_bits(), stats.seconds().to_bits());
+        }
+        assert_eq!(iv.phases[2].seconds, 3e-6);
+        assert_eq!(iv.phases[2].footprint, Footprint::default());
+        let sum = iv.phases.iter().fold(0.0, |s, p| s + p.seconds);
+        assert_eq!(sum.to_bits(), iv.seconds.to_bits());
+        // 4 resident blocks, one per SM, and no GM traffic.
+        let narrow = iv.phases[0].footprint;
+        assert_eq!((narrow.sms, narrow.gm_bytes_per_cycle), (4, 0.0));
+        // 200 resident blocks, 3 per SM, on 67 SMs.
+        let wide = iv.phases[1].footprint;
+        assert_eq!(wide.sms, 200usize.div_ceil(200usize.div_ceil(80)));
+        let gm = wide.gm_bytes_per_cycle;
         assert!(gm > 0.0 && gm <= V100.gm_bytes_per_cycle, "{gm} B/cycle");
     }
 

@@ -16,8 +16,8 @@
 //! * a **roofline timing model** with list scheduling of block durations
 //!   onto SM slots, yielding deterministic *simulated seconds*;
 //! * **concurrent streams** ([`StreamDevice`]): independent stretches of
-//!   launches share the device's SMs and bandwidth, each holding the
-//!   resources its kernels were modelled with.
+//!   launches share the device's SMs and bandwidth, each launch holding,
+//!   for its own duration, the resources its kernel was modelled with.
 
 #![warn(missing_docs)]
 
@@ -49,4 +49,4 @@ pub use sanitize::{
     HazardKind, HazardTracker, SanitizeMode, SanitizerReport, SmemRequirement, Violation,
 };
 pub use smem::{SharedMem, SmemBuf, SmemOverflow};
-pub use stream::{Footprint, Interval, StreamDevice, StreamSlot};
+pub use stream::{Footprint, Interval, Phase, StreamDevice, StreamSlot};

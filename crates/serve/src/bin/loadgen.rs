@@ -17,8 +17,9 @@
 //!                                    admission/backlog/service waterfalls
 //!                                    plus the p99-tail attribution;
 //!                                    backlog is the wait for SMs or
-//!                                    bandwidth held by earlier buckets
-//!                                    on the concurrent-stream device
+//!                                    bandwidth held by earlier buckets'
+//!                                    launches on the concurrent-stream
+//!                                    device
 //!              [--prom FILE]         write the Prometheus exposition
 //! ```
 //!

@@ -13,11 +13,12 @@
 //! dispatches when it fills to the policy's `max_batch` or when its oldest
 //! request has waited `max_wait_us`, and every dispatched bucket runs as one
 //! batched W-cycle SVD through the fused `LaunchGraph` + warm `PlanCache`
-//! path. Buckets run on concurrent device streams, each holding the SMs
-//! and bandwidth its kernels were modelled with. Asynchrony here is
-//! *event-driven*, not thread-driven: the loop interleaves arrivals,
-//! deadlines and device completions on the simulated clock, so every
-//! trace replays bit-identically for a given seed.
+//! path. Buckets run on concurrent device streams, each launch holding the
+//! SMs and bandwidth its kernel was modelled with while it runs.
+//! Asynchrony here is *event-driven*, not thread-driven: the loop
+//! interleaves arrivals, deadlines and device completions on the
+//! simulated clock, so every trace replays bit-identically for a given
+//! seed.
 //!
 //! Latency accounting is definitional: for each request the wait decomposes
 //! into `admission_wait = trigger - arrival` (policy-induced) and

@@ -7,13 +7,16 @@
 //! exactly at a bucket's deadline joins the *next* bucket) and tied
 //! deadlines resolving by ascending size class. Dispatched buckets run as a
 //! single batched W-cycle SVD, measured as one stream interval
-//! ([`Gpu::interval`]): its simulated duration and the SMs and GM
-//! bandwidth its launches were modelled with. The device runs buckets on
-//! concurrent streams ([`StreamDevice`], DESIGN.md §14): a bucket starts
-//! at or after its trigger, never before an earlier-triggered bucket, as
-//! soon as its SMs and bandwidth are free beside the buckets still running.
-//! Each stream has one host submitter, so a bucket's launch overheads stay
-//! inside its own service time.
+//! ([`Gpu::interval`]): its simulated duration and its reservation
+//! profile, one phase per launch holding the SMs and GM bandwidth that
+//! launch was modelled with for as long as it runs. The device runs
+//! buckets on concurrent streams ([`StreamDevice`], DESIGN.md §14): a
+//! bucket starts at or after its trigger, never before an
+//! earlier-triggered bucket, as soon as every launch, at its offset in the
+//! bucket, fits beside the launches already reserved. Its service is what
+//! it takes alone on the device; only its start depends on its
+//! neighbours. Each stream has one host submitter, so a bucket's launch
+//! overheads stay inside its own service time.
 //!
 //! Latency accounting (DESIGN.md §14–15): per request the wait decomposes
 //! into the policy-induced and the device-induced share,
@@ -100,7 +103,8 @@ pub struct BatchRecord {
     pub trigger_us: u64,
     /// Simulated microseconds the batched SVD started on the device: the
     /// first time at or after the trigger, and after every earlier bucket's
-    /// start, at which its SMs and bandwidth were free.
+    /// start, at which each of its launches found its SMs and bandwidth
+    /// free.
     pub start_us: f64,
     /// Simulated microseconds the batched SVD took: what a fresh device
     /// running only this bucket would report.
@@ -133,7 +137,7 @@ pub struct RequestRecord {
     pub admission_wait_us: f64,
     /// Device-induced wait: `batch start − trigger`, the time the
     /// dispatched bucket waited for SMs or bandwidth held by earlier
-    /// buckets (0 when they were free at the trigger).
+    /// buckets' launches (0 when they were free at the trigger).
     pub backlog_us: f64,
     /// `admission_wait_us + backlog_us`, definitionally — the bitwise
     /// identity the property suite pins.
@@ -161,6 +165,10 @@ pub struct ServeOutcome {
     /// as if the buckets ran one at a time. Concurrent buckets overlap in
     /// wall time, so this can exceed `makespan_us`.
     pub busy_us: f64,
+    /// SM-microseconds the buckets held: the sum over every bucket's
+    /// launches of SMs × launch duration. Over `num_sms × makespan_us` it is
+    /// the device's SM occupancy across concurrent streams.
+    pub sm_us: f64,
 }
 
 /// Log-spaced latency bucket bounds in microseconds: 1 µs up to ~20 s in
@@ -244,7 +252,12 @@ pub fn serve_trace(
         svd?;
         let after = gpu.elapsed_seconds();
         let service_us = interval.seconds * 1.0e6;
-        let slot = device.submit(trigger_us as f64, service_us, interval.footprint);
+        let slot = device.submit(trigger_us as f64, &interval, 1.0e6);
+        out.sm_us += interval
+            .phases
+            .iter()
+            .map(|p| p.footprint.sms as f64 * p.seconds * 1.0e6)
+            .sum::<f64>();
         let start_us = slot.start;
         out.makespan_us = out.makespan_us.max(slot.end);
         out.busy_us += service_us;
@@ -524,7 +537,7 @@ pub fn summarize(snapshot: &Snapshot, experiment: &str, outcome: &ServeOutcome) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsvd_gpu_sim::{Footprint, V100};
+    use wsvd_gpu_sim::{Footprint, Interval, Phase, V100};
 
     fn small_trace(seed: u64) -> Trace {
         Trace::poisson(12, 4000.0, (6, 30), seed)
@@ -652,9 +665,15 @@ mod tests {
             ..ServeConfig::default()
         };
         let out = serve_trace(&gpu, &trace, &cfg, &MetricsSink::disabled()).unwrap();
-        let whole = Footprint {
-            sms: V100.num_sms,
-            gm_bytes_per_cycle: V100.gm_bytes_per_cycle,
+        let whole = |seconds: f64| Interval {
+            seconds,
+            phases: vec![Phase {
+                seconds,
+                footprint: Footprint {
+                    sms: V100.num_sms,
+                    gm_bytes_per_cycle: V100.gm_bytes_per_cycle,
+                },
+            }],
         };
         let mut device = StreamDevice::new(&V100);
         let mut fifo_end_us = 0.0f64;
@@ -662,7 +681,7 @@ mod tests {
         for b in &out.batches {
             let fifo_start = (b.trigger_us as f64).max(fifo_end_us);
             fifo_end_us = fifo_start + b.service_us;
-            let slot = device.submit(b.trigger_us as f64, b.service_us, whole);
+            let slot = device.submit(b.trigger_us as f64, &whole(b.service_us), 1.0);
             assert_eq!(slot.start.to_bits(), fifo_start.to_bits());
             assert_eq!(slot.end.to_bits(), fifo_end_us.to_bits());
             assert_eq!(slot.stream, 0);
