@@ -103,8 +103,8 @@ impl AnalysisResult {
     }
 }
 
-/// Runs the analysis step with the chosen SVD engine under the process-wide
-/// default [`WCycleConfig`].
+/// Runs the analysis step with the chosen SVD engine under the default
+/// [`WCycleConfig`] (fused when the installed session says so).
 pub fn analysis_step(
     gpu: &Gpu,
     problem: &AssimilationProblem,
@@ -115,7 +115,7 @@ pub fn analysis_step(
 
 /// Runs the analysis step with an explicit [`WCycleConfig`] (only consulted
 /// by the W-cycle engine). This is how experiments opt a single run into the
-/// fused launch pipeline without flipping the process-wide default.
+/// fused launch pipeline without changing the session's default.
 pub fn analysis_step_with(
     gpu: &Gpu,
     problem: &AssimilationProblem,

@@ -184,6 +184,9 @@ impl PlanCache {
     }
 
     /// The process-wide cache consulted by [`auto_tune_with_w_cap_traced`].
+    /// It is a memo, not a setting, so it stays outside
+    /// `wsvd_gpu_sim::Session`: every device shares what any device tuned,
+    /// and benchmarks read its hit/miss stats.
     pub fn global() -> &'static PlanCache {
         static GLOBAL: OnceLock<PlanCache> = OnceLock::new();
         GLOBAL.get_or_init(PlanCache::new)

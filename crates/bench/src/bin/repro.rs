@@ -72,6 +72,7 @@
 
 use std::io::Write;
 use wsvd_bench::{all_experiments, Report, Scale};
+use wsvd_gpu_sim::{SanitizeMode, Session};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -122,25 +123,15 @@ fn main() {
             other => ids.push(other.to_string()),
         }
     }
-    // Flip the fused default before any experiment builds a `WCycleConfig`.
-    if fused {
-        wsvd_core::set_fused_default(true);
-    }
-    // Like the trace sink, the sanitize mode must be set before the first
-    // `Gpu` is constructed — every later GPU resolves it at build time.
-    if sanitize {
-        wsvd_gpu_sim::sanitize::set_global(wsvd_gpu_sim::SanitizeMode::Full);
-        if ids.is_empty() && !run_all && check_dir.is_none() {
+    if ids.is_empty() && !run_all && check_dir.is_none() {
+        if sanitize {
             ids.push("fig7".to_string());
+        } else if cluster_faults {
+            ids.push("ext-cluster".to_string());
         }
     }
-    // The fault drill needs no global mode — faults are injected per-run by
-    // the experiment — but it picks its default target the same way.
-    if cluster_faults && ids.is_empty() && !run_all && check_dir.is_none() {
-        ids.push("ext-cluster".to_string());
-    }
-    // Certification must also be armed before the first `Gpu`: the W-cycle
-    // driver consults the mode at plan-selection time, every level.
+    // The certificate store stays outside the session (its type lives in
+    // wsvd-core); installing it makes certification required.
     if certify {
         let store = wsvd_analyze::plan_space::certify_all_devices(
             wsvd_analyze::plan_space::DEFAULT_MAX_BLOCKS,
@@ -157,38 +148,160 @@ fn main() {
             store.atlas.max_blocks
         );
         wsvd_core::certify::install_store(std::sync::Arc::new(store));
-        wsvd_core::certify::set_mode(wsvd_core::certify::CertifyMode::Require);
     }
-    // The sink must be installed before any experiment constructs a `Gpu`,
-    // which picks the global sink up at construction time.
-    let trace_sink = trace_path.as_ref().map(|_| {
-        let sink = wsvd_trace::TraceSink::enabled();
-        wsvd_trace::install_global(sink.clone());
-        sink
-    });
-    // Same construction-time rule for the metrics registry: `--report`,
-    // `--bench-out` and `--prom` all need the global sink live before the
-    // first `Gpu` exists. Off by default — the disabled sink is a strict
-    // no-op and experiments stay bit-identical.
-    let metrics_sink = (report || bench_out.is_some() || prom_out.is_some()).then(|| {
-        let sink = wsvd_metrics::MetricsSink::enabled();
-        wsvd_metrics::install_global(sink.clone());
-        sink
-    });
-    // And for the health watchdogs: every `Gpu` resolves the global health
-    // sink at construction time, so `--health` must install it up front.
-    // Off by default — the disabled sink is a strict no-op and the simulated
-    // clock stays bit-identical.
-    let health_sink = (health || health_dump.is_some()).then(|| {
-        let sink = wsvd_health::HealthSink::enabled();
-        wsvd_health::install_global(sink.clone());
-        if let Some(m) = &metrics_sink {
-            sink.set_metrics(m.clone());
+    // Every `Gpu` copies the installed session when it is built, so the
+    // flags become one session before any experiment runs. Sinks stay
+    // disabled (strict no-ops) unless a flag asks for them; without
+    // `--sanitize`, `WSVD_SANITIZE` decides.
+    let mut session = Session::current();
+    if trace_path.is_some() {
+        session.trace = wsvd_trace::TraceSink::enabled();
+    }
+    if report || bench_out.is_some() || prom_out.is_some() {
+        session.metrics = wsvd_metrics::MetricsSink::enabled();
+    }
+    if health || health_dump.is_some() {
+        session.health = wsvd_health::HealthSink::enabled();
+    }
+    if sanitize {
+        session.sanitize = SanitizeMode::Full;
+    }
+    session.fused = fused;
+    Session::install(session.clone());
+
+    let experiments = all_experiments();
+    if run_all {
+        ids = experiments.iter().map(|(id, _)| id.to_string()).collect();
+    }
+    if let Some(dir) = &check_dir {
+        if ids.is_empty() {
+            ids = experiments
+                .iter()
+                .map(|(id, _)| id.to_string())
+                .filter(|id| std::path::Path::new(&format!("{dir}/{id}.json")).exists())
+                .collect();
         }
-        sink
-    });
-    let finish_health = |sink: &Option<wsvd_health::HealthSink>, ids: &[String]| -> bool {
-        let Some(sink) = sink else { return false };
+    } else if ids.is_empty() {
+        eprintln!(
+            "usage: repro --all | <id>... [--scale reduced|full] [--json DIR] [--certify] \
+             [--fused] [--report] [--bench-out FILE] [--prom FILE] [--health] \
+             [--health-dump FILE] [--cluster-faults]"
+        );
+        eprintln!("known ids:");
+        for (id, _) in &experiments {
+            eprintln!("  {id}");
+        }
+        std::process::exit(2);
+    }
+    if let Some(id) = ids
+        .iter()
+        .find(|id| !experiments.iter().any(|(e, _)| e == id))
+    {
+        eprintln!("unknown experiment '{id}' (try --list)");
+        std::process::exit(2);
+    }
+    let run = |id: &str| -> Report {
+        let (_, f) = experiments
+            .iter()
+            .find(|(e, _)| *e == id)
+            .expect("ids are known");
+        session.metrics.set_experiment(id);
+        session.health.set_context(id, 0);
+        f(scale)
+    };
+
+    // Regression mode: re-run and compare against stored baselines.
+    let failed = if let Some(dir) = &check_dir {
+        let mut failed = false;
+        for id in &ids {
+            let path = format!("{dir}/{id}.json");
+            let Ok(stored) = std::fs::read_to_string(&path) else {
+                println!("{id:>12}  SKIP (no baseline at {path})");
+                continue;
+            };
+            let baseline: Report = serde_json::from_str(&stored).expect("baseline parse");
+            match run(id).diff(&baseline) {
+                None => println!("{id:>12}  PASS"),
+                Some(d) => {
+                    println!("{id:>12}  DIFF: {d}");
+                    failed = true;
+                }
+            }
+        }
+        failed
+    } else {
+        let mut reports: Vec<Report> = Vec::new();
+        for id in &ids {
+            let start = std::time::Instant::now();
+            let rep = run(id);
+            println!("{}", rep.render());
+            println!(
+                "   (regenerated in {:.1} s wall-clock)\n",
+                start.elapsed().as_secs_f64()
+            );
+            reports.push(rep);
+        }
+        if let Some(dir) = json_dir {
+            std::fs::create_dir_all(&dir).expect("create json dir");
+            for rep in &reports {
+                let path = format!("{dir}/{}.json", rep.id);
+                let mut f = std::fs::File::create(&path).expect("create json file");
+                f.write_all(serde_json::to_string_pretty(rep).unwrap().as_bytes())
+                    .unwrap();
+                eprintln!("wrote {path}");
+            }
+        }
+        false
+    };
+
+    // The exit tail, shared by both modes: write out what the sinks
+    // recorded, then fail on health incidents, sanitizer violations on the
+    // session's devices, or cluster work left unrecovered.
+    if let Some(path) = &trace_path {
+        let events = session.trace.events();
+        let processes = session.trace.processes();
+        std::fs::write(path, wsvd_trace::chrome_trace_json(&events, &processes))
+            .expect("write trace file");
+        eprintln!("{}", wsvd_trace::flame_summary(&events, &processes));
+        eprintln!(
+            "wrote {} trace events to {path} (open at https://ui.perfetto.dev)",
+            events.len()
+        );
+    }
+    if session.metrics.is_enabled() {
+        let snap = session.metrics.snapshot();
+        if report {
+            print!("{}", wsvd_bench::metrics_report::render_report(&snap));
+        }
+        if let Some(path) = &bench_out {
+            let bench = wsvd_bench::BenchSnapshot {
+                version: wsvd_bench::BENCH_SNAPSHOT_VERSION as f64,
+                scale: format!("{scale:?}").to_lowercase(),
+                experiments: ids.clone(),
+                metrics: snap.clone(),
+            };
+            std::fs::write(path, bench.to_json()).expect("write bench snapshot");
+            eprintln!("wrote perf snapshot to {path} (compare with wsvd-bench-diff)");
+        }
+        if let Some(path) = &prom_out {
+            std::fs::write(path, snap.to_prometheus()).expect("write prometheus file");
+            eprintln!("wrote Prometheus exposition to {path}");
+        }
+    }
+    let violations = session.sanitize.is_on() && {
+        let v = session.tally.violations();
+        if v > 0 {
+            eprintln!("wsvd-sanitizer: {v} violation(s) detected");
+        } else {
+            eprintln!(
+                "wsvd-sanitizer: clean — {} experiment(s) ran under full hazard checking",
+                ids.len()
+            );
+        }
+        v > 0
+    };
+    let unhealthy = session.health.is_enabled() && {
+        let sink = &session.health;
         if let Some(path) = &health_dump {
             std::fs::write(path, sink.report_json()).expect("write health report");
             eprintln!("wrote health report to {path}");
@@ -200,7 +313,7 @@ fn main() {
             sink.suppressed(),
         );
         let summary = sink.summary();
-        for id in ids {
+        for id in &ids {
             match summary.get(id) {
                 Some(n) => eprintln!("  {id:>12}  {n} incident(s)"),
                 None => eprintln!("  {id:>12}  OK"),
@@ -214,166 +327,18 @@ fn main() {
         }
         sink.incident_count() > 0
     };
-    let dump_metrics =
-        |sink: &Option<wsvd_metrics::MetricsSink>, scale: wsvd_bench::Scale, ids: &[String]| {
-            let Some(sink) = sink else { return };
-            let snap = sink.snapshot();
-            if report {
-                print!("{}", wsvd_bench::metrics_report::render_report(&snap));
-            }
-            if let Some(path) = &bench_out {
-                let bench = wsvd_bench::BenchSnapshot {
-                    version: wsvd_bench::BENCH_SNAPSHOT_VERSION as f64,
-                    scale: format!("{scale:?}").to_lowercase(),
-                    experiments: ids.to_vec(),
-                    metrics: snap.clone(),
-                };
-                std::fs::write(path, bench.to_json()).expect("write bench snapshot");
-                eprintln!("wrote perf snapshot to {path} (compare with wsvd-bench-diff)");
-            }
-            if let Some(path) = &prom_out {
-                std::fs::write(path, snap.to_prometheus()).expect("write prometheus file");
-                eprintln!("wrote Prometheus exposition to {path}");
-            }
-        };
-    let dump_trace = |sink: &Option<wsvd_trace::TraceSink>| {
-        let (Some(sink), Some(path)) = (sink, &trace_path) else {
-            return;
-        };
-        let events = sink.events();
-        let processes = sink.processes();
-        std::fs::write(path, wsvd_trace::chrome_trace_json(&events, &processes))
-            .expect("write trace file");
-        eprintln!("{}", wsvd_trace::flame_summary(&events, &processes));
-        eprintln!(
-            "wrote {} trace events to {path} (open at https://ui.perfetto.dev)",
-            events.len()
-        );
-    };
-    // The cluster fault drill's exit contract: every requeued chunk must
-    // have landed somewhere — work abandoned after the retry budget (or
-    // because every rank died) fails the invocation.
-    let finish_cluster = |armed: bool| -> bool {
-        if !armed {
-            return false;
-        }
-        let lost = wsvd_gpu_sim::unrecovered_total();
+    // The cluster fault drill's contract: every requeued chunk must have
+    // landed somewhere.
+    let unrecovered = cluster_faults && {
+        let lost = session.tally.unrecovered();
         if lost > 0 {
             eprintln!("wsvd-cluster: {lost} chunk(s) of work left unrecovered");
-            true
         } else {
             eprintln!("wsvd-cluster: all injected faults recovered; no work lost");
-            false
         }
+        lost > 0
     };
-    let experiments = all_experiments();
-    if run_all {
-        ids = experiments.iter().map(|(id, _)| id.to_string()).collect();
-    }
-    // Regression mode: re-run and compare against stored baselines.
-    if let Some(dir) = check_dir {
-        if ids.is_empty() {
-            ids = experiments
-                .iter()
-                .map(|(id, _)| id.to_string())
-                .filter(|id| std::path::Path::new(&format!("{dir}/{id}.json")).exists())
-                .collect();
-        }
-        let mut failed = 0usize;
-        for id in &ids {
-            let Some((_, f)) = experiments.iter().find(|(e, _)| e == id) else {
-                eprintln!("unknown experiment '{id}'");
-                std::process::exit(2);
-            };
-            let path = format!("{dir}/{id}.json");
-            let Ok(stored) = std::fs::read_to_string(&path) else {
-                println!("{id:>12}  SKIP (no baseline at {path})");
-                continue;
-            };
-            let baseline: Report = serde_json::from_str(&stored).expect("baseline parse");
-            if let Some(sink) = &metrics_sink {
-                sink.set_experiment(id);
-            }
-            if let Some(sink) = &health_sink {
-                sink.set_context(id, 0);
-            }
-            let fresh = f(scale);
-            match fresh.diff(&baseline) {
-                None => println!("{id:>12}  PASS"),
-                Some(d) => {
-                    println!("{id:>12}  DIFF: {d}");
-                    failed += 1;
-                }
-            }
-        }
-        dump_trace(&trace_sink);
-        dump_metrics(&metrics_sink, scale, &ids);
-        let unhealthy = finish_health(&health_sink, &ids);
-        let unrecovered = finish_cluster(cluster_faults);
-        std::process::exit(if failed > 0 || unhealthy || unrecovered {
-            1
-        } else {
-            0
-        });
-    }
-    if ids.is_empty() {
-        eprintln!(
-            "usage: repro --all | <id>... [--scale reduced|full] [--json DIR] [--certify] \
-             [--fused] [--report] [--bench-out FILE] [--prom FILE] [--health] \
-             [--health-dump FILE] [--cluster-faults]"
-        );
-        eprintln!("known ids:");
-        for (id, _) in &experiments {
-            eprintln!("  {id}");
-        }
-        std::process::exit(2);
-    }
-    let mut reports: Vec<Report> = Vec::new();
-    for id in &ids {
-        let Some((_, f)) = experiments.iter().find(|(e, _)| e == id) else {
-            eprintln!("unknown experiment '{id}' (try --list)");
-            std::process::exit(2);
-        };
-        if let Some(sink) = &metrics_sink {
-            sink.set_experiment(id);
-        }
-        if let Some(sink) = &health_sink {
-            sink.set_context(id, 0);
-        }
-        let start = std::time::Instant::now();
-        let rep = f(scale);
-        println!("{}", rep.render());
-        println!(
-            "   (regenerated in {:.1} s wall-clock)\n",
-            start.elapsed().as_secs_f64()
-        );
-        reports.push(rep);
-    }
-    if let Some(dir) = json_dir {
-        std::fs::create_dir_all(&dir).expect("create json dir");
-        for rep in &reports {
-            let path = format!("{dir}/{}.json", rep.id);
-            let mut f = std::fs::File::create(&path).expect("create json file");
-            f.write_all(serde_json::to_string_pretty(rep).unwrap().as_bytes())
-                .unwrap();
-            eprintln!("wrote {path}");
-        }
-    }
-    dump_trace(&trace_sink);
-    dump_metrics(&metrics_sink, scale, &ids);
-    if sanitize {
-        let v = wsvd_gpu_sim::sanitize::global_violation_count();
-        if v > 0 {
-            eprintln!("wsvd-sanitizer: {v} violation(s) detected");
-            std::process::exit(1);
-        }
-        eprintln!(
-            "wsvd-sanitizer: clean — {} experiment(s) ran under full hazard checking",
-            ids.len()
-        );
-    }
-    let unhealthy = finish_health(&health_sink, &ids);
-    if unhealthy || finish_cluster(cluster_faults) {
+    if failed || violations || unhealthy || unrecovered {
         std::process::exit(1);
     }
 }

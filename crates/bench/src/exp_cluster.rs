@@ -304,7 +304,7 @@ pub fn ext_cluster(scale: Scale) -> Report {
     }
     // Surface the recovery story on the metrics registry when it is live
     // (`repro --bench-out` / `--report`); a disabled sink ignores this.
-    let metrics = wsvd_metrics::global();
+    let metrics = wsvd_gpu_sim::Session::current().metrics;
     if metrics.is_enabled() {
         for row in &rep.rows {
             if row[7] != "0" && row[7] != "-" {

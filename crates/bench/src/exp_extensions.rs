@@ -164,12 +164,12 @@ pub fn ext_lowp(scale: Scale) -> Report {
 
 /// Runs `work` on a V100 metered under experiment `id` and returns only
 /// what this run recorded. Under `repro --report` / `--bench-out` it reuses
-/// the global sink, so the series also land in snapshots and `--prom`
+/// the session's sink, so the series also land in snapshots and `--prom`
 /// exports; otherwise it meters into a private sink.
 fn metered_run(id: &str, work: impl FnOnce(&Gpu)) -> wsvd_metrics::Snapshot {
-    let global = wsvd_metrics::global();
-    let sink = if global.is_enabled() {
-        global
+    let session = wsvd_gpu_sim::Session::current().metrics;
+    let sink = if session.is_enabled() {
+        session
     } else {
         wsvd_metrics::MetricsSink::enabled()
     };
@@ -179,7 +179,7 @@ fn metered_run(id: &str, work: impl FnOnce(&Gpu)) -> wsvd_metrics::Snapshot {
     gpu.set_metrics(sink.clone());
     work(&gpu);
     // Per-run delta: only what *this* experiment recorded, even when the
-    // process-global sink already carries earlier experiments' series.
+    // session sink already carries earlier experiments' series.
     sink.snapshot().since(&before)
 }
 
@@ -241,7 +241,7 @@ pub fn ext_metrics(scale: Scale) -> Report {
 /// summarizes what the trace recorded — kernel spans and simulated busy
 /// time, per-sweep convergence instants, and the auto-tuner's plan choice.
 /// Under `repro --trace FILE` these events also land in the exported
-/// Perfetto timeline (the experiment reuses the global sink).
+/// Perfetto timeline (the experiment reuses the session's trace sink).
 pub fn ext_trace(scale: Scale) -> Report {
     let batch = scale.dim(100, 5, 10);
     let mut rep = Report::new(
@@ -251,9 +251,9 @@ pub fn ext_trace(scale: Scale) -> Report {
         &["m", "n", "kernel spans", "busy", "sweeps", "plan w", "final coherence"],
         "every launch, sweep and plan decision is visible in the timeline; coherence collapses below tol",
     );
-    let global = wsvd_trace::global();
-    let sink = if global.is_enabled() {
-        global
+    let session = wsvd_gpu_sim::Session::current().trace;
+    let sink = if session.is_enabled() {
+        session
     } else {
         wsvd_trace::TraceSink::enabled()
     };

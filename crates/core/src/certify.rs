@@ -36,8 +36,7 @@
 //! runtime schedule check for them, exactly as the sanitizer does.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use serde::Serialize;
 use wsvd_batched::gemm::gemm_kernel_resource;
@@ -359,47 +358,23 @@ pub fn certify_claim(
     })
 }
 
-/// How strictly the runtime consults the store.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CertifyMode {
-    /// Certificates ignored; behavior identical to before certification.
-    Off,
-    /// Every selected plan must hold a certificate covering its ordering
-    /// and block counts; a miss is a hard error before launch. Certified
-    /// levels skip the per-launch `verify_level` re-verification.
-    Require,
-}
+/// The installed certificate store. It stays process-wide rather than in
+/// the device's `wsvd_gpu_sim::Session` because its type lives in this
+/// crate, above gpu-sim.
+static STORE: OnceLock<Arc<CertificateStore>> = OnceLock::new();
 
-static MODE: AtomicU8 = AtomicU8::new(0);
-
-fn store_slot() -> &'static Mutex<Option<Arc<CertificateStore>>> {
-    static SLOT: OnceLock<Mutex<Option<Arc<CertificateStore>>>> = OnceLock::new();
-    SLOT.get_or_init(|| Mutex::new(None))
-}
-
-/// Installs the process-wide certificate store consulted under
-/// [`CertifyMode::Require`].
-pub fn install_store(store: Arc<CertificateStore>) {
-    *store_slot().lock().unwrap() = Some(store);
+/// Installs the process-wide certificate store: from then on every W-cycle
+/// level's selected plan must hold a certificate covering its ordering and
+/// block counts, a miss is a hard error before launch, and certified levels
+/// skip the per-launch `verify_level` re-verification. Returns `false` if a
+/// store was already installed (the first one wins).
+pub fn install_store(store: Arc<CertificateStore>) -> bool {
+    STORE.set(store).is_ok()
 }
 
 /// The installed store, if any.
 pub fn store() -> Option<Arc<CertificateStore>> {
-    store_slot().lock().unwrap().clone()
-}
-
-/// Sets the process-wide certification mode (mirrors the sanitizer's
-/// `set_global` pattern; `repro --certify` sets `Require` once at startup).
-pub fn set_mode(mode: CertifyMode) {
-    MODE.store(mode as u8, AtomicOrdering::Relaxed);
-}
-
-/// The current certification mode.
-pub fn mode() -> CertifyMode {
-    match MODE.load(AtomicOrdering::Relaxed) {
-        1 => CertifyMode::Require,
-        _ => CertifyMode::Off,
-    }
+    STORE.get().cloned()
 }
 
 /// What the runtime consultation proved for one level.
@@ -411,20 +386,9 @@ pub struct CertifiedLevel {
     pub max_task_blocks: usize,
 }
 
-/// Consults the store for one level: the selected plan's family must be
+/// Consults `store` for one level: the selected plan's family must be
 /// certified on this device, the configured ordering must be covered by the
 /// atlas, and every task's block count must be within the proven bound.
-pub fn check_level(
-    device: &DeviceSpec,
-    plan: &TailorPlan,
-    sizes: &[(usize, usize)],
-    ordering: Ordering,
-) -> Result<CertifiedLevel, String> {
-    let store = store().ok_or("no certificate store installed")?;
-    check_level_with(&store, device, plan, sizes, ordering)
-}
-
-/// [`check_level`] against an explicit store (the global-free core).
 pub fn check_level_with(
     store: &CertificateStore,
     device: &DeviceSpec,
@@ -602,10 +566,5 @@ mod tests {
                 .unwrap_err()
                 .contains("no certificates")
         );
-    }
-
-    #[test]
-    fn mode_defaults_off() {
-        assert_eq!(mode(), CertifyMode::Off);
     }
 }

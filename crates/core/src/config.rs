@@ -81,8 +81,9 @@ pub struct WCycleConfig {
     /// overhead once per graph plus a small per-node cost instead of the
     /// full cost per kernel, with back-to-back same-shape launches
     /// coalesced. Numerics, counters and kernel times are bit-identical to
-    /// the serial path — only the overhead account changes. Defaults to the
-    /// process-wide [`set_fused_default`] (off unless `repro --fused`).
+    /// the serial path — only the overhead account changes. Defaults to
+    /// [`wsvd_gpu_sim::Session::current`]'s `fused` (off unless
+    /// `repro --fused`).
     pub fused: bool,
     /// Overrides the tolerance handed to *inner* (recursive) levels and the
     /// SM rotation kernels, which normally run at `tol * 1e-2`. Inner
@@ -104,21 +105,6 @@ pub struct WCycleConfig {
     pub record_convergence: bool,
 }
 
-/// Process-wide default for [`WCycleConfig::fused`], set once by the host
-/// (e.g. `repro --fused`) before building configs. Mirrors the sanitizer's
-/// `set_global` pattern so paths that construct `WCycleConfig::default()`
-/// internally (the distributed assimilation driver) pick fusion up too.
-pub fn set_fused_default(on: bool) {
-    FUSED_DEFAULT.store(on, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The current process-wide default for [`WCycleConfig::fused`].
-pub fn fused_default() -> bool {
-    FUSED_DEFAULT.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-static FUSED_DEFAULT: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
 impl Default for WCycleConfig {
     fn default() -> Self {
         Self {
@@ -136,7 +122,7 @@ impl Default for WCycleConfig {
             qr_aspect_threshold: 3,
             dynamic_ordering: false,
             kernel_threads: 256,
-            fused: fused_default(),
+            fused: wsvd_gpu_sim::Session::current().fused,
             inner_tol_override: None,
             record_convergence: false,
         }

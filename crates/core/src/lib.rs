@@ -34,16 +34,15 @@ pub mod verify;
 pub mod wcycle;
 
 pub use certify::{
-    build_schedule_atlas, certify_claim, check_level, check_level_with, install_store,
-    mode as certify_mode, set_mode as set_certify_mode, CertificateStore, CertifiedLevel,
-    CertifyError, CertifyMode, DeviceCertificates, FamilyKey, PlanCertificate, PlanClaim,
+    build_schedule_atlas, certify_claim, check_level_with, install_store, CertificateStore,
+    CertifiedLevel, CertifyError, DeviceCertificates, FamilyKey, PlanCertificate, PlanClaim,
     PlanOrigin, ScheduleAtlas,
 };
 pub use checkpoint::{
     ChunkPayload, ChunkRecord, ChunkState, CounterState, RankQueueState, RunCheckpoint,
     CHECKPOINT_VERSION,
 };
-pub use config::{fused_default, set_fused_default, AlphaSelect, Tuning, WCycleConfig};
+pub use config::{AlphaSelect, Tuning, WCycleConfig};
 pub use stats::{SweepRecord, WCycleStats};
 pub use verify::{effective_width, verify_level, LevelCheck};
 pub use wcycle::{wcycle_svd, WCycleOutput, WSvd};

@@ -29,7 +29,6 @@ use wsvd_linalg::matrix::partition_cols;
 use wsvd_linalg::verify::{columns_converged, max_column_coherence, orthonormality_error};
 use wsvd_linalg::Matrix;
 
-use crate::certify::CertifyMode;
 use crate::config::{AlphaSelect, Tuning, WCycleConfig};
 use crate::stats::{SweepRecord, WCycleStats};
 use crate::verify::{effective_width, verify_level};
@@ -503,20 +502,21 @@ fn decompose_level(
         health.plan_selected(level, plan.w, plan.delta, plan.threads, level_t0);
     }
     let sanitizing = gpu.sanitize_enabled();
-    // Ahead-of-time certification: under `CertifyMode::Require` the selected
+    // Ahead-of-time certification: once a store is installed the selected
     // plan's family must hold a certificate for this device covering the
     // configured ordering and every task's block count — a miss is a hard
     // error before any launch. A certified level skips the per-launch
     // `verify_level` re-verification below (the certificate already proves
     // its non-tautological obligations once, for the whole family).
-    let certified = match crate::certify::mode() {
-        CertifyMode::Require => {
-            let cert = crate::certify::check_level(gpu.device(), &plan, &sizes, cfg.ordering)
-                .map_err(|e| {
-                    KernelError::Other(format!(
-                        "wsvd-analyze: uncertified plan at level {level}: {e}"
-                    ))
-                })?;
+    let certified = match crate::certify::store() {
+        Some(store) => {
+            let cert =
+                crate::certify::check_level_with(&store, gpu.device(), &plan, &sizes, cfg.ordering)
+                    .map_err(|e| {
+                        KernelError::Other(format!(
+                            "wsvd-analyze: uncertified plan at level {level}: {e}"
+                        ))
+                    })?;
             if traced {
                 trace.instant(
                     gpu.trace_pid(),
@@ -534,7 +534,7 @@ fn decompose_level(
             }
             true
         }
-        CertifyMode::Off => false,
+        None => false,
     };
     if sanitizing && !certified {
         // Static half of the wsvd-sanitizer: prove the selected plan's

@@ -30,22 +30,11 @@
 //! chunks run back-to-back on their ranks exactly as a static per-rank loop
 //! would run them — the strict-no-op contract the repro baselines pin.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use crate::launch::{Gpu, KernelError};
 
 use super::fault::FaultPlan;
 use super::queue::{QueueSnapshot, TaskChunk, WorkQueue};
 use super::GpuCluster;
-
-/// Process-wide count of chunks abandoned after retry exhaustion or total
-/// cluster death. `repro --cluster-faults` exits non-zero when this moved.
-static UNRECOVERED: AtomicU64 = AtomicU64::new(0);
-
-/// Total chunks ever declared unrecovered in this process.
-pub fn unrecovered_total() -> u64 {
-    UNRECOVERED.load(Ordering::Relaxed)
-}
 
 /// Recovery accounting of one elastic run (also mirrored onto the metrics
 /// registry and trace tracks when those sinks are enabled).
@@ -195,7 +184,7 @@ fn drive<T>(
 ) -> Result<ElasticRun<T>, KernelError> {
     let faults = &cfg.faults;
     let health = cluster.health().clone();
-    let trace = cluster.trace.clone();
+    let trace = cluster.session.trace.clone();
     let pid = cluster.trace_pid;
     let metrics = cluster.gpu(0).metrics().clone();
     loop {
@@ -246,10 +235,10 @@ fn drive<T>(
             })
         else {
             // The error path drops `counters` with the run; the abandoned
-            // work is ledgered process-wide instead (what `--cluster-faults`
-            // gates on).
+            // work is ledgered in the session's tally instead (what
+            // `--cluster-faults` gates on).
             let left = queue.total_remaining() as u64;
-            UNRECOVERED.fetch_add(left, Ordering::Relaxed);
+            cluster.session.tally.add_unrecovered(left);
             return Err(KernelError::Other(format!(
                 "elastic cluster: every cluster rank is dead with {left} chunk(s) unrecovered"
             )));
@@ -356,7 +345,7 @@ fn drive<T>(
             chunk.retries += 1;
             counters.retried_chunks += 1;
             if chunk.retries > faults.max_retries {
-                UNRECOVERED.fetch_add(1, Ordering::Relaxed);
+                cluster.session.tally.add_unrecovered(1);
                 return Err(KernelError::Other(format!(
                     "elastic cluster: chunk {} unrecovered after {} attempt(s)",
                     chunk.id, chunk.retries
@@ -612,7 +601,6 @@ mod tests {
     fn retry_exhaustion_is_an_error_and_ledgered() {
         // Two kills aimed at whichever rank retries the poisoned chunk:
         // with max_retries = 0 the first mid-flight death is fatal.
-        let before = unrecovered_total();
         let cl = GpuCluster::new(VEGA20, 1);
         let probe = chunks(1, 1, 1);
         work(cl.gpu(0), &probe[0]).unwrap();
@@ -628,7 +616,7 @@ mod tests {
         };
         let err = run_elastic(&cl, chunks(1, 1, 1), &cfg, work).unwrap_err();
         assert!(format!("{err}").contains("unrecovered"), "{err}");
-        assert!(unrecovered_total() > before);
+        assert_eq!(cl.session.tally.unrecovered(), 1);
     }
 
     #[test]

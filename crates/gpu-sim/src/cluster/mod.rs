@@ -22,8 +22,7 @@ pub mod fault;
 pub mod queue;
 
 pub use elastic::{
-    resume_elastic, run_elastic, unrecovered_total, ElasticCheckpoint, ElasticConfig, ElasticRun,
-    RecoveryCounters,
+    resume_elastic, run_elastic, ElasticCheckpoint, ElasticConfig, ElasticRun, RecoveryCounters,
 };
 pub use fault::{FaultPlan, Kill, Stall, Straggler};
 pub use queue::{size_class_chunks, QueueSnapshot, TaskChunk, WorkQueue, DEFAULT_SIZE_CLASS_CAPS};
@@ -31,10 +30,10 @@ pub use queue::{size_class_chunks, QueueSnapshot, TaskChunk, WorkQueue, DEFAULT_
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use wsvd_health::HealthSink;
-use wsvd_trace::TraceSink;
 
 use crate::device::DeviceSpec;
 use crate::launch::Gpu;
+use crate::session::Session;
 
 /// A homogeneous group of simulated GPUs.
 pub struct GpuCluster {
@@ -44,9 +43,8 @@ pub struct GpuCluster {
     /// Interconnect bandwidth in bytes/second (per link).
     pub link_bandwidth: f64,
     sync_seconds: std::sync::atomic::AtomicU64,
-    trace: TraceSink,
+    session: Session,
     trace_pid: u32,
-    health: HealthSink,
     /// Fault-injection state: `killed[r]` marks rank `r` unresponsive;
     /// `dead_reported[r]` latches the health check so one kill produces one
     /// detection even though every later collective re-checks.
@@ -57,21 +55,22 @@ pub struct GpuCluster {
 impl GpuCluster {
     /// Creates `count` devices of the same spec with default interconnect
     /// parameters (25 GB/s links, 30 µs collective latency — IB-class).
-    /// Picks up the process-wide trace sink, labeling each rank's tracks.
+    /// Runs under [`Session::current`], labeling each rank's trace tracks.
     pub fn new(device: DeviceSpec, count: usize) -> Self {
-        Self::with_trace(device, count, wsvd_trace::global())
+        Self::with_session(device, count, Session::current())
     }
 
-    /// Like [`GpuCluster::new`] with an explicit trace sink.
-    pub fn with_trace(device: DeviceSpec, count: usize, trace: TraceSink) -> Self {
+    /// Like [`GpuCluster::new`] under an explicit session, shared by the
+    /// interconnect and every rank.
+    pub fn with_session(device: DeviceSpec, count: usize, session: Session) -> Self {
         assert!(count > 0, "a cluster needs at least one device");
-        let trace_pid = trace.register_process("cluster interconnect");
+        let trace_pid = session.trace.register_process("cluster interconnect");
         Self {
             gpus: (0..count)
                 .map(|r| {
-                    Gpu::with_trace_named(
+                    Gpu::with_session_named(
                         device,
-                        trace.clone(),
+                        session.clone(),
                         &format!("{} rank {r}", device.name),
                     )
                 })
@@ -79,9 +78,8 @@ impl GpuCluster {
             sync_latency: 30e-6,
             link_bandwidth: 25e9,
             sync_seconds: std::sync::atomic::AtomicU64::new(0),
-            trace,
+            session,
             trace_pid,
-            health: wsvd_health::global(),
             killed: (0..count).map(|_| AtomicBool::new(false)).collect(),
             dead_reported: (0..count).map(|_| AtomicBool::new(false)).collect(),
         }
@@ -90,7 +88,7 @@ impl GpuCluster {
     /// The health sink shared by the cluster's collectives (disabled by
     /// default).
     pub fn health(&self) -> &HealthSink {
-        &self.health
+        &self.session.health
     }
 
     /// Replaces the health sink on the cluster and every rank's GPU.
@@ -98,7 +96,7 @@ impl GpuCluster {
         for gpu in &mut self.gpus {
             gpu.set_health(sink.clone());
         }
-        self.health = sink;
+        self.session.health = sink;
     }
 
     /// Marks rank `rank` unresponsive (fault injection for ROADMAP item 5).
@@ -107,7 +105,9 @@ impl GpuCluster {
     /// reports it.
     pub fn kill(&self, rank: usize) {
         self.killed[rank].store(true, Ordering::Release);
-        self.health.shard_killed(rank, self.elapsed_seconds());
+        self.session
+            .health
+            .shard_killed(rank, self.elapsed_seconds());
     }
 
     /// True while `rank` has not been killed.
@@ -143,14 +143,14 @@ impl GpuCluster {
     /// rank (latched). Called from [`GpuCluster::sync`] when health is on;
     /// callers running collective-free phases may also call it directly.
     pub fn health_check(&self) {
-        if !self.health.is_enabled() {
+        if !self.session.health.is_enabled() {
             return;
         }
         for (rank, killed) in self.killed.iter().enumerate() {
             if killed.load(Ordering::Acquire)
                 && !self.dead_reported[rank].swap(true, Ordering::AcqRel)
             {
-                self.health.shard_dead(rank, self.elapsed_seconds());
+                self.session.health.shard_dead(rank, self.elapsed_seconds());
             }
         }
     }
@@ -200,8 +200,8 @@ impl GpuCluster {
                 |bits| Some(f64::to_bits(f64::from_bits(bits) + secs)),
             )
             .expect("fetch_update closure always returns Some");
-        if self.trace.is_enabled() {
-            self.trace.span(
+        if self.session.trace.is_enabled() {
+            self.session.trace.span(
                 self.trace_pid,
                 "collectives",
                 "sync",
@@ -210,8 +210,10 @@ impl GpuCluster {
                 vec![("bytes", bytes.into())],
             );
         }
-        if self.health.is_enabled() {
-            self.health.shard_sync(bytes, secs, self.elapsed_seconds());
+        if self.session.health.is_enabled() {
+            self.session
+                .health
+                .shard_sync(bytes, secs, self.elapsed_seconds());
             self.health_check();
         }
     }
@@ -388,7 +390,11 @@ mod tests {
     #[test]
     fn traced_cluster_labels_ranks_and_records_syncs() {
         let sink = wsvd_trace::TraceSink::enabled();
-        let c = GpuCluster::with_trace(VEGA20, 2, sink.clone());
+        let session = Session {
+            trace: sink.clone(),
+            ..Session::default()
+        };
+        let c = GpuCluster::with_session(VEGA20, 2, session);
         let names: Vec<String> = sink.processes().into_iter().map(|(_, n)| n).collect();
         assert_eq!(
             names,

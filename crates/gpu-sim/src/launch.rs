@@ -20,9 +20,8 @@ use wsvd_trace::TraceSink;
 use crate::counters::{BlockCounters, LaunchStats, Timeline};
 use crate::device::DeviceSpec;
 use crate::graph::{GraphState, GraphStats, LaunchGraph};
-use crate::sanitize::{
-    bump_global_violations, BlockSanitizeOutcome, HazardTracker, SanitizeMode, SanitizerReport,
-};
+use crate::sanitize::{BlockSanitizeOutcome, HazardTracker, SanitizeMode, SanitizerReport};
+use crate::session::{Session, Tally};
 use crate::smem::{SharedMem, SmemBuf, SmemOverflow};
 use crate::stream::{Footprint, Interval};
 
@@ -79,12 +78,10 @@ pub struct KernelConfig {
     pub uses_tensor_cores: bool,
     /// Human-readable kernel name for diagnostics.
     pub label: &'static str,
-    /// Per-launch sanitizer override: `None` inherits the GPU's mode.
-    pub sanitize: Option<SanitizeMode>,
 }
 
 impl KernelConfig {
-    /// Convenience constructor with no tensor cores and inherited sanitizing.
+    /// Convenience constructor with no tensor cores.
     pub fn new(
         grid: usize,
         threads_per_block: usize,
@@ -97,7 +94,6 @@ impl KernelConfig {
             smem_bytes_per_block,
             uses_tensor_cores: false,
             label,
-            sanitize: None,
         }
     }
 }
@@ -322,72 +318,70 @@ impl BlockCtx {
 pub struct Gpu {
     device: DeviceSpec,
     timeline: Mutex<Timeline>,
-    trace: TraceSink,
+    session: Session,
     trace_pid: u32,
-    metrics: MetricsSink,
-    health: HealthSink,
-    sanitize: SanitizeMode,
     sanitizer: Mutex<SanitizerReport>,
     graph: Mutex<GraphState>,
     interval: Mutex<Option<Interval>>,
 }
 
 impl Gpu {
-    /// Creates a fresh GPU with an empty timeline. Picks up the process-wide
-    /// trace sink (`wsvd_trace::global()`), which is disabled unless the
-    /// host installed one — so by default launches pay only an `Option`
-    /// check for tracing.
+    /// Creates a fresh GPU with an empty timeline under
+    /// [`Session::current`]: the installed session's sinks, sanitize mode
+    /// and tally. With none installed every sink is disabled, so launches
+    /// pay only an `Option` check per sink.
     pub fn new(device: DeviceSpec) -> Self {
-        Self::with_trace(device, wsvd_trace::global())
+        Self::with_session(device, Session::current())
     }
 
-    /// Creates a fresh GPU recording into an explicit trace sink.
+    /// Like [`Gpu::new`], recording into an explicit trace sink.
     pub fn with_trace(device: DeviceSpec, trace: TraceSink) -> Self {
-        let name = device.name;
-        Self::with_trace_named(device, trace, name)
+        Self::with_session(
+            device,
+            Session {
+                trace,
+                ..Session::current()
+            },
+        )
     }
 
-    /// Like [`Gpu::with_trace`], with an explicit trace process name (used
-    /// by [`crate::GpuCluster`] to label ranks). Picks up the process-wide
-    /// sanitize default ([`SanitizeMode::resolved`]: `WSVD_SANITIZE` or
-    /// [`crate::sanitize::set_global`]), which is off unless requested, and
-    /// the process-wide metrics sink (`wsvd_metrics::global()`), disabled by
-    /// default — so unmetered launches pay only an `Option` check.
-    pub fn with_trace_named(device: DeviceSpec, trace: TraceSink, name: &str) -> Self {
-        let trace_pid = trace.register_process(name);
+    /// Like [`Gpu::new`] with an explicit [`SanitizeMode`] and a tally of
+    /// its own: violations stay in this device's
+    /// [`Gpu::sanitizer_report`] and never fail the invocation (tests and
+    /// planted-bug experiments).
+    pub fn with_sanitize(device: DeviceSpec, mode: SanitizeMode) -> Self {
+        let session = Session {
+            sanitize: mode,
+            tally: Tally::default(),
+            ..Session::current()
+        };
+        Self::with_session(device, session)
+    }
+
+    /// Creates a fresh GPU under an explicit session.
+    pub fn with_session(device: DeviceSpec, session: Session) -> Self {
+        let name = device.name;
+        Self::with_session_named(device, session, name)
+    }
+
+    /// Like [`Gpu::with_session`], with an explicit trace process name (used
+    /// by [`crate::GpuCluster`] to label ranks).
+    pub(crate) fn with_session_named(device: DeviceSpec, session: Session, name: &str) -> Self {
         Self {
             device,
             timeline: Mutex::new(Timeline::default()),
-            trace,
-            trace_pid,
-            metrics: wsvd_metrics::global(),
-            health: wsvd_health::global(),
-            sanitize: SanitizeMode::resolved(),
+            trace_pid: session.trace.register_process(name),
+            session,
             sanitizer: Mutex::new(SanitizerReport::default()),
             graph: Mutex::new(GraphState::default()),
             interval: Mutex::new(None),
         }
     }
 
-    /// Creates a fresh GPU with an explicit [`SanitizeMode`], ignoring the
-    /// process-wide default (useful in tests, which must not leak sanitizer
-    /// state into each other).
-    pub fn with_sanitize(device: DeviceSpec, mode: SanitizeMode) -> Self {
-        let mut gpu = Self::new(device);
-        gpu.sanitize = mode;
-        gpu
-    }
-
-    /// This GPU's default sanitize mode (individual launches may override it
-    /// via [`KernelConfig::sanitize`]).
-    pub fn sanitize_mode(&self) -> SanitizeMode {
-        self.sanitize
-    }
-
-    /// True when launches on this GPU are hazard-checked by default. Layers
-    /// above also key their *static* verification passes off this flag.
+    /// True when launches on this GPU are hazard-checked. Layers above also
+    /// key their *static* verification passes off this flag.
     pub fn sanitize_enabled(&self) -> bool {
-        self.sanitize.is_on()
+        self.session.sanitize.is_on()
     }
 
     /// Snapshot of everything the sanitizer has found on this GPU so far.
@@ -397,34 +391,34 @@ impl Gpu {
 
     /// The trace sink this GPU records into (disabled by default).
     pub fn trace(&self) -> &TraceSink {
-        &self.trace
+        &self.session.trace
     }
 
     /// The metrics sink this GPU records into (disabled by default). Layers
     /// above (the W-cycle, experiments) key their own metrics-only work off
     /// `gpu.metrics().is_enabled()`.
     pub fn metrics(&self) -> &MetricsSink {
-        &self.metrics
+        &self.session.metrics
     }
 
-    /// Replaces the metrics sink, ignoring the process-wide default (tests
-    /// and experiments that must not pollute the global registry).
+    /// Replaces the metrics sink, ignoring the session's (tests and
+    /// experiments that must not pollute the global registry).
     pub fn set_metrics(&mut self, sink: MetricsSink) {
-        self.metrics = sink;
+        self.session.metrics = sink;
     }
 
     /// The health sink this GPU records into (disabled by default). Layers
     /// above (the W-cycle, experiments) key their own watchdog-only work off
     /// `gpu.health().is_enabled()`.
     pub fn health(&self) -> &HealthSink {
-        &self.health
+        &self.session.health
     }
 
-    /// Replaces the health sink, ignoring the process-wide default (tests
-    /// and fault-injection experiments that must not share the global
-    /// incident log).
+    /// Replaces the health sink, ignoring the session's (tests and
+    /// fault-injection experiments that must not share the global incident
+    /// log).
     pub fn set_health(&mut self, sink: HealthSink) {
-        self.health = sink;
+        self.session.health = sink;
     }
 
     /// The trace process id for this GPU's tracks (0 when tracing is off).
@@ -495,8 +489,8 @@ impl Gpu {
             "grid must match item count in launch_over"
         );
         self.check_cfg(&cfg);
-        let sanitize = cfg.sanitize.unwrap_or(self.sanitize);
-        let guard = self.health.is_enabled();
+        let sanitize = self.session.sanitize;
+        let guard = self.session.health.is_enabled();
         let results: Vec<Result<BlockOutput, KernelError>> = items
             .par_iter_mut()
             .enumerate()
@@ -521,8 +515,8 @@ impl Gpu {
         F: Fn(usize, &mut BlockCtx) -> Result<R, KernelError> + Sync,
     {
         self.check_cfg(&cfg);
-        let sanitize = cfg.sanitize.unwrap_or(self.sanitize);
-        let guard = self.health.is_enabled();
+        let sanitize = self.session.sanitize;
+        let guard = self.session.health.is_enabled();
         let results: Vec<Result<(R, BlockOutput), KernelError>> = (0..cfg.grid)
             .into_par_iter()
             .map(|b| {
@@ -607,7 +601,7 @@ impl Gpu {
 
         // List-schedule the blocks onto the resident slots. The traced path
         // uses the placement-returning variant (same makespan, see tests).
-        let placements = if self.trace.is_enabled() {
+        let placements = if self.session.trace.is_enabled() {
             let (makespan, placements) = list_schedule_placements(&durations, concurrent);
             Some((makespan, placements))
         } else {
@@ -665,15 +659,18 @@ impl Gpu {
         if let Some(iv) = self.interval.lock().as_mut() {
             iv.record(stats.seconds(), footprint);
         }
-        if self.metrics.is_enabled() {
+        if self.session.metrics.is_enabled() {
             self.record_metrics(cfg.label, &stats);
         }
-        if self.health.is_enabled() {
+        if self.session.health.is_enabled() {
             let now = self.timeline.lock().seconds;
-            self.health
+            self.session
+                .health
                 .kernel_launch(cfg.label, cfg.grid, stats.kernel_seconds, now);
             if let Some((block, detail)) = nonfinite {
-                self.health.nonfinite(cfg.label, block, &detail, now);
+                self.session
+                    .health
+                    .nonfinite(cfg.label, block, &detail, now);
             }
         }
         Ok(stats)
@@ -685,7 +682,7 @@ impl Gpu {
     /// recording never touches the timing model, so metrics-off runs stay
     /// bit-identical.
     fn record_metrics(&self, label: &str, stats: &LaunchStats) {
-        let m = &self.metrics;
+        let m = &self.session.metrics;
         m.counter_add(label, None, "launches", 1.0);
         m.counter_add(label, None, "blocks", stats.grid as f64);
         m.counter_add(label, None, "flops", stats.totals.flops as f64);
@@ -785,12 +782,12 @@ impl Gpu {
     pub(crate) fn end_launch_graph(&self, label: &'static str) {
         let finished = self.graph.lock().end();
         if let Some((nodes, coalesced)) = finished {
-            if self.metrics.is_enabled() {
+            if self.session.metrics.is_enabled() {
                 // Per-graph deltas (cumulative stats minus what was already
                 // reported), so registry counters sum correctly per run even
                 // though `GraphStats` itself stays Gpu-cumulative.
                 let d = self.graph.lock().take_unreported();
-                let m = &self.metrics;
+                let m = &self.session.metrics;
                 m.counter_add("launch-graph", None, "graphs", d.graphs as f64);
                 m.counter_add("launch-graph", None, "nodes", d.nodes as f64);
                 m.counter_add("launch-graph", None, "coalesced", d.coalesced as f64);
@@ -808,10 +805,10 @@ impl Gpu {
                     d.overlap_saved_seconds,
                 );
             }
-            if self.trace.is_enabled() {
+            if self.session.trace.is_enabled() {
                 let now = self.timeline.lock().seconds;
                 let stats = self.graph.lock().stats();
-                self.trace.instant(
+                self.session.trace.instant(
                     self.trace_pid,
                     "launch-graph",
                     label,
@@ -823,7 +820,7 @@ impl Gpu {
                         ("overlap_saved_s", stats.overlap_saved_seconds.into()),
                     ],
                 );
-                self.trace.counter(
+                self.session.trace.counter(
                     self.trace_pid,
                     "launch-graph",
                     "graphs",
@@ -849,7 +846,7 @@ impl Gpu {
         let pid = self.trace_pid;
         let t0 = self.timeline.lock().seconds;
         let kernel_start = t0 + stats.overhead_seconds;
-        self.trace.span(
+        self.session.trace.span(
             pid,
             "kernels",
             cfg.label,
@@ -872,7 +869,7 @@ impl Gpu {
                 continue;
             }
             let track = format!("sm-slot {:02}", p.slot);
-            self.trace.span(
+            self.session.trace.span(
                 pid,
                 &track,
                 cfg.label,
@@ -881,16 +878,17 @@ impl Gpu {
                 vec![("block", p.block.into())],
             );
         }
-        self.trace
+        self.session
+            .trace
             .counter(pid, "occupancy", "occupancy", kernel_start, stats.occupancy);
-        self.trace.counter(
+        self.session.trace.counter(
             pid,
             "gm_bytes",
             "gm_bytes",
             kernel_start,
             stats.totals.gm_bytes() as f64,
         );
-        self.trace.counter(
+        self.session.trace.counter(
             pid,
             "smem_bytes_per_block",
             "smem_bytes_per_block",
@@ -901,7 +899,7 @@ impl Gpu {
 
     /// Folds the blocks' sanitizer findings into the GPU-wide report,
     /// attributes each violation to its kernel and block, bumps the
-    /// process-wide violation count, and mirrors everything onto the
+    /// session's violation tally, and mirrors everything onto the
     /// `sanitizer` trace track as structured instants. No-op for unsanitized
     /// launches.
     fn report_sanitize_outcomes(
@@ -927,7 +925,7 @@ impl Gpu {
             }
             new_violations.append(&mut o.violations);
         }
-        if self.trace.is_enabled() {
+        if self.session.trace.is_enabled() {
             for v in &new_violations {
                 let mut args: Vec<(&'static str, wsvd_trace::ArgValue)> = vec![
                     ("kernel", cfg.label.into()),
@@ -940,10 +938,11 @@ impl Gpu {
                     args.push(("buf", buf.into()));
                 }
                 args.push(("detail", v.detail.clone().into()));
-                self.trace
+                self.session
+                    .trace
                     .instant(pid, "sanitizer", &v.kind.to_string(), ts, args);
             }
-            self.trace.instant(
+            self.session.trace.instant(
                 pid,
                 "sanitizer",
                 "launch-checked",
@@ -959,7 +958,9 @@ impl Gpu {
             );
         }
         if !new_violations.is_empty() {
-            bump_global_violations(new_violations.len() as u64);
+            self.session
+                .tally
+                .add_violations(new_violations.len() as u64);
         }
         let mut rep = self.sanitizer.lock();
         rep.stats.merge(&launch_stats);
@@ -1323,8 +1324,12 @@ mod tests {
     #[test]
     fn sanitized_launch_reports_race_and_traces_it() {
         let sink = wsvd_trace::TraceSink::enabled();
-        let mut gpu = Gpu::with_trace(V100, sink.clone());
-        gpu.sanitize = crate::sanitize::SanitizeMode::Full;
+        let session = Session {
+            trace: sink.clone(),
+            sanitize: crate::sanitize::SanitizeMode::Full,
+            ..Session::default()
+        };
+        let gpu = Gpu::with_session(V100, session.clone());
         let cfg = KernelConfig::new(2, 64, 1024, "racy");
         let (_, _stats) = gpu
             .launch_collect(cfg, |_, ctx| {
@@ -1343,6 +1348,11 @@ mod tests {
         assert_eq!(rep.violations[0].kernel, "racy");
         assert_eq!(rep.violations[1].block, 1);
         assert_eq!(rep.stats.blocks_checked, 2);
+        assert_eq!(
+            session.tally.violations(),
+            2,
+            "the session tallies them too"
+        );
         let events = sink.events();
         assert!(events
             .iter()
@@ -1372,22 +1382,6 @@ mod tests {
             crate::sanitize::HazardKind::SmemLeak
         );
         assert_eq!(rep.stats.epochs, 1);
-    }
-
-    #[test]
-    fn kernel_config_override_beats_gpu_mode() {
-        let gpu = Gpu::with_sanitize(V100, crate::sanitize::SanitizeMode::Off);
-        let mut cfg = KernelConfig::new(1, 64, 1024, "forced-on");
-        cfg.sanitize = Some(crate::sanitize::SanitizeMode::Full);
-        gpu.launch_collect(cfg, |_, ctx| {
-            let buf = ctx.smem().alloc(8)?;
-            ctx.smem_write(0, &buf, 0, 8);
-            ctx.smem_write(1, &buf, 0, 8);
-            Ok(())
-        })
-        .unwrap();
-        assert!(!gpu.sanitize_enabled());
-        assert_eq!(gpu.sanitizer_report().violations.len(), 1);
     }
 
     #[test]

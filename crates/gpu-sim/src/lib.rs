@@ -29,13 +29,14 @@ pub mod launch;
 pub mod profile;
 pub mod resource;
 pub mod sanitize;
+pub mod session;
 pub mod smem;
 pub mod stream;
 
 pub use cluster::{
-    resume_elastic, run_elastic, size_class_chunks, unrecovered_total, ElasticCheckpoint,
-    ElasticConfig, ElasticRun, FaultPlan, GpuCluster, QueueSnapshot, RecoveryCounters, TaskChunk,
-    WorkQueue, DEFAULT_SIZE_CLASS_CAPS,
+    resume_elastic, run_elastic, size_class_chunks, ElasticCheckpoint, ElasticConfig, ElasticRun,
+    FaultPlan, GpuCluster, QueueSnapshot, RecoveryCounters, TaskChunk, WorkQueue,
+    DEFAULT_SIZE_CLASS_CAPS,
 };
 pub use counters::{BlockCounters, LaunchStats, Timeline};
 pub use device::{DeviceSpec, A100, ALL_DEVICES, P100, TITAN_X, V100, VEGA20};
@@ -48,5 +49,6 @@ pub use resource::{
 pub use sanitize::{
     HazardKind, HazardTracker, SanitizeMode, SanitizerReport, SmemRequirement, Violation,
 };
+pub use session::{Session, Tally};
 pub use smem::{SharedMem, SmemBuf, SmemOverflow};
 pub use stream::{Footprint, Interval, Phase, StreamDevice, StreamSlot};

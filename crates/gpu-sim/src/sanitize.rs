@@ -17,19 +17,17 @@
 //!   reported as leaks (a real kernel would leave the arena dirty for the
 //!   next resident block).
 //!
-//! Checking is **opt-in** ([`SanitizeMode`] on [`crate::Gpu`] /
-//! [`crate::KernelConfig`], or the `WSVD_SANITIZE=1` environment variable)
-//! and a zero-cost no-op by default: every recording entry point is one
-//! `Option` check when sanitizing is off, and no counter or simulated-time
+//! Checking is **opt-in** (the [`SanitizeMode`] of a [`crate::Gpu`]'s
+//! [`crate::Session`], which `WSVD_SANITIZE=1` turns on by default) and a
+//! zero-cost no-op otherwise: every recording entry point is one `Option`
+//! check when sanitizing is off, and no counter or simulated-time
 //! accounting changes in either mode. Violations are surfaced as structured
-//! instant events through the installed `wsvd-trace` sink, aggregated into a
-//! per-GPU [`SanitizerReport`], and counted process-wide for harness exit
-//! codes ([`global_violation_count`]).
+//! instant events through the device's `wsvd-trace` sink, aggregated into a
+//! per-GPU [`SanitizerReport`], and counted in the session's tally for
+//! harness exit codes ([`crate::Tally::violations`]).
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 /// Upper bound on violations retained per block, so a systematically racy
 /// kernel produces a readable report instead of one entry per element.
@@ -52,54 +50,6 @@ impl SanitizeMode {
     pub fn is_on(self) -> bool {
         self != SanitizeMode::Off
     }
-
-    /// Reads the `WSVD_SANITIZE` environment variable (`1`, `on`, `true` or
-    /// `full` enable full checking). Cached after the first call so
-    /// [`crate::Gpu::new`] stays cheap.
-    pub fn from_env() -> SanitizeMode {
-        static ENV: OnceLock<SanitizeMode> = OnceLock::new();
-        *ENV.get_or_init(|| match std::env::var("WSVD_SANITIZE") {
-            Ok(v) if matches!(v.as_str(), "1" | "on" | "true" | "full") => SanitizeMode::Full,
-            _ => SanitizeMode::Off,
-        })
-    }
-
-    /// The process-wide default mode: [`set_global`] if called, else the
-    /// environment variable.
-    pub fn resolved() -> SanitizeMode {
-        match GLOBAL_MODE.load(Ordering::Relaxed) {
-            1 => SanitizeMode::Off,
-            2 => SanitizeMode::Full,
-            _ => SanitizeMode::from_env(),
-        }
-    }
-}
-
-/// 0 = unset (fall back to env), 1 = forced off, 2 = forced full.
-static GLOBAL_MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Process-wide count of all violations ever reported (any `Gpu`).
-static GLOBAL_VIOLATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Forces the process-wide default [`SanitizeMode`] that [`crate::Gpu::new`]
-/// picks up, overriding `WSVD_SANITIZE`. Harness entry points (e.g.
-/// `repro --sanitize`) call this once before constructing any GPU.
-pub fn set_global(mode: SanitizeMode) {
-    let v = match mode {
-        SanitizeMode::Off => 1,
-        SanitizeMode::Full => 2,
-    };
-    GLOBAL_MODE.store(v, Ordering::Relaxed);
-}
-
-/// Total violations reported process-wide since start. Monotonic; harnesses
-/// read it after a run and fail on a non-zero count.
-pub fn global_violation_count() -> u64 {
-    GLOBAL_VIOLATIONS.load(Ordering::Relaxed)
-}
-
-pub(crate) fn bump_global_violations(n: u64) {
-    GLOBAL_VIOLATIONS.fetch_add(n, Ordering::Relaxed);
 }
 
 /// The hazard classes the dynamic tracker reports.

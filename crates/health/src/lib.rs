@@ -571,9 +571,9 @@ pub struct HealthSink {
 }
 
 impl HealthSink {
-    /// A recording sink with default watchdog thresholds. Captures the
-    /// process-wide metrics sink for incident snapshots (replace with
-    /// [`HealthSink::set_metrics`] in tests).
+    /// A recording sink with default watchdog thresholds. Incident
+    /// snapshots stay empty until [`HealthSink::set_metrics`] connects a
+    /// metrics registry.
     pub fn enabled() -> Self {
         Self::with_config(WatchdogConfig::default())
     }
@@ -594,7 +594,7 @@ impl HealthSink {
                     suppressed: 0,
                     fired: BTreeSet::new(),
                     stall: BTreeMap::new(),
-                    metrics: wsvd_metrics::global(),
+                    metrics: MetricsSink::default(),
                 }),
             })),
         }
@@ -1039,12 +1039,15 @@ impl HealthSink {
     }
 }
 
+/// The process-wide health sink. Devices take theirs from the
+/// `wsvd_gpu_sim::Session` they are built under; this copy exists because
+/// `wsvd-linalg`'s generators note each workload seed into it, and linalg
+/// sits below gpu-sim in the crate graph.
 static GLOBAL: OnceLock<HealthSink> = OnceLock::new();
 
 /// Installs `sink` as the process-wide sink that [`global`] hands out.
 /// Returns `false` if a sink was already installed (the first one wins).
-/// Like the trace/metrics globals, this must happen before the first `Gpu`
-/// is constructed — GPUs pick the sink up at build time.
+/// `wsvd_gpu_sim::Session::install` is the only caller.
 pub fn install_global(sink: HealthSink) -> bool {
     GLOBAL.set(sink).is_ok()
 }

@@ -25,7 +25,7 @@
 //!   per-region queries work even across a warm cache.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 
@@ -596,22 +596,6 @@ fn fmt_prom(v: f64) -> String {
     }
 }
 
-static GLOBAL: OnceLock<MetricsSink> = OnceLock::new();
-
-/// Installs `sink` as the process-wide sink that [`global`] hands out.
-/// Returns `false` if a sink was already installed (the first one wins).
-///
-/// Components that cannot be handed a sink explicitly (a `Gpu` built deep
-/// inside an experiment, the global plan cache) pick this up lazily.
-pub fn install_global(sink: MetricsSink) -> bool {
-    GLOBAL.set(sink).is_ok()
-}
-
-/// The installed global sink, or a disabled one if none was installed.
-pub fn global() -> MetricsSink {
-    GLOBAL.get().cloned().unwrap_or_default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -943,11 +927,5 @@ mod tests {
         let h = d.histogram("e", "k", None, "lat").unwrap();
         assert_eq!(h.total, 1, "counts subtract");
         assert_eq!(h.exemplar(0), Some(Exemplar { id: 2, value: 0.75 }));
-    }
-
-    #[test]
-    fn global_defaults_to_disabled() {
-        // install_global is process-wide; only assert the uninstalled view.
-        assert!(!global().is_enabled() || GLOBAL.get().is_some());
     }
 }

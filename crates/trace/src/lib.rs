@@ -22,7 +22,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use serde_json::Value;
 
@@ -246,22 +246,6 @@ impl TraceSink {
                 .clone(),
         }
     }
-}
-
-static GLOBAL: OnceLock<TraceSink> = OnceLock::new();
-
-/// Installs `sink` as the process-wide sink that [`global`] hands out.
-/// Returns `false` if a sink was already installed (the first one wins).
-///
-/// Components that cannot be handed a sink explicitly (e.g. a `Gpu` built
-/// deep inside an experiment) pick the global one up at construction time.
-pub fn install_global(sink: TraceSink) -> bool {
-    GLOBAL.set(sink).is_ok()
-}
-
-/// The installed global sink, or a disabled one if none was installed.
-pub fn global() -> TraceSink {
-    GLOBAL.get().cloned().unwrap_or_default()
 }
 
 fn us(seconds: f64) -> f64 {
@@ -517,12 +501,5 @@ mod tests {
         let svd = s.find("svd").unwrap();
         assert!(gemm < svd, "{s}");
         assert!(s.contains("instant event"));
-    }
-
-    #[test]
-    fn global_sink_defaults_to_disabled() {
-        // Note: install_global is process-wide; this test only asserts the
-        // read path works and never installs, to avoid cross-test coupling.
-        assert!(global().events().is_empty() || global().is_enabled());
     }
 }

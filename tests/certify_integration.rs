@@ -3,23 +3,23 @@
 //! * property: every plan the auto-tuner can select for a random size
 //!   multiset holds a certificate, and the runtime consultation accepts it
 //!   (zero false rejections over the reachable plan space);
-//! * agreement: under `CertifyMode::Require`, runs are bit-identical with
+//! * agreement: with a store installed, runs are bit-identical with
 //!   the sanitizer on and off, and a certified plan never trips the runtime
 //!   sanitizer on the fig7/fig9 shapes;
 //! * enforcement: an uncertified plan family is a hard error before any
 //!   kernel launches.
 //!
-//! This file owns the process-global certification state: every test that
-//! simulates work goes through [`require_certification`], so the global
-//! `Require` mode never races a test expecting `Off`.
+//! This file owns the process-global certificate store: every test that
+//! simulates work goes through [`require_certification`], which installs it
+//! under [`GATE`], so installation never races a test expecting none.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use proptest::prelude::*;
 
 use wcycle_svd::batched::autotune::{auto_tune_with_w_cap, V100_TLP_THRESHOLD};
 use wcycle_svd::batched::models::TailorPlan;
-use wcycle_svd::core::certify::{self, CertificateStore, CertifyMode};
+use wcycle_svd::core::certify::{self, CertificateStore};
 use wcycle_svd::gpu::{Gpu, SanitizeMode, ALL_DEVICES, V100};
 use wcycle_svd::jacobi::ordering::Ordering;
 use wcycle_svd::linalg::generate::random_batch;
@@ -33,13 +33,13 @@ fn store() -> &'static Arc<CertificateStore> {
     })
 }
 
-/// Installs the store and flips the process into `Require` mode (once).
+/// Held while installing the store, and by the test that needs it absent.
+static GATE: Mutex<()> = Mutex::new(());
+
+/// Installs the store, which makes certification required (once).
 fn require_certification() {
-    static ARMED: OnceLock<()> = OnceLock::new();
-    ARMED.get_or_init(|| {
-        certify::install_store(store().clone());
-        certify::set_mode(CertifyMode::Require);
-    });
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    certify::install_store(store().clone());
 }
 
 proptest! {
@@ -150,16 +150,21 @@ fn uncertified_plan_is_a_hard_error_before_launch() {
     );
 }
 
-/// The default mode is `Off`: without opting in, nothing consults the
-/// store. (This runs in other test binaries implicitly — every other
-/// integration suite exercises the W-cycle with certification off — but
-/// pin the default here too, before this binary arms `Require`.)
+/// Certification is opt-in: until a store is installed, nothing consults
+/// one, so even a plan family outside the certified space runs. (Every
+/// other integration suite exercises the W-cycle this way too; pin it here,
+/// where the store may already be installed by another test, in which case
+/// there is nothing left to check.)
 #[test]
 fn certification_is_opt_in() {
-    // No `require_certification()` here on purpose: only check the
-    // documented default. The global may already be `Require` if another
-    // test ran first, so only assert when this is the first.
-    if certify::store().is_none() {
-        assert_eq!(certify::mode(), CertifyMode::Off);
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    if certify::store().is_some() {
+        return;
     }
+    let gpu = Gpu::new(V100);
+    let cfg = WCycleConfig {
+        tuning: Tuning::Fixed(TailorPlan::new(16, 32, 64)),
+        ..WCycleConfig::default()
+    };
+    wcycle_svd(&gpu, &random_batch(2, 64, 64, 7), &cfg).expect("uncertified plan runs");
 }

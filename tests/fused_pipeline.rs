@@ -3,19 +3,14 @@
 //! * a replayed graph produces bit-identical counters and numerics to the
 //!   serial launch sequence — with the sanitizer off *and* on full — while
 //!   paying less overhead and less kernel makespan (coalesced blocks ride
-//!   already-resident SM slots);
-//! * the process-wide `set_fused_default` knob (what `repro --fused` sets)
-//!   plumbs into `WCycleConfig::default()` and through the W-cycle without
-//!   perturbing results.
+//!   already-resident SM slots).
 //!
-//! This file runs as its own process, so flipping the fused default here
-//! cannot race other test binaries' `WCycleConfig::default()` calls.
+//! `tests/session.rs` runs the W-cycle fused through the session default
+//! that `repro --fused` sets.
 
 use proptest::prelude::*;
 
 use wcycle_svd::gpu::{Gpu, KernelConfig, LaunchStats, SanitizeMode, V100};
-use wcycle_svd::linalg::generate::random_batch;
-use wcycle_svd::{wcycle_svd, WCycleConfig};
 
 /// Replays a deterministic launch sequence, optionally inside one fused
 /// scope, and returns the per-launch stats.
@@ -98,30 +93,4 @@ proptest! {
             prop_assert_eq!(serial_gpu.graph_stats().nodes, 0);
         }
     }
-}
-
-#[test]
-fn fused_default_plumbs_through_default_config_and_wcycle() {
-    assert!(!wcycle_svd::core::fused_default());
-    assert!(!WCycleConfig::default().fused);
-
-    let mats = random_batch(2, 80, 80, 1234);
-    let serial_gpu = Gpu::new(V100);
-    let serial = wcycle_svd(&serial_gpu, &mats, &WCycleConfig::default()).unwrap();
-
-    wcycle_svd::core::set_fused_default(true);
-    let cfg = WCycleConfig::default();
-    assert!(cfg.fused, "set_fused_default must flow into Default");
-    let fused_gpu = Gpu::new(V100);
-    let fused = wcycle_svd(&fused_gpu, &mats, &cfg).unwrap();
-    wcycle_svd::core::set_fused_default(false);
-    assert!(!WCycleConfig::default().fused);
-
-    for (s, f) in serial.results.iter().zip(&fused.results) {
-        assert_eq!(s.sigma, f.sigma);
-        assert_eq!(s.u.as_slice(), f.u.as_slice());
-    }
-    assert!(fused_gpu.graph_stats().graphs >= 1);
-    assert!(fused_gpu.elapsed_seconds() < serial_gpu.elapsed_seconds());
-    assert_eq!(serial_gpu.timeline().totals, fused_gpu.timeline().totals);
 }

@@ -4,7 +4,7 @@
 //! bit-identical numerics and simulated timing.
 
 use wsvd_core::{wcycle_svd, WCycleConfig};
-use wsvd_gpu_sim::{Gpu, HazardKind, KernelConfig, SanitizeMode, V100};
+use wsvd_gpu_sim::{Gpu, HazardKind, KernelConfig, SanitizeMode, Session, V100};
 use wsvd_jacobi::verify::{verify_schedule, Coverage, ScheduleViolation};
 use wsvd_jacobi::Ordering;
 use wsvd_linalg::generate::random_batch;
@@ -116,10 +116,15 @@ fn leaked_smem_buffer_is_reported() {
 #[test]
 fn violations_surface_on_the_trace_sanitizer_track() {
     let sink = wsvd_trace::TraceSink::enabled();
-    let gpu = Gpu::with_trace(V100, sink.clone());
-    // Opt this single launch in regardless of the GPU-wide/global mode.
-    let mut kc = KernelConfig::new(1, 32, 1024, "traced_race");
-    kc.sanitize = Some(SanitizeMode::Full);
+    let gpu = Gpu::with_session(
+        V100,
+        Session {
+            trace: sink.clone(),
+            sanitize: SanitizeMode::Full,
+            ..Session::default()
+        },
+    );
+    let kc = KernelConfig::new(1, 32, 1024, "traced_race");
     gpu.launch_collect(kc, |_b, ctx| {
         let buf = ctx.smem().alloc(8)?;
         ctx.smem_write(0, &buf, 0, 8);
@@ -200,36 +205,4 @@ fn sanitized_wcycle_fig7_small_is_clean_and_bit_identical() {
         assert_eq!(p.sigma, s.sigma);
         assert_eq!(p.sweeps, s.sweeps);
     }
-}
-
-#[test]
-fn kernel_config_opt_in_works_without_global_mode() {
-    // A plain GPU, one launch opted in via KernelConfig: only that launch
-    // is checked.
-    let gpu = Gpu::new(V100);
-    let mut kc = KernelConfig::new(1, 32, 1024, "opted_in");
-    kc.sanitize = Some(SanitizeMode::Full);
-    gpu.launch_collect(kc, |_b, ctx| {
-        let buf = ctx.smem().alloc(8)?;
-        ctx.smem_write(0, &buf, 0, 8);
-        ctx.smem_write(1, &buf, 0, 8);
-        ctx.sync_threads();
-        Ok(())
-    })
-    .unwrap();
-    assert_eq!(gpu.sanitizer_report().violations.len(), 1);
-
-    let kc = KernelConfig::new(1, 32, 1024, "not_opted_in");
-    gpu.launch_collect(kc, |_b, ctx| {
-        let buf = ctx.smem().alloc(8)?;
-        ctx.smem_write(0, &buf, 0, 8);
-        ctx.smem_write(1, &buf, 0, 8);
-        Ok(())
-    })
-    .unwrap();
-    assert_eq!(
-        gpu.sanitizer_report().violations.len(),
-        1,
-        "unchecked launch must not add reports"
-    );
 }
