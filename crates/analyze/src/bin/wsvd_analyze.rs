@@ -6,8 +6,8 @@
 //!              [--max-blocks N]          store for every device model
 //! wsvd-analyze self-test                 planted-bug probes (lints must
 //!                                        fire on fixtures, bad plans must
-//!                                        be rejected, broken interleaving
-//!                                        models must violate)
+//!                                        be rejected, the pool protocol's
+//!                                        broken variants must violate)
 //! wsvd-analyze                           all of the above, workspace root
 //! ```
 //!
@@ -18,10 +18,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use wsvd_analyze::interleave::{
-    self, cas_blind_store, cas_commit, cas_load, cas_no_lost_update, deque_claim_atomic,
-    deque_exactly_once, deque_load_cursor, deque_store_claim_lossy, pool_no_touch_after_return,
-    ring_newest_wins, ring_publish_guarded, ring_publish_unguarded, ring_reserve, CasLocal,
-    CasState, DequeLocal, DequeState, PoolLocal, PoolState, RingLocal, RingState, POOL_SUBMITTER,
+    self, pool_no_touch_after_return, PoolLocal, PoolState, POOL_SUBMITTER,
     POOL_SUBMITTER_WAIT_FIRST, POOL_WORKER, POOL_WORKER_SPLIT_REGISTER,
 };
 use wsvd_analyze::lint::{lint_source, lint_workspace};
@@ -115,42 +112,8 @@ fn run_self_test(root: &Path) -> Result<(), String> {
         }
     }
 
-    // 3. The interleaving checker must prove each protocol and catch each
-    //    planted bug.
-    let ring = |writer: &[interleave::Op<RingState, RingLocal>]| {
-        interleave::explore(
-            &RingState::default(),
-            &[RingLocal::default(), RingLocal::default()],
-            [writer, writer],
-            &ring_newest_wins,
-        )
-    };
-    let cas = |shard: &[interleave::Op<CasState, CasLocal>]| {
-        let deltas = [
-            CasLocal {
-                observed: 0,
-                delta: 3,
-            },
-            CasLocal {
-                observed: 0,
-                delta: 5,
-            },
-        ];
-        interleave::explore(
-            &CasState::default(),
-            &deltas,
-            [shard, shard],
-            &cas_no_lost_update,
-        )
-    };
-    let deque = |puller: &[interleave::Op<DequeState, DequeLocal>]| {
-        interleave::explore(
-            &DequeState { next: 0, len: 2 },
-            &[DequeLocal::default(), DequeLocal::default()],
-            [puller, puller],
-            &deque_exactly_once,
-        )
-    };
+    // 3. The interleaving checker must prove the pool's job protocol and
+    //    catch both planted bugs.
     let pool = |submitter, worker| {
         interleave::explore(
             &PoolState::published(2),
@@ -159,64 +122,32 @@ fn run_self_test(root: &Path) -> Result<(), String> {
             &pool_no_touch_after_return,
         )
     };
-    let models = [
+    let sound = pool(POOL_SUBMITTER, POOL_WORKER);
+    if !sound.holds() {
+        return Err(format!(
+            "self-test: pool job protocol violated: {:?}",
+            sound.violations
+        ));
+    }
+    for (bug, submitter, worker) in [
         (
-            "ring publish",
-            ring(&[ring_reserve, ring_publish_guarded]),
-            vec![(
-                "blind overwrite",
-                ring(&[ring_reserve, ring_publish_unguarded]),
-            )],
+            "wait-then-unpublish",
+            POOL_SUBMITTER_WAIT_FIRST,
+            POOL_WORKER,
         ),
         (
-            "CAS accumulation",
-            cas(&[cas_load, cas_commit]),
-            vec![("load-add-store", cas(&[cas_load, cas_blind_store]))],
+            "split registration",
+            POOL_SUBMITTER,
+            POOL_WORKER_SPLIT_REGISTER,
         ),
-        (
-            "deque claim",
-            deque(&[deque_claim_atomic, deque_claim_atomic]),
-            vec![(
-                "split claim",
-                deque(&[
-                    deque_load_cursor,
-                    deque_store_claim_lossy,
-                    deque_load_cursor,
-                    deque_store_claim_lossy,
-                ]),
-            )],
-        ),
-        (
-            "pool job",
-            pool(POOL_SUBMITTER, POOL_WORKER),
-            vec![
-                (
-                    "wait-then-unpublish",
-                    pool(POOL_SUBMITTER_WAIT_FIRST, POOL_WORKER),
-                ),
-                (
-                    "split registration",
-                    pool(POOL_SUBMITTER, POOL_WORKER_SPLIT_REGISTER),
-                ),
-            ],
-        ),
-    ];
-    for (protocol, sound, planted) in models {
-        if !sound.holds() {
+    ] {
+        if pool(submitter, worker).holds() {
             return Err(format!(
-                "self-test: {protocol} protocol violated: {:?}",
-                sound.violations
+                "self-test: planted {bug} in pool job went unnoticed (vacuous checker)"
             ));
         }
-        for (bug, run) in planted {
-            if run.holds() {
-                return Err(format!(
-                    "self-test: planted {bug} in {protocol} went unnoticed (vacuous checker)"
-                ));
-            }
-        }
-        println!("self-test: interleaving checker proves {protocol}, catches its planted bugs");
     }
+    println!("self-test: interleaving checker proves pool job, catches its planted bugs");
     Ok(())
 }
 

@@ -1,40 +1,33 @@
 //! Exhaustive two-thread interleaving exploration.
 //!
-//! The workspace has four concurrent protocols whose correctness arguments
-//! live in comments: the flight-recorder ring's reserve-then-publish
-//! protocol (`wsvd_health::FlightRecorder::record` — "never overwrite newer
-//! with older"), the cluster model's CAS accumulation loop
-//! (`wsvd_gpu_sim::cluster` — "a plain load-add-store here loses updates"),
-//! the elastic work deque's claim protocol
-//! (`wsvd_gpu_sim::cluster::queue::RankQueue::claim` — a single `fetch_add`
-//! hands each chunk to exactly one puller, whether owner or thief), and the
-//! block-worker pool's job protocol (the vendored `rayon` shim — a job's
-//! borrowed closure is never reached after its submitter returns).
-//! `loom` is not vendorable, so this module implements the small fragment
-//! needed to *prove* those comments: each protocol is modelled as two
+//! The block-worker pool's job protocol (the vendored `rayon` shim) is the
+//! workspace's one concurrent protocol, and its correctness argument — a
+//! job's borrowed closure is never reached after its submitter returns —
+//! lives in comments. `loom` is not vendorable, so this module implements
+//! the small fragment needed to *prove* it: the protocol is modelled as two
 //! threads of atomic steps over a shared state, and a depth-first search
 //! enumerates **every** interleaving, checking an invariant at each
 //! terminal state.
 //!
 //! A step is a plain function `fn(&mut S, &mut L) -> Step`; `Step::Goto`
-//! expresses CAS-retry back-edges and `Step::Blocked` a blocking wait (a
+//! expresses retry back-edges and `Step::Blocked` a blocking wait (a
 //! condition-variable wait whose condition is false); a state in which
 //! every unfinished thread is blocked is reported as a deadlock.
 //! Exploration clones the state at each branch point, so models stay small
-//! (the real ones here have ≤ 5 steps per thread and < 120 distinct
-//! executions).
+//! (the pool model has ≤ 5 steps per thread and 57 distinct executions).
 //!
 //! The checker itself is validated by *planted-bug* models: the same
-//! protocols with the guard removed (unconditional publish; non-atomic
-//! load-add-store) must exhibit a violating interleaving. A checker that
-//! passes those models would be vacuous, and the tests fail.
+//! protocol with its ordering broken (waiting for idle before unpublishing;
+//! checking "published" and registering in two steps) must exhibit a
+//! violating interleaving. A checker that passes those models would be
+//! vacuous, and the tests fail.
 
 /// Outcome of executing one atomic step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Step {
     /// Fall through to the next op in the thread's program.
     Next,
-    /// Jump to op `0`-based index — the CAS-retry back-edge.
+    /// Jump to op `0`-based index — a loop back-edge.
     Goto(usize),
     /// Terminate this thread early.
     Done,
@@ -66,8 +59,8 @@ impl Exploration {
 }
 
 /// Per-execution step budget: a `Goto` loop that cannot be broken by the
-/// other thread's progress would otherwise run the DFS forever. Real CAS
-/// loops here retry at most once per competing thread, so 16 is generous;
+/// other thread's progress would otherwise run the DFS forever. The pool
+/// model's claim loop runs at most `len + 1` times, so 16 is generous;
 /// exceeding it is reported as a violation (a livelock is a bug too). The
 /// budget also bounds the whole search at `2^16` paths in the worst case —
 /// combined with [`MAX_VIOLATIONS`] pruning, a livelocking model terminates
@@ -168,188 +161,6 @@ fn dfs<S: Clone, L: Clone>(
             "{schedule}: deadlock (every unfinished thread is blocked)"
         ));
     }
-}
-
-// ---------------------------------------------------------------------------
-// Model: flight-recorder ring publish protocol.
-// ---------------------------------------------------------------------------
-
-/// Shared state of the ring model: the reservation cursor and one slot
-/// (capacity 1 forces both writers onto the same slot — the only case
-/// where the publish guard matters).
-#[derive(Clone, Debug, Default)]
-pub struct RingState {
-    /// The `fetch_add` cursor.
-    pub cursor: u64,
-    /// The single slot's published sequence number.
-    pub slot: Option<u64>,
-}
-
-/// Writer-local state: the reserved sequence number.
-#[derive(Clone, Debug, Default)]
-pub struct RingLocal {
-    /// Sequence reserved by this writer's `fetch_add`.
-    pub seq: Option<u64>,
-}
-
-/// Step 1 of `FlightRecorder::record`: `cursor.fetch_add(1)` — atomic.
-pub fn ring_reserve(s: &mut RingState, l: &mut RingLocal) -> Step {
-    l.seq = Some(s.cursor);
-    s.cursor += 1;
-    Step::Next
-}
-
-/// Step 2 of `FlightRecorder::record`: publish under the slot lock with the
-/// newest-wins guard `old.seq <= seq`.
-pub fn ring_publish_guarded(s: &mut RingState, l: &mut RingLocal) -> Step {
-    let seq = l.seq.expect("reserve ran first");
-    if s.slot.is_none_or(|old| old <= seq) {
-        s.slot = Some(seq);
-    }
-    Step::Next
-}
-
-/// The planted bug: publish without the guard (blind overwrite). Some
-/// interleaving must then leave a lapped writer's *older* event in the slot.
-pub fn ring_publish_unguarded(s: &mut RingState, l: &mut RingLocal) -> Step {
-    s.slot = Some(l.seq.expect("reserve ran first"));
-    Step::Next
-}
-
-/// Invariant of the ring model: once both writers finish, the slot holds
-/// the newest sequence that mapped to it.
-pub fn ring_newest_wins(s: &RingState, _l: &[RingLocal; 2]) -> Result<(), String> {
-    if s.slot == Some(1) {
-        Ok(())
-    } else {
-        Err(format!("slot holds {:?}, expected Some(1)", s.slot))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Model: cluster sync CAS accumulation.
-// ---------------------------------------------------------------------------
-
-/// Shared accumulator of the cluster model (`sync_seconds` as integer
-/// "seconds" so the invariant is exact).
-#[derive(Clone, Debug, Default)]
-pub struct CasState {
-    /// The accumulated value.
-    pub total: u64,
-}
-
-/// Shard-local state: the observed snapshot for the pending CAS.
-#[derive(Clone, Debug, Default)]
-pub struct CasLocal {
-    /// Value read by the last `load`.
-    pub observed: u64,
-    /// This shard's contribution.
-    pub delta: u64,
-}
-
-/// Load half of the `fetch_update` loop: observe the current total.
-pub fn cas_load(s: &mut CasState, l: &mut CasLocal) -> Step {
-    l.observed = s.total;
-    Step::Next
-}
-
-/// Compare-and-swap: commit `observed + delta` iff nothing changed since
-/// the load, else retry from the load (the `fetch_update` back-edge).
-pub fn cas_commit(s: &mut CasState, l: &mut CasLocal) -> Step {
-    if s.total == l.observed {
-        s.total = l.observed + l.delta;
-        Step::Next
-    } else {
-        Step::Goto(0)
-    }
-}
-
-/// The planted bug: blind store (`load-add-store` without the compare).
-pub fn cas_blind_store(s: &mut CasState, l: &mut CasLocal) -> Step {
-    s.total = l.observed + l.delta;
-    Step::Next
-}
-
-/// Invariant of the accumulation model: no update is lost.
-pub fn cas_no_lost_update(s: &CasState, l: &[CasLocal; 2]) -> Result<(), String> {
-    let want = l[0].delta + l[1].delta;
-    if s.total == want {
-        Ok(())
-    } else {
-        Err(format!("total {} != sum of deltas {want}", s.total))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Model: elastic work-deque claim (owner pop vs thief steal).
-// ---------------------------------------------------------------------------
-
-/// Shared state of one rank's work deque: the claim cursor over `len`
-/// queued chunks. Owner `pop_own` and a thief's `steal` race on the same
-/// cursor — the protocol's whole correctness story is that the claim is one
-/// `fetch_add`.
-#[derive(Clone, Debug, Default)]
-pub struct DequeState {
-    /// The `fetch_add` claim cursor (`RankQueue::next`).
-    pub next: usize,
-    /// Number of chunks in the queue.
-    pub len: usize,
-}
-
-/// Puller-local state: the cursor snapshot of a split (lossy) claim, and
-/// the chunks this puller won.
-#[derive(Clone, Debug, Default)]
-pub struct DequeLocal {
-    /// Cursor value read by the lossy variant's separate load.
-    pub observed: Option<usize>,
-    /// Chunk indices claimed by this puller.
-    pub claimed: Vec<usize>,
-}
-
-/// The real protocol, one atomic step: `next.fetch_add(1)` and the bounds
-/// check happen indivisibly, exactly like `RankQueue::claim`.
-pub fn deque_claim_atomic(s: &mut DequeState, l: &mut DequeLocal) -> Step {
-    let i = s.next;
-    s.next += 1;
-    if i < s.len {
-        l.claimed.push(i);
-    }
-    Step::Next
-}
-
-/// First half of the planted lossy variant: read the cursor...
-pub fn deque_load_cursor(s: &mut DequeState, l: &mut DequeLocal) -> Step {
-    l.observed = Some(s.next);
-    Step::Next
-}
-
-/// ...second half: bump it and take the chunk at the *stale* snapshot. Two
-/// pullers that both loaded the same cursor claim the same chunk — and the
-/// chunk behind it is silently never run.
-pub fn deque_store_claim_lossy(s: &mut DequeState, l: &mut DequeLocal) -> Step {
-    let i = l.observed.take().expect("load ran first");
-    s.next = i + 1;
-    if i < s.len {
-        l.claimed.push(i);
-    }
-    Step::Next
-}
-
-/// Invariant of the deque model: every queued chunk is claimed by exactly
-/// one puller — no double execution, no lost work.
-pub fn deque_exactly_once(s: &DequeState, l: &[DequeLocal; 2]) -> Result<(), String> {
-    let mut seen = vec![0usize; s.len];
-    for local in l {
-        for &c in &local.claimed {
-            seen[c] += 1;
-        }
-    }
-    for (i, &n) in seen.iter().enumerate() {
-        if n != 1 {
-            return Err(format!("chunk {i} claimed {n} times (want exactly once)"));
-        }
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -553,151 +364,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ring_publish_protocol_is_newest_wins_under_all_interleavings() {
-        let prog: &[Op<RingState, RingLocal>] = &[ring_reserve, ring_publish_guarded];
-        let r = explore(
-            &RingState::default(),
-            &[RingLocal::default(), RingLocal::default()],
-            [prog, prog],
-            &ring_newest_wins,
-        );
-        // 4 steps, 2 threads: C(4,2) = 6 interleavings, all clean.
-        assert_eq!(r.executions, 6);
-        assert!(r.holds(), "{:?}", r.violations);
-    }
-
-    #[test]
-    fn unguarded_publish_exhibits_the_lapped_overwrite() {
-        let prog: &[Op<RingState, RingLocal>] = &[ring_reserve, ring_publish_unguarded];
-        let r = explore(
-            &RingState::default(),
-            &[RingLocal::default(), RingLocal::default()],
-            [prog, prog],
-            &ring_newest_wins,
-        );
-        assert_eq!(r.executions, 6);
-        assert!(
-            !r.holds(),
-            "checker is vacuous: blind overwrite went unnoticed"
-        );
-        // The violating schedule is the lap: B reserves+publishes seq 1,
-        // then parked writer A publishes its older seq 0 last.
-        assert!(
-            r.violations.iter().any(|v| v.contains("Some(0)")),
-            "{:?}",
-            r.violations
-        );
-    }
-
-    #[test]
-    fn cas_loop_never_loses_an_update() {
-        let prog: &[Op<CasState, CasLocal>] = &[cas_load, cas_commit];
-        let locals = [
-            CasLocal {
-                observed: 0,
-                delta: 3,
-            },
-            CasLocal {
-                observed: 0,
-                delta: 5,
-            },
-        ];
-        let r = explore(
-            &CasState::default(),
-            &locals,
-            [prog, prog],
-            &cas_no_lost_update,
-        );
-        assert!(r.holds(), "{:?}", r.violations);
-        // Retries add executions beyond the interleaving count of the
-        // straight-line programs.
-        assert!(r.executions >= 6, "{r:?}");
-    }
-
-    #[test]
-    fn blind_store_loses_an_update_somewhere() {
-        let prog: &[Op<CasState, CasLocal>] = &[cas_load, cas_blind_store];
-        let locals = [
-            CasLocal {
-                observed: 0,
-                delta: 3,
-            },
-            CasLocal {
-                observed: 0,
-                delta: 5,
-            },
-        ];
-        let r = explore(
-            &CasState::default(),
-            &locals,
-            [prog, prog],
-            &cas_no_lost_update,
-        );
-        assert_eq!(r.executions, 6);
-        assert!(!r.holds(), "checker is vacuous: lost update went unnoticed");
-        assert!(
-            r.violations
-                .iter()
-                .any(|v| v.contains("total 3") || v.contains("total 5")),
-            "{:?}",
-            r.violations
-        );
-    }
-
-    #[test]
-    fn deque_claim_is_exactly_once_under_all_interleavings() {
-        // Two chunks, two pullers (owner + thief), each trying two claims:
-        // overshooting claims past `len` are the empty-pop no-op.
-        let prog: &[Op<DequeState, DequeLocal>] = &[deque_claim_atomic, deque_claim_atomic];
-        let r = explore(
-            &DequeState { next: 0, len: 2 },
-            &[DequeLocal::default(), DequeLocal::default()],
-            [prog, prog],
-            &deque_exactly_once,
-        );
-        assert_eq!(r.executions, 6);
-        assert!(r.holds(), "{:?}", r.violations);
-    }
-
-    #[test]
-    fn split_claim_double_runs_a_chunk_somewhere() {
-        let prog: &[Op<DequeState, DequeLocal>] = &[
-            deque_load_cursor,
-            deque_store_claim_lossy,
-            deque_load_cursor,
-            deque_store_claim_lossy,
-        ];
-        let r = explore(
-            &DequeState { next: 0, len: 2 },
-            &[DequeLocal::default(), DequeLocal::default()],
-            [prog, prog],
-            &deque_exactly_once,
-        );
-        assert!(
-            !r.holds(),
-            "checker is vacuous: the torn claim went unnoticed"
-        );
-        // The signature failure: two pullers loaded the same cursor value,
-        // so some chunk runs twice (and the one behind it is lost).
-        assert!(
-            r.violations.iter().any(|v| v.contains("claimed 2 times")),
-            "{:?}",
-            r.violations
-        );
-    }
-
-    #[test]
     fn livelock_is_reported_not_hung() {
-        fn spin(_s: &mut CasState, _l: &mut CasLocal) -> Step {
+        fn spin(_s: &mut (), _l: &mut ()) -> Step {
             Step::Goto(0)
         }
-        let prog: &[Op<CasState, CasLocal>] = &[spin];
-        let r = explore(
-            &CasState::default(),
-            &[CasLocal::default(), CasLocal::default()],
-            [prog, prog],
-            &cas_no_lost_update,
-        );
+        let prog: &[Op<(), ()>] = &[spin];
+        let r = explore(&(), &[(), ()], [prog, prog], &|_, _| Ok(()));
         assert!(!r.holds());
         assert!(
             r.violations.iter().any(|v| v.contains("livelock")),

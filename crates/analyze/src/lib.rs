@@ -19,9 +19,10 @@
 //!    reads in simulated-time paths, no `HashMap` iteration in
 //!    registry/exposition code, no float `==` in convergence logic.
 //!
-//! [`interleave`] adds an exhaustive two-thread interleaving checker for
-//! the workspace's concurrent protocols, and [`lex`] the comment/string
-//! masking scanner the lints run on (no `syn` in the vendored set).
+//! [`interleave`] adds an exhaustive two-thread interleaving checker that
+//! proves the block-worker pool's job protocol, and [`lex`] the
+//! comment/string masking scanner the lints run on (no `syn` in the
+//! vendored set).
 
 pub mod interleave;
 pub mod lex;

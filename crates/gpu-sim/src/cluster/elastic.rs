@@ -174,7 +174,7 @@ pub fn resume_elastic<T>(
 #[allow(clippy::too_many_arguments)]
 fn drive<T>(
     cluster: &GpuCluster,
-    queue: WorkQueue,
+    mut queue: WorkQueue,
     mut completed: Vec<(TaskChunk, T)>,
     mut stalls_applied: Vec<bool>,
     mut kills_applied: Vec<bool>,

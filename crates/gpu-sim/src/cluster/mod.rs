@@ -27,7 +27,7 @@ pub use elastic::{
 pub use fault::{FaultPlan, Kill, Stall, Straggler};
 pub use queue::{size_class_chunks, QueueSnapshot, TaskChunk, WorkQueue, DEFAULT_SIZE_CLASS_CAPS};
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::Cell;
 
 use wsvd_health::HealthSink;
 
@@ -36,20 +36,29 @@ use crate::launch::Gpu;
 use crate::session::Session;
 
 /// A homogeneous group of simulated GPUs.
+///
+/// One thread drives a cluster (the elastic executor's discrete-event loop,
+/// whose checkpoint/resume bit-identity depends on it), so its clocks and
+/// kill latches are plain cells and the type is `!Sync`:
+///
+/// ```compile_fail,E0277
+/// fn assert_sync<T: Sync>() {}
+/// assert_sync::<wsvd_gpu_sim::GpuCluster>();
+/// ```
 pub struct GpuCluster {
     gpus: Vec<Gpu>,
     /// Per-collective latency in seconds (network + driver).
     pub sync_latency: f64,
     /// Interconnect bandwidth in bytes/second (per link).
     pub link_bandwidth: f64,
-    sync_seconds: std::sync::atomic::AtomicU64,
+    sync_seconds: Cell<f64>,
     session: Session,
     trace_pid: u32,
     /// Fault-injection state: `killed[r]` marks rank `r` unresponsive;
     /// `dead_reported[r]` latches the health check so one kill produces one
     /// detection even though every later collective re-checks.
-    killed: Vec<AtomicBool>,
-    dead_reported: Vec<AtomicBool>,
+    killed: Vec<Cell<bool>>,
+    dead_reported: Vec<Cell<bool>>,
 }
 
 impl GpuCluster {
@@ -77,11 +86,11 @@ impl GpuCluster {
                 .collect(),
             sync_latency: 30e-6,
             link_bandwidth: 25e9,
-            sync_seconds: std::sync::atomic::AtomicU64::new(0),
+            sync_seconds: Cell::new(0.0),
             session,
             trace_pid,
-            killed: (0..count).map(|_| AtomicBool::new(false)).collect(),
-            dead_reported: (0..count).map(|_| AtomicBool::new(false)).collect(),
+            killed: vec![Cell::new(false); count],
+            dead_reported: vec![Cell::new(false); count],
         }
     }
 
@@ -104,7 +113,7 @@ impl GpuCluster {
     /// straggler, not a discount — and the next collective's health check
     /// reports it.
     pub fn kill(&self, rank: usize) {
-        self.killed[rank].store(true, Ordering::Release);
+        self.killed[rank].set(true);
         self.session
             .health
             .shard_killed(rank, self.elapsed_seconds());
@@ -112,7 +121,7 @@ impl GpuCluster {
 
     /// True while `rank` has not been killed.
     pub fn is_alive(&self, rank: usize) -> bool {
-        !self.killed[rank].load(Ordering::Acquire)
+        !self.killed[rank].get()
     }
 
     /// Checkpoint-resume restore of a dead rank: marks it killed *and*
@@ -120,15 +129,14 @@ impl GpuCluster {
     /// a duplicate `shard-dead` incident (the incident belongs to the run
     /// that observed the death, before the checkpoint was taken).
     pub fn restore_killed(&self, rank: usize) {
-        self.killed[rank].store(true, Ordering::Release);
-        self.dead_reported[rank].store(true, Ordering::Release);
+        self.killed[rank].set(true);
+        self.dead_reported[rank].set(true);
     }
 
     /// Checkpoint-resume restore of the collective clock. Only meaningful on
     /// a fresh cluster (it overwrites, not accumulates).
     pub fn restore_sync_seconds(&self, seconds: f64) {
-        self.sync_seconds
-            .store(f64::to_bits(seconds), std::sync::atomic::Ordering::Release);
+        self.sync_seconds.set(seconds);
     }
 
     /// Per-rank simulated clocks, rank order (checkpointed by the elastic
@@ -147,9 +155,7 @@ impl GpuCluster {
             return;
         }
         for (rank, killed) in self.killed.iter().enumerate() {
-            if killed.load(Ordering::Acquire)
-                && !self.dead_reported[rank].swap(true, Ordering::AcqRel)
-            {
+            if killed.get() && !self.dead_reported[rank].replace(true) {
                 self.session.health.shard_dead(rank, self.elapsed_seconds());
             }
         }
@@ -190,16 +196,7 @@ impl GpuCluster {
     /// latency plus `bytes` over the slowest link.
     pub fn sync(&self, bytes: u64) {
         let secs = self.sync_latency + bytes as f64 / self.link_bandwidth;
-        // CAS loop over the f64 bits: collectives issued concurrently from
-        // different shards must each land their increment (a plain
-        // load-add-store here loses updates under contention).
-        self.sync_seconds
-            .fetch_update(
-                std::sync::atomic::Ordering::AcqRel,
-                std::sync::atomic::Ordering::Acquire,
-                |bits| Some(f64::to_bits(f64::from_bits(bits) + secs)),
-            )
-            .expect("fetch_update closure always returns Some");
+        self.sync_seconds.set(self.sync_seconds.get() + secs);
         if self.session.trace.is_enabled() {
             self.session.trace.span(
                 self.trace_pid,
@@ -220,7 +217,7 @@ impl GpuCluster {
 
     /// Total time spent in collectives.
     pub fn elapsed_sync_seconds(&self) -> f64 {
-        f64::from_bits(self.sync_seconds.load(std::sync::atomic::Ordering::Relaxed))
+        self.sync_seconds.get()
     }
 
     /// Data-parallel makespan: slowest device plus the collectives.
@@ -318,36 +315,6 @@ mod tests {
     #[should_panic(expected = "at least one device")]
     fn zero_devices_rejected() {
         let _ = GpuCluster::new(VEGA20, 0);
-    }
-
-    #[test]
-    fn concurrent_syncs_lose_no_updates() {
-        // Regression: `sync` used to read-modify-write `sync_seconds` with a
-        // plain load + store, so collectives racing from different shards
-        // dropped increments. The CAS loop must account for every call.
-        let c = std::sync::Arc::new(GpuCluster::new(VEGA20, 4));
-        let threads = 8;
-        let per_thread = 250;
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let c = c.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..per_thread {
-                        c.sync(1_000);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let per_call = c.sync_latency + 1_000.0 / c.link_bandwidth;
-        let want = (threads * per_thread) as f64 * per_call;
-        let got = c.elapsed_sync_seconds();
-        assert!(
-            (got - want).abs() < want * 1e-12,
-            "lost sync updates: got {got}, want {want}"
-        );
     }
 
     #[test]

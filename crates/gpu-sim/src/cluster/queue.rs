@@ -1,4 +1,4 @@
-//! Size-class task chunks and the shared work deque of the elastic cluster.
+//! Size-class task chunks and the work deque of the elastic cluster.
 //!
 //! The static [`shard`](super::GpuCluster::shard) split assigns each device
 //! one contiguous slice up front — a straggler then *defines* the makespan.
@@ -11,14 +11,13 @@
 //! 2. the rank's own home queue,
 //! 3. a **steal** from the rank with the largest remainder.
 //!
-//! Claiming a chunk is a single `fetch_add` on the victim queue's cursor —
-//! owner and thief share the cursor, so atomicity alone makes every claim
-//! exactly-once (the interleaving model in `wsvd-analyze::interleave`
-//! proves this, and that a split load/store variant double-claims).
+//! The deque is plain data owned by the executor's single discrete-event
+//! loop: every claim is a `&mut self` cursor bump, so owner and thief pulls
+//! are serialized by that loop and each chunk is claimed exactly once.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use parking_lot::Mutex;
+use std::cell::Cell;
+use std::collections::VecDeque;
+use std::marker::PhantomData;
 
 /// The Table-VI size-class caps of the paper's mixed-size mixture (matrices
 /// with `max(m, n) <= cap` share a class; larger ones land in an overflow
@@ -91,25 +90,23 @@ pub fn size_class_chunks(
     chunks
 }
 
-/// One rank's home queue: an immutable chunk list plus an atomic claim
-/// cursor shared by the owner and any thief.
+/// One rank's home queue: an immutable chunk list plus the claim cursor
+/// the owner and any thief advance.
 struct RankQueue {
     chunks: Vec<TaskChunk>,
-    next: AtomicUsize,
+    next: usize,
 }
 
 impl RankQueue {
     fn remaining(&self) -> usize {
-        self.chunks
-            .len()
-            .saturating_sub(self.next.load(Ordering::Acquire))
+        self.chunks.len().saturating_sub(self.next)
     }
 
-    /// Claims the next chunk with one `fetch_add`. The returned index is
-    /// unique per claim by atomicity — this is the protocol the interleaving
-    /// explorer models (`deque_claim_atomic` vs the lossy split variant).
-    fn claim(&self) -> Option<TaskChunk> {
-        let k = self.next.fetch_add(1, Ordering::AcqRel);
+    /// Claims the next chunk. The cursor advances on every attempt, an
+    /// empty one included: checkpoints serialize it as is.
+    fn claim(&mut self) -> Option<TaskChunk> {
+        let k = self.next;
+        self.next += 1;
         self.chunks.get(k).cloned()
     }
 }
@@ -125,11 +122,20 @@ pub struct QueueSnapshot {
     pub pool: Vec<TaskChunk>,
 }
 
-/// The shared work deque: per-rank home queues plus a FIFO requeue pool for
-/// work orphaned by dead ranks.
+/// The work deque: per-rank home queues plus a FIFO requeue pool for work
+/// orphaned by dead ranks.
+///
+/// One driver loop owns it, and the type is `!Sync` so a second thread
+/// cannot share it:
+///
+/// ```compile_fail,E0277
+/// fn assert_sync<T: Sync>() {}
+/// assert_sync::<wsvd_gpu_sim::WorkQueue>();
+/// ```
 pub struct WorkQueue {
     queues: Vec<RankQueue>,
-    pool: Mutex<Vec<TaskChunk>>,
+    pool: VecDeque<TaskChunk>,
+    _single_driver: PhantomData<Cell<()>>,
 }
 
 impl WorkQueue {
@@ -142,16 +148,10 @@ impl WorkQueue {
             let r = c.home_rank.min(ranks - 1);
             per_rank[r].push(c);
         }
-        WorkQueue {
-            queues: per_rank
-                .into_iter()
-                .map(|chunks| RankQueue {
-                    chunks,
-                    next: AtomicUsize::new(0),
-                })
-                .collect(),
-            pool: Mutex::new(Vec::new()),
-        }
+        Self::restore(QueueSnapshot {
+            queues: per_rank.into_iter().map(|chunks| (chunks, 0)).collect(),
+            pool: Vec::new(),
+        })
     }
 
     /// Number of ranks the deque was built for.
@@ -166,18 +166,18 @@ impl WorkQueue {
 
     /// Unclaimed chunks across every home queue plus the requeue pool.
     pub fn total_remaining(&self) -> usize {
-        self.queues.iter().map(RankQueue::remaining).sum::<usize>() + self.pool.lock().len()
+        self.queues.iter().map(RankQueue::remaining).sum::<usize>() + self.pool.len()
     }
 
     /// The owner's pull from its own home queue.
-    pub fn pop_own(&self, rank: usize) -> Option<TaskChunk> {
+    pub fn pop_own(&mut self, rank: usize) -> Option<TaskChunk> {
         self.queues[rank].claim()
     }
 
     /// An idle rank's steal: claims from the victim with the largest
     /// remainder (the slowest rank's backlog), lowest rank on ties.
     /// Returns `(victim, chunk)`.
-    pub fn steal(&self, thief: usize) -> Option<(usize, TaskChunk)> {
+    pub fn steal(&mut self, thief: usize) -> Option<(usize, TaskChunk)> {
         let victim = (0..self.queues.len())
             .filter(|&r| r != thief)
             .max_by_key(|&r| (self.queues[r].remaining(), usize::MAX - r))?;
@@ -190,32 +190,27 @@ impl WorkQueue {
     /// Claims everything left in `rank`'s home queue at once (death
     /// detection: the dead rank's remainder moves to the requeue pool).
     /// Idempotent — a second drain returns nothing.
-    pub fn drain_rank(&self, rank: usize) -> Vec<TaskChunk> {
-        let q = &self.queues[rank];
+    pub fn drain_rank(&mut self, rank: usize) -> Vec<TaskChunk> {
+        let q = &mut self.queues[rank];
         let len = q.chunks.len();
-        let from = q.next.swap(len, Ordering::AcqRel).min(len);
+        let from = std::mem::replace(&mut q.next, len).min(len);
         q.chunks[from..len].to_vec()
     }
 
     /// Appends an orphaned chunk to the requeue pool (FIFO).
-    pub fn push_requeue(&self, mut chunk: TaskChunk) {
+    pub fn push_requeue(&mut self, mut chunk: TaskChunk) {
         chunk.requeued = true;
-        self.pool.lock().push(chunk);
+        self.pool.push_back(chunk);
     }
 
     /// Takes the oldest chunk from the requeue pool.
-    pub fn pop_requeue(&self) -> Option<TaskChunk> {
-        let mut pool = self.pool.lock();
-        if pool.is_empty() {
-            None
-        } else {
-            Some(pool.remove(0))
-        }
+    pub fn pop_requeue(&mut self) -> Option<TaskChunk> {
+        self.pool.pop_front()
     }
 
     /// Chunks currently waiting in the requeue pool.
     pub fn pool_len(&self) -> usize {
-        self.pool.lock().len()
+        self.pool.len()
     }
 
     /// Captures the full deque state for a checkpoint.
@@ -224,9 +219,9 @@ impl WorkQueue {
             queues: self
                 .queues
                 .iter()
-                .map(|q| (q.chunks.clone(), q.next.load(Ordering::Acquire)))
+                .map(|q| (q.chunks.clone(), q.next))
                 .collect(),
-            pool: self.pool.lock().clone(),
+            pool: self.pool.iter().cloned().collect(),
         }
     }
 
@@ -236,12 +231,10 @@ impl WorkQueue {
             queues: snap
                 .queues
                 .into_iter()
-                .map(|(chunks, next)| RankQueue {
-                    chunks,
-                    next: AtomicUsize::new(next),
-                })
+                .map(|(chunks, next)| RankQueue { chunks, next })
                 .collect(),
-            pool: Mutex::new(snap.pool),
+            pool: snap.pool.into(),
+            _single_driver: PhantomData,
         }
     }
 }
@@ -305,7 +298,7 @@ mod tests {
         let dims: Vec<(usize, usize)> = (0..11).map(|k| square(10 + 7 * k)).collect();
         let chunks = size_class_chunks(&dims, &DEFAULT_SIZE_CLASS_CAPS, 1, 3);
         assert!(chunks.iter().all(|c| c.home_rank == 0));
-        let q = WorkQueue::new(chunks, 1);
+        let mut q = WorkQueue::new(chunks, 1);
         let mut seen = Vec::new();
         while let Some(c) = q.pop_own(0) {
             seen.extend(c.indices);
@@ -317,34 +310,28 @@ mod tests {
 
     #[test]
     fn claims_are_exactly_once_under_concurrent_pop_and_steal() {
-        // Owner and thief hammer the same cursor from two threads; every
+        // Every chunk homes on rank 0; its owner's pops and rank 1's steals
+        // alternate on the same cursor until both come back empty. Every
         // chunk id must be claimed exactly once.
         let dims: Vec<(usize, usize)> = (0..64).map(|_| square(24)).collect();
-        let chunks = size_class_chunks(&dims, &DEFAULT_SIZE_CLASS_CAPS, 2, 1);
+        let chunks = size_class_chunks(&dims, &DEFAULT_SIZE_CLASS_CAPS, 1, 1);
         let n = chunks.len();
-        let q = std::sync::Arc::new(WorkQueue::new(chunks, 2));
-        let handles: Vec<_> = (0..2)
-            .map(|t| {
-                let q = q.clone();
-                std::thread::spawn(move || {
-                    let mut got = Vec::new();
-                    loop {
-                        if let Some(c) = q.pop_own(t) {
-                            got.push(c.id);
-                        } else if let Some((_, c)) = q.steal(t) {
-                            got.push(c.id);
-                        } else {
-                            break;
-                        }
-                    }
-                    got
-                })
-            })
-            .collect();
-        let mut all: Vec<usize> = handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect();
+        let mut q = WorkQueue::new(chunks, 2);
+        let (mut owned, mut stolen) = (Vec::new(), Vec::new());
+        loop {
+            let own = q.pop_own(0);
+            let steal = q.steal(1);
+            if own.is_none() && steal.is_none() {
+                break;
+            }
+            owned.extend(own.map(|c| c.id));
+            if let Some((victim, c)) = steal {
+                assert_eq!(victim, 0);
+                stolen.push(c.id);
+            }
+        }
+        assert!(!owned.is_empty() && !stolen.is_empty());
+        let mut all = [owned, stolen].concat();
         all.sort_unstable();
         assert_eq!(all, (0..n).collect::<Vec<_>>(), "lost or double claim");
     }
@@ -361,7 +348,7 @@ mod tests {
         for (i, c) in chunks.iter_mut().enumerate() {
             c.home_rank = if i < 3 { 1 } else { i % 2 * 2 };
         }
-        let q = WorkQueue::new(chunks, 3);
+        let mut q = WorkQueue::new(chunks, 3);
         let (victim, _) = q.steal(0).unwrap();
         assert_eq!(victim, 1, "steal must come from the slowest rank's pile");
     }
@@ -374,7 +361,7 @@ mod tests {
             2,
             1,
         );
-        let q = WorkQueue::new(chunks, 2);
+        let mut q = WorkQueue::new(chunks, 2);
         let drained = q.drain_rank(1);
         assert_eq!(drained.len(), 2);
         assert!(q.drain_rank(1).is_empty(), "second drain must be empty");
@@ -396,12 +383,12 @@ mod tests {
             2,
             2,
         );
-        let q = WorkQueue::new(chunks, 2);
+        let mut q = WorkQueue::new(chunks, 2);
         let _ = q.pop_own(0);
         let orphan = q.pop_own(1).unwrap();
         q.push_requeue(orphan);
         let snap = q.snapshot();
-        let restored = WorkQueue::restore(snap.clone());
+        let mut restored = WorkQueue::restore(snap.clone());
         assert_eq!(restored.snapshot(), snap);
         assert_eq!(restored.total_remaining(), q.total_remaining());
         assert_eq!(

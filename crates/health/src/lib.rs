@@ -11,11 +11,9 @@
 //!   immediately), NaN/Inf detection at simulated kernel boundaries, final
 //!   residual / orthogonality drift ceilings, and dead-shard detection on
 //!   the cluster model.
-//! * **Flight recorder.** A fixed-size ring buffer of recent events (kernel
+//! * **Flight recorder.** A bounded log of the most recent events (kernel
 //!   launches, auto-tuner plan selections, sweep convergence samples,
-//!   metric deltas, cluster collectives). Slot reservation is one wait-free
-//!   `fetch_add`; publication takes a per-slot lock that is only ever
-//!   contended when a writer laps the entire ring mid-write. With the sink
+//!   metric deltas, cluster collectives), kept under one lock. With the sink
 //!   disabled every recording method returns after a single `Option` check.
 //! * **Incidents.** When a watchdog fires, the sink assembles a structured,
 //!   JSON-serializable [`Incident`]: the trigger, the flight-recorder tail,
@@ -33,8 +31,7 @@
 
 #![warn(missing_docs)]
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
@@ -370,19 +367,20 @@ pub struct FlightEvent {
     pub kind: FlightKind,
 }
 
-/// Fixed-size ring buffer of [`FlightEvent`]s.
+/// Bounded log of the last [`FlightRecorder::capacity`] [`FlightEvent`]s.
 ///
-/// Writers reserve a slot with one wait-free `fetch_add` on the cursor and
-/// publish through that slot's mutex. Distinct concurrent writers get
-/// distinct slots, so the per-slot lock is only contended when a writer
-/// laps the whole ring while another still holds its slot — with the
-/// default capacity of 256 that never happens in practice. Readers
-/// ([`FlightRecorder::tail`]) take each slot lock briefly and sort by
-/// sequence number; a torn read is impossible, at worst a reader misses an
-/// in-flight event.
+/// One lock guards the retained events and the running count, so a
+/// sequence number is assigned and its event stored in one step: the tail
+/// is always the newest events, in sequence order. The recorder is `Sync`
+/// because the installed session's health sink lives in a static.
 pub struct FlightRecorder {
-    slots: Box<[Mutex<Option<FlightEvent>>]>,
-    cursor: AtomicU64,
+    capacity: usize,
+    log: Mutex<FlightLog>,
+}
+
+struct FlightLog {
+    events: VecDeque<FlightEvent>,
+    recorded: u64,
 }
 
 impl FlightRecorder {
@@ -390,41 +388,39 @@ impl FlightRecorder {
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         FlightRecorder {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-            cursor: AtomicU64::new(0),
+            capacity,
+            log: Mutex::new(FlightLog {
+                events: VecDeque::with_capacity(capacity),
+                recorded: 0,
+            }),
         }
     }
 
-    /// Ring capacity.
+    /// Number of events retained.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
-    /// Total events ever recorded (monotone; the ring keeps the last
+    /// Total events ever recorded (monotone; the recorder keeps the last
     /// [`FlightRecorder::capacity`] of them).
     pub fn recorded(&self) -> u64 {
-        self.cursor.load(Ordering::Relaxed)
+        self.log.lock().recorded
     }
 
     /// Records one event at simulated time `t_sim`.
     pub fn record(&self, t_sim: f64, kind: FlightKind) {
-        let seq = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let slot = (seq % self.slots.len() as u64) as usize;
-        let ev = FlightEvent { seq, t_sim, kind };
-        let mut guard = self.slots[slot].lock();
-        // A lapped slot may hold a *newer* event if this writer was parked
-        // for a full ring revolution; never overwrite newer with older.
-        if guard.as_ref().is_none_or(|old| old.seq <= seq) {
-            *guard = Some(ev);
+        let mut log = self.log.lock();
+        let seq = log.recorded;
+        log.recorded += 1;
+        if log.events.len() == self.capacity {
+            log.events.pop_front();
         }
+        log.events.push_back(FlightEvent { seq, t_sim, kind });
     }
 
     /// The retained events in sequence order (oldest first).
     pub fn tail(&self) -> Vec<FlightEvent> {
-        let mut out: Vec<FlightEvent> =
-            self.slots.iter().filter_map(|s| s.lock().clone()).collect();
-        out.sort_by_key(|e| e.seq);
-        out
+        self.log.lock().events.iter().cloned().collect()
     }
 }
 
