@@ -8,7 +8,7 @@
 //! global-memory kernel when it does not fit in SM — the size-sensitivity)
 //! or from the Gram + EVD route.
 
-use wsvd_batched::gemm::{batched_gram, batched_update, GemmStrategy};
+use wsvd_batched::gemm::{batched_gram, batched_update_into, GemmStrategy};
 use wsvd_batched::models::TailorPlan;
 use wsvd_gpu_sim::{Gpu, KernelError};
 use wsvd_jacobi::batch::{batched_evd_sm, batched_svd_gm, batched_svd_sm};
@@ -17,7 +17,7 @@ use wsvd_jacobi::fits::svd_fits_in_sm;
 use wsvd_jacobi::onesided::OneSidedConfig;
 use wsvd_jacobi::Ordering;
 use wsvd_linalg::gemm::dot;
-use wsvd_linalg::matrix::partition_cols;
+use wsvd_linalg::matrix::{pair_cols_mut, partition_cols};
 use wsvd_linalg::verify::columns_converged;
 use wsvd_linalg::Matrix;
 
@@ -121,6 +121,18 @@ pub fn block_jacobi_svd(
         .map(|t| partition_cols(t.cols(), cfg.w.min(t.cols() / 2).max(1)))
         .collect();
 
+    // (task index, column block i, column block j) per pair block, each
+    // column block as (start, width).
+    type PairRef = (usize, (usize, usize), (usize, usize));
+    // Kept across steps: the step's pair references, pair blocks and V
+    // pairs, and the spare matrices their gathers reuse instead of
+    // allocating afresh.
+    let mut refs: Vec<PairRef> = Vec::new();
+    let mut blocks: Vec<Matrix> = Vec::new();
+    let mut v_refs: Vec<usize> = Vec::new();
+    let mut v_pairs: Vec<Matrix> = Vec::new();
+    let mut spare: Vec<Matrix> = Vec::new();
+
     for _ in 0..cfg.max_sweeps {
         if !active.iter().any(|&a| a) {
             break;
@@ -138,20 +150,25 @@ pub fn block_jacobi_svd(
             .collect();
         let max_steps = schedules.iter().map(|s| s.len()).max().unwrap_or(0);
 
-        // (task index, (row block, col block), (rows, cols)) per pair block.
-        type PairRef = (usize, (usize, usize), (usize, usize));
         for step in 0..max_steps {
-            let mut refs: Vec<PairRef> = Vec::new();
-            let mut blocks: Vec<Matrix> = Vec::new();
+            refs.clear();
+            v_refs.clear();
             for (t, sched) in schedules.iter().enumerate() {
                 if !active[t] || step >= sched.len() {
                     continue;
                 }
                 for &(bi, bj) in &sched[step] {
-                    refs.push((t, parts[t][bi], parts[t][bj]));
-                    blocks.push(tasks[t].paired_col_blocks(parts[t][bi], parts[t][bj]));
+                    let (bi, bj) = (parts[t][bi], parts[t][bj]);
+                    blocks.push(tasks[t].paired_col_blocks_from(bi, bj, &mut spare));
+                    if vs[t].is_some() {
+                        v_refs.push(refs.len());
+                    }
+                    refs.push((t, bi, bj));
                 }
             }
+            // Spares the gathers did not need are freed now, so no kernel
+            // runs beside unused buffers.
+            spare.clear();
             if blocks.is_empty() {
                 continue;
             }
@@ -159,6 +176,7 @@ pub fn block_jacobi_svd(
                 rotations[t] += 1;
             }
 
+            // Rotated blocks land straight in their tasks' columns.
             let js: Vec<Matrix> = match cfg.rotation {
                 RotationSource::DirectSvd => {
                     // Size-sensitive split: SM when the pair block fits,
@@ -180,23 +198,30 @@ pub fn block_jacobi_svd(
                         cache_norms: cfg.svd_cache_norms,
                         ..Default::default()
                     };
-                    if !sm_idx.is_empty() {
-                        let sub: Vec<Matrix> = sm_idx.iter().map(|&i| blocks[i].clone()).collect();
-                        let (svds, _) = batched_svd_sm(gpu, &sub, &one_sided, cfg.kernel_threads)?;
-                        for (&i, svd) in sm_idx.iter().zip(svds) {
-                            blocks[i] = svd.rotated_block();
+                    for (idx, in_sm) in [(sm_idx, true), (gm_idx, false)] {
+                        if idx.is_empty() {
+                            continue;
+                        }
+                        let sub: Vec<Matrix> = idx
+                            .iter()
+                            .map(|&i| std::mem::take(&mut blocks[i]))
+                            .collect();
+                        let (svds, _) = if in_sm {
+                            batched_svd_sm(gpu, &sub, &one_sided, cfg.kernel_threads)?
+                        } else {
+                            batched_svd_gm(gpu, &sub, &one_sided, cfg.kernel_threads)?
+                        };
+                        let cols =
+                            pair_cols_mut(tasks.iter_mut().map(Some), idx.iter().map(|&i| refs[i]));
+                        for ((&i, svd), mut cols) in idx.iter().zip(svds).zip(cols) {
+                            svd.rotated_block_into(&mut cols);
                             js[i] = Some(svd.v);
                         }
+                        spare.extend(sub);
                     }
-                    if !gm_idx.is_empty() {
-                        let sub: Vec<Matrix> = gm_idx.iter().map(|&i| blocks[i].clone()).collect();
-                        let (svds, _) = batched_svd_gm(gpu, &sub, &one_sided, cfg.kernel_threads)?;
-                        for (&i, svd) in gm_idx.iter().zip(svds) {
-                            blocks[i] = svd.rotated_block();
-                            js[i] = Some(svd.v);
-                        }
-                    }
-                    js.into_iter().map(|j| j.unwrap()).collect()
+                    js.into_iter()
+                        .map(|j| j.expect("every pair block is rotated"))
+                        .collect()
                 }
                 RotationSource::GramEvd => {
                     let (grams, _) = batched_gram(gpu, &blocks, strategy)?;
@@ -207,28 +232,33 @@ pub fn block_jacobi_svd(
                     };
                     let (evds, _) = batched_evd_sm(gpu, &grams, &evd_cfg, cfg.kernel_threads)?;
                     let js: Vec<Matrix> = evds.into_iter().map(|e| e.j).collect();
-                    batched_update(gpu, &mut blocks, &js, strategy)?;
+                    let outs = pair_cols_mut(tasks.iter_mut().map(Some), refs.iter().copied());
+                    batched_update_into(gpu, &blocks, &js, outs, strategy)?;
+                    spare.append(&mut blocks);
                     js
                 }
             };
 
-            // Scatter and V accumulation.
-            let mut v_blocks = Vec::new();
-            let mut v_meta = Vec::new();
-            for ((&(t, bi, bj), block), j) in refs.iter().zip(&blocks).zip(&js) {
-                tasks[t].store_paired_col_blocks(bi, bj, block);
-                if let Some(v) = &vs[t] {
-                    v_blocks.push(v.paired_col_blocks(bi, bj));
-                    v_meta.push((t, bi, bj, j.clone()));
-                }
+            // V accumulation, gathered into the blocks the rotations have
+            // finished with: the V pairs borrow their J and land straight in
+            // V's columns.
+            for &k in &v_refs {
+                let (t, bi, bj) = refs[k];
+                let v = vs[t].as_ref().expect("V pairs exist only for V tasks");
+                v_pairs.push(v.paired_col_blocks_from(bi, bj, &mut spare));
             }
-            if !v_blocks.is_empty() {
-                let v_js: Vec<Matrix> = v_meta.iter().map(|(_, _, _, j)| j.clone()).collect();
-                batched_update(gpu, &mut v_blocks, &v_js, strategy)?;
-                for ((t, bi, bj, _), vb) in v_meta.into_iter().zip(v_blocks) {
-                    vs[t].as_mut().unwrap().store_paired_col_blocks(bi, bj, &vb);
-                }
+            if !v_pairs.is_empty() {
+                let v_js: Vec<&Matrix> = v_refs.iter().map(|&k| &js[k]).collect();
+                let outs = pair_cols_mut(
+                    vs.iter_mut().map(Option::as_mut),
+                    v_refs.iter().map(|&k| refs[k]),
+                );
+                batched_update_into(gpu, &v_pairs, &v_js, outs, strategy)?;
             }
+            // The V pairs become the next step's spares, beside the blocks
+            // (which went there when their rotations finished).
+            spare.append(&mut v_pairs);
+            blocks.clear();
         }
 
         for t in 0..tasks.len() {

@@ -14,11 +14,13 @@
 //!   rows exceed `1.2 δ_h`; Gram partials from the segments of one GEMM are
 //!   then reduced in a second kernel (Fig. 6).
 
+use std::borrow::Borrow;
+
 use wsvd_gpu_sim::{
     BarrierDiscipline, Gpu, KernelConfig, KernelError, KernelResource, LaunchStats, ScheduleFamily,
     SmemRequirement,
 };
-use wsvd_linalg::gemm::{gram, matmul};
+use wsvd_linalg::gemm::{gram, gram_rows, matmul_rows};
 use wsvd_linalg::Matrix;
 
 use crate::models::TailorPlan;
@@ -227,11 +229,10 @@ pub fn batched_gram(
                 for seg in &assignment[b] {
                     let a = &blocks[seg.gemm];
                     let n = a.cols();
-                    let sub = a.sub_matrix(seg.row_start, 0, seg.rows, n);
                     ctx.count_gm_load(seg.rows * n);
                     ctx.par_step(n * n, 2 * seg.rows as u64);
                     ctx.count_gm_store(n * n); // result (or partial) to GM
-                    let g = gram(&sub);
+                    let g = gram_rows(a, seg.row_start..seg.row_start + seg.rows);
                     ctx.guard_finite(g.as_slice());
                     out.push((seg.gemm, g));
                 }
@@ -280,59 +281,118 @@ pub fn batched_gram(
 }
 
 /// Batched right-updates `A_k <- A_k J_k` in place.
-pub fn batched_update(
+pub fn batched_update<J: Borrow<Matrix> + Sync>(
     gpu: &Gpu,
     blocks: &mut [Matrix],
-    rotations: &[Matrix],
+    rotations: &[J],
+    strategy: GemmStrategy,
+) -> Result<LaunchStats, KernelError> {
+    let mut outs: Vec<Matrix> = blocks
+        .iter()
+        .zip(rotations)
+        .map(|(a, j)| Matrix::zeros(a.rows(), j.borrow().cols()))
+        .collect();
+    let cols = outs.iter_mut().map(Matrix::cols_mut).collect();
+    let stats = batched_update_into(gpu, blocks, rotations, cols, strategy)?;
+    blocks.swap_with_slice(&mut outs);
+    Ok(stats)
+}
+
+/// Batched products `C_k = A_k J_k`, written into `outputs[k]`: the
+/// columns of `C_k`, each `A_k.rows()` long. They may be column slices of a
+/// larger matrix, so that a pair block's product lands straight in its
+/// task's columns.
+///
+/// An update has no reduction across segments: every output element is
+/// one ascending-`p` sum over a row of `A_k` and a column of `J_k`. So under
+/// [`GemmStrategy::Tailored`] each simulated block reads its segments' rows
+/// of `A_k` in place and writes them straight into the outputs, and still
+/// charges exactly its own segments' counters and guards its own values.
+pub fn batched_update_into<J: Borrow<Matrix> + Sync>(
+    gpu: &Gpu,
+    blocks: &[Matrix],
+    rotations: &[J],
+    mut outputs: Vec<Vec<&mut [f64]>>,
     strategy: GemmStrategy,
 ) -> Result<LaunchStats, KernelError> {
     assert_eq!(blocks.len(), rotations.len());
+    assert_eq!(blocks.len(), outputs.len());
     match strategy {
         GemmStrategy::OneBlockPerGemm { threads } => {
             let kc = gemm_cfg(gpu, blocks.len(), threads, "batched_update");
-            let stats = gpu.launch_over(kc, blocks, |b, a, ctx| {
+            gpu.launch_over(kc, &mut outputs, |b, c, ctx| {
+                let a = &blocks[b];
                 let (m, n) = a.shape();
-                let j = &rotations[b];
+                let j = rotations[b].borrow();
                 assert_eq!(j.rows(), n);
                 ctx.count_gm_load(m * n + n * n);
                 ctx.par_step(m * n, 2 * n as u64);
                 ctx.count_gm_store(m * n);
-                *a = matmul(a, j);
-                ctx.guard_finite(a.as_slice());
+                matmul_rows(a, 0..m, j, c);
+                ctx.guard_finite_parts(c.iter().map(|c| &**c));
                 Ok(())
-            })?;
-            Ok(stats)
+            })
         }
         GemmStrategy::Tailored(plan) => {
             let rows: Vec<usize> = blocks.iter().map(|b| b.rows()).collect();
             let assignment = tailor_assignment(&rows, plan.delta);
             check_assignment(gpu, &rows, &assignment)?;
             let kc = gemm_cfg(gpu, assignment.len(), plan.threads, "tailored_update");
-            let (updated, stats) = gpu.launch_collect(kc, |b, ctx| {
-                let mut out = Vec::with_capacity(assignment[b].len());
-                for seg in &assignment[b] {
+            let mut pieces = segment_pieces(&assignment, outputs);
+            gpu.launch_over(kc, &mut pieces, |_, segs, ctx| {
+                for (seg, cols) in segs.iter_mut() {
                     let a = &blocks[seg.gemm];
                     let n = a.cols();
-                    let j = &rotations[seg.gemm];
-                    let sub = a.sub_matrix(seg.row_start, 0, seg.rows, n);
                     ctx.count_gm_load(seg.rows * n + n * n);
                     ctx.par_step(seg.rows * n, 2 * n as u64);
                     ctx.count_gm_store(seg.rows * n);
-                    let upd = matmul(&sub, j);
-                    ctx.guard_finite(upd.as_slice());
-                    out.push((*seg, upd));
+                    let rows = seg.row_start..seg.row_start + seg.rows;
+                    matmul_rows(a, rows, rotations[seg.gemm].borrow(), cols);
+                    ctx.guard_finite_parts(cols.iter().map(|c| &**c));
                 }
-                Ok(out)
-            })?;
-            // The segments write disjoint row ranges; materialize that here.
-            for block_out in updated {
-                for (seg, m) in block_out {
-                    blocks[seg.gemm].set_sub_matrix(seg.row_start, 0, &m);
-                }
-            }
-            Ok(stats)
+                Ok(())
+            })
         }
     }
+}
+
+/// One block's share of the tailored update's outputs: per segment, the
+/// pieces of the output columns that hold its rows.
+type SegmentPieces<'a> = Vec<(Segment, Vec<&'a mut [f64]>)>;
+
+/// Cuts every output column at its GEMM's segment boundaries and hands
+/// each block the pieces of its own segments, in assignment order. Panics
+/// unless the segments tile every output column.
+fn segment_pieces<'a>(
+    assignment: &[Vec<Segment>],
+    outputs: Vec<Vec<&'a mut [f64]>>,
+) -> Vec<SegmentPieces<'a>> {
+    let mut pieces: Vec<SegmentPieces<'a>> = assignment
+        .iter()
+        .map(|segs| segs.iter().map(|&seg| (seg, Vec::new())).collect())
+        .collect();
+    // Each GEMM's segments as (block, slot), sorted by first row.
+    let mut by_gemm: Vec<Vec<(usize, usize)>> = vec![Vec::new(); outputs.len()];
+    for (b, segs) in assignment.iter().enumerate() {
+        for (k, seg) in segs.iter().enumerate() {
+            by_gemm[seg.gemm].push((b, k));
+        }
+    }
+    for (cols, order) in outputs.into_iter().zip(&mut by_gemm) {
+        order.sort_unstable_by_key(|&(b, k)| assignment[b][k].row_start);
+        for mut rest in cols {
+            for &(b, k) in order.iter() {
+                let (piece, tail) = std::mem::take(&mut rest).split_at_mut(assignment[b][k].rows);
+                pieces[b][k].1.push(piece);
+                rest = tail;
+            }
+            assert!(
+                rest.is_empty(),
+                "tailored segments leave output rows unassigned"
+            );
+        }
+    }
+    pieces
 }
 
 fn gemm_cfg(gpu: &Gpu, grid: usize, threads: usize, label: &'static str) -> KernelConfig {
@@ -359,6 +419,7 @@ fn merge_stats(a: LaunchStats, b: LaunchStats) -> LaunchStats {
 mod tests {
     use super::*;
     use wsvd_gpu_sim::V100;
+    use wsvd_linalg::gemm::matmul;
     use wsvd_linalg::generate::random_batch;
 
     fn plan(w: usize, delta: usize) -> GemmStrategy {
@@ -511,6 +572,124 @@ mod tests {
         batched_update(&gpu, &mut b2, &js, plan(4, 16)).unwrap();
         for (x, y) in b1.iter().zip(&b2) {
             assert!(x.sub(y).max_abs() < 1e-12);
+        }
+    }
+
+    /// Ragged pair blocks at δ = 16: nine standard segments, and the 1-,
+    /// 7- and 2-row residuals of GEMMs 0, 2 and 3 packed into one block.
+    /// The rotations hold exact zeros (the zero-skip path): one inside a
+    /// four-`p` group, a whole zero column, an identity, and one in the
+    /// trailing `p` past the last group of four.
+    fn ragged_update_case() -> (Vec<Matrix>, Vec<Matrix>) {
+        let blocks: Vec<Matrix> = [33usize, 64, 7, 50]
+            .iter()
+            .enumerate()
+            .map(|(k, &m)| wsvd_linalg::generate::random_uniform(m, 10, 40 + k as u64))
+            .collect();
+        let mut js: Vec<Matrix> = (0..4)
+            .map(|k| wsvd_linalg::householder::seeded_orthogonal(10, 60 + k as u64))
+            .collect();
+        js[0][(2, 3)] = 0.0;
+        for p in 0..10 {
+            js[1][(p, 5)] = 0.0;
+        }
+        js[2] = Matrix::identity(10);
+        js[3][(9, 0)] = 0.0;
+        (blocks, js)
+    }
+
+    fn bits_of(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        bits_of(m.as_slice())
+    }
+
+    #[test]
+    fn tailored_update_is_bitwise_per_gemm_matmul() {
+        let (orig, js) = ragged_update_case();
+        let assignment = tailor_assignment(&[33, 64, 7, 50], 16);
+        assert!(assignment.iter().any(|b| b.len() == 3), "residuals pack");
+        for strategy in [plan(5, 16), GemmStrategy::OneBlockPerGemm { threads: 256 }] {
+            let gpu = Gpu::new(V100);
+            let mut blocks = orig.clone();
+            batched_update(&gpu, &mut blocks, &js, strategy).unwrap();
+            for ((got, a), j) in blocks.iter().zip(&orig).zip(&js) {
+                assert_eq!(bits(got), bits(&matmul(a, j)), "{strategy:?}");
+            }
+            // Borrowed rotations, products written into the columns of one
+            // wider matrix (NaN-filled: every element must be written).
+            let borrowed: Vec<&Matrix> = js.iter().collect();
+            let mut wide: Vec<Matrix> = orig
+                .iter()
+                .map(|a| Matrix::from_fn(a.rows(), 13, |_, _| f64::NAN))
+                .collect();
+            let cols = wide.iter_mut().map(|w| w.cols_mut().split_off(3)).collect();
+            batched_update_into(&gpu, &orig, &borrowed, cols, strategy).unwrap();
+            for ((w, a), j) in wide.iter().zip(&orig).zip(&js) {
+                let want = matmul(a, j);
+                for c in 0..10 {
+                    assert_eq!(bits_of(w.col(c + 3)), bits_of(want.col(c)), "{strategy:?}");
+                }
+                assert!(w.col(0).iter().all(|x| x.is_nan()), "columns left alone");
+            }
+        }
+    }
+
+    #[test]
+    fn update_launch_stats_are_pinned() {
+        // Values of the copy-and-multiply kernels this update replaced, on
+        // the same inputs: the simulated blocks must not move. Per strategy:
+        // grid, totals (flops, GM load/store bytes, GM transactions, SM
+        // traffic, span cycles) and the bits of kernel seconds and occupancy.
+        type Pin = (usize, [u64; 5], f64, u64, u64);
+        let pins: [(GemmStrategy, Pin); 2] = [
+            (
+                plan(5, 16),
+                (
+                    10,
+                    [30800, 21920, 12320, 1072, 24640],
+                    273.0,
+                    0x3e89def6ccc86626,
+                    0x3f90000000000000,
+                ),
+            ),
+            (
+                GemmStrategy::OneBlockPerGemm { threads: 256 },
+                (
+                    4,
+                    [30800, 15520, 12320, 872, 24640],
+                    177.0,
+                    0x3e9373ac1715b6ab,
+                    0x3f7999999999999a,
+                ),
+            ),
+        ];
+        for (strategy, (grid, counts, span, kernel_s, occ)) in pins {
+            let (mut blocks, js) = ragged_update_case();
+            let gpu = Gpu::new(V100);
+            let s = batched_update(&gpu, &mut blocks, &js, strategy).unwrap();
+            let t = s.totals;
+            assert_eq!(
+                (s.grid, s.threads_per_block, s.smem_bytes_per_block),
+                (grid, 256, 16384)
+            );
+            assert_eq!(
+                [
+                    t.flops,
+                    t.gm_load_bytes,
+                    t.gm_store_bytes,
+                    t.gm_transactions,
+                    t.smem_traffic_bytes
+                ],
+                counts,
+                "{strategy:?}"
+            );
+            assert_eq!(t.span_cycles.to_bits(), span.to_bits());
+            assert_eq!(s.kernel_seconds.to_bits(), kernel_s);
+            assert_eq!(s.overhead_seconds.to_bits(), 0x3ed4f8b588e368f0);
+            assert_eq!(s.occupancy.to_bits(), occ);
         }
     }
 

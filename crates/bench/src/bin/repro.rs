@@ -233,12 +233,18 @@ fn main() {
         let mut reports: Vec<Report> = Vec::new();
         for id in &ids {
             let start = std::time::Instant::now();
+            let cpu_start = cpu_seconds();
             let rep = run(id);
             println!("{}", rep.render());
-            println!(
-                "   (regenerated in {:.1} s wall-clock)\n",
-                start.elapsed().as_secs_f64()
-            );
+            let wall = start.elapsed().as_secs_f64();
+            match cpu_start.zip(cpu_seconds()) {
+                Some(((u0, s0), (u1, s1))) => println!(
+                    "   (regenerated in {wall:.1} s wall-clock, {:.1} s user + {:.1} s sys CPU)\n",
+                    u1 - u0,
+                    s1 - s0
+                ),
+                None => println!("   (regenerated in {wall:.1} s wall-clock)\n"),
+            }
             reports.push(rep);
         }
         if let Some(dir) = json_dir {
@@ -341,4 +347,17 @@ fn main() {
     if failed || violations || unhealthy || unrecovered {
         std::process::exit(1);
     }
+}
+
+/// This process's user and system CPU seconds so far, over all its threads,
+/// from `/proc/self/stat`. `None` where that file does not exist (outside
+/// Linux), so callers fall back to wall-clock alone.
+fn cpu_seconds() -> Option<(f64, f64)> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // The command name in field 2 may hold spaces, so count from the `)`
+    // that closes it: `utime` and `stime` are fields 14 and 15, in clock
+    // ticks of the Linux ABI's fixed `USER_HZ` (100 per second).
+    let mut fields = stat[stat.rfind(')')? + 1..].split_whitespace().skip(11);
+    let mut ticks = || fields.next()?.parse::<f64>().ok();
+    Some((ticks()? / 100.0, ticks()? / 100.0))
 }

@@ -17,7 +17,7 @@
 //!   converged matrix exits the workflow.
 
 use wsvd_batched::autotune::{auto_tune_with_w_cap_traced, TuneTelemetry};
-use wsvd_batched::gemm::{batched_gram, batched_update, GemmStrategy};
+use wsvd_batched::gemm::{batched_gram, batched_update_into, GemmStrategy};
 use wsvd_batched::models::TailorPlan;
 use wsvd_gpu_sim::{Gpu, KernelConfig, KernelError};
 use wsvd_jacobi::batch::{batched_evd_sm, batched_svd_sm};
@@ -25,7 +25,7 @@ use wsvd_jacobi::evd::EvdConfig;
 use wsvd_jacobi::fits::{evd_fits_in_sm, svd_fits_in_sm};
 use wsvd_jacobi::onesided::{JacobiSvd, OneSidedConfig};
 use wsvd_linalg::gemm::{dot, matmul};
-use wsvd_linalg::matrix::partition_cols;
+use wsvd_linalg::matrix::{pair_cols_mut, partition_cols};
 use wsvd_linalg::verify::{columns_converged, max_column_coherence, orthonormality_error};
 use wsvd_linalg::Matrix;
 
@@ -587,6 +587,14 @@ fn decompose_level(
         .collect();
     let mut sweeps = vec![0usize; tasks.len()];
     let mut active: Vec<bool> = tasks.iter().map(|t| t.cols() >= 2).collect();
+    // Kept across steps: the step's pair references, pair blocks and V
+    // pairs, and the spare matrices their gathers reuse instead of
+    // allocating afresh.
+    let mut refs: Vec<PairRef> = Vec::new();
+    let mut blocks: Vec<Matrix> = Vec::new();
+    let mut v_refs: Vec<usize> = Vec::new();
+    let mut v_pairs: Vec<Matrix> = Vec::new();
+    let mut spare: Vec<Matrix> = Vec::new();
 
     for round in 0..cfg.max_sweeps {
         if !active.iter().any(|&a| a) {
@@ -628,23 +636,30 @@ fn decompose_level(
 
         for step in 0..max_steps {
             // Gather this step's pair blocks across the whole batch.
-            let mut refs: Vec<PairRef> = Vec::new();
-            let mut blocks: Vec<Matrix> = Vec::new();
+            refs.clear();
+            v_refs.clear();
             for (t, sched) in schedules.iter().enumerate() {
                 if !active[t] || step >= sched.len() {
                     continue;
                 }
                 for &(i, j) in &sched[step] {
                     let (bi, bj) = (parts[t][i], parts[t][j]);
+                    blocks.push(tasks[t].paired_col_blocks_from(bi, bj, &mut spare));
+                    if vs[t].is_some() {
+                        v_refs.push(refs.len());
+                    }
                     refs.push(PairRef { task: t, bi, bj });
-                    blocks.push(tasks[t].paired_col_blocks(bi, bj));
                 }
             }
+            // Spares the gathers did not need are freed now, so no kernel
+            // runs beside unused buffers.
+            spare.clear();
             if blocks.is_empty() {
                 continue;
             }
             stats.add_rotations(level, blocks.len() as u64);
             sweep_rotations += blocks.len() as u64;
+            let pair_at = |i: usize| (refs[i].task, refs[i].bi, refs[i].bj);
 
             // Classify into the three groups of Algorithm 2.
             let mut ga: Vec<usize> = Vec::new();
@@ -667,7 +682,8 @@ fn decompose_level(
             let mut rotations: Vec<Option<Matrix>> = (0..blocks.len()).map(|_| None).collect();
 
             // Group (i): direct SM SVD — avoids the Gram GEMM (Obs. 1) and
-            // the update GEMM (the kernel's converged columns are A_ij J).
+            // the update GEMM (the kernel's converged columns are A_ij J,
+            // written straight into the task).
             if !ga.is_empty() {
                 let sub: Vec<Matrix> = ga.iter().map(|&i| std::mem::take(&mut blocks[i])).collect();
                 let m_star = sub.iter().map(|s| s.rows()).max().unwrap();
@@ -681,18 +697,21 @@ fn decompose_level(
                 };
                 let (svds, _) = batched_svd_sm(gpu, &sub, &one_sided, cfg.kernel_threads)?;
                 stats.sm_svd_blocks += ga.len() as u64;
-                for (&i, svd) in ga.iter().zip(svds) {
-                    blocks[i] = svd.rotated_block();
+                let cols =
+                    pair_cols_mut(tasks.iter_mut().map(Some), ga.iter().map(|&i| pair_at(i)));
+                for ((&i, svd), mut cols) in ga.iter().zip(svds).zip(cols) {
+                    svd.rotated_block_into(&mut cols);
                     rotations[i] = Some(svd.v);
                 }
+                spare.extend(sub);
             }
 
             // Group (ii): Gram GEMM -> SM EVD. The `A_ij J_ij` update joins
             // the fused batched-update launch below.
-            let gb_blocks: Vec<Matrix> =
+            let mut upd_in: Vec<Matrix> =
                 gb.iter().map(|&i| std::mem::take(&mut blocks[i])).collect();
             if !gb.is_empty() {
-                let (grams, _) = batched_gram(gpu, &gb_blocks, strategy)?;
+                let (grams, _) = batched_gram(gpu, &upd_in, strategy)?;
                 let evd_cfg = EvdConfig {
                     tol: 1e-15,
                     max_sweeps: 30,
@@ -719,7 +738,9 @@ fn decompose_level(
                     decompose_level(gpu, &mut sub, &all_v, level + 1, next_cap, &sub_cfg, stats)?;
                 stats.recursed_blocks += gc.len() as u64;
                 for ((&i, converged), outcome) in gc.iter().zip(sub).zip(outcomes) {
-                    blocks[i] = converged;
+                    let r = refs[i];
+                    tasks[r.task].store_paired_col_blocks(r.bi, r.bj, &converged);
+                    spare.push(converged);
                     rotations[i] = Some(outcome.v.expect("recursion always accumulates V"));
                 }
             }
@@ -727,49 +748,41 @@ fn decompose_level(
             // One fused batched-update launch: the group-(ii) `A_ij J_ij`
             // products and all V-accumulator updates (groups (i)/(iii) left
             // their blocks already rotated, so only their V parts join).
-            // Blocks and rotations move into the launch; a group-(ii)
-            // rotation is copied only when its V pair needs it too.
-            let mut upd_mats: Vec<Matrix> = gb_blocks;
-            let mut upd_js: Vec<Matrix> = Vec::new();
-            // (kind, index): kind 0 = A-block of group (ii), 1 = V pair.
-            let mut upd_meta: Vec<(u8, usize)> = Vec::new();
-            for &i in &gb {
-                let j = if vs[refs[i].task].is_some() {
-                    rotations[i].clone()
-                } else {
-                    rotations[i].take()
-                };
-                upd_js.push(j.expect("EVD computed for every group-(ii) block"));
-                upd_meta.push((0, i));
+            // Each product lands straight in its task's or V's columns, and
+            // every rotation is borrowed, so one J serves both its block and
+            // its V pair. The V pairs are gathered only now, into the
+            // group-(i)/(iii) blocks the kernels have finished with.
+            for &k in &v_refs {
+                let r = refs[k];
+                let v = vs[r.task].as_ref().expect("V pairs exist only for V tasks");
+                v_pairs.push(v.paired_col_blocks_from(r.bi, r.bj, &mut spare));
             }
-            for (k, r) in refs.iter().enumerate() {
-                if let Some(v) = vs[r.task].as_ref() {
-                    upd_mats.push(v.paired_col_blocks(r.bi, r.bj));
-                    upd_js.push(
-                        rotations[k]
-                            .take()
-                            .expect("rotation computed for every block"),
-                    );
-                    upd_meta.push((1, k));
+            if !gb.is_empty() || !v_refs.is_empty() {
+                let upd_js: Vec<&Matrix> = gb
+                    .iter()
+                    .chain(&v_refs)
+                    .map(|&i| {
+                        rotations[i]
+                            .as_ref()
+                            .expect("rotation computed for every block")
+                    })
+                    .collect();
+                let mut outs =
+                    pair_cols_mut(tasks.iter_mut().map(Some), gb.iter().map(|&i| pair_at(i)));
+                outs.extend(pair_cols_mut(
+                    vs.iter_mut().map(Option::as_mut),
+                    v_refs.iter().map(|&i| pair_at(i)),
+                ));
+                upd_in.append(&mut v_pairs);
+                batched_update_into(gpu, &upd_in, &upd_js, outs, strategy)?;
+                for (&i, block) in gb.iter().zip(upd_in.drain(..gb.len())) {
+                    blocks[i] = block;
                 }
+                spare.append(&mut upd_in);
             }
-            if !upd_mats.is_empty() {
-                batched_update(gpu, &mut upd_mats, &upd_js, strategy)?;
-                for ((kind, idx), updated) in upd_meta.into_iter().zip(upd_mats) {
-                    match kind {
-                        0 => blocks[idx] = updated,
-                        _ => {
-                            let r = refs[idx];
-                            let v = vs[r.task].as_mut().unwrap();
-                            v.store_paired_col_blocks(r.bi, r.bj, &updated);
-                        }
-                    }
-                }
-            }
-            // Scatter every rotated pair block back into its task.
-            for (r, block) in refs.iter().zip(&blocks) {
-                tasks[r.task].store_paired_col_blocks(r.bi, r.bj, block);
-            }
+            // The gathered blocks become the next step's spares (group
+            // (i)/(iii) blocks are there already).
+            spare.extend(blocks.drain(..).filter(|b| !b.is_empty()));
         }
 
         // Schedule-independent convergence test at the sweep boundary (in a

@@ -139,10 +139,18 @@ impl BlockCtx {
     /// costs one branch in normal runs and never touches the timing model.
     /// Only the first offense per block is kept.
     pub fn guard_finite(&mut self, values: &[f64]) {
+        self.guard_finite_parts([values]);
+    }
+
+    /// [`BlockCtx::guard_finite`] on values held in pieces (e.g. the column
+    /// slices of a row range), numbered consecutively across the pieces as
+    /// if they were one slice.
+    pub fn guard_finite_parts<'a>(&mut self, parts: impl IntoIterator<Item = &'a [f64]>) {
         if !self.finite_guard || self.nonfinite.is_some() {
             return;
         }
-        if let Some((i, v)) = values.iter().enumerate().find(|(_, v)| !v.is_finite()) {
+        let values = parts.into_iter().flatten();
+        if let Some((i, v)) = values.enumerate().find(|(_, v)| !v.is_finite()) {
             self.nonfinite = Some(format!("element {i} is {v}"));
         }
     }
@@ -165,11 +173,12 @@ impl BlockCtx {
         &self.smem
     }
 
-    /// Loads a global-memory slice into a fresh shared-memory buffer,
-    /// counting the GM traffic.
+    /// Stages a global-memory slice into shared memory: counts its GM load
+    /// and charges a buffer of its length to the arena. The kernel keeps
+    /// computing on its own copy; the handle only accounts for the bytes.
     pub fn gm_load_to_smem(&mut self, src: &[f64]) -> Result<SmemBuf, SmemOverflow> {
         self.count_gm_load(src.len());
-        self.smem.alloc_from(src)
+        self.smem.alloc(src.len())
     }
 
     /// The single accounting path for coalesced global-memory traffic of `n`
@@ -199,12 +208,6 @@ impl BlockCtx {
     /// Counts a coalesced global-memory store of `n` f64 elements.
     pub fn count_gm_store(&mut self, n: usize) {
         self.count_gm(n, true);
-    }
-
-    /// Copies SM data back to a global buffer, counting the store.
-    pub fn gm_store_from_smem(&mut self, src: &[f64], dst: &mut [f64]) {
-        dst.copy_from_slice(src);
-        self.count_gm_store(src.len());
     }
 
     /// True when this block runs under the hazard sanitizer. Kernels may
@@ -1418,6 +1421,30 @@ mod tests {
         assert_eq!(
             stats.kernel_seconds.to_bits(),
             san_stats.kernel_seconds.to_bits()
+        );
+    }
+
+    #[test]
+    fn finite_guard_numbers_pieces_as_one_slice() {
+        // A tailored update segment guards its output column by column:
+        // element `c * rows + r` of the segment, as if it were one
+        // column-major matrix.
+        let health = wsvd_health::HealthSink::enabled();
+        let mut gpu = Gpu::new(V100);
+        gpu.set_health(health.clone());
+        let cfg = KernelConfig::new(1, 64, 1024, "pieces");
+        gpu.launch_collect(cfg, |_, ctx| {
+            let cols = [[1.0, 2.0, 3.0], [4.0, f64::INFINITY, f64::NAN]];
+            ctx.guard_finite_parts(cols.iter().map(|c| &c[..]));
+            Ok(())
+        })
+        .unwrap();
+        let incidents = health.incidents();
+        assert_eq!(incidents.len(), 1);
+        assert!(
+            incidents[0].detail.contains("element 4 is inf"),
+            "{}",
+            incidents[0].detail
         );
     }
 

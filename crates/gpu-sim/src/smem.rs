@@ -7,9 +7,11 @@
 //! "can the SVD of `A_ij` be accomplished entirely within SM?" predicates
 //! (Algorithm 2, lines 2/8/10) real, testable decisions instead of comments.
 //!
-//! The arena is an accounting allocator: buffers own their storage (plain
-//! `Vec<f64>` handles) while the arena enforces the byte budget, so kernels
-//! can use ordinary slice/`Matrix` code on SM-resident data.
+//! The arena is pure accounting: an [`SmemBuf`] is a handle (length, id and
+//! the bytes it holds charged to the arena) with no storage behind it. The
+//! kernels compute on their own host `Matrix` copies and use the handles
+//! only to charge the footprint and to name the ranges the sanitizer
+//! checks, so a block allocates nothing for its shared memory.
 
 use std::cell::Cell;
 use std::fmt;
@@ -42,15 +44,16 @@ impl std::error::Error for SmemOverflow {}
 pub struct SharedMem {
     capacity: usize,
     used: Rc<Cell<usize>>,
-    peak: Rc<Cell<usize>>,
+    peak: Cell<usize>,
     next_id: Cell<usize>,
 }
 
-/// An SM-resident `f64` buffer. Storage is owned; the bytes stay charged to
-/// the arena until the buffer is dropped.
+/// An SM-resident `f64` buffer as an accounting handle: its length and id,
+/// and its bytes stay charged to the arena until the handle is dropped.
+/// There is no storage behind it.
 #[derive(Debug)]
 pub struct SmemBuf {
-    data: Vec<f64>,
+    len: usize,
     used: Rc<Cell<usize>>,
     id: usize,
 }
@@ -61,47 +64,43 @@ impl SharedMem {
         Self {
             capacity: capacity_bytes,
             used: Rc::new(Cell::new(0)),
-            peak: Rc::new(Cell::new(0)),
+            peak: Cell::new(0),
             next_id: Cell::new(0),
         }
     }
 
-    /// Allocates `n` zeroed `f64` elements, or fails if the budget would be
-    /// exceeded.
+    /// Charges `n` `f64` elements to the arena, or fails if the budget would
+    /// be exceeded (a request whose byte count does not fit a `usize` never
+    /// fits).
     pub fn alloc(&self, n: usize) -> Result<SmemBuf, SmemOverflow> {
-        let bytes = n * std::mem::size_of::<f64>();
         let used = self.used.get();
-        if used + bytes > self.capacity {
+        let bytes = n.checked_mul(std::mem::size_of::<f64>());
+        let Some(total) = bytes
+            .and_then(|b| used.checked_add(b))
+            .filter(|&t| t <= self.capacity)
+        else {
             return Err(SmemOverflow {
-                requested: bytes,
+                requested: bytes.unwrap_or(usize::MAX),
                 available: self.capacity - used,
                 capacity: self.capacity,
             });
-        }
-        self.used.set(used + bytes);
-        if self.used.get() > self.peak.get() {
-            self.peak.set(self.used.get());
-        }
+        };
+        self.used.set(total);
+        self.peak.set(self.peak.get().max(total));
         let id = self.next_id.get();
         self.next_id.set(id + 1);
         Ok(SmemBuf {
-            data: vec![0.0; n],
+            len: n,
             used: Rc::clone(&self.used),
             id,
         })
     }
 
-    /// Allocates and fills from a global-memory slice (callers should count
-    /// the GM traffic via the block context).
-    pub fn alloc_from(&self, src: &[f64]) -> Result<SmemBuf, SmemOverflow> {
-        let mut b = self.alloc(src.len())?;
-        b.as_mut_slice().copy_from_slice(src);
-        Ok(b)
-    }
-
     /// Returns whether `n` additional `f64`s would fit right now.
     pub fn would_fit(&self, n: usize) -> bool {
-        self.used.get() + n * std::mem::size_of::<f64>() <= self.capacity
+        n.checked_mul(std::mem::size_of::<f64>())
+            .and_then(|b| self.used.get().checked_add(b))
+            .is_some_and(|t| t <= self.capacity)
     }
 
     /// Currently allocated bytes.
@@ -121,22 +120,10 @@ impl SharedMem {
 }
 
 impl SmemBuf {
-    /// Read access to the buffer.
-    #[inline]
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Write access to the buffer.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Number of `f64` elements.
     #[inline]
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.len
     }
 
     /// Allocation id within this buffer's arena (monotonic per block), used
@@ -149,13 +136,13 @@ impl SmemBuf {
     /// True when the buffer holds no elements.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len == 0
     }
 }
 
 impl Drop for SmemBuf {
     fn drop(&mut self) {
-        let bytes = self.data.len() * std::mem::size_of::<f64>();
+        let bytes = self.len * std::mem::size_of::<f64>();
         self.used.set(self.used.get().saturating_sub(bytes));
     }
 }
@@ -197,11 +184,29 @@ mod tests {
     }
 
     #[test]
-    fn alloc_from_copies() {
+    fn handle_carries_length_id_and_charge() {
         let sm = SharedMem::new(1024);
-        let src = [1.0, 2.0, 3.0];
-        let b = sm.alloc_from(&src).unwrap();
-        assert_eq!(b.as_slice(), &src);
+        let a = sm.alloc(3).unwrap();
+        let b = sm.alloc(0).unwrap();
+        assert_eq!((a.len(), a.id(), a.is_empty()), (3, 0, false));
+        assert_eq!((b.len(), b.id(), b.is_empty()), (0, 1, true));
+        assert_eq!(sm.used_bytes(), 24);
+        drop(a);
+        assert_eq!(sm.used_bytes(), 0);
+        assert_eq!(sm.peak_bytes(), 24);
+    }
+
+    #[test]
+    fn absurd_requests_overflow_instead_of_wrapping() {
+        let sm = SharedMem::new(1024);
+        let _a = sm.alloc(8).unwrap(); // 64 B used
+        for n in [usize::MAX, usize::MAX / 8 + 1, usize::MAX / 8] {
+            assert!(!sm.would_fit(n), "n = {n}");
+            let err = sm.alloc(n).unwrap_err();
+            assert_eq!(err.available, 960);
+            assert_eq!(err.capacity, 1024);
+        }
+        assert_eq!(sm.used_bytes(), 64, "a failed request charges nothing");
     }
 
     #[test]

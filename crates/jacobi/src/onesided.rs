@@ -366,19 +366,23 @@ pub struct JacobiSvd {
 }
 
 impl JacobiSvd {
-    /// The rotated block `A V = U Σ`, shaped like `A` (`U`'s rows by `V`'s
-    /// columns); columns beyond `Σ` (rank-deficient wide blocks) are zero.
-    pub fn rotated_block(&self) -> Matrix {
-        let m = self.u.rows();
-        let mut out = Matrix::zeros(m, self.v.cols());
-        for (k, &s) in self.sigma.iter().enumerate() {
-            let src = self.u.col(k);
-            let dst = out.col_mut(k);
-            for i in 0..m {
-                dst[i] = s * src[i];
+    /// Writes the rotated block `A V = U Σ` into `cols`, one slice per
+    /// column of `V`, each `U.rows()` long (for example the pair block's
+    /// columns in its task); columns beyond `Σ` (rank-deficient wide
+    /// blocks) are zeroed.
+    pub fn rotated_block_into(&self, cols: &mut [&mut [f64]]) {
+        assert_eq!(cols.len(), self.v.cols(), "one slice per column of V");
+        for (k, dst) in cols.iter_mut().enumerate() {
+            assert_eq!(dst.len(), self.u.rows(), "columns as long as U's");
+            match self.sigma.get(k) {
+                Some(&s) => {
+                    for (d, &x) in dst.iter_mut().zip(self.u.col(k)) {
+                        *d = s * x;
+                    }
+                }
+                None => dst.fill(0.0),
             }
         }
-        out
     }
 }
 

@@ -17,6 +17,8 @@
 //! ([`crate::simd`]): each runs its `*_with` body compiled for AVX2 when the
 //! CPU has it, portable otherwise, with the same bits either way.
 
+use std::ops::Range;
+
 use crate::matrix::Matrix;
 use crate::simd::Isa;
 
@@ -99,37 +101,53 @@ pub fn gemm_with<I: Isa>(
         let k1 = (k0 + KC).min(k);
         for j in 0..n {
             let c_col = &mut c.col_mut(j)[..m];
-            let mut p = k0;
-            // Four `p` at a time with `c[i]` held in a register. The terms
-            // still join each `c[i]` in ascending `p`; a group holding a zero
-            // `b[p, j]` takes the one-`p` path below, which skips the zero.
-            while p + 4 <= k1 {
-                let bs = [b_at(p, j), b_at(p + 1, j), b_at(p + 2, j), b_at(p + 3, j)];
-                if bs.contains(&0.0) {
-                    for (q, &b_qj) in (p..p + 4).zip(&bs) {
-                        axpy(alpha, b_qj, a_ref.col(q), c_col);
-                    }
-                } else {
-                    let s = bs.map(|b_qj| alpha * b_qj);
-                    let a0 = &a_ref.col(p)[..m];
-                    let a1 = &a_ref.col(p + 1)[..m];
-                    let a2 = &a_ref.col(p + 2)[..m];
-                    let a3 = &a_ref.col(p + 3)[..m];
-                    for i in 0..m {
-                        let mut ci = c_col[i];
-                        ci += s[0] * a0[i];
-                        ci += s[1] * a1[i];
-                        ci += s[2] * a2[i];
-                        ci += s[3] * a3[i];
-                        c_col[i] = ci;
-                    }
-                }
-                p += 4;
+            accumulate_col(alpha, |q| a_ref.col(q), |p| b_at(p, j), k0..k1, c_col);
+        }
+    }
+}
+
+/// `c_col += alpha * sum(b(p) * a_col(p) for p in ks)`, adding the terms to
+/// each `c_col[i]` one `p` at a time in ascending order. `a_col(p)` must be
+/// at least `c_col.len()` long; only its first `c_col.len()` entries are
+/// read, so the caller picks the rows.
+#[inline(always)]
+fn accumulate_col<'a>(
+    alpha: f64,
+    a_col: impl Fn(usize) -> &'a [f64],
+    b: impl Fn(usize) -> f64,
+    ks: Range<usize>,
+    c_col: &mut [f64],
+) {
+    let m = c_col.len();
+    let mut p = ks.start;
+    // Four `p` at a time with `c[i]` held in a register. The terms still
+    // join each `c[i]` in ascending `p`; a group holding a zero `b(p)` takes
+    // the one-`p` path, which skips the zero.
+    while p + 4 <= ks.end {
+        let bs = [b(p), b(p + 1), b(p + 2), b(p + 3)];
+        if bs.contains(&0.0) {
+            for (q, &b_q) in (p..p + 4).zip(&bs) {
+                axpy(alpha, b_q, a_col(q), c_col);
             }
-            for q in p..k1 {
-                axpy(alpha, b_at(q, j), a_ref.col(q), c_col);
+        } else {
+            let s = bs.map(|b_q| alpha * b_q);
+            let a0 = &a_col(p)[..m];
+            let a1 = &a_col(p + 1)[..m];
+            let a2 = &a_col(p + 2)[..m];
+            let a3 = &a_col(p + 3)[..m];
+            for i in 0..m {
+                let mut ci = c_col[i];
+                ci += s[0] * a0[i];
+                ci += s[1] * a1[i];
+                ci += s[2] * a2[i];
+                ci += s[3] * a3[i];
+                c_col[i] = ci;
             }
         }
+        p += 4;
+    }
+    for q in p..ks.end {
+        axpy(alpha, b(q), a_col(q), c_col);
     }
 }
 
@@ -143,6 +161,44 @@ fn axpy(alpha: f64, b_pj: f64, a_col: &[f64], c_col: &mut [f64]) {
     let a_col = &a_col[..c_col.len()];
     for (ci, &ai) in c_col.iter_mut().zip(a_col) {
         *ci += s * ai;
+    }
+}
+
+crate::dispatch! {
+    /// Rows `rows` of `A * B`, written straight into `c_cols`: one slice per
+    /// column of `B`, each `rows.len()` long. `A` is read in place. Every
+    /// element is bit-identical to the same element of [`matmul`], because
+    /// each is its own ascending-`p` sum whatever rows are computed with it.
+    pub fn matmul_rows(a: &Matrix, rows: Range<usize>, b: &Matrix, c_cols: &mut [&mut [f64]])
+        => matmul_rows_with
+}
+
+/// The body of [`matmul_rows`] for instruction set `I`.
+#[inline(always)]
+pub fn matmul_rows_with<I: Isa>(
+    _isa: I,
+    a: &Matrix,
+    rows: Range<usize>,
+    b: &Matrix,
+    c_cols: &mut [&mut [f64]],
+) {
+    let k = a.cols();
+    assert_eq!(b.rows(), k, "matmul_rows inner dimensions differ");
+    assert_eq!(
+        c_cols.len(),
+        b.cols(),
+        "matmul_rows needs one slice per column"
+    );
+    for c_col in c_cols.iter_mut() {
+        assert_eq!(c_col.len(), rows.len(), "matmul_rows column length");
+        c_col.fill(0.0);
+    }
+    for k0 in (0..k).step_by(KC) {
+        let k1 = (k0 + KC).min(k);
+        for (j, c_col) in c_cols.iter_mut().enumerate() {
+            let a_col = |q: usize| &a.col(q)[rows.clone()];
+            accumulate_col(1.0, a_col, |p| b[(p, j)], k0..k1, c_col);
+        }
     }
 }
 
@@ -165,16 +221,32 @@ crate::dispatch! {
 /// The body of [`gram`] for instruction set `I`.
 #[inline(always)]
 pub fn gram_with<I: Isa>(isa: I, a: &Matrix) -> Matrix {
-    let n = a.cols();
+    gram_of_cols(isa, a.cols(), |j| a.col(j))
+}
+
+crate::dispatch! {
+    /// Gram matrix of rows `rows` of `A`, read in place: bit-identical to
+    /// [`gram`] of `a.sub_matrix(rows.start, 0, rows.len(), a.cols())`.
+    pub fn gram_rows(a: &Matrix, rows: Range<usize>) -> Matrix => gram_rows_with
+}
+
+/// The body of [`gram_rows`] for instruction set `I`.
+#[inline(always)]
+pub fn gram_rows_with<I: Isa>(isa: I, a: &Matrix, rows: Range<usize>) -> Matrix {
+    assert!(rows.end <= a.rows(), "gram_rows range past the last row");
+    gram_of_cols(isa, a.cols(), |j| &a.col(j)[rows.clone()])
+}
+
+/// `B = A^T A` for the `n` columns `col(0..n)`: the upper triangle four
+/// entries of a column at a time, mirrored.
+#[inline(always)]
+fn gram_of_cols<'a, I: Isa>(isa: I, n: usize, col: impl Fn(usize) -> &'a [f64]) -> Matrix {
     let mut b = Matrix::zeros(n, n);
     for j in 0..n {
-        let aj = a.col(j);
+        let aj = col(j);
         let mut i = 0;
         while i + 4 <= j + 1 {
-            let s = isa.dot4(
-                [a.col(i), a.col(i + 1), a.col(i + 2), a.col(i + 3)],
-                [aj; 4],
-            );
+            let s = isa.dot4([col(i), col(i + 1), col(i + 2), col(i + 3)], [aj; 4]);
             for (k, s) in s.into_iter().enumerate() {
                 b[(i + k, j)] = s;
                 b[(j, i + k)] = s;
@@ -182,7 +254,7 @@ pub fn gram_with<I: Isa>(isa: I, a: &Matrix) -> Matrix {
             i += 4;
         }
         for i in i..=j {
-            let s = dot(a.col(i), aj);
+            let s = dot(col(i), aj);
             b[(i, j)] = s;
             b[(j, i)] = s;
         }

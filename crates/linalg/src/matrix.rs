@@ -125,6 +125,14 @@ impl Matrix {
         &mut self.data[j * self.rows..(j + 1) * self.rows]
     }
 
+    /// Every column as its own mutable slice, in order.
+    pub fn cols_mut(&mut self) -> Vec<&mut [f64]> {
+        if self.rows == 0 {
+            return (0..self.cols).map(|_| <&mut [f64]>::default()).collect();
+        }
+        self.data.chunks_mut(self.rows).collect()
+    }
+
     /// Two distinct mutable column slices (for plane rotations).
     ///
     /// Panics if `a == b`.
@@ -173,21 +181,39 @@ impl Matrix {
 
     /// Copies the column blocks `bi = (start_i, width_i)` and
     /// `bj = (start_j, width_j)` into one `rows x (width_i + width_j)` pair
-    /// block `A_ij = [A_i, A_j]` (the blocks may differ in width).
-    pub fn paired_col_blocks(&self, bi: (usize, usize), bj: (usize, usize)) -> Matrix {
+    /// block `A_ij = [A_i, A_j]` (the blocks may differ in width). The block
+    /// is built in the `spare` matrix whose allocation fits it best — the
+    /// smallest that holds it, else the largest — so a loop that returns its
+    /// blocks to `spare` stops allocating once every shape has been seen.
+    pub fn paired_col_blocks_from(
+        &self,
+        bi: (usize, usize),
+        bj: (usize, usize),
+        spare: &mut Vec<Matrix>,
+    ) -> Matrix {
         let r = self.rows;
-        let mut data = Vec::with_capacity(r * (bi.1 + bj.1));
+        let need = r * (bi.1 + bj.1);
+        let fit = |m: &Matrix| match m.data.capacity() {
+            c if c >= need => (false, c),
+            c => (true, usize::MAX - c),
+        };
+        let best = spare
+            .iter()
+            .position(|m| m.data.capacity() == need)
+            .or_else(|| (0..spare.len()).min_by_key(|&k| fit(&spare[k])));
+        let mut out = best.map_or_else(Matrix::default, |k| spare.swap_remove(k));
+        out.data.clear();
+        out.data.reserve(need);
         for (start, width) in [bi, bj] {
-            data.extend_from_slice(&self.data[start * r..(start + width) * r]);
+            out.data
+                .extend_from_slice(&self.data[start * r..(start + width) * r]);
         }
-        Matrix {
-            rows: r,
-            cols: bi.1 + bj.1,
-            data,
-        }
+        out.rows = r;
+        out.cols = bi.1 + bj.1;
+        out
     }
 
-    /// Writes a pair block from [`Matrix::paired_col_blocks`] back into
+    /// Writes a pair block from [`Matrix::paired_col_blocks_from`] back into
     /// column blocks `bi` and `bj`.
     pub fn store_paired_col_blocks(
         &mut self,
@@ -310,6 +336,58 @@ pub fn partition_cols(n: usize, w: usize) -> Vec<(usize, usize)> {
     parts
 }
 
+/// The columns of pair blocks spread over several matrices, as mutable
+/// slices: for each `(matrix, bi, bj)` of `pairs`, the columns of block
+/// `bi` then of block `bj` (`(start, width)` blocks, as in
+/// [`Matrix::paired_col_blocks_from`]) of `mats[matrix]`, so the pair's new
+/// values can be written in place. Only the requested columns are visited.
+/// Panics if two pairs share a column or a pair names a `None` matrix.
+pub fn pair_cols_mut<'a>(
+    mats: impl IntoIterator<Item = Option<&'a mut Matrix>>,
+    pairs: impl IntoIterator<Item = (usize, (usize, usize), (usize, usize))>,
+) -> Vec<Vec<&'a mut [f64]>> {
+    let pairs: Vec<_> = pairs.into_iter().collect();
+    // Every requested block as (matrix, start, width, pair), in column order.
+    let mut wanted: Vec<(usize, usize, usize, usize)> = pairs
+        .iter()
+        .enumerate()
+        .flat_map(|(k, &(m, bi, bj))| [(m, bi.0, bi.1, k), (m, bj.0, bj.1, k)])
+        .collect();
+    wanted.sort_unstable();
+    let mut out: Vec<Vec<&'a mut [f64]>> = pairs
+        .iter()
+        .map(|&(_, bi, bj)| Vec::with_capacity(bi.1 + bj.1))
+        .collect();
+    let mut wanted = wanted.into_iter().peekable();
+    for (m, mat) in mats.into_iter().enumerate() {
+        let Some(mat) = mat else { continue };
+        let rows = mat.rows;
+        let mut rest = mat.data.as_mut_slice();
+        let mut next_col = 0;
+        while let Some((_, start, width, k)) = wanted.next_if(|w| w.0 == m) {
+            let skip = start.checked_sub(next_col).expect("pairs share no column");
+            rest = std::mem::take(&mut rest).split_at_mut(skip * rows).1;
+            for _ in 0..width {
+                let (col, tail) = std::mem::take(&mut rest).split_at_mut(rows);
+                out[k].push(col);
+                rest = tail;
+            }
+            next_col = start + width;
+        }
+    }
+    assert!(
+        wanted.next().is_none(),
+        "a pair names a matrix with no columns"
+    );
+    // Blocks were cut in column order; put each pair's `bi` first.
+    for (&(_, bi, bj), cols) in pairs.iter().zip(&mut out) {
+        if bj.0 < bi.0 {
+            cols.rotate_left(bj.1);
+        }
+    }
+    out
+}
+
 impl Index<(usize, usize)> for Matrix {
     type Output = f64;
     #[inline]
@@ -417,14 +495,14 @@ mod tests {
     #[test]
     fn paired_col_blocks_roundtrip() {
         let m = Matrix::from_fn(4, 8, |i, j| (i + j * 4) as f64);
-        let blk = m.paired_col_blocks((0, 2), (6, 2));
+        let blk = m.paired_col_blocks_from((0, 2), (6, 2), &mut Vec::new());
         assert_eq!(blk.shape(), (4, 4));
         assert_eq!(blk.col(0), m.col(0));
         assert_eq!(blk.col(3), m.col(7));
         // Ragged: a 3-wide block paired with the 1-wide tail.
         let parts = partition_cols(7, 3);
         assert_eq!(parts, vec![(0, 3), (3, 3), (6, 1)]);
-        let blk = m.paired_col_blocks(parts[0], parts[2]);
+        let blk = m.paired_col_blocks_from(parts[0], parts[2], &mut Vec::new());
         assert_eq!(blk.shape(), (4, 4));
         assert_eq!(blk.col(2), m.col(2));
         assert_eq!(blk.col(3), m.col(6));
@@ -434,6 +512,61 @@ mod tests {
             assert_eq!(m2.col(j), m.col(j));
         }
         assert!(m2.col(3).iter().chain(m2.col(7)).all(|&x| x == 0.0));
+    }
+
+    #[test]
+    fn pair_blocks_reuse_the_best_fitting_spare() {
+        let m = Matrix::from_fn(4, 8, |i, j| (i + j * 4) as f64);
+        let mut spare = vec![
+            Matrix::zeros(40, 1),
+            Matrix::zeros(2, 9),
+            Matrix::zeros(1, 3),
+        ];
+        // 16 elements: the 18-element spare is the smallest that holds them.
+        let blk = m.paired_col_blocks_from((0, 2), (6, 2), &mut spare);
+        assert_eq!(blk.shape(), (4, 4));
+        assert_eq!(blk.col(3), m.col(7));
+        assert_eq!(spare.iter().map(Matrix::len).collect::<Vec<_>>(), [40, 3]);
+        // 32 elements: the 40-element spare.
+        let wide = m.paired_col_blocks_from((0, 4), (4, 4), &mut spare);
+        assert_eq!(wide.as_slice(), m.as_slice());
+        // Nothing holds 32 more: the largest left (3 elements) grows.
+        let grown = m.paired_col_blocks_from((0, 4), (4, 4), &mut spare);
+        assert_eq!(grown.as_slice(), m.as_slice());
+        assert!(spare.is_empty());
+    }
+
+    #[test]
+    fn pair_cols_are_the_pair_blocks_in_place() {
+        let mut a = Matrix::from_fn(3, 7, |i, j| (i + j * 3) as f64);
+        let mut b = Matrix::from_fn(2, 4, |i, j| -((i + j * 2) as f64));
+        let want_a = a.paired_col_blocks_from((0, 3), (6, 1), &mut Vec::new());
+        let pairs = [
+            (0, (0, 3), (6, 1)),
+            (2, (2, 2), (0, 1)),
+            (0, (3, 2), (5, 1)),
+        ];
+        let mut cols = pair_cols_mut([Some(&mut a), None, Some(&mut b)], pairs);
+        assert_eq!(cols.iter().map(Vec::len).collect::<Vec<_>>(), [4, 3, 3]);
+        assert_eq!(cols[0].concat(), want_a.as_slice());
+        assert_eq!(cols[1].concat(), [-4.0, -5.0, -6.0, -7.0, 0.0, -1.0]);
+        cols[2][1][0] = 100.0; // column 4 of `a`, row 0
+        drop(cols);
+        assert_eq!(a[(0, 4)], 100.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "no columns")]
+    fn pair_cols_refuse_a_missing_matrix() {
+        let mut a = Matrix::zeros(2, 4);
+        pair_cols_mut([Some(&mut a), None], [(1, (0, 1), (2, 1))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "pairs share no column")]
+    fn pair_cols_refuse_a_shared_column() {
+        let mut a = Matrix::zeros(2, 4);
+        pair_cols_mut([Some(&mut a)], [(0, (0, 2), (2, 1)), (0, (2, 2), (0, 0))]);
     }
 
     #[test]

@@ -1,7 +1,17 @@
 //! Verification utilities shared by tests, examples and the repro harness.
 
-use crate::gemm::{dot, gram};
+use crate::gemm::{col_pair_dots, gram};
 use crate::matrix::Matrix;
+
+/// Column norms `sqrt(a_j · a_j)`. Like every pair dot in this module they
+/// come from [`col_pair_dots`], four independent reductions at a time, with
+/// the bits of the scalar `dot`.
+fn col_norms(a: &Matrix, pairs: &mut Vec<(usize, usize)>, dots: &mut Vec<f64>) -> Vec<f64> {
+    pairs.clear();
+    pairs.extend((0..a.cols()).map(|j| (j, j)));
+    col_pair_dots(a, pairs, dots);
+    dots.iter().map(|d| d.sqrt()).collect()
+}
 
 /// `||Q^T Q - I||_max` — deviation of `Q`'s columns from orthonormality.
 pub fn orthonormality_error(q: &Matrix) -> f64 {
@@ -19,19 +29,25 @@ pub fn orthonormality_error(q: &Matrix) -> f64 {
 /// with condition numbers near `1/eps` (Table VII's `flower_7_1`).
 pub fn max_column_coherence(a: &Matrix) -> f64 {
     let n = a.cols();
-    let norms: Vec<f64> = (0..n).map(|j| dot(a.col(j), a.col(j)).sqrt()).collect();
+    let (mut pairs, mut dots) = (Vec::new(), Vec::new());
+    let norms = col_norms(a, &mut pairs, &mut dots);
     let deflate = f64::EPSILON * norms.iter().map(|x| x * x).sum::<f64>().sqrt();
     let mut worst = 0.0f64;
     for j in 0..n {
         if norms[j] <= deflate {
             continue;
         }
-        for i in 0..j {
-            if norms[i] <= deflate {
+        pairs.clear();
+        for (i, &ni) in norms[..j].iter().enumerate() {
+            if ni <= deflate {
                 continue;
             }
+            pairs.push((i, j));
+        }
+        col_pair_dots(a, &pairs, &mut dots);
+        for (&(i, _), &dij) in pairs.iter().zip(&dots) {
             let d = norms[i] * norms[j];
-            worst = worst.max(dot(a.col(i), a.col(j)).abs() / d);
+            worst = worst.max(dij.abs() / d);
         }
     }
     worst
@@ -46,12 +62,18 @@ pub fn max_column_coherence(a: &Matrix) -> f64 {
 /// `1/eps` (Table VII's `flower_7_1`) terminate.
 pub fn columns_converged(a: &Matrix, tol: f64) -> bool {
     let n = a.cols();
-    let norms: Vec<f64> = (0..n).map(|j| dot(a.col(j), a.col(j)).sqrt()).collect();
+    let (mut pairs, mut dots) = (Vec::new(), Vec::new());
+    let norms = col_norms(a, &mut pairs, &mut dots);
     let fro2: f64 = norms.iter().map(|x| x * x).sum();
     let floor = f64::EPSILON * fro2;
+    // Pairs in the same order as ever, one column's worth of dots at a
+    // time; the first unconverged pair still decides.
     for j in 0..n {
-        for i in 0..j {
-            let aij = dot(a.col(i), a.col(j)).abs();
+        pairs.clear();
+        pairs.extend((0..j).map(|i| (i, j)));
+        col_pair_dots(a, &pairs, &mut dots);
+        for (i, &dij) in dots.iter().enumerate() {
+            let aij = dij.abs();
             if aij > tol * norms[i] * norms[j] && aij > floor {
                 return false;
             }
@@ -64,15 +86,20 @@ pub fn columns_converged(a: &Matrix, tol: f64) -> bool {
 /// metric plotted against sweeps in Fig. 15(a).
 pub fn column_orthogonality_residual(a: &Matrix) -> f64 {
     let n = a.cols();
-    let norms: Vec<f64> = (0..n).map(|j| dot(a.col(j), a.col(j)).sqrt()).collect();
+    let (mut pairs, mut dots) = (Vec::new(), Vec::new());
+    let norms = col_norms(a, &mut pairs, &mut dots);
     let mut s = 0.0;
     for j in 0..n {
-        for i in 0..j {
-            let d = norms[i] * norms[j];
-            if d > 0.0 {
-                let c = dot(a.col(i), a.col(j)) / d;
-                s += c * c;
+        pairs.clear();
+        for (i, &ni) in norms[..j].iter().enumerate() {
+            if ni * norms[j] > 0.0 {
+                pairs.push((i, j));
             }
+        }
+        col_pair_dots(a, &pairs, &mut dots);
+        for (&(i, _), &dij) in pairs.iter().zip(&dots) {
+            let c = dij / (norms[i] * norms[j]);
+            s += c * c;
         }
     }
     s.sqrt()
@@ -150,6 +177,109 @@ mod tests {
             columns_converged(&a, 1e-12),
             "noise-level coupling must count as converged"
         );
+    }
+
+    /// The scalar-`dot` loops these measures replaced, kept as oracles.
+    mod scalar {
+        use crate::gemm::dot;
+        use crate::matrix::Matrix;
+
+        fn norms(a: &Matrix) -> Vec<f64> {
+            (0..a.cols())
+                .map(|j| dot(a.col(j), a.col(j)).sqrt())
+                .collect()
+        }
+
+        pub fn coherence(a: &Matrix) -> f64 {
+            let norms = norms(a);
+            let deflate = f64::EPSILON * norms.iter().map(|x| x * x).sum::<f64>().sqrt();
+            let mut worst = 0.0f64;
+            for j in 0..a.cols() {
+                if norms[j] <= deflate {
+                    continue;
+                }
+                for i in 0..j {
+                    if norms[i] <= deflate {
+                        continue;
+                    }
+                    let d = norms[i] * norms[j];
+                    worst = worst.max(dot(a.col(i), a.col(j)).abs() / d);
+                }
+            }
+            worst
+        }
+
+        pub fn converged(a: &Matrix, tol: f64) -> bool {
+            let norms = norms(a);
+            let floor = f64::EPSILON * norms.iter().map(|x| x * x).sum::<f64>();
+            for j in 0..a.cols() {
+                for i in 0..j {
+                    let aij = dot(a.col(i), a.col(j)).abs();
+                    if aij > tol * norms[i] * norms[j] && aij > floor {
+                        return false;
+                    }
+                }
+            }
+            true
+        }
+
+        pub fn residual(a: &Matrix) -> f64 {
+            let norms = norms(a);
+            let mut s = 0.0;
+            for j in 0..a.cols() {
+                for i in 0..j {
+                    let d = norms[i] * norms[j];
+                    if d > 0.0 {
+                        let c = dot(a.col(i), a.col(j)) / d;
+                        s += c * c;
+                    }
+                }
+            }
+            s.sqrt()
+        }
+    }
+
+    #[test]
+    fn measures_match_the_scalar_loops_bitwise() {
+        // Odd row counts (dot4's scalar tail), a zero column, a column at
+        // the deflation scale, a duplicate, and nearly orthogonal columns
+        // where the verdict flips between tolerances.
+        let mut cases: Vec<Matrix> = Vec::new();
+        for (m, n) in [(1, 1), (5, 2), (7, 9), (13, 6), (33, 17)] {
+            cases.push(Matrix::from_fn(m, n, |i, j| {
+                (((i * 7 + j * 13) % 11) as f64 - 5.0) / (1.0 + j as f64)
+            }));
+        }
+        let mut odd = cases[3].clone();
+        odd.col_mut(1).fill(0.0);
+        odd.col_mut(2).iter_mut().for_each(|x| *x *= 1e-17);
+        let dup = odd.col(0).to_vec();
+        odd.col_mut(4).copy_from_slice(&dup);
+        cases.push(odd);
+        let mut near = Matrix::identity(6);
+        near[(0, 1)] = 1e-9;
+        near[(3, 5)] = -2e-13;
+        cases.push(near);
+        for a in &cases {
+            let shape = a.shape();
+            assert_eq!(
+                max_column_coherence(a).to_bits(),
+                scalar::coherence(a).to_bits(),
+                "{shape:?}"
+            );
+            assert_eq!(
+                column_orthogonality_residual(a).to_bits(),
+                scalar::residual(a).to_bits(),
+                "{shape:?}"
+            );
+            for tol in [0.0, 1e-15, 1e-12, 1e-8, 0.5, 2.0] {
+                assert_eq!(
+                    columns_converged(a, tol),
+                    scalar::converged(a, tol),
+                    "{shape:?} tol {tol}"
+                );
+            }
+        }
     }
 
     #[test]

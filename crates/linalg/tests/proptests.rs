@@ -1,7 +1,10 @@
 //! Property-based tests of the linear-algebra substrate.
 
 use proptest::prelude::*;
-use wsvd_linalg::gemm::{col_pair_dots, col_pair_dots_with, dot, dot4, gemm_with, gram_with, KC};
+use wsvd_linalg::gemm::{
+    col_pair_dots, col_pair_dots_with, dot, dot4, gemm_with, gram_rows, gram_rows_with, gram_with,
+    matmul_rows, matmul_rows_with, KC,
+};
 use wsvd_linalg::generate::{random_uniform, with_spectrum};
 use wsvd_linalg::householder::{bidiagonalize, seeded_orthogonal};
 use wsvd_linalg::simd::{Isa, Portable};
@@ -22,6 +25,13 @@ type PairDotsFn = fn(&Matrix, &[(usize, usize)], &mut Vec<f64>);
 const PAIR_DOTS: [PairDotsFn; 2] = [col_pair_dots, |a, pairs, out| {
     col_pair_dots_with(Portable, a, pairs, out)
 }];
+
+type MatmulRowsFn = fn(&Matrix, std::ops::Range<usize>, &Matrix, &mut [&mut [f64]]);
+const MATMUL_ROWS: [MatmulRowsFn; 2] = [matmul_rows, |a, rows, b, c| {
+    matmul_rows_with(Portable, a, rows, b, c)
+}];
+type GramRowsFn = fn(&Matrix, std::ops::Range<usize>) -> Matrix;
+const GRAM_ROWS: [GramRowsFn; 2] = [gram_rows, |a, rows| gram_rows_with(Portable, a, rows)];
 
 type Dot4Fn = fn([&[f64]; 4], [&[f64]; 4]) -> [f64; 4];
 
@@ -277,6 +287,40 @@ fn gram_and_pair_dots_copies_are_bitwise_scalar_at_every_remainder() {
                     let want = scalar::dot(a.col(i), a.col(j));
                     assert_eq!(g.to_bits(), want.to_bits(), "m={m} pair ({i},{j})");
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn row_range_kernels_are_bitwise_scalar_on_the_rows() {
+    // Every row window of A (odd starts and lengths, empty and full), inner
+    // dimensions at every remainder of the four-`p` groups and past the
+    // k-block edge, B with signed zeros in every group position. Each
+    // result must equal the same rows of the scalar product, and the Gram
+    // of those rows, bit for bit.
+    for (t, k) in [0usize, 1, 3, 4, 5, 8, 10, KC + 5].into_iter().enumerate() {
+        let a = random_uniform(19, k, 300 + t as u64);
+        let b = with_zeros(k, 6, 400 + t as u64, 3);
+        let mut full = Matrix::zeros(19, 6);
+        scalar::gemm(1.0, &a, Op::NoTrans, &b, Op::NoTrans, 0.0, &mut full);
+        for (start, len) in [(0, 19), (0, 0), (3, 5), (7, 12), (18, 1), (1, 16)] {
+            let rows = start..start + len;
+            let want = full.sub_matrix(start, 0, len, 6);
+            for kernel in MATMUL_ROWS {
+                let mut got = vec![f64::NAN; len * 6];
+                let mut cols: Vec<&mut [f64]> = got.chunks_mut(len.max(1)).collect();
+                cols.resize_with(6, || &mut []);
+                kernel(&a, rows.clone(), &b, &mut cols);
+                assert!(same_bits(&got, want.as_slice()), "k={k} rows={rows:?}");
+            }
+            let want = scalar::gram(&a.sub_matrix(start, 0, len, k));
+            for kernel in GRAM_ROWS {
+                let got = kernel(&a, rows.clone());
+                assert!(
+                    same_bits(got.as_slice(), want.as_slice()),
+                    "k={k} rows={rows:?}"
+                );
             }
         }
     }
