@@ -12,12 +12,13 @@
 //!   separate launch sequence with fixed block width `w = 16` (a static
 //!   "one-size-fits-all" configuration) and un-tailored GEMMs.
 
+use wsvd_core::{check_finite, WSvd};
 use wsvd_gpu_sim::{Gpu, KernelError};
 use wsvd_jacobi::batch::batched_svd_sm;
 use wsvd_jacobi::onesided::OneSidedConfig;
 use wsvd_linalg::Matrix;
 
-use crate::block::{block_jacobi_svd, BlockJacobiConfig, BlockSvd, RotationSource};
+use crate::block::{block_jacobi_svd, BlockJacobiConfig, Kernels, RotationSource};
 
 /// The batched-API size limit (`cusolverDnXgesvdjBatched`).
 pub const BATCHED_API_MAX_DIM: usize = 32;
@@ -28,13 +29,11 @@ const PER_CALL_HOST_SECONDS: f64 = 20e-6;
 /// The static block width `gesvdj` uses for large matrices.
 const GESVDJ_BLOCK_W: usize = 16;
 
-/// Result type shared with the block-Jacobi machinery.
-pub type CusolverSvd = BlockSvd;
-
 /// `gesvdjBatched`: batched Jacobi SVD for matrices up to 32x32.
 ///
 /// Returns an error if any matrix exceeds the API limit.
-pub fn gesvdj_batched(gpu: &Gpu, mats: &[Matrix]) -> Result<Vec<CusolverSvd>, KernelError> {
+pub fn gesvdj_batched(gpu: &Gpu, mats: &[Matrix]) -> Result<Vec<WSvd>, KernelError> {
+    check_finite(mats)?;
     for m in mats {
         if m.rows() > BATCHED_API_MAX_DIM || m.cols() > BATCHED_API_MAX_DIM {
             return Err(KernelError::Other(format!(
@@ -60,18 +59,17 @@ pub fn gesvdj_batched(gpu: &Gpu, mats: &[Matrix]) -> Result<Vec<CusolverSvd>, Ke
     gpu.add_host_seconds(6e-6 * max_sweeps as f64);
     Ok(svds
         .into_iter()
-        .map(|s| BlockSvd {
+        .map(|s| WSvd {
             u: s.u,
             sigma: s.sigma,
             v: Some(s.v),
             sweeps: s.stats.sweeps,
-            rotations: s.stats.rotations,
         })
         .collect())
 }
 
 /// `gesvdj`: single-matrix Jacobi SVD for arbitrary sizes.
-pub fn gesvdj(gpu: &Gpu, a: &Matrix) -> Result<CusolverSvd, KernelError> {
+pub fn gesvdj(gpu: &Gpu, a: &Matrix) -> Result<WSvd, KernelError> {
     gpu.add_host_seconds(PER_CALL_HOST_SECONDS);
     if a.rows() <= BATCHED_API_MAX_DIM && a.cols() <= BATCHED_API_MAX_DIM {
         return Ok(gesvdj_batched(gpu, std::slice::from_ref(a))?.pop().unwrap());
@@ -79,49 +77,27 @@ pub fn gesvdj(gpu: &Gpu, a: &Matrix) -> Result<CusolverSvd, KernelError> {
     // Static blocked Jacobi, batch of one: low occupancy per step, and the
     // pre-W-cycle kernel generation (serialized two-sided EVD, no α-warp
     // teams, no norm cache).
-    let work = if a.rows() < a.cols() {
-        a.transpose()
-    } else {
-        a.clone()
-    };
     let cfg = BlockJacobiConfig {
         w: GESVDJ_BLOCK_W,
         rotation: RotationSource::GramEvd,
-        tailor: false,
-        evd_variant: wsvd_jacobi::EvdVariant::Sequential,
-        svd_threads_per_pair: 32,
-        svd_cache_norms: false,
+        kernels: Kernels::PreWCycle,
         ..Default::default()
     };
-    let mut out = block_jacobi_svd(gpu, std::slice::from_ref(&work), &cfg)?
-        .pop()
-        .unwrap();
-    if a.rows() < a.cols() {
-        // Swap factors for the wide input.
-        let v_t = out.v.take().expect("want_v on");
-        let r = out.sigma.len();
-        let u_new = Matrix::from_fn(v_t.rows(), r, |i, j| v_t[(i, j)]);
-        out = BlockSvd {
-            v: Some(out.u),
-            u: u_new,
-            sigma: out.sigma,
-            sweeps: out.sweeps,
-            rotations: out.rotations,
-        };
-    }
-    Ok(out)
+    let mut out = block_jacobi_svd(gpu, std::slice::from_ref(a), &cfg)?;
+    Ok(out.results.pop().expect("one result per input"))
 }
 
 /// The paper's baseline for batches of matrices beyond the batched-API
 /// limit: *serially* call `gesvdj` per matrix (§V: "the baseline is set to
 /// serially call a single SVD API in cuSOLVER").
-pub fn gesvdj_serial_batch(gpu: &Gpu, mats: &[Matrix]) -> Result<Vec<CusolverSvd>, KernelError> {
+pub fn gesvdj_serial_batch(gpu: &Gpu, mats: &[Matrix]) -> Result<Vec<WSvd>, KernelError> {
+    check_finite(mats)?;
     mats.iter().map(|a| gesvdj(gpu, a)).collect()
 }
 
 /// Dispatch as the paper's evaluation does: the batched API when every
 /// matrix is within the limit, the serial loop otherwise.
-pub fn cusolver_batched_svd(gpu: &Gpu, mats: &[Matrix]) -> Result<Vec<CusolverSvd>, KernelError> {
+pub fn cusolver_batched_svd(gpu: &Gpu, mats: &[Matrix]) -> Result<Vec<WSvd>, KernelError> {
     let all_small = mats
         .iter()
         .all(|m| m.rows() <= BATCHED_API_MAX_DIM && m.cols() <= BATCHED_API_MAX_DIM);

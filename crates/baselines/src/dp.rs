@@ -3,60 +3,37 @@
 //! `Batched_DP_Gram` — uniform-width block Jacobi with a static
 //! "one-size-fits-all" configuration (the Table-IV comparators).
 
+use wsvd_core::WSvd;
 use wsvd_gpu_sim::{Gpu, KernelError};
 use wsvd_linalg::Matrix;
 
-use crate::block::{block_jacobi_svd, BlockJacobiConfig, BlockSvd, RotationSource};
-use wsvd_jacobi::evd::EvdVariant;
+use crate::block::{block_jacobi_svd, BlockJacobiConfig, Kernels, RotationSource};
 
 /// The static block width both methods use (chosen so the Gram matrix of a
 /// pair block fits in shared memory on every supported size).
 pub const DP_BLOCK_W: usize = 16;
 
-/// Ref. \[19\] predates the W-cycle's kernel optimizations: rotations use the
-/// classic one-warp-per-pair assignment without the Eq.-(6) norm cache, and
-/// the Gram route diagonalizes with the serialized two-sided Jacobi.
-fn dp_config(rotation: RotationSource) -> BlockJacobiConfig {
-    BlockJacobiConfig {
+/// Ref. \[19\] predates the W-cycle's kernel optimizations, so both methods
+/// run the pre-W-cycle kernel generation.
+fn dp(gpu: &Gpu, mats: &[Matrix], rotation: RotationSource) -> Result<Vec<WSvd>, KernelError> {
+    let cfg = BlockJacobiConfig {
         w: DP_BLOCK_W,
         rotation,
-        tailor: false,
-        evd_variant: EvdVariant::Sequential,
-        svd_threads_per_pair: 32,
-        svd_cache_norms: false,
+        kernels: Kernels::PreWCycle,
         ..Default::default()
-    }
+    };
+    Ok(block_jacobi_svd(gpu, mats, &cfg)?.results)
 }
 
 /// `Batched_DP_Direct`: rotations from direct SVDs of the pair blocks
 /// (register/SM resident when they fit, global memory otherwise).
-pub fn batched_dp_direct(gpu: &Gpu, mats: &[Matrix]) -> Result<Vec<BlockSvd>, KernelError> {
-    let prepared: Vec<Matrix> = mats
-        .iter()
-        .map(|a| {
-            if a.rows() < a.cols() {
-                a.transpose()
-            } else {
-                a.clone()
-            }
-        })
-        .collect();
-    block_jacobi_svd(gpu, &prepared, &dp_config(RotationSource::DirectSvd))
+pub fn batched_dp_direct(gpu: &Gpu, mats: &[Matrix]) -> Result<Vec<WSvd>, KernelError> {
+    dp(gpu, mats, RotationSource::DirectSvd)
 }
 
 /// `Batched_DP_Gram`: rotations from EVDs of the pair blocks' Gram matrices.
-pub fn batched_dp_gram(gpu: &Gpu, mats: &[Matrix]) -> Result<Vec<BlockSvd>, KernelError> {
-    let prepared: Vec<Matrix> = mats
-        .iter()
-        .map(|a| {
-            if a.rows() < a.cols() {
-                a.transpose()
-            } else {
-                a.clone()
-            }
-        })
-        .collect();
-    block_jacobi_svd(gpu, &prepared, &dp_config(RotationSource::GramEvd))
+pub fn batched_dp_gram(gpu: &Gpu, mats: &[Matrix]) -> Result<Vec<WSvd>, KernelError> {
+    dp(gpu, mats, RotationSource::GramEvd)
 }
 
 #[cfg(test)]

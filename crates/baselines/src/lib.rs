@@ -10,7 +10,9 @@
 //! * [`dp`] — `Batched_DP_Direct` / `Batched_DP_Gram` of ref. \[19\], the
 //!   Table-IV state of the art;
 //! * [`block`] — the shared uniform-width block Jacobi (Algorithm 1) they
-//!   are built from.
+//!   are built from: a configuration of `wsvd-core`'s level engine.
+//!
+//! Every entry returns `wsvd_core::WSvd` and rejects non-finite input.
 
 #![warn(missing_docs)]
 
@@ -20,7 +22,7 @@ pub mod dp;
 pub mod magma;
 
 pub use block::{
-    block_jacobi_svd, rotations_per_sweep, BlockJacobiConfig, BlockSvd, RotationSource,
+    block_jacobi_svd, rotations_per_sweep, BlockJacobiConfig, Kernels, RotationSource,
 };
 pub use cusolver::{
     cusolver_batched_svd, gesvdj, gesvdj_batched, gesvdj_serial_batch, BATCHED_API_MAX_DIM,

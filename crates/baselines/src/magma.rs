@@ -9,11 +9,10 @@
 //! parallelism is bounded by the vector length (rotations are applied to
 //! `U`/`V` columns; the chase itself is sequential).
 
+use wsvd_core::{check_finite, WSvd};
 use wsvd_gpu_sim::{Gpu, KernelConfig, KernelError};
 use wsvd_linalg::svd::Svd;
 use wsvd_linalg::{svd_reference, Matrix};
-
-use crate::block::BlockSvd;
 
 /// Panel width of the blocked bidiagonalization.
 const NB: usize = 32;
@@ -23,7 +22,8 @@ const PER_CALL_HOST_SECONDS: f64 = 60e-6;
 
 /// MAGMA-like single-matrix SVD: real two-stage numerics plus the cost of
 /// the panel-blocked pipeline on the simulated device.
-pub fn magma_gesvd(gpu: &Gpu, a: &Matrix) -> Result<BlockSvd, KernelError> {
+pub fn magma_gesvd(gpu: &Gpu, a: &Matrix) -> Result<WSvd, KernelError> {
+    check_finite(std::slice::from_ref(a))?;
     gpu.add_host_seconds(PER_CALL_HOST_SECONDS);
     let (m, n) = a.shape();
     let (tall_m, tall_n) = if m >= n { (m, n) } else { (n, m) };
@@ -99,18 +99,18 @@ pub fn magma_gesvd(gpu: &Gpu, a: &Matrix) -> Result<BlockSvd, KernelError> {
 
     // --- Real numerics ---------------------------------------------------
     let Svd { u, sigma, v } = svd_reference(a).map_err(KernelError::Other)?;
-    Ok(BlockSvd {
+    Ok(WSvd {
         u,
         sigma,
         v: Some(v),
         sweeps: 0,
-        rotations: 0,
     })
 }
 
 /// MAGMA has no batched `gesvd`; batches loop serially over the single API
 /// (the protocol of Fig. 9 / Fig. 14(b)).
-pub fn magma_batched_svd(gpu: &Gpu, mats: &[Matrix]) -> Result<Vec<BlockSvd>, KernelError> {
+pub fn magma_batched_svd(gpu: &Gpu, mats: &[Matrix]) -> Result<Vec<WSvd>, KernelError> {
+    check_finite(mats)?;
     mats.iter().map(|a| magma_gesvd(gpu, a)).collect()
 }
 

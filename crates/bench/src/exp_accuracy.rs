@@ -84,6 +84,7 @@ fn error_after_sweeps(a: &Matrix, reference: &[f64], k: usize, wcycle: bool) -> 
         };
         block_jacobi_svd(&gpu, std::slice::from_ref(a), &cfg)
             .unwrap()
+            .results
             .pop()
             .unwrap()
             .sigma

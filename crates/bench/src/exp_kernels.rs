@@ -96,8 +96,8 @@ pub fn fig2(scale: Scale) -> Report {
             max_sweeps: 30,
             ..Default::default()
         };
-        let outs = block_jacobi_svd(&gpu, &mats, &cfg).unwrap();
-        let sweeps = outs.iter().map(|o| o.sweeps).max().unwrap_or(0);
+        let out = block_jacobi_svd(&gpu, &mats, &cfg).unwrap();
+        let sweeps = out.results.iter().map(|o| o.sweeps).max().unwrap_or(0);
         let fits = svd_fits_in_sm(n, 2 * w, V100.smem_per_block_bytes)
             || evd_fits_in_sm(2 * w, V100.smem_per_block_bytes);
         rep.push_row(vec![

@@ -1,0 +1,465 @@
+//! The level engine: the one block-Jacobi sweep loop in the workspace.
+//!
+//! Each W-cycle level (Algorithm 2) runs it, and so does the baselines'
+//! uniform-width block Jacobi (Algorithm 1): the same loop with one fixed
+//! width, no recursion and a forced [`Route`]. Each step gathers the pair
+//! blocks `A_ij = [A_i, A_j]` the schedule pairs across the batch, rotates
+//! each by the kernel its route picks and writes `A_ij J_ij` and `V_ij J_ij`
+//! straight into the task's and V's columns; a task leaves once its columns
+//! test converged at a sweep boundary. What only the W-cycle does (plan
+//! resolution, static checks, the fused launch graph, the recursion itself,
+//! telemetry) stays with its caller, behind [`Hooks`].
+
+use wsvd_batched::gemm::{batched_gram, batched_update_into, GemmStrategy};
+use wsvd_gpu_sim::{Gpu, KernelError};
+use wsvd_jacobi::batch::{batched_evd_sm, batched_svd_gm, batched_svd_sm};
+use wsvd_jacobi::evd::{EvdConfig, EvdVariant};
+use wsvd_jacobi::fits::{evd_fits_in_sm, svd_fits_in_sm};
+use wsvd_jacobi::onesided::OneSidedConfig;
+use wsvd_jacobi::verify::{verify_schedule, Coverage};
+use wsvd_linalg::gemm::dot;
+use wsvd_linalg::matrix::pair_cols_mut;
+use wsvd_linalg::verify::{columns_converged, max_column_coherence};
+use wsvd_linalg::Matrix;
+
+use crate::config::WCycleConfig;
+use crate::stats::{SweepRecord, WCycleStats};
+
+/// Which rotation kernels a level may use: the classifier that maps each
+/// pair block to a [`Rotation`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Route {
+    /// Algorithm 2: SM SVD when the pair block's SVD fits in shared memory,
+    /// else Gram + SM EVD when the Gram EVD fits, else recursion. Group
+    /// (ii)'s block products join the V updates in one fused launch.
+    Multilevel,
+    /// Uniform direct route (`Batched_DP_Direct` of ref. \[19\]): SM SVD when
+    /// it fits, else the global-memory SVD kernel.
+    Direct,
+    /// Uniform Gram route (`Batched_DP_Gram`): Gram + SM EVD for every pair
+    /// block.
+    Gram,
+}
+
+/// The kernel that produces one pair block's rotation `J_ij`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Rotation {
+    /// One-sided Jacobi SVD of `A_ij` in shared memory (Observation 1): the
+    /// rotated block comes out of the kernel, no update GEMM needed.
+    SmSvd = 0,
+    /// One-sided Jacobi SVD of `A_ij` resident in global memory.
+    GmSvd = 1,
+    /// Gram GEMM `A_ij^T A_ij`, then two-sided Jacobi EVD in shared memory.
+    GramEvd = 2,
+    /// A deeper level with a smaller width.
+    Recurse = 3,
+}
+
+impl Route {
+    /// The kernel an `m x nn` pair block takes on this route, on a device
+    /// with `smem` bytes of shared memory per block.
+    pub fn classify(self, m: usize, nn: usize, smem: usize) -> Rotation {
+        match self {
+            Route::Gram => Rotation::GramEvd,
+            _ if svd_fits_in_sm(m, nn, smem) => Rotation::SmSvd,
+            Route::Direct => Rotation::GmSvd,
+            Route::Multilevel if evd_fits_in_sm(nn, smem) => Rotation::GramEvd,
+            Route::Multilevel => Rotation::Recurse,
+        }
+    }
+}
+
+/// The tolerance of the rotation generators inside a level whose sweep
+/// boundary tests at `cfg.tol`. It must be tighter than `tol`, or the
+/// level's coherence plateaus just above it (each pair block would keep up
+/// to `tol` of residual coherence internally); the override exists to
+/// break this on purpose (see `WCycleConfig::inner_tol_override`).
+pub(crate) fn inner_tol(cfg: &WCycleConfig) -> f64 {
+    cfg.inner_tol_override
+        .unwrap_or((cfg.tol * 1e-2).max(1e-15))
+}
+
+/// One run of the sweep loop over a batch. Of `cfg` it reads the sweep
+/// settings (`tol`, `max_sweeps`, `inner_tol_override`, `ordering`,
+/// `dynamic_ordering`, `record_convergence`) and the rotation kernels'
+/// (`alpha`, `cache_norms`, `kernel_threads`).
+pub struct Level<'a> {
+    /// Level number (1-based) the rotations are tallied under.
+    pub level: usize,
+    /// The pair-block classifier.
+    pub route: Route,
+    /// Per-task column partition, `(start, width)` per block.
+    pub parts: &'a [Vec<(usize, usize)>],
+    /// Batched Gram and update GEMM mapping.
+    pub strategy: GemmStrategy,
+    /// Two-sided Jacobi variant of the EVD kernel.
+    pub evd_variant: EvdVariant,
+    /// Sweep and kernel settings.
+    pub cfg: &'a WCycleConfig,
+}
+
+/// What the W-cycle adds to a level's loop.
+pub struct Hooks<'h> {
+    /// Orthogonalizes in place the pair blocks routed to
+    /// [`Rotation::Recurse`] and returns each one's accumulated V.
+    pub recurse: &'h mut Recurse<'h>,
+    /// Receives each sweep's record and how many pair blocks each
+    /// [`Rotation`] kernel took in it (indexed by `Rotation as usize`).
+    pub sweep_done: &'h mut dyn FnMut(&mut WCycleStats, SweepRecord, [u64; 4]),
+}
+
+/// The recursion hook's type (see [`Hooks::recurse`]).
+pub type Recurse<'h> =
+    dyn FnMut(&mut [Matrix], &mut WCycleStats) -> Result<Vec<Matrix>, KernelError> + 'h;
+
+/// One pair block gathered for rotation: its task and the `(start, width)`
+/// column blocks `A_i`, `A_j` it pairs.
+#[derive(Clone, Copy)]
+struct PairRef {
+    task: usize,
+    bi: (usize, usize),
+    bj: (usize, usize),
+}
+
+impl Level<'_> {
+    /// Orthogonalizes every task's columns by block rotations: on return
+    /// each task's columns are `UΣ` (unsorted) and each present V holds the
+    /// accumulated rotations. Returns the sweeps each task ran. Without
+    /// `hooks` the route must not recurse and no sweep is reported.
+    pub fn run(
+        &self,
+        gpu: &Gpu,
+        tasks: &mut [Matrix],
+        vs: &mut [Option<Matrix>],
+        stats: &mut WCycleStats,
+        mut hooks: Option<Hooks<'_>>,
+    ) -> Result<Vec<usize>, KernelError> {
+        let cfg = self.cfg;
+        let inner_tol = inner_tol(cfg);
+        // Dynamically generated sweeps carry no static proof (and no
+        // certificate — the schedule is data-dependent): under the
+        // sanitizer or a certificate store each is checked before its
+        // rotations launch.
+        let verify_schedules =
+            cfg.dynamic_ordering && (gpu.sanitize_enabled() || crate::certify::store().is_some());
+        let measure_coherence = hooks.is_some()
+            && (gpu.trace().is_enabled() || gpu.health().is_enabled() || cfg.record_convergence);
+        let smem = gpu.device().smem_per_block_bytes;
+        let mut sweeps = vec![0usize; tasks.len()];
+        let mut active: Vec<bool> = tasks.iter().map(|t| t.cols() >= 2).collect();
+        // Kept across steps: the step's pair references, pair blocks and V
+        // pairs, and the spare matrices their gathers reuse instead of
+        // allocating afresh.
+        let mut refs: Vec<PairRef> = Vec::new();
+        let mut blocks: Vec<Matrix> = Vec::new();
+        let mut v_refs: Vec<usize> = Vec::new();
+        let mut v_pairs: Vec<Matrix> = Vec::new();
+        let mut spare: Vec<Matrix> = Vec::new();
+
+        for round in 0..cfg.max_sweeps {
+            if !active.iter().any(|&a| a) {
+                break;
+            }
+            let mut sweep_blocks = [0u64; 4];
+            let schedules: Vec<_> = self
+                .parts
+                .iter()
+                .zip(&active)
+                .enumerate()
+                .map(|(t, (p, &a))| {
+                    if !a {
+                        Vec::new()
+                    } else if cfg.dynamic_ordering {
+                        dynamic_schedule(&tasks[t], p)
+                    } else {
+                        cfg.ordering.schedule(p.len())
+                    }
+                })
+                .collect();
+            if verify_schedules {
+                for (t, sched) in schedules.iter().enumerate() {
+                    if sched.is_empty() {
+                        continue;
+                    }
+                    verify_schedule(sched, self.parts[t].len(), Coverage::ExactlyOnce).map_err(
+                        |e| {
+                            KernelError::Other(format!(
+                                "wsvd-sanitizer: dynamic schedule invalid at level {}, \
+                                 sweep {round}, task {t}: {e}",
+                                self.level
+                            ))
+                        },
+                    )?;
+                }
+            }
+            let max_steps = schedules.iter().map(|s| s.len()).max().unwrap_or(0);
+
+            for step in 0..max_steps {
+                // Gather this step's pair blocks across the whole batch.
+                refs.clear();
+                v_refs.clear();
+                for (t, sched) in schedules.iter().enumerate() {
+                    if !active[t] || step >= sched.len() {
+                        continue;
+                    }
+                    for &(i, j) in &sched[step] {
+                        let (bi, bj) = (self.parts[t][i], self.parts[t][j]);
+                        blocks.push(tasks[t].paired_col_blocks_from(bi, bj, &mut spare));
+                        if vs[t].is_some() {
+                            v_refs.push(refs.len());
+                        }
+                        refs.push(PairRef { task: t, bi, bj });
+                    }
+                }
+                // Spares the gathers did not need are freed now, so no kernel
+                // runs beside unused buffers.
+                spare.clear();
+                if blocks.is_empty() {
+                    continue;
+                }
+                stats.add_rotations(self.level, blocks.len() as u64);
+                let pair_at = |i: usize| (refs[i].task, refs[i].bi, refs[i].bj);
+
+                let mut groups: [Vec<usize>; 4] = Default::default();
+                for (idx, b) in blocks.iter().enumerate() {
+                    let (m, nn) = b.shape();
+                    groups[self.route.classify(m, nn, smem) as usize].push(idx);
+                }
+                for (n, g) in sweep_blocks.iter_mut().zip(&groups) {
+                    *n += g.len() as u64;
+                }
+                let [sm, gm, gb, gc] = groups;
+                let mut rotations: Vec<Option<Matrix>> = (0..blocks.len()).map(|_| None).collect();
+
+                // Direct SVDs, in SM then in GM: they avoid the Gram GEMM
+                // (Obs. 1) and the update GEMM (the kernel's converged
+                // columns are A_ij J, written straight into the task).
+                for (idx, in_sm) in [(&sm, true), (&gm, false)] {
+                    if idx.is_empty() {
+                        continue;
+                    }
+                    let sub: Vec<Matrix> = idx
+                        .iter()
+                        .map(|&i| std::mem::take(&mut blocks[i]))
+                        .collect();
+                    let m_star = sub.iter().map(|s| s.rows()).max().expect("non-empty group");
+                    let one_sided = OneSidedConfig {
+                        tol: inner_tol,
+                        threads_per_pair: cfg.alpha.resolve(m_star),
+                        cache_norms: cfg.cache_norms,
+                        accumulate_v: true,
+                        ordering: cfg.ordering,
+                        ..Default::default()
+                    };
+                    let (svds, _) = if in_sm {
+                        batched_svd_sm(gpu, &sub, &one_sided, cfg.kernel_threads)?
+                    } else {
+                        batched_svd_gm(gpu, &sub, &one_sided, cfg.kernel_threads)?
+                    };
+                    let cols =
+                        pair_cols_mut(tasks.iter_mut().map(Some), idx.iter().map(|&i| pair_at(i)));
+                    for ((&i, svd), mut cols) in idx.iter().zip(svds).zip(cols) {
+                        svd.rotated_block_into(&mut cols);
+                        rotations[i] = Some(svd.v);
+                    }
+                    spare.extend(sub);
+                }
+                stats.sm_svd_blocks += sm.len() as u64;
+                stats.gm_svd_blocks += gm.len() as u64;
+
+                // Gram GEMM -> SM EVD; the `A_ij J_ij` products follow below.
+                let mut upd_in: Vec<Matrix> =
+                    gb.iter().map(|&i| std::mem::take(&mut blocks[i])).collect();
+                if !gb.is_empty() {
+                    let (grams, _) = batched_gram(gpu, &upd_in, self.strategy)?;
+                    let evd_cfg = EvdConfig {
+                        tol: 1e-15,
+                        max_sweeps: 30,
+                        variant: self.evd_variant,
+                    };
+                    let (evds, _) = batched_evd_sm(gpu, &grams, &evd_cfg, cfg.kernel_threads)?;
+                    stats.sm_evd_blocks += gb.len() as u64;
+                    for (&i, evd) in gb.iter().zip(evds) {
+                        rotations[i] = Some(evd.j);
+                    }
+                }
+
+                // Recursion to a deeper level, through the caller.
+                if !gc.is_empty() {
+                    let mut sub: Vec<Matrix> =
+                        gc.iter().map(|&i| std::mem::take(&mut blocks[i])).collect();
+                    let hooks = hooks.as_mut().expect("only a hooked level recurses");
+                    let sub_vs = (hooks.recurse)(&mut sub, stats)?;
+                    stats.recursed_blocks += gc.len() as u64;
+                    for ((&i, converged), v) in gc.iter().zip(sub).zip(sub_vs) {
+                        let r = refs[i];
+                        tasks[r.task].store_paired_col_blocks(r.bi, r.bj, &converged);
+                        spare.push(converged);
+                        rotations[i] = Some(v);
+                    }
+                }
+
+                // The update GEMMs. Each product lands straight in its task's
+                // or V's columns, and every rotation is borrowed, so one J
+                // serves both its block and its V pair. The multilevel route
+                // runs the Gram blocks' products and all V updates as one
+                // fused launch; the uniform routes launch the block products
+                // first, on their own.
+                let rotation = |i: usize| {
+                    rotations[i]
+                        .as_ref()
+                        .expect("rotation computed for every block")
+                };
+                let fused = self.route == Route::Multilevel;
+                if !fused && !gb.is_empty() {
+                    let js: Vec<&Matrix> = gb.iter().map(|&i| rotation(i)).collect();
+                    let outs =
+                        pair_cols_mut(tasks.iter_mut().map(Some), gb.iter().map(|&i| pair_at(i)));
+                    batched_update_into(gpu, &upd_in, &js, outs, self.strategy)?;
+                    spare.append(&mut upd_in);
+                }
+                // The V pairs are gathered only now, into blocks the kernels
+                // have finished with.
+                for &k in &v_refs {
+                    let r = refs[k];
+                    let v = vs[r.task].as_ref().expect("V pairs exist only for V tasks");
+                    v_pairs.push(v.paired_col_blocks_from(r.bi, r.bj, &mut spare));
+                }
+                let joined: &[usize] = if fused { &gb } else { &[] };
+                if !joined.is_empty() || !v_refs.is_empty() {
+                    let upd_js: Vec<&Matrix> =
+                        joined.iter().chain(&v_refs).map(|&i| rotation(i)).collect();
+                    let mut outs = pair_cols_mut(
+                        tasks.iter_mut().map(Some),
+                        joined.iter().map(|&i| pair_at(i)),
+                    );
+                    outs.extend(pair_cols_mut(
+                        vs.iter_mut().map(Option::as_mut),
+                        v_refs.iter().map(|&i| pair_at(i)),
+                    ));
+                    upd_in.append(&mut v_pairs);
+                    batched_update_into(gpu, &upd_in, &upd_js, outs, self.strategy)?;
+                    for (&i, block) in joined.iter().zip(upd_in.drain(..joined.len())) {
+                        blocks[i] = block;
+                    }
+                    spare.append(&mut upd_in);
+                }
+                // The gathered blocks become the next step's spares (those
+                // the kernels took are there already).
+                spare.extend(blocks.drain(..).filter(|b| !b.is_empty()));
+            }
+
+            // Schedule-independent convergence test at the sweep boundary (in
+            // a real kernel this reduction falls out of the inner products
+            // the sweep already computed; it is not charged to the cost
+            // model).
+            let mut coherence = 0.0f64;
+            for t in 0..tasks.len() {
+                if active[t] {
+                    sweeps[t] += 1;
+                    if measure_coherence {
+                        coherence = coherence.max(max_column_coherence(&tasks[t]));
+                    }
+                    if columns_converged(&tasks[t], cfg.tol) {
+                        active[t] = false; // converged: exits the workflow
+                    }
+                }
+            }
+            if let Some(hooks) = hooks.as_mut() {
+                let rec = SweepRecord {
+                    level: self.level as u64,
+                    sweep: (round + 1) as u64,
+                    off_norm: coherence,
+                    active: active.iter().filter(|&&a| a).count() as u64,
+                };
+                (hooks.sweep_done)(stats, rec, sweep_blocks);
+            }
+        }
+        Ok(sweeps)
+    }
+}
+
+/// Dynamic ordering (ref. \[12\]): orders all block pairs of one sweep by
+/// descending normalized cross-Gram weight, then packs them greedily into
+/// steps of disjoint pairs — the heaviest couplings are attacked first.
+/// (The weights fall out of the Gram products a real sweep computes anyway,
+/// so no extra cost is charged to the model.)
+fn dynamic_schedule(task: &Matrix, parts: &[(usize, usize)]) -> Vec<Vec<(usize, usize)>> {
+    let b = parts.len();
+    if b < 2 {
+        return Vec::new();
+    }
+    // Per-block Frobenius norms.
+    let norms: Vec<f64> = parts
+        .iter()
+        .map(|&(start, width)| {
+            let mut s = 0.0;
+            for c in start..start + width {
+                s += dot(task.col(c), task.col(c));
+            }
+            s.sqrt().max(f64::MIN_POSITIVE)
+        })
+        .collect();
+    // Pair weights: ||A_i^T A_j||_F normalized.
+    let mut weighted: Vec<(f64, usize, usize)> = Vec::with_capacity(b * (b - 1) / 2);
+    for j in 0..b {
+        for i in 0..j {
+            let (si, wi) = parts[i];
+            let (sj, wj) = parts[j];
+            let mut s = 0.0;
+            for ci in si..si + wi {
+                for cj in sj..sj + wj {
+                    let d = dot(task.col(ci), task.col(cj));
+                    s += d * d;
+                }
+            }
+            weighted.push((s.sqrt() / (norms[i] * norms[j]), i, j));
+        }
+    }
+    weighted.sort_by(|a, b| b.0.total_cmp(&a.0));
+    // Greedy packing into steps of disjoint pairs.
+    let mut steps: Vec<Vec<(usize, usize)>> = Vec::new();
+    let mut used: Vec<Vec<bool>> = Vec::new();
+    for (_, i, j) in weighted {
+        let slot = used.iter().position(|u| !u[i] && !u[j]);
+        match slot {
+            Some(k) => {
+                steps[k].push((i, j));
+                used[k][i] = true;
+                used[k][j] = true;
+            }
+            None => {
+                let mut u = vec![false; b];
+                u[i] = true;
+                u[j] = true;
+                used.push(u);
+                steps.push(vec![(i, j)]);
+            }
+        }
+    }
+    steps
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wsvd_linalg::generate::random_uniform;
+    use wsvd_linalg::matrix::partition_cols;
+
+    #[test]
+    fn dynamic_schedule_covers_all_pairs_disjointly() {
+        let a = random_uniform(30, 24, 43);
+        let parts = partition_cols(24, 6);
+        let sched = dynamic_schedule(&a, &parts);
+        let mut seen = std::collections::HashSet::new();
+        for step in &sched {
+            let mut used = std::collections::HashSet::new();
+            for &(i, j) in step {
+                assert!(i < j);
+                assert!(seen.insert((i, j)), "pair repeated");
+                assert!(used.insert(i) && used.insert(j), "index reused in step");
+            }
+        }
+        assert_eq!(seen.len(), 4 * 3 / 2);
+    }
+}

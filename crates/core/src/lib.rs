@@ -29,6 +29,7 @@
 pub mod certify;
 pub mod checkpoint;
 pub mod config;
+pub mod level;
 pub mod stats;
 pub mod verify;
 pub mod wcycle;
@@ -43,6 +44,7 @@ pub use checkpoint::{
     CHECKPOINT_VERSION,
 };
 pub use config::{AlphaSelect, Tuning, WCycleConfig};
+pub use level::{Hooks, Level, Rotation, Route};
 pub use stats::{SweepRecord, WCycleStats};
 pub use verify::{effective_width, verify_level, LevelCheck};
-pub use wcycle::{wcycle_svd, WCycleOutput, WSvd};
+pub use wcycle::{check_finite, extract_u_sigma, wcycle_svd, WCycleOutput, WSvd};

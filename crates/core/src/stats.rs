@@ -27,6 +27,9 @@ pub struct WCycleStats {
     pub level0_sm_svds: usize,
     /// Pair blocks resolved by the SM SVD kernel (Algorithm 2, line 9).
     pub sm_svd_blocks: u64,
+    /// Pair blocks resolved by the global-memory SVD kernel (the uniform
+    /// direct route only; Algorithm 2 recurses instead).
+    pub gm_svd_blocks: u64,
     /// Pair blocks resolved by Gram + SM EVD (line 11).
     pub sm_evd_blocks: u64,
     /// Pair blocks that recursed to a deeper level (line 14).

@@ -19,9 +19,11 @@
 use wsvd_batched::gemm::{gemm_smem_requirement, GEMM_SMEM_BYTES};
 use wsvd_batched::models::TailorPlan;
 use wsvd_gpu_sim::SmemRequirement;
-use wsvd_jacobi::fits::{evd_fits_in_sm, evd_smem_elems, svd_fits_in_sm, svd_smem_elems};
+use wsvd_jacobi::fits::{evd_smem_elems, svd_smem_elems};
 use wsvd_jacobi::ordering::Ordering;
 use wsvd_jacobi::verify::{verify_ordering, ScheduleProof};
+
+use crate::level::{Rotation, Route};
 
 /// Everything a level check proved.
 #[derive(Debug)]
@@ -43,7 +45,7 @@ pub struct LevelCheck {
 /// not merely wrap the recursion.
 pub fn effective_width(m: usize, n: usize, plan_w: usize, smem_bytes: usize) -> usize {
     let mut w = plan_w.min(n / 2).max(1);
-    if 2 * w >= n && !svd_fits_in_sm(m, n, smem_bytes) && !evd_fits_in_sm(n, smem_bytes) {
+    if 2 * w >= n && Route::Multilevel.classify(m, n, smem_bytes) == Rotation::Recurse {
         w = (n / 4).max(1);
     }
     w
@@ -96,19 +98,22 @@ pub fn verify_level(
         pair_widths.sort_unstable();
         pair_widths.dedup();
         for nn in pair_widths {
-            if svd_fits_in_sm(m, nn, smem_bytes) {
-                push_req(
+            match Route::Multilevel.classify(m, nn, smem_bytes) {
+                Rotation::SmSvd => push_req(
                     &mut requirements,
                     SmemRequirement::from_elems(format!("sm-svd {m}x{nn}"), svd_smem_elems(m, nn)),
-                );
-            } else if evd_fits_in_sm(nn, smem_bytes) {
-                gemm_needed = true;
-                push_req(
-                    &mut requirements,
-                    SmemRequirement::from_elems(format!("sm-evd {nn}x{nn}"), evd_smem_elems(nn)),
-                );
-            } else {
-                recursing += 1;
+                ),
+                Rotation::GramEvd => {
+                    gemm_needed = true;
+                    push_req(
+                        &mut requirements,
+                        SmemRequirement::from_elems(
+                            format!("sm-evd {nn}x{nn}"),
+                            evd_smem_elems(nn),
+                        ),
+                    );
+                }
+                _ => recursing += 1,
             }
         }
     }
@@ -135,6 +140,7 @@ pub fn verify_level(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wsvd_jacobi::fits::{evd_fits_in_sm, svd_fits_in_sm};
 
     const SM48K: usize = 48 * 1024;
 

@@ -17,22 +17,22 @@
 //!   converged matrix exits the workflow.
 
 use wsvd_batched::autotune::{auto_tune_with_w_cap_traced, TuneTelemetry};
-use wsvd_batched::gemm::{batched_gram, batched_update_into, GemmStrategy};
+use wsvd_batched::gemm::GemmStrategy;
 use wsvd_batched::models::TailorPlan;
 use wsvd_gpu_sim::{Gpu, KernelConfig, KernelError};
-use wsvd_jacobi::batch::{batched_evd_sm, batched_svd_sm};
-use wsvd_jacobi::evd::EvdConfig;
-use wsvd_jacobi::fits::{evd_fits_in_sm, svd_fits_in_sm};
+use wsvd_jacobi::batch::batched_svd_sm;
+use wsvd_jacobi::evd::EvdVariant;
+use wsvd_jacobi::fits::svd_fits_in_sm;
 use wsvd_jacobi::onesided::{JacobiSvd, OneSidedConfig};
 use wsvd_linalg::gemm::{dot, matmul};
-use wsvd_linalg::matrix::{pair_cols_mut, partition_cols};
-use wsvd_linalg::verify::{columns_converged, max_column_coherence, orthonormality_error};
+use wsvd_linalg::matrix::partition_cols;
+use wsvd_linalg::verify::orthonormality_error;
 use wsvd_linalg::Matrix;
 
 use crate::config::{AlphaSelect, Tuning, WCycleConfig};
+use crate::level::{self, Hooks, Level, Rotation, Route};
 use crate::stats::{SweepRecord, WCycleStats};
 use crate::verify::{effective_width, verify_level};
-use wsvd_jacobi::verify::{verify_schedule, Coverage};
 
 /// Fixed bounds for the per-matrix `sweeps_to_converge` metrics histogram.
 /// Powers of two up to the practical sweep ceiling keep snapshots comparable
@@ -53,6 +53,64 @@ pub struct WSvd {
     pub sweeps: usize,
 }
 
+impl WSvd {
+    /// The factorization of one task the level engine orthogonalized
+    /// (`columns = UΣ`): `u` and `sigma` as [`extract_u_sigma`] sorted them,
+    /// and the task's accumulated V, permuted here into σ order.
+    pub fn from_level(
+        task: &Matrix,
+        u: Matrix,
+        sigma: Vec<f64>,
+        v: Option<Matrix>,
+        transposed: bool,
+        want_v: bool,
+        sweeps: usize,
+    ) -> WSvd {
+        let v = v.map(|v| permute_cols(&v, &sigma_order(task)));
+        WSvd::oriented(u, sigma, v, transposed, want_v, sweeps)
+    }
+
+    /// The factors of a decomposed task. The task of a wide input is its
+    /// transpose, `A^T = U_t Σ V_t^T`, so `A = V_t Σ U_t^T`: they swap back.
+    fn oriented(
+        u: Matrix,
+        sigma: Vec<f64>,
+        v: Option<Matrix>,
+        transposed: bool,
+        want_v: bool,
+        sweeps: usize,
+    ) -> WSvd {
+        if transposed {
+            let v_t = v.expect("wide inputs always accumulate V");
+            WSvd {
+                u: thin(&v_t, sigma.len()),
+                sigma,
+                v: want_v.then_some(u),
+                sweeps,
+            }
+        } else {
+            WSvd {
+                u,
+                sigma,
+                v: v.filter(|_| want_v),
+                sweeps,
+            }
+        }
+    }
+}
+
+/// Rejects a batch holding a NaN or infinite entry, naming the first such
+/// matrix: the rotations would spread it through every factor. Every
+/// engine's entry runs this one check.
+pub fn check_finite(mats: &[Matrix]) -> Result<(), KernelError> {
+    match mats.iter().position(|a| !a.is_finite()) {
+        Some(k) => Err(KernelError::Other(format!(
+            "matrix {k} contains non-finite entries; its factors would be NaN"
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Batched result: one [`WSvd`] per input plus the run statistics.
 #[derive(Debug)]
 pub struct WCycleOutput {
@@ -68,13 +126,7 @@ pub fn wcycle_svd(
     mats: &[Matrix],
     cfg: &WCycleConfig,
 ) -> Result<WCycleOutput, KernelError> {
-    for (k, a) in mats.iter().enumerate() {
-        if !a.is_finite() {
-            return Err(KernelError::Other(format!(
-                "matrix {k} contains non-finite entries; Jacobi rotations would poison the batch"
-            )));
-        }
-    }
+    check_finite(mats)?;
     let smem = gpu.device().smem_per_block_bytes;
     let traced = gpu.trace().is_enabled();
     let watched = gpu.health().is_enabled();
@@ -162,49 +214,14 @@ pub fn wcycle_svd(
         stats.level0_sm_svds = svds.len();
         // Level-0 registry metrics mirror the per-level hook in
         // `decompose_level`: whole-in-SM decompositions are "level 0".
-        let metrics = gpu.metrics();
-        if metrics.is_enabled() {
-            metrics.counter_add(
-                "wcycle",
-                Some(0),
-                "level_seconds",
-                gpu.elapsed_seconds() - t_pre,
-            );
-            metrics.counter_add("wcycle", Some(0), "tasks", svds.len() as f64);
-            metrics.counter_add(
-                "wcycle",
-                Some(0),
-                "sweeps",
-                svds.iter().map(|o| o.stats.sweeps).max().unwrap_or(0) as f64,
-            );
-            for o in &svds {
-                metrics.observe(
-                    "wcycle",
-                    Some(0),
-                    "sweeps_to_converge",
-                    &SWEEP_BUCKETS,
-                    o.stats.sweeps as f64,
-                );
-            }
-        }
-        let recover: Vec<(usize, Matrix, Matrix)> = fit_idx
-            .iter()
-            .enumerate()
-            .filter_map(|(pos, &k)| {
-                prepared[k]
-                    .2
-                    .as_ref()
-                    .map(|q| (pos, q.clone(), svds[pos].u.clone()))
-            })
-            .collect();
-        if !recover.is_empty() {
-            let products = batched_counted_recover(gpu, &recover)?;
-            for ((pos, _, _), u) in recover.iter().zip(products) {
-                svds[*pos].u = u;
-            }
-        }
+        level_metrics(gpu, 0, t_pre, svds.iter().map(|o| o.stats.sweeps));
+        recover_qr_u(gpu, &fit_idx, &prepared, svds.iter_mut().map(|s| &mut s.u))?;
         for (&k, svd) in fit_idx.iter().zip(svds) {
-            slots[k] = Some(finish_one(svd, prepared[k].1, cfg.want_v));
+            let (transposed, sweeps) = (prepared[k].1, svd.stats.sweeps);
+            let v = Some(svd.v);
+            slots[k] = Some(WSvd::oriented(
+                svd.u, svd.sigma, v, transposed, cfg.want_v, sweeps,
+            ));
         }
     }
 
@@ -220,7 +237,7 @@ pub fn wcycle_svd(
 
         // Final extraction kernel: U = normalize(columns), Σ = column norms.
         let kc = KernelConfig::new(tasks.len(), cfg.kernel_threads, 0, "wcycle_extract");
-        let extracted = {
+        let mut extracted = {
             let tasks_ref = &tasks;
             gpu.launch_collect(kc, |b, ctx| {
                 let t = &tasks_ref[b];
@@ -231,53 +248,25 @@ pub fn wcycle_svd(
             })?
             .0
         };
-        let mut extracted = extracted;
-        let recover: Vec<(usize, Matrix, Matrix)> = rest_idx
-            .iter()
-            .enumerate()
-            .filter_map(|(pos, &k)| {
-                prepared[k]
-                    .2
-                    .as_ref()
-                    .map(|q| (pos, q.clone(), extracted[pos].0.clone()))
-            })
-            .collect();
-        if !recover.is_empty() {
-            let products = batched_counted_recover(gpu, &recover)?;
-            for ((pos, _, _), u) in recover.iter().zip(products) {
-                extracted[*pos].0 = u;
-            }
-        }
+        recover_qr_u(
+            gpu,
+            &rest_idx,
+            &prepared,
+            extracted.iter_mut().map(|e| &mut e.0),
+        )?;
         for (slot, ((&k, (u, sigma)), outcome)) in
             rest_idx.iter().zip(extracted).zip(outcomes).enumerate()
         {
-            let transposed = prepared[k].1;
-            let mut v = outcome
-                .v
-                .map(|v| permute_cols(&v, &sigma_order(&tasks[slot])));
-            // `u`/`sigma` are already sorted by `extract_u_sigma`.
-            let sweeps = outcome.sweeps;
-            stats.sweeps_per_matrix[k] = sweeps;
-            let result = if transposed {
-                // A = V_t Σ U_t^T: swap the factors.
-                let v_t = v.take().expect("wide inputs always accumulate V");
-                let r = sigma.len();
-                let v_out = if cfg.want_v { Some(u) } else { None };
-                WSvd {
-                    u: thin(&v_t, r),
-                    sigma,
-                    v: v_out,
-                    sweeps,
-                }
-            } else {
-                WSvd {
-                    u,
-                    sigma,
-                    v: if cfg.want_v { v } else { None },
-                    sweeps,
-                }
-            };
-            slots[k] = Some(result);
+            stats.sweeps_per_matrix[k] = outcome.sweeps;
+            slots[k] = Some(WSvd::from_level(
+                &tasks[slot],
+                u,
+                sigma,
+                outcome.v,
+                prepared[k].1,
+                cfg.want_v,
+                outcome.sweeps,
+            ));
         }
     }
 
@@ -457,17 +446,9 @@ struct LevelOutcome {
     sweeps: usize,
 }
 
-/// One pair block gathered for rotation: its task and the `(start, width)`
-/// column blocks `A_i`, `A_j` it pairs.
-#[derive(Clone, Copy)]
-struct PairRef {
-    task: usize,
-    bi: (usize, usize),
-    bj: (usize, usize),
-}
-
 /// Orthogonalizes every task's columns via block rotations at `level`,
-/// recursing for pair blocks that fit neither SM kernel.
+/// recursing for pair blocks that fit neither SM kernel: the level engine
+/// on the multilevel route, wrapped in what only the W-cycle does.
 fn decompose_level(
     gpu: &Gpu,
     tasks: &mut [Matrix],
@@ -482,14 +463,7 @@ fn decompose_level(
     // the driver's launch overhead is paid once per level, not per kernel.
     // Recursive levels open nested scopes that join the enclosing graph.
     let _graph = cfg.fused.then(|| gpu.launch_graph("wcycle level"));
-    // Inner rotation generators must run tighter than the outer convergence
-    // test, or the level's coherence plateaus just above `tol` (each pair
-    // block would retain up-to-`tol` residual coherence internally). The
-    // override exists precisely to break this invariant on purpose — see
-    // `WCycleConfig::inner_tol_override`.
-    let inner_tol = cfg
-        .inner_tol_override
-        .unwrap_or((cfg.tol * 1e-2).max(1e-15));
+    let inner_tol = level::inner_tol(cfg);
     let sizes: Vec<(usize, usize)> = tasks.iter().map(|t| t.shape()).collect();
     let plan = resolve_plan(gpu, cfg, level, &sizes, w_cap);
     stats.note_width(level, plan.w);
@@ -585,236 +559,42 @@ fn decompose_level(
         .zip(&sizes)
         .map(|(&nv, &(_, n))| nv.then(|| Matrix::identity(n)))
         .collect();
-    let mut sweeps = vec![0usize; tasks.len()];
-    let mut active: Vec<bool> = tasks.iter().map(|t| t.cols() >= 2).collect();
-    // Kept across steps: the step's pair references, pair blocks and V
-    // pairs, and the spare matrices their gathers reuse instead of
-    // allocating afresh.
-    let mut refs: Vec<PairRef> = Vec::new();
-    let mut blocks: Vec<Matrix> = Vec::new();
-    let mut v_refs: Vec<usize> = Vec::new();
-    let mut v_pairs: Vec<Matrix> = Vec::new();
-    let mut spare: Vec<Matrix> = Vec::new();
-
-    for round in 0..cfg.max_sweeps {
-        if !active.iter().any(|&a| a) {
-            break;
-        }
-        let mut sweep_rotations = 0u64;
-        let (mut sweep_ga, mut sweep_gb, mut sweep_gc) = (0u64, 0u64, 0u64);
-        let schedules: Vec<_> = parts
-            .iter()
-            .zip(&active)
-            .enumerate()
-            .map(|(t, (p, &a))| {
-                if !a {
-                    Vec::new()
-                } else if cfg.dynamic_ordering {
-                    dynamic_schedule(&tasks[t], p)
-                } else {
-                    cfg.ordering.schedule(p.len())
-                }
-            })
-            .collect();
-        if (sanitizing || certified) && cfg.dynamic_ordering {
-            // Dynamically generated sweeps carry no static proof (and no
-            // certificate — the schedule is data-dependent); check each
-            // one before its rotations launch.
-            for (t, sched) in schedules.iter().enumerate() {
-                if sched.is_empty() {
-                    continue;
-                }
-                verify_schedule(sched, parts[t].len(), Coverage::ExactlyOnce).map_err(|e| {
-                    KernelError::Other(format!(
-                        "wsvd-sanitizer: dynamic schedule invalid at level {level}, \
-                         sweep {round}, task {t}: {e}"
-                    ))
-                })?;
-            }
-        }
-        let max_steps = schedules.iter().map(|s| s.len()).max().unwrap_or(0);
-
-        for step in 0..max_steps {
-            // Gather this step's pair blocks across the whole batch.
-            refs.clear();
-            v_refs.clear();
-            for (t, sched) in schedules.iter().enumerate() {
-                if !active[t] || step >= sched.len() {
-                    continue;
-                }
-                for &(i, j) in &sched[step] {
-                    let (bi, bj) = (parts[t][i], parts[t][j]);
-                    blocks.push(tasks[t].paired_col_blocks_from(bi, bj, &mut spare));
-                    if vs[t].is_some() {
-                        v_refs.push(refs.len());
-                    }
-                    refs.push(PairRef { task: t, bi, bj });
-                }
-            }
-            // Spares the gathers did not need are freed now, so no kernel
-            // runs beside unused buffers.
-            spare.clear();
-            if blocks.is_empty() {
-                continue;
-            }
-            stats.add_rotations(level, blocks.len() as u64);
-            sweep_rotations += blocks.len() as u64;
-            let pair_at = |i: usize| (refs[i].task, refs[i].bi, refs[i].bj);
-
-            // Classify into the three groups of Algorithm 2.
-            let mut ga: Vec<usize> = Vec::new();
-            let mut gb: Vec<usize> = Vec::new();
-            let mut gc: Vec<usize> = Vec::new();
-            for (idx, b) in blocks.iter().enumerate() {
-                let (m, nn) = b.shape();
-                if svd_fits_in_sm(m, nn, smem) {
-                    ga.push(idx);
-                } else if evd_fits_in_sm(nn, smem) {
-                    gb.push(idx);
-                } else {
-                    gc.push(idx);
-                }
-            }
-            sweep_ga += ga.len() as u64;
-            sweep_gb += gb.len() as u64;
-            sweep_gc += gc.len() as u64;
-
-            let mut rotations: Vec<Option<Matrix>> = (0..blocks.len()).map(|_| None).collect();
-
-            // Group (i): direct SM SVD — avoids the Gram GEMM (Obs. 1) and
-            // the update GEMM (the kernel's converged columns are A_ij J,
-            // written straight into the task).
-            if !ga.is_empty() {
-                let sub: Vec<Matrix> = ga.iter().map(|&i| std::mem::take(&mut blocks[i])).collect();
-                let m_star = sub.iter().map(|s| s.rows()).max().unwrap();
-                let one_sided = OneSidedConfig {
-                    tol: inner_tol,
-                    threads_per_pair: cfg.alpha.resolve(m_star),
-                    cache_norms: cfg.cache_norms,
-                    accumulate_v: true,
-                    ordering: cfg.ordering,
-                    ..Default::default()
-                };
-                let (svds, _) = batched_svd_sm(gpu, &sub, &one_sided, cfg.kernel_threads)?;
-                stats.sm_svd_blocks += ga.len() as u64;
-                let cols =
-                    pair_cols_mut(tasks.iter_mut().map(Some), ga.iter().map(|&i| pair_at(i)));
-                for ((&i, svd), mut cols) in ga.iter().zip(svds).zip(cols) {
-                    svd.rotated_block_into(&mut cols);
-                    rotations[i] = Some(svd.v);
-                }
-                spare.extend(sub);
-            }
-
-            // Group (ii): Gram GEMM -> SM EVD. The `A_ij J_ij` update joins
-            // the fused batched-update launch below.
-            let mut upd_in: Vec<Matrix> =
-                gb.iter().map(|&i| std::mem::take(&mut blocks[i])).collect();
-            if !gb.is_empty() {
-                let (grams, _) = batched_gram(gpu, &upd_in, strategy)?;
-                let evd_cfg = EvdConfig {
-                    tol: 1e-15,
-                    max_sweeps: 30,
-                    ..Default::default()
-                };
-                let (evds, _) = batched_evd_sm(gpu, &grams, &evd_cfg, cfg.kernel_threads)?;
-                stats.sm_evd_blocks += gb.len() as u64;
-                for (&i, evd) in gb.iter().zip(evds) {
-                    rotations[i] = Some(evd.j);
-                }
-            }
-
-            // Group (iii): recurse with a smaller width (Level h+1).
-            if !gc.is_empty() {
-                let mut sub: Vec<Matrix> =
-                    gc.iter().map(|&i| std::mem::take(&mut blocks[i])).collect();
-                let all_v = vec![true; sub.len()];
-                let next_cap = plan.w.saturating_sub(1).max(1);
-                let sub_cfg = WCycleConfig {
-                    tol: inner_tol,
-                    ..cfg.clone()
-                };
-                let outcomes =
-                    decompose_level(gpu, &mut sub, &all_v, level + 1, next_cap, &sub_cfg, stats)?;
-                stats.recursed_blocks += gc.len() as u64;
-                for ((&i, converged), outcome) in gc.iter().zip(sub).zip(outcomes) {
-                    let r = refs[i];
-                    tasks[r.task].store_paired_col_blocks(r.bi, r.bj, &converged);
-                    spare.push(converged);
-                    rotations[i] = Some(outcome.v.expect("recursion always accumulates V"));
-                }
-            }
-
-            // One fused batched-update launch: the group-(ii) `A_ij J_ij`
-            // products and all V-accumulator updates (groups (i)/(iii) left
-            // their blocks already rotated, so only their V parts join).
-            // Each product lands straight in its task's or V's columns, and
-            // every rotation is borrowed, so one J serves both its block and
-            // its V pair. The V pairs are gathered only now, into the
-            // group-(i)/(iii) blocks the kernels have finished with.
-            for &k in &v_refs {
-                let r = refs[k];
-                let v = vs[r.task].as_ref().expect("V pairs exist only for V tasks");
-                v_pairs.push(v.paired_col_blocks_from(r.bi, r.bj, &mut spare));
-            }
-            if !gb.is_empty() || !v_refs.is_empty() {
-                let upd_js: Vec<&Matrix> = gb
-                    .iter()
-                    .chain(&v_refs)
-                    .map(|&i| {
-                        rotations[i]
-                            .as_ref()
-                            .expect("rotation computed for every block")
-                    })
-                    .collect();
-                let mut outs =
-                    pair_cols_mut(tasks.iter_mut().map(Some), gb.iter().map(|&i| pair_at(i)));
-                outs.extend(pair_cols_mut(
-                    vs.iter_mut().map(Option::as_mut),
-                    v_refs.iter().map(|&i| pair_at(i)),
-                ));
-                upd_in.append(&mut v_pairs);
-                batched_update_into(gpu, &upd_in, &upd_js, outs, strategy)?;
-                for (&i, block) in gb.iter().zip(upd_in.drain(..gb.len())) {
-                    blocks[i] = block;
-                }
-                spare.append(&mut upd_in);
-            }
-            // The gathered blocks become the next step's spares (group
-            // (i)/(iii) blocks are there already).
-            spare.extend(blocks.drain(..).filter(|b| !b.is_empty()));
-        }
-
-        // Schedule-independent convergence test at the sweep boundary (in a
-        // real kernel this reduction falls out of the inner products the
-        // sweep already computed; it is not charged to the cost model).
-        let mut coherence = 0.0f64;
-        for t in 0..tasks.len() {
-            if active[t] {
-                sweeps[t] += 1;
-                if traced || watched || cfg.record_convergence {
-                    coherence = coherence.max(max_column_coherence(&tasks[t]));
-                }
-                if columns_converged(&tasks[t], cfg.tol) {
-                    active[t] = false; // converged: exits the workflow
-                }
-            }
-        }
-        let still_active = active.iter().filter(|&&a| a).count();
-        let rec = SweepRecord {
-            level: level as u64,
-            sweep: (round + 1) as u64,
-            off_norm: coherence,
-            active: still_active as u64,
-        };
+    // Group (iii): recurse with a smaller width (Level h+1).
+    let sub_cfg = WCycleConfig {
+        tol: inner_tol,
+        ..cfg.clone()
+    };
+    let next_cap = plan.w.saturating_sub(1).max(1);
+    let mut recurse = |blocks: &mut [Matrix], stats: &mut WCycleStats| {
+        let all_v = vec![true; blocks.len()];
+        let outcomes = decompose_level(gpu, blocks, &all_v, level + 1, next_cap, &sub_cfg, stats)?;
+        Ok(outcomes
+            .into_iter()
+            .map(|o| o.v.expect("recursion always accumulates V"))
+            .collect())
+    };
+    let mut sweep_done = |stats: &mut WCycleStats, rec, blocks: [u64; 4]| {
         let detail = SweepDetail::Blocks {
-            rotations: sweep_rotations,
-            ga: sweep_ga,
-            gb: sweep_gb,
-            gc: sweep_gc,
+            rotations: blocks.iter().sum(),
+            ga: blocks[Rotation::SmSvd as usize],
+            gb: blocks[Rotation::GramEvd as usize],
+            gc: blocks[Rotation::Recurse as usize],
         };
         emit_sweep(gpu, cfg, stats, rec, gpu.elapsed_seconds(), detail);
-    }
+    };
+    let engine = Level {
+        level,
+        route: Route::Multilevel,
+        parts: &parts,
+        strategy,
+        evd_variant: EvdVariant::Parallel,
+        cfg,
+    };
+    let hooks = Hooks {
+        recurse: &mut recurse,
+        sweep_done: &mut sweep_done,
+    };
+    let sweeps = engine.run(gpu, tasks, &mut vs, stats, Some(hooks))?;
 
     if traced {
         let now = gpu.elapsed_seconds();
@@ -841,26 +621,9 @@ fn decompose_level(
     // chosen plan, keyed by W-cycle level. All values are already computed
     // by the algorithm (or are host-side reads of simulated time), so with
     // the sink disabled nothing here runs and the run stays bit-identical.
+    level_metrics(gpu, level, level_t0, sweeps.iter().copied());
     let metrics = gpu.metrics();
     if metrics.is_enabled() {
-        let now = gpu.elapsed_seconds();
-        metrics.counter_add("wcycle", Some(level), "level_seconds", now - level_t0);
-        metrics.counter_add("wcycle", Some(level), "tasks", tasks.len() as f64);
-        metrics.counter_add(
-            "wcycle",
-            Some(level),
-            "sweeps",
-            sweeps.iter().copied().max().unwrap_or(0) as f64,
-        );
-        for &s in &sweeps {
-            metrics.observe(
-                "wcycle",
-                Some(level),
-                "sweeps_to_converge",
-                &SWEEP_BUCKETS,
-                s as f64,
-            );
-        }
         metrics.gauge_set("wcycle", Some(level), "plan_w", plan.w as f64);
         metrics.gauge_set("wcycle", Some(level), "plan_delta", plan.delta as f64);
         metrics.gauge_set("wcycle", Some(level), "plan_threads", plan.threads as f64);
@@ -916,83 +679,67 @@ fn batched_counted_qr(gpu: &Gpu, inputs: &[Matrix]) -> Result<Vec<(Matrix, Matri
     Ok(factors)
 }
 
-/// Batched `Q * U_R` recovery GEMMs with launch accounting.
-fn batched_counted_recover(
-    gpu: &Gpu,
-    items: &[(usize, Matrix, Matrix)],
-) -> Result<Vec<Matrix>, KernelError> {
-    let kc = KernelConfig::new(items.len(), 256, 16 * 1024, "wcycle_qr_recover");
-    let (products, _) = gpu.launch_collect(kc, |b, ctx| {
-        let (_, q, u) = &items[b];
-        let (m, k) = q.shape();
-        let r = u.cols();
-        ctx.count_gm_load(m * k + k * r);
-        ctx.par_step(m * r, 2 * k as u64);
-        ctx.count_gm_store(m * r);
-        Ok(wsvd_linalg::matmul(q, u))
-    })?;
-    Ok(products)
+/// The registry metrics every level records, keyed by W-cycle level: its
+/// simulated seconds since `t0`, its tasks and their sweep counts.
+fn level_metrics(gpu: &Gpu, level: usize, t0: f64, sweeps: impl Iterator<Item = usize> + Clone) {
+    let metrics = gpu.metrics();
+    if !metrics.is_enabled() {
+        return;
+    }
+    let seconds = gpu.elapsed_seconds() - t0;
+    metrics.counter_add("wcycle", Some(level), "level_seconds", seconds);
+    metrics.counter_add(
+        "wcycle",
+        Some(level),
+        "tasks",
+        sweeps.clone().count() as f64,
+    );
+    let max_sweeps = sweeps.clone().max().unwrap_or(0);
+    metrics.counter_add("wcycle", Some(level), "sweeps", max_sweeps as f64);
+    for s in sweeps {
+        metrics.observe(
+            "wcycle",
+            Some(level),
+            "sweeps_to_converge",
+            &SWEEP_BUCKETS,
+            s as f64,
+        );
+    }
 }
 
-/// Dynamic ordering (ref. \[12\]): orders all block pairs of one sweep by
-/// descending normalized cross-Gram weight, then packs them greedily into
-/// steps of disjoint pairs — the heaviest couplings are attacked first.
-/// (The weights fall out of the Gram products a real sweep computes anyway,
-/// so no extra cost is charged to the model.)
-fn dynamic_schedule(task: &Matrix, parts: &[(usize, usize)]) -> Vec<Vec<(usize, usize)>> {
-    let b = parts.len();
-    if b < 2 {
-        return Vec::new();
-    }
-    // Per-block Frobenius norms.
-    let norms: Vec<f64> = parts
+/// `U = Q U_R` for the QR-preconditioned inputs among `idx`, whose `U_R`
+/// are `us` in `idx` order: one batched recovery GEMM launch.
+fn recover_qr_u<'a>(
+    gpu: &Gpu,
+    idx: &[usize],
+    prepared: &[(Matrix, bool, Option<Matrix>)],
+    us: impl Iterator<Item = &'a mut Matrix>,
+) -> Result<(), KernelError> {
+    let mut items: Vec<(&Matrix, &mut Matrix)> = idx
         .iter()
-        .map(|&(start, width)| {
-            let mut s = 0.0;
-            for c in start..start + width {
-                s += dot(task.col(c), task.col(c));
-            }
-            s.sqrt().max(f64::MIN_POSITIVE)
-        })
+        .zip(us)
+        .filter_map(|(&k, u)| prepared[k].2.as_ref().map(|q| (q, u)))
         .collect();
-    // Pair weights: ||A_i^T A_j||_F normalized.
-    let mut weighted: Vec<(f64, usize, usize)> = Vec::with_capacity(b * (b - 1) / 2);
-    for j in 0..b {
-        for i in 0..j {
-            let (si, wi) = parts[i];
-            let (sj, wj) = parts[j];
-            let mut s = 0.0;
-            for ci in si..si + wi {
-                for cj in sj..sj + wj {
-                    let d = dot(task.col(ci), task.col(cj));
-                    s += d * d;
-                }
-            }
-            weighted.push((s.sqrt() / (norms[i] * norms[j]), i, j));
-        }
+    if items.is_empty() {
+        return Ok(());
     }
-    weighted.sort_by(|a, b| b.0.total_cmp(&a.0));
-    // Greedy packing into steps of disjoint pairs.
-    let mut steps: Vec<Vec<(usize, usize)>> = Vec::new();
-    let mut used: Vec<Vec<bool>> = Vec::new();
-    for (_, i, j) in weighted {
-        let slot = used.iter().position(|u| !u[i] && !u[j]);
-        match slot {
-            Some(k) => {
-                steps[k].push((i, j));
-                used[k][i] = true;
-                used[k][j] = true;
-            }
-            None => {
-                let mut u = vec![false; b];
-                u[i] = true;
-                u[j] = true;
-                used.push(u);
-                steps.push(vec![(i, j)]);
-            }
-        }
+    let kc = KernelConfig::new(items.len(), 256, 16 * 1024, "wcycle_qr_recover");
+    let (products, _) = {
+        let items = &items;
+        gpu.launch_collect(kc, |b, ctx| {
+            let (q, u) = &items[b];
+            let (m, k) = q.shape();
+            let r = u.cols();
+            ctx.count_gm_load(m * k + k * r);
+            ctx.par_step(m * r, 2 * k as u64);
+            ctx.count_gm_store(m * r);
+            Ok(wsvd_linalg::matmul(q, u))
+        })?
+    };
+    for ((_, u), product) in items.iter_mut().zip(products) {
+        **u = product;
     }
-    steps
+    Ok(())
 }
 
 fn resolve_plan(
@@ -1025,7 +772,7 @@ fn resolve_plan(
 }
 
 /// Sorted `(U, Σ)` extraction from a converged matrix (`columns = UΣ`).
-fn extract_u_sigma(conv: &Matrix) -> (Matrix, Vec<f64>) {
+pub fn extract_u_sigma(conv: &Matrix) -> (Matrix, Vec<f64>) {
     let (m, n) = conv.shape();
     let order = sigma_order(conv);
     let r = m.min(n);
@@ -1066,29 +813,6 @@ fn permute_cols(m: &Matrix, order: &[usize]) -> Matrix {
 
 fn thin(m: &Matrix, r: usize) -> Matrix {
     Matrix::from_fn(m.rows(), r.min(m.cols()), |i, j| m[(i, j)])
-}
-
-/// Converts a Level-0 kernel result into the output form, undoing the
-/// transpose when needed.
-fn finish_one(svd: JacobiSvd, transposed: bool, want_v: bool) -> WSvd {
-    let sweeps = svd.stats.sweeps;
-    if transposed {
-        // Decomposed A^T = U_t Σ V_t^T, so A = V_t Σ U_t^T.
-        let r = svd.sigma.len();
-        WSvd {
-            u: thin(&svd.v, r),
-            sigma: svd.sigma,
-            v: want_v.then_some(svd.u),
-            sweeps,
-        }
-    } else {
-        WSvd {
-            u: svd.u,
-            sigma: svd.sigma,
-            v: want_v.then_some(svd.v),
-            sweeps,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1388,23 +1112,6 @@ mod tests {
         }
         // Dynamic ordering must not need more sweeps than round-robin.
         assert!(dynamic_out.results[0].sweeps <= static_out.results[0].sweeps + 1);
-    }
-
-    #[test]
-    fn dynamic_schedule_covers_all_pairs_disjointly() {
-        let a = random_uniform(30, 24, 43);
-        let parts = partition_cols(24, 6);
-        let sched = dynamic_schedule(&a, &parts);
-        let mut seen = std::collections::HashSet::new();
-        for step in &sched {
-            let mut used = std::collections::HashSet::new();
-            for &(i, j) in step {
-                assert!(i < j);
-                assert!(seen.insert((i, j)), "pair repeated");
-                assert!(used.insert(i) && used.insert(j), "index reused in step");
-            }
-        }
-        assert_eq!(seen.len(), 4 * 3 / 2);
     }
 
     #[test]

@@ -3,12 +3,13 @@
 //! two-stage reference oracle on the same batch.
 
 use wcycle_svd::baselines::{
-    batched_dp_direct, batched_dp_gram, cusolver_batched_svd, magma_batched_svd,
+    batched_dp_direct, batched_dp_gram, block_jacobi_svd, cusolver_batched_svd, gesvdj,
+    gesvdj_batched, gesvdj_serial_batch, magma_batched_svd, magma_gesvd, BlockJacobiConfig,
 };
-use wcycle_svd::gpu::{Gpu, V100};
-use wcycle_svd::linalg::generate::random_batch;
-use wcycle_svd::linalg::singular_values;
-use wcycle_svd::{wcycle_svd, WCycleConfig};
+use wcycle_svd::gpu::{Gpu, KernelError, V100};
+use wcycle_svd::linalg::generate::{random_batch, random_uniform};
+use wcycle_svd::linalg::{matmul, singular_values};
+use wcycle_svd::{wcycle_svd, WCycleConfig, WSvd};
 
 fn assert_close(got: &[f64], want: &[f64], tol: f64, engine: &str) {
     assert_eq!(got.len(), want.len(), "{engine}: wrong count");
@@ -87,5 +88,73 @@ fn engines_handle_rectangular_batches() {
     }
     for (r, want) in magma_batched_svd(&gpu, &mats).unwrap().iter().zip(&refs) {
         assert_close(&r.sigma, want, 1e-10, "magma-rect");
+    }
+}
+
+#[test]
+fn every_entry_rejects_non_finite_input() {
+    fn rejected<T>(got: Result<T, KernelError>, k: usize, entry: &str) {
+        match got {
+            Ok(_) => panic!("{entry}: non-finite input returned Ok"),
+            Err(e) => assert!(
+                e.to_string()
+                    .contains(&format!("matrix {k} contains non-finite")),
+                "{entry}: {e}"
+            ),
+        }
+    }
+    let gpu = Gpu::new(V100);
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let poisoned = |n: usize| {
+            let mut a = random_uniform(n, n, 5);
+            a[(3, 7)] = bad;
+            a
+        };
+        // Batch entries name the poisoned matrix by its batch index.
+        let big = vec![random_uniform(64, 64, 4), poisoned(64)];
+        let small = vec![random_uniform(24, 24, 4), poisoned(24)];
+        rejected(batched_dp_direct(&gpu, &big), 1, "dp_direct");
+        rejected(batched_dp_gram(&gpu, &big), 1, "dp_gram");
+        let cfg = BlockJacobiConfig::default();
+        rejected(block_jacobi_svd(&gpu, &big, &cfg), 1, "block_jacobi");
+        rejected(gesvdj_batched(&gpu, &small), 1, "gesvdj_batched");
+        rejected(gesvdj_serial_batch(&gpu, &big), 1, "gesvdj_serial");
+        rejected(cusolver_batched_svd(&gpu, &big), 1, "cusolver");
+        rejected(magma_batched_svd(&gpu, &big), 1, "magma_batched");
+        rejected(
+            wcycle_svd(&gpu, &big, &WCycleConfig::default()),
+            1,
+            "wcycle",
+        );
+        rejected(gesvdj(&gpu, &big[1]), 0, "gesvdj");
+        rejected(magma_gesvd(&gpu, &big[1]), 0, "magma_gesvd");
+    }
+}
+
+#[test]
+fn wide_inputs_return_the_factors_of_a() {
+    let gpu = Gpu::new(V100);
+    let a = random_uniform(40, 72, 11);
+    let one = |r: Result<Vec<WSvd>, KernelError>| r.unwrap().pop().unwrap();
+    for (engine, r) in [
+        (
+            "dp_direct",
+            one(batched_dp_direct(&gpu, std::slice::from_ref(&a))),
+        ),
+        (
+            "dp_gram",
+            one(batched_dp_gram(&gpu, std::slice::from_ref(&a))),
+        ),
+        ("gesvdj", gesvdj(&gpu, &a).unwrap()),
+    ] {
+        assert_eq!(r.u.shape(), (40, 40), "{engine}: U");
+        let v = r.v.as_ref().expect("V is returned");
+        assert_eq!(v.shape(), (72, 40), "{engine}: V");
+        let mut us = r.u.clone();
+        for (j, &s) in r.sigma.iter().enumerate() {
+            us.col_mut(j).iter_mut().for_each(|x| *x *= s);
+        }
+        let residual = matmul(&us, &v.transpose()).sub(&a).fro_norm() / a.fro_norm();
+        assert!(residual < 1e-10, "{engine}: residual {residual}");
     }
 }
