@@ -123,12 +123,12 @@ pub fn block_jacobi_svd(
     let mut stats = WCycleStats::default();
     stats.sweeps_per_matrix = engine.run(gpu, &mut tasks, &mut vs, &mut stats, None)?;
     let results = tasks
-        .iter()
+        .into_iter()
         .zip(vs)
         .zip(mats.iter().zip(&stats.sweeps_per_matrix))
-        .map(|((task, v), (a, &sweeps))| {
-            let (u, sigma) = extract_u_sigma(task);
-            WSvd::from_level(task, u, sigma, v, a.rows() < a.cols(), true, sweeps)
+        .map(|((mut u, v), (a, &sweeps))| {
+            let (sigma, order) = extract_u_sigma(&mut u);
+            WSvd::from_level(u, sigma, &order, v, a.rows() < a.cols(), true, sweeps)
         })
         .collect();
     Ok(WCycleOutput { results, stats })

@@ -57,13 +57,19 @@ pub fn gesvdj_batched(gpu: &Gpu, mats: &[Matrix]) -> Result<Vec<WSvd>, KernelErr
     // Host-side convergence round-trip per sweep.
     let max_sweeps = svds.iter().map(|s| s.stats.sweeps).max().unwrap_or(0);
     gpu.add_host_seconds(6e-6 * max_sweeps as f64);
+    // The kernel completes a wide input's V to a square rotation; the
+    // factorization of A keeps its thin `n x r` leading columns.
     Ok(svds
         .into_iter()
-        .map(|s| WSvd {
-            u: s.u,
-            sigma: s.sigma,
-            v: Some(s.v),
-            sweeps: s.stats.sweeps,
+        .map(|s| {
+            let mut v = s.v;
+            v.truncate_cols(s.sigma.len());
+            WSvd {
+                u: s.u,
+                sigma: s.sigma,
+                v: Some(v),
+                sweeps: s.stats.sweeps,
+            }
         })
         .collect())
 }

@@ -20,7 +20,8 @@ use wsvd_gpu_sim::{
     BarrierDiscipline, Gpu, KernelConfig, KernelError, KernelResource, LaunchStats, ScheduleFamily,
     SmemRequirement,
 };
-use wsvd_linalg::gemm::{gram, gram_rows, matmul_rows};
+use wsvd_linalg::gemm::{gram_rows, matmul_rows};
+use wsvd_linalg::matrix::Columns;
 use wsvd_linalg::Matrix;
 
 use crate::models::TailorPlan;
@@ -193,11 +194,13 @@ fn check_assignment(
 
 /// Batched Gram products `B_k = A_k^T A_k`.
 ///
-/// Returns one `n_k x n_k` Gram matrix per input block plus the launch
-/// statistics (tailored mode performs two launches; stats are summed).
-pub fn batched_gram(
+/// Each block reads its `A_k` where it lives: a [`Matrix`], or a pair
+/// block's columns borrowed in place from its task. Returns one
+/// `n_k x n_k` Gram matrix per input block plus the launch statistics
+/// (tailored mode performs two launches; stats are summed).
+pub fn batched_gram<A: Columns + Sync>(
     gpu: &Gpu,
-    blocks: &[Matrix],
+    blocks: &[A],
     strategy: GemmStrategy,
 ) -> Result<(Vec<Matrix>, LaunchStats), KernelError> {
     match strategy {
@@ -209,13 +212,13 @@ pub fn batched_gram(
                 ctx.count_gm_load(m * n);
                 ctx.par_step(n * n, 2 * m as u64);
                 ctx.count_gm_store(n * n);
-                let g = gram(a);
+                let g = gram_rows(a, 0..m);
                 ctx.guard_finite(g.as_slice());
                 Ok(g)
             })
         }
         GemmStrategy::Tailored(plan) => {
-            let rows: Vec<usize> = blocks.iter().map(|b| b.rows()).collect();
+            let rows: Vec<usize> = blocks.iter().map(|b| b.shape().0).collect();
             let assignment = tailor_assignment(&rows, plan.delta);
             check_assignment(gpu, &rows, &assignment)?;
             // When δ >= every row count, each GEMM is exactly one segment:
@@ -228,7 +231,7 @@ pub fn batched_gram(
                 let mut out: Vec<(usize, Matrix)> = Vec::with_capacity(assignment[b].len());
                 for seg in &assignment[b] {
                     let a = &blocks[seg.gemm];
-                    let n = a.cols();
+                    let n = a.shape().1;
                     ctx.count_gm_load(seg.rows * n);
                     ctx.par_step(n * n, 2 * seg.rows as u64);
                     ctx.count_gm_store(n * n); // result (or partial) to GM
@@ -262,7 +265,7 @@ pub fn batched_gram(
             let kc2 = gemm_cfg(gpu, blocks.len(), plan.threads, "tailored_gram_reduce");
             let (grams, stats2) = gpu.launch_collect(kc2, |g, ctx| {
                 let parts = &per_gemm[g];
-                let n = blocks[g].cols();
+                let n = blocks[g].shape().1;
                 let mut acc = Matrix::zeros(n, n);
                 ctx.count_gm_load(parts.len() * n * n);
                 for p in parts {
@@ -287,72 +290,79 @@ pub fn batched_update<J: Borrow<Matrix> + Sync>(
     rotations: &[J],
     strategy: GemmStrategy,
 ) -> Result<LaunchStats, KernelError> {
-    let mut outs: Vec<Matrix> = blocks
-        .iter()
-        .zip(rotations)
-        .map(|(a, j)| Matrix::zeros(a.rows(), j.borrow().cols()))
-        .collect();
-    let cols = outs.iter_mut().map(Matrix::cols_mut).collect();
-    let stats = batched_update_into(gpu, blocks, rotations, cols, strategy)?;
-    blocks.swap_with_slice(&mut outs);
-    Ok(stats)
+    let cols = blocks.iter_mut().map(Matrix::cols_mut).collect();
+    batched_update_cols(gpu, cols, rotations, strategy)
 }
 
-/// Batched products `C_k = A_k J_k`, written into `outputs[k]`: the
-/// columns of `C_k`, each `A_k.rows()` long. They may be column slices of a
-/// larger matrix, so that a pair block's product lands straight in its
-/// task's columns.
+/// Batched right-updates `A_k <- A_k J_k` of blocks held as columns,
+/// written back into the same columns: `blocks[k]` holds the columns of
+/// `A_k`, which may be column slices of a larger matrix, so that a pair
+/// block `A_ij` (or its V pair) is rotated where it lives. `J_k` is square.
 ///
-/// An update has no reduction across segments: every output element is
-/// one ascending-`p` sum over a row of `A_k` and a column of `J_k`. So under
-/// [`GemmStrategy::Tailored`] each simulated block reads its segments' rows
-/// of `A_k` in place and writes them straight into the outputs, and still
+/// Each simulated block stages the rows it updates (its segments under
+/// [`GemmStrategy::Tailored`], the whole block otherwise) a plate at a time
+/// in one block-local buffer of at most [`GEMM_SMEM_BYTES`], the host copy
+/// of the kernel's shared-memory tile, reused across its plates and
+/// segments, and writes the product straight back over them. An update has
+/// no reduction across rows: every output element is one ascending-`p` sum
+/// over a row of `A_k` and a column of `J_k`, so the result is
+/// bit-identical to the product of the whole block, and each block still
 /// charges exactly its own segments' counters and guards its own values.
-pub fn batched_update_into<J: Borrow<Matrix> + Sync>(
+pub fn batched_update_cols<J: Borrow<Matrix> + Sync>(
     gpu: &Gpu,
-    blocks: &[Matrix],
+    mut blocks: Vec<Vec<&mut [f64]>>,
     rotations: &[J],
-    mut outputs: Vec<Vec<&mut [f64]>>,
     strategy: GemmStrategy,
 ) -> Result<LaunchStats, KernelError> {
     assert_eq!(blocks.len(), rotations.len());
-    assert_eq!(blocks.len(), outputs.len());
     match strategy {
         GemmStrategy::OneBlockPerGemm { threads } => {
             let kc = gemm_cfg(gpu, blocks.len(), threads, "batched_update");
-            gpu.launch_over(kc, &mut outputs, |b, c, ctx| {
-                let a = &blocks[b];
-                let (m, n) = a.shape();
-                let j = rotations[b].borrow();
-                assert_eq!(j.rows(), n);
+            gpu.launch_over(kc, &mut blocks, |b, a, ctx| {
+                let (m, n) = Columns::shape(a);
                 ctx.count_gm_load(m * n + n * n);
                 ctx.par_step(m * n, 2 * n as u64);
                 ctx.count_gm_store(m * n);
-                matmul_rows(a, 0..m, j, c);
-                ctx.guard_finite_parts(c.iter().map(|c| &**c));
+                update_staged(a, rotations[b].borrow(), &mut Matrix::default());
+                ctx.guard_finite_parts(a.iter().map(|c| &**c));
                 Ok(())
             })
         }
         GemmStrategy::Tailored(plan) => {
-            let rows: Vec<usize> = blocks.iter().map(|b| b.rows()).collect();
+            let rows: Vec<usize> = blocks.iter().map(|b| Columns::shape(b).0).collect();
             let assignment = tailor_assignment(&rows, plan.delta);
             check_assignment(gpu, &rows, &assignment)?;
             let kc = gemm_cfg(gpu, assignment.len(), plan.threads, "tailored_update");
-            let mut pieces = segment_pieces(&assignment, outputs);
+            let mut pieces = segment_pieces(&assignment, blocks);
             gpu.launch_over(kc, &mut pieces, |_, segs, ctx| {
-                for (seg, cols) in segs.iter_mut() {
-                    let a = &blocks[seg.gemm];
-                    let n = a.cols();
+                let mut stage = Matrix::default();
+                for (seg, a) in segs.iter_mut() {
+                    let n = a.len();
                     ctx.count_gm_load(seg.rows * n + n * n);
                     ctx.par_step(seg.rows * n, 2 * n as u64);
                     ctx.count_gm_store(seg.rows * n);
-                    let rows = seg.row_start..seg.row_start + seg.rows;
-                    matmul_rows(a, rows, rotations[seg.gemm].borrow(), cols);
-                    ctx.guard_finite_parts(cols.iter().map(|c| &**c));
+                    update_staged(a, rotations[seg.gemm].borrow(), &mut stage);
+                    ctx.guard_finite_parts(a.iter().map(|c| &**c));
                 }
                 Ok(())
             })
         }
+    }
+}
+
+/// `a <- a j` for the rows `a`'s columns hold, a plate of rows at a time:
+/// each plate is copied into `stage` (at most [`GEMM_SMEM_BYTES`], the
+/// kernel's tile) first, since every output element reads its whole input
+/// row.
+fn update_staged(a: &mut [&mut [f64]], j: &Matrix, stage: &mut Matrix) {
+    let (m, n) = (a.first().map_or(0, |c| c.len()), a.len());
+    assert_eq!(j.shape(), (n, n), "in-place updates need a square rotation");
+    let plate = (GEMM_SMEM_BYTES / 8 / n.max(1)).max(1);
+    for start in (0..m).step_by(plate) {
+        let rows = start..(start + plate).min(m);
+        let mut out: Vec<&mut [f64]> = a.iter_mut().map(|c| &mut c[rows.clone()]).collect();
+        stage.assign_rows(&out, 0..rows.len());
+        matmul_rows(stage, 0..rows.len(), j, &mut out);
     }
 }
 
@@ -618,21 +628,137 @@ mod tests {
             for ((got, a), j) in blocks.iter().zip(&orig).zip(&js) {
                 assert_eq!(bits(got), bits(&matmul(a, j)), "{strategy:?}");
             }
-            // Borrowed rotations, products written into the columns of one
-            // wider matrix (NaN-filled: every element must be written).
+            // Borrowed rotations, blocks held as the columns of one wider
+            // matrix each and rotated where they live; the other columns
+            // are NaN and must be left alone.
             let borrowed: Vec<&Matrix> = js.iter().collect();
             let mut wide: Vec<Matrix> = orig
                 .iter()
-                .map(|a| Matrix::from_fn(a.rows(), 13, |_, _| f64::NAN))
+                .map(|a| {
+                    Matrix::from_fn(a.rows(), 13, |i, j| match j {
+                        3.. => a[(i, j - 3)],
+                        _ => f64::NAN,
+                    })
+                })
                 .collect();
             let cols = wide.iter_mut().map(|w| w.cols_mut().split_off(3)).collect();
-            batched_update_into(&gpu, &orig, &borrowed, cols, strategy).unwrap();
+            batched_update_cols(&gpu, cols, &borrowed, strategy).unwrap();
             for ((w, a), j) in wide.iter().zip(&orig).zip(&js) {
                 let want = matmul(a, j);
                 for c in 0..10 {
                     assert_eq!(bits_of(w.col(c + 3)), bits_of(want.col(c)), "{strategy:?}");
                 }
                 assert!(w.col(0).iter().all(|x| x.is_nan()), "columns left alone");
+            }
+        }
+    }
+
+    /// The ragged case's blocks held as columns `3..` of NaN-padded wider
+    /// matrices, the way a pair block lives in its task.
+    fn padded(blocks: &[Matrix]) -> Vec<Matrix> {
+        blocks
+            .iter()
+            .map(|a| {
+                Matrix::from_fn(a.rows(), a.cols() + 3, |i, j| match j {
+                    3.. => a[(i, j - 3)],
+                    _ => f64::NAN,
+                })
+            })
+            .collect()
+    }
+
+    fn stats_bits(s: &LaunchStats) -> Vec<u64> {
+        let t = &s.totals;
+        vec![
+            s.grid as u64,
+            t.flops,
+            t.gm_load_bytes,
+            t.gm_store_bytes,
+            t.gm_transactions,
+            t.smem_traffic_bytes,
+            t.span_cycles.to_bits(),
+            s.kernel_seconds.to_bits(),
+            s.overhead_seconds.to_bits(),
+            s.occupancy.to_bits(),
+        ]
+    }
+
+    #[test]
+    fn gram_of_borrowed_columns_is_bitwise_the_gathered_gram() {
+        // Ragged rows (residuals packed at δ = 16) and ragged widths, read
+        // in place from wider NaN-padded matrices: the Grams and the launch
+        // statistics must equal those of the gathered blocks bit for bit.
+        let (mut blocks, _) = ragged_update_case();
+        blocks[1] = blocks[1].col_block(0, 7);
+        blocks[3] = blocks[3].col_block(0, 3);
+        for strategy in [plan(5, 16), GemmStrategy::OneBlockPerGemm { threads: 256 }] {
+            let (want, want_stats) = batched_gram(&Gpu::new(V100), &blocks, strategy).unwrap();
+            let mut wide = padded(&blocks);
+            let views: Vec<Vec<&mut [f64]>> =
+                wide.iter_mut().map(|w| w.cols_mut().split_off(3)).collect();
+            let (got, got_stats) = batched_gram(&Gpu::new(V100), &views, strategy).unwrap();
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.shape(), w.shape());
+                assert_eq!(bits(g), bits(w), "{strategy:?}");
+            }
+            assert_eq!(
+                stats_bits(&got_stats),
+                stats_bits(&want_stats),
+                "{strategy:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn update_of_borrowed_columns_is_bitwise_the_gathered_update() {
+        // The same ragged blocks rotated where they live: the columns, the
+        // untouched NaN padding and the launch statistics against the
+        // update of the gathered copies.
+        let (orig, js) = ragged_update_case();
+        for strategy in [plan(5, 16), GemmStrategy::OneBlockPerGemm { threads: 256 }] {
+            let mut want = orig.clone();
+            let want_stats = batched_update(&Gpu::new(V100), &mut want, &js, strategy).unwrap();
+            let mut wide = padded(&orig);
+            let views = wide.iter_mut().map(|w| w.cols_mut().split_off(3)).collect();
+            let got_stats = batched_update_cols(&Gpu::new(V100), views, &js, strategy).unwrap();
+            for (w, a) in wide.iter().zip(&want) {
+                assert_eq!(
+                    bits_of(&w.as_slice()[3 * a.rows()..]),
+                    bits(a),
+                    "{strategy:?}"
+                );
+                assert!(w.as_slice()[..3 * a.rows()].iter().all(|x| x.is_nan()));
+            }
+            assert_eq!(
+                stats_bits(&got_stats),
+                stats_bits(&want_stats),
+                "{strategy:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn update_plates_are_bitwise_the_whole_product() {
+        // Blocks taller than one 16 KiB staging plate (204 rows at 10
+        // columns, 85 at 24): whole blocks and 256-row segments are staged
+        // in several plates, and every element must still be the whole
+        // product's.
+        let orig = vec![
+            wsvd_linalg::generate::random_uniform(450, 10, 81),
+            wsvd_linalg::generate::random_uniform(300, 24, 82),
+        ];
+        let js: Vec<Matrix> = orig
+            .iter()
+            .map(|a| wsvd_linalg::householder::seeded_orthogonal(a.cols(), 83))
+            .collect();
+        for strategy in [
+            plan(12, 256),
+            GemmStrategy::OneBlockPerGemm { threads: 256 },
+        ] {
+            let mut blocks = orig.clone();
+            batched_update(&Gpu::new(V100), &mut blocks, &js, strategy).unwrap();
+            for ((got, a), j) in blocks.iter().zip(&orig).zip(&js) {
+                assert_eq!(bits(got), bits(&matmul(a, j)), "{strategy:?}");
             }
         }
     }

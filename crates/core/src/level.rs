@@ -2,20 +2,22 @@
 //!
 //! Each W-cycle level (Algorithm 2) runs it, and so does the baselines'
 //! uniform-width block Jacobi (Algorithm 1): the same loop with one fixed
-//! width, no recursion and a forced [`Route`]. Each step gathers the pair
-//! blocks `A_ij = [A_i, A_j]` the schedule pairs across the batch, rotates
-//! each by the kernel its route picks and writes `A_ij J_ij` and `V_ij J_ij`
-//! straight into the task's and V's columns; a task leaves once its columns
-//! test converged at a sweep boundary. What only the W-cycle does (plan
+//! width, no recursion and a forced [`Route`]. Each step takes the pair
+//! blocks `A_ij = [A_i, A_j]` the schedule pairs across the batch where they
+//! live, as their task's columns; the kernel its route picks reads them
+//! there and writes `A_ij J_ij` and `V_ij J_ij` back into the same columns
+//! (only a recursing block is copied out, since a sub-level needs owned
+//! tasks). A task leaves once its columns test converged at a sweep
+//! boundary. What only the W-cycle does (plan
 //! resolution, static checks, the fused launch graph, the recursion itself,
 //! telemetry) stays with its caller, behind [`Hooks`].
 
-use wsvd_batched::gemm::{batched_gram, batched_update_into, GemmStrategy};
+use wsvd_batched::gemm::{batched_gram, batched_update_cols, GemmStrategy};
 use wsvd_gpu_sim::{Gpu, KernelError};
-use wsvd_jacobi::batch::{batched_evd_sm, batched_svd_gm, batched_svd_sm};
+use wsvd_jacobi::batch::{batched_evd_sm, batched_svd_in_place};
 use wsvd_jacobi::evd::{EvdConfig, EvdVariant};
 use wsvd_jacobi::fits::{evd_fits_in_sm, svd_fits_in_sm};
-use wsvd_jacobi::onesided::OneSidedConfig;
+use wsvd_jacobi::onesided::{MemSpace, OneSidedConfig};
 use wsvd_jacobi::verify::{verify_schedule, Coverage};
 use wsvd_linalg::gemm::dot;
 use wsvd_linalg::matrix::pair_cols_mut;
@@ -112,8 +114,8 @@ pub struct Hooks<'h> {
 pub type Recurse<'h> =
     dyn FnMut(&mut [Matrix], &mut WCycleStats) -> Result<Vec<Matrix>, KernelError> + 'h;
 
-/// One pair block gathered for rotation: its task and the `(start, width)`
-/// column blocks `A_i`, `A_j` it pairs.
+/// One pair block of a step: its task and the `(start, width)` column
+/// blocks `A_i`, `A_j` it pairs.
 #[derive(Clone, Copy)]
 struct PairRef {
     task: usize,
@@ -147,14 +149,8 @@ impl Level<'_> {
         let smem = gpu.device().smem_per_block_bytes;
         let mut sweeps = vec![0usize; tasks.len()];
         let mut active: Vec<bool> = tasks.iter().map(|t| t.cols() >= 2).collect();
-        // Kept across steps: the step's pair references, pair blocks and V
-        // pairs, and the spare matrices their gathers reuse instead of
-        // allocating afresh.
+        // The step's pair references, kept across steps.
         let mut refs: Vec<PairRef> = Vec::new();
-        let mut blocks: Vec<Matrix> = Vec::new();
-        let mut v_refs: Vec<usize> = Vec::new();
-        let mut v_pairs: Vec<Matrix> = Vec::new();
-        let mut spare: Vec<Matrix> = Vec::new();
 
         for round in 0..cfg.max_sweeps {
             if !active.iter().any(|&a| a) {
@@ -195,54 +191,56 @@ impl Level<'_> {
             let max_steps = schedules.iter().map(|s| s.len()).max().unwrap_or(0);
 
             for step in 0..max_steps {
-                // Gather this step's pair blocks across the whole batch.
+                // This step's pair blocks across the whole batch.
                 refs.clear();
-                v_refs.clear();
                 for (t, sched) in schedules.iter().enumerate() {
                     if !active[t] || step >= sched.len() {
                         continue;
                     }
                     for &(i, j) in &sched[step] {
                         let (bi, bj) = (self.parts[t][i], self.parts[t][j]);
-                        blocks.push(tasks[t].paired_col_blocks_from(bi, bj, &mut spare));
-                        if vs[t].is_some() {
-                            v_refs.push(refs.len());
-                        }
                         refs.push(PairRef { task: t, bi, bj });
                     }
                 }
-                // Spares the gathers did not need are freed now, so no kernel
-                // runs beside unused buffers.
-                spare.clear();
-                if blocks.is_empty() {
+                if refs.is_empty() {
                     continue;
                 }
-                stats.add_rotations(self.level, blocks.len() as u64);
-                let pair_at = |i: usize| (refs[i].task, refs[i].bi, refs[i].bj);
+                stats.add_rotations(self.level, refs.len() as u64);
+                let pair_at = |r: &PairRef| (r.task, r.bi, r.bj);
 
                 let mut groups: [Vec<usize>; 4] = Default::default();
-                for (idx, b) in blocks.iter().enumerate() {
-                    let (m, nn) = b.shape();
+                for (idx, r) in refs.iter().enumerate() {
+                    let (m, nn) = (tasks[r.task].rows(), r.bi.1 + r.bj.1);
                     groups[self.route.classify(m, nn, smem) as usize].push(idx);
                 }
                 for (n, g) in sweep_blocks.iter_mut().zip(&groups) {
                     *n += g.len() as u64;
                 }
                 let [sm, gm, gb, gc] = groups;
-                let mut rotations: Vec<Option<Matrix>> = (0..blocks.len()).map(|_| None).collect();
+                // Every pair block where it lives, as its task's columns: the
+                // kernels read and write them in place.
+                let mut blocks =
+                    pair_cols_mut(tasks.iter_mut().map(Some), refs.iter().map(pair_at));
+                let mut take = |idx: &[usize]| -> Vec<_> {
+                    idx.iter()
+                        .map(|&i| std::mem::take(&mut blocks[i]))
+                        .collect()
+                };
+                let mut rotations: Vec<Option<Matrix>> = (0..refs.len()).map(|_| None).collect();
 
                 // Direct SVDs, in SM then in GM: they avoid the Gram GEMM
-                // (Obs. 1) and the update GEMM (the kernel's converged
-                // columns are A_ij J, written straight into the task).
-                for (idx, in_sm) in [(&sm, true), (&gm, false)] {
+                // (Obs. 1) and the update GEMM (each block writes its
+                // converged columns, A_ij J, back into the task itself).
+                for (idx, space) in [(&sm, MemSpace::Shared), (&gm, MemSpace::Global)] {
                     if idx.is_empty() {
                         continue;
                     }
-                    let sub: Vec<Matrix> = idx
+                    let sub = take(idx);
+                    let m_star = sub
                         .iter()
-                        .map(|&i| std::mem::take(&mut blocks[i]))
-                        .collect();
-                    let m_star = sub.iter().map(|s| s.rows()).max().expect("non-empty group");
+                        .map(|c| c[0].len())
+                        .max()
+                        .expect("non-empty group");
                     let one_sided = OneSidedConfig {
                         tol: inner_tol,
                         threads_per_pair: cfg.alpha.resolve(m_star),
@@ -251,27 +249,19 @@ impl Level<'_> {
                         ordering: cfg.ordering,
                         ..Default::default()
                     };
-                    let (svds, _) = if in_sm {
-                        batched_svd_sm(gpu, &sub, &one_sided, cfg.kernel_threads)?
-                    } else {
-                        batched_svd_gm(gpu, &sub, &one_sided, cfg.kernel_threads)?
-                    };
-                    let cols =
-                        pair_cols_mut(tasks.iter_mut().map(Some), idx.iter().map(|&i| pair_at(i)));
-                    for ((&i, svd), mut cols) in idx.iter().zip(svds).zip(cols) {
-                        svd.rotated_block_into(&mut cols);
-                        rotations[i] = Some(svd.v);
+                    let (js, _) =
+                        batched_svd_in_place(gpu, sub, &one_sided, cfg.kernel_threads, space)?;
+                    for (&i, j) in idx.iter().zip(js) {
+                        rotations[i] = Some(j);
                     }
-                    spare.extend(sub);
                 }
                 stats.sm_svd_blocks += sm.len() as u64;
                 stats.gm_svd_blocks += gm.len() as u64;
 
                 // Gram GEMM -> SM EVD; the `A_ij J_ij` products follow below.
-                let mut upd_in: Vec<Matrix> =
-                    gb.iter().map(|&i| std::mem::take(&mut blocks[i])).collect();
+                let gram_blocks = take(&gb);
                 if !gb.is_empty() {
-                    let (grams, _) = batched_gram(gpu, &upd_in, self.strategy)?;
+                    let (grams, _) = batched_gram(gpu, &gram_blocks, self.strategy)?;
                     let evd_cfg = EvdConfig {
                         tol: 1e-15,
                         max_sweeps: 30,
@@ -284,69 +274,54 @@ impl Level<'_> {
                     }
                 }
 
-                // Recursion to a deeper level, through the caller.
+                // Recursion to a deeper level, through the caller: a
+                // sub-level needs owned tasks, so these blocks are gathered
+                // and their converged columns copied back.
                 if !gc.is_empty() {
-                    let mut sub: Vec<Matrix> =
-                        gc.iter().map(|&i| std::mem::take(&mut blocks[i])).collect();
+                    let mut sub: Vec<Matrix> = gc
+                        .iter()
+                        .map(|&i| Matrix::from_columns(&blocks[i]))
+                        .collect();
                     let hooks = hooks.as_mut().expect("only a hooked level recurses");
                     let sub_vs = (hooks.recurse)(&mut sub, stats)?;
                     stats.recursed_blocks += gc.len() as u64;
                     for ((&i, converged), v) in gc.iter().zip(sub).zip(sub_vs) {
-                        let r = refs[i];
-                        tasks[r.task].store_paired_col_blocks(r.bi, r.bj, &converged);
-                        spare.push(converged);
+                        for (k, dst) in blocks[i].iter_mut().enumerate() {
+                            dst.copy_from_slice(converged.col(k));
+                        }
                         rotations[i] = Some(v);
                     }
                 }
 
-                // The update GEMMs. Each product lands straight in its task's
-                // or V's columns, and every rotation is borrowed, so one J
-                // serves both its block and its V pair. The multilevel route
-                // runs the Gram blocks' products and all V updates as one
-                // fused launch; the uniform routes launch the block products
-                // first, on their own.
-                let rotation = |i: usize| {
-                    rotations[i]
+                // The update GEMMs, each rotating its block in place. Every
+                // rotation is borrowed, so one J serves both its block and
+                // its V pair. The multilevel route runs the Gram blocks'
+                // products and all V updates as one fused launch; the
+                // uniform routes launch the block products first, on their
+                // own.
+                let rotation = |i: &usize| {
+                    rotations[*i]
                         .as_ref()
                         .expect("rotation computed for every block")
                 };
+                let v_refs: Vec<usize> = (0..refs.len())
+                    .filter(|&i| vs[refs[i].task].is_some())
+                    .collect();
                 let fused = self.route == Route::Multilevel;
-                if !fused && !gb.is_empty() {
-                    let js: Vec<&Matrix> = gb.iter().map(|&i| rotation(i)).collect();
-                    let outs =
-                        pair_cols_mut(tasks.iter_mut().map(Some), gb.iter().map(|&i| pair_at(i)));
-                    batched_update_into(gpu, &upd_in, &js, outs, self.strategy)?;
-                    spare.append(&mut upd_in);
+                let mut upd_js: Vec<&Matrix> = gb.iter().map(rotation).collect();
+                let mut upd = gram_blocks;
+                if !fused && !upd.is_empty() {
+                    batched_update_cols(gpu, upd, &upd_js, self.strategy)?;
+                    (upd, upd_js) = (Vec::new(), Vec::new());
                 }
-                // The V pairs are gathered only now, into blocks the kernels
-                // have finished with.
-                for &k in &v_refs {
-                    let r = refs[k];
-                    let v = vs[r.task].as_ref().expect("V pairs exist only for V tasks");
-                    v_pairs.push(v.paired_col_blocks_from(r.bi, r.bj, &mut spare));
-                }
-                let joined: &[usize] = if fused { &gb } else { &[] };
-                if !joined.is_empty() || !v_refs.is_empty() {
-                    let upd_js: Vec<&Matrix> =
-                        joined.iter().chain(&v_refs).map(|&i| rotation(i)).collect();
-                    let mut outs = pair_cols_mut(
-                        tasks.iter_mut().map(Some),
-                        joined.iter().map(|&i| pair_at(i)),
-                    );
-                    outs.extend(pair_cols_mut(
+                if !upd.is_empty() || !v_refs.is_empty() {
+                    upd_js.extend(v_refs.iter().map(rotation));
+                    upd.extend(pair_cols_mut(
                         vs.iter_mut().map(Option::as_mut),
-                        v_refs.iter().map(|&i| pair_at(i)),
+                        v_refs.iter().map(|&i| pair_at(&refs[i])),
                     ));
-                    upd_in.append(&mut v_pairs);
-                    batched_update_into(gpu, &upd_in, &upd_js, outs, self.strategy)?;
-                    for (&i, block) in joined.iter().zip(upd_in.drain(..joined.len())) {
-                        blocks[i] = block;
-                    }
-                    spare.append(&mut upd_in);
+                    batched_update_cols(gpu, upd, &upd_js, self.strategy)?;
                 }
-                // The gathered blocks become the next step's spares (those
-                // the kernels took are there already).
-                spare.extend(blocks.drain(..).filter(|b| !b.is_empty()));
             }
 
             // Schedule-independent convergence test at the sweep boundary (in

@@ -55,18 +55,22 @@ pub struct WSvd {
 
 impl WSvd {
     /// The factorization of one task the level engine orthogonalized
-    /// (`columns = UΣ`): `u` and `sigma` as [`extract_u_sigma`] sorted them,
-    /// and the task's accumulated V, permuted here into σ order.
+    /// (`columns = UΣ`): `u`, `sigma` and the σ `order` as
+    /// [`extract_u_sigma`] left them, and the task's accumulated V, permuted
+    /// here into σ order in place.
     pub fn from_level(
-        task: &Matrix,
         u: Matrix,
         sigma: Vec<f64>,
+        order: &[usize],
         v: Option<Matrix>,
         transposed: bool,
         want_v: bool,
         sweeps: usize,
     ) -> WSvd {
-        let v = v.map(|v| permute_cols(&v, &sigma_order(task)));
+        let v = v.map(|mut v| {
+            v.permute_cols(order);
+            v
+        });
         WSvd::oriented(u, sigma, v, transposed, want_v, sweeps)
     }
 
@@ -83,7 +87,7 @@ impl WSvd {
         if transposed {
             let v_t = v.expect("wide inputs always accumulate V");
             WSvd {
-                u: thin(&v_t, sigma.len()),
+                u: thin(v_t, sigma.len()),
                 sigma,
                 v: want_v.then_some(u),
                 sweeps,
@@ -138,7 +142,10 @@ pub fn wcycle_svd(
     // Wide inputs are decomposed transposed (§IV-B): fewer rotations per
     // sweep, and the factors swap back at the end. Very tall inputs are
     // optionally QR-preconditioned (refs. [5]/[42]): the Jacobi workflow
-    // then runs on the square R factor and U is recovered as Q U_R.
+    // then runs on the square R factor and U is recovered as Q U_R. These
+    // are the call's one working copy of the batch: each matrix moves on
+    // from here (into the QR inputs, the level-0 group or the level tasks)
+    // and leaves an empty matrix behind.
     let mut prepared: Vec<(Matrix, bool, Option<Matrix>)> = mats
         .iter()
         .map(|a| {
@@ -160,7 +167,10 @@ pub fn wcycle_svd(
             .map(|(k, _)| k)
             .collect();
         if !qr_idx.is_empty() {
-            let inputs: Vec<Matrix> = qr_idx.iter().map(|&k| prepared[k].0.clone()).collect();
+            let inputs: Vec<Matrix> = qr_idx
+                .iter()
+                .map(|&k| std::mem::take(&mut prepared[k].0))
+                .collect();
             let factors = batched_counted_qr(gpu, &inputs)?;
             for (&k, (q, r)) in qr_idx.iter().zip(factors) {
                 prepared[k] = (r, prepared[k].1, Some(q));
@@ -182,7 +192,10 @@ pub fn wcycle_svd(
     let mut slots: Vec<Option<WSvd>> = (0..mats.len()).map(|_| None).collect();
 
     if !fit_idx.is_empty() {
-        let group: Vec<Matrix> = fit_idx.iter().map(|&k| prepared[k].0.clone()).collect();
+        let group: Vec<Matrix> = fit_idx
+            .iter()
+            .map(|&k| std::mem::take(&mut prepared[k].0))
+            .collect();
         let m_star = group.iter().map(|g| g.rows()).max().unwrap_or(1);
         let threads_per_pair = cfg.alpha.resolve(m_star);
         trace_alpha_plan(gpu, &cfg.alpha, m_star, group.len(), threads_per_pair);
@@ -226,7 +239,10 @@ pub fn wcycle_svd(
     }
 
     if !rest_idx.is_empty() {
-        let mut tasks: Vec<Matrix> = rest_idx.iter().map(|&k| prepared[k].0.clone()).collect();
+        let mut tasks: Vec<Matrix> = rest_idx
+            .iter()
+            .map(|&k| std::mem::take(&mut prepared[k].0))
+            .collect();
         // V is needed when the caller wants it, or to recover U of a
         // transposed (wide) input.
         let need_v: Vec<bool> = rest_idx
@@ -235,33 +251,32 @@ pub fn wcycle_svd(
             .collect();
         let outcomes = decompose_level(gpu, &mut tasks, &need_v, 1, 48, cfg, &mut stats)?;
 
-        // Final extraction kernel: U = normalize(columns), Σ = column norms.
+        // Final extraction kernel: U = normalize(columns), Σ = column norms,
+        // each task turned into its U in place.
         let kc = KernelConfig::new(tasks.len(), cfg.kernel_threads, 0, "wcycle_extract");
-        let mut extracted = {
-            let tasks_ref = &tasks;
-            gpu.launch_collect(kc, |b, ctx| {
-                let t = &tasks_ref[b];
-                ctx.count_gm_load(t.len());
-                ctx.par_step(t.len(), 2);
-                ctx.count_gm_store(t.len());
-                Ok(extract_u_sigma(t))
-            })?
-            .0
-        };
+        let mut extracted: Vec<_> = tasks
+            .into_iter()
+            .map(|t| (t, Vec::new(), Vec::new()))
+            .collect();
+        gpu.launch_over(kc, &mut extracted, |_, (t, sigma, order), ctx| {
+            ctx.count_gm_load(t.len());
+            ctx.par_step(t.len(), 2);
+            ctx.count_gm_store(t.len());
+            (*sigma, *order) = extract_u_sigma(t);
+            Ok(())
+        })?;
         recover_qr_u(
             gpu,
             &rest_idx,
             &prepared,
             extracted.iter_mut().map(|e| &mut e.0),
         )?;
-        for (slot, ((&k, (u, sigma)), outcome)) in
-            rest_idx.iter().zip(extracted).zip(outcomes).enumerate()
-        {
+        for ((&k, (u, sigma, order)), outcome) in rest_idx.iter().zip(extracted).zip(outcomes) {
             stats.sweeps_per_matrix[k] = outcome.sweeps;
             slots[k] = Some(WSvd::from_level(
-                &tasks[slot],
                 u,
                 sigma,
+                &order,
                 outcome.v,
                 prepared[k].1,
                 cfg.want_v,
@@ -316,11 +331,11 @@ fn health_batch_checks(gpu: &Gpu, mats: &[Matrix], results: &[WSvd]) {
         let orthogonality = orthonormality_error(&r.u.col_block(0, significant));
         let residual = r.v.as_ref().map(|v| {
             let rank = r.sigma.len();
-            let mut us = thin(&r.u, rank);
+            let mut us = r.u.clone();
             for (j, &s) in r.sigma.iter().enumerate() {
                 us.col_mut(j).iter_mut().for_each(|x| *x *= s);
             }
-            let recon = matmul(&us, &thin(v, rank).transpose());
+            let recon = matmul(&us, &thin(v.clone(), rank).transpose());
             recon.sub(a).max_abs() / sigma_max
         });
         health.batch_check(k, residual, orthogonality, t_sim);
@@ -771,27 +786,31 @@ fn resolve_plan(
     }
 }
 
-/// Sorted `(U, Σ)` extraction from a converged matrix (`columns = UΣ`).
-pub fn extract_u_sigma(conv: &Matrix) -> (Matrix, Vec<f64>) {
-    let (m, n) = conv.shape();
+/// Sorted `(U, Σ)` extraction from a converged matrix (`columns = UΣ`),
+/// in place: `conv` becomes U (`m x r`, `r = min(m, n)`), its columns
+/// sorted by descending norm and normalized (a zero column becomes a unit
+/// vector). Returns Σ and the order: column `k` of U was column `order[k]`
+/// of `conv`, which is where V's columns move too.
+pub fn extract_u_sigma(conv: &mut Matrix) -> (Vec<f64>, Vec<usize>) {
     let order = sigma_order(conv);
+    conv.permute_cols(&order);
+    let (m, n) = conv.shape();
     let r = m.min(n);
-    let mut u = Matrix::zeros(m, r);
-    let mut sigma = Vec::with_capacity(r);
-    for (k, &j) in order.iter().take(r).enumerate() {
-        let s = dot(conv.col(j), conv.col(j)).sqrt();
-        sigma.push(s);
-        if s > 0.0 {
-            let src = conv.col(j);
-            let dst = u.col_mut(k);
-            for i in 0..m {
-                dst[i] = src[i] / s;
+    conv.truncate_cols(r);
+    let sigma = (0..r)
+        .map(|k| {
+            let col = conv.col_mut(k);
+            let s = dot(col, col).sqrt();
+            if s > 0.0 {
+                col.iter_mut().for_each(|x| *x /= s);
+            } else {
+                col.fill(0.0);
+                col[k] = 1.0;
             }
-        } else if k < m {
-            u[(k, k)] = 1.0;
-        }
-    }
-    (u, sigma)
+            s
+        })
+        .collect();
+    (sigma, order)
 }
 
 /// Column indices of `conv` in order of descending column norm.
@@ -803,16 +822,10 @@ fn sigma_order(conv: &Matrix) -> Vec<usize> {
     order
 }
 
-fn permute_cols(m: &Matrix, order: &[usize]) -> Matrix {
-    let mut out = Matrix::zeros(m.rows(), m.cols());
-    for (k, &j) in order.iter().enumerate() {
-        out.col_mut(k).copy_from_slice(m.col(j));
-    }
-    out
-}
-
-fn thin(m: &Matrix, r: usize) -> Matrix {
-    Matrix::from_fn(m.rows(), r.min(m.cols()), |i, j| m[(i, j)])
+/// The first `r` columns of `m` (all of them when it has no more).
+fn thin(mut m: Matrix, r: usize) -> Matrix {
+    m.truncate_cols(r);
+    m
 }
 
 #[cfg(test)]

@@ -7,6 +7,7 @@
 //! occupancy exactly as in Fig. 11(a).
 
 use wsvd_gpu_sim::{Gpu, KernelConfig, KernelError, LaunchStats};
+use wsvd_linalg::matrix::Columns;
 use wsvd_linalg::Matrix;
 
 use crate::evd::{evd_in_block, EvdConfig, JacobiEvd};
@@ -17,18 +18,13 @@ use crate::onesided::{svd_in_block, JacobiSvd, MemSpace, OneSidedConfig};
 /// Fails with [`KernelError::Smem`] if any matrix's working set exceeds the
 /// device's static per-block capacity — callers are expected to have
 /// filtered with [`crate::fits::svd_fits_in_sm`] first (Algorithm 2).
-pub fn batched_svd_sm(
+pub fn batched_svd_sm<A: Columns + Sync>(
     gpu: &Gpu,
-    mats: &[Matrix],
+    mats: &[A],
     cfg: &OneSidedConfig,
     threads_per_block: usize,
 ) -> Result<(Vec<JacobiSvd>, LaunchStats), KernelError> {
-    let kc = KernelConfig::new(
-        mats.len(),
-        threads_per_block,
-        gpu.device().smem_per_block_bytes,
-        "batched_svd_sm",
-    );
+    let kc = svd_kernel(gpu, mats.len(), threads_per_block, MemSpace::Shared);
     gpu.launch_collect(kc, |b, ctx| {
         svd_in_block(&mats[b], cfg, ctx, MemSpace::Shared)
     })
@@ -36,16 +32,54 @@ pub fn batched_svd_sm(
 
 /// Batched one-sided Jacobi SVD operating directly on global memory (the
 /// slow path of Fig. 1; used by baselines for matrices that overflow SM).
-pub fn batched_svd_gm(
+pub fn batched_svd_gm<A: Columns + Sync>(
     gpu: &Gpu,
-    mats: &[Matrix],
+    mats: &[A],
     cfg: &OneSidedConfig,
     threads_per_block: usize,
 ) -> Result<(Vec<JacobiSvd>, LaunchStats), KernelError> {
-    let kc = KernelConfig::new(mats.len(), threads_per_block, 0, "batched_svd_gm");
+    let kc = svd_kernel(gpu, mats.len(), threads_per_block, MemSpace::Global);
     gpu.launch_collect(kc, |b, ctx| {
         svd_in_block(&mats[b], cfg, ctx, MemSpace::Global)
     })
+}
+
+/// Batched one-sided Jacobi SVD of pair blocks rotated in place: block `k`
+/// copies the columns `blocks[k]` holds (a pair block `A_ij` where it lives
+/// in its task) into its working matrix, decomposes it in `space` as
+/// [`batched_svd_sm`] / [`batched_svd_gm`] do, and writes the rotated block
+/// `A_ij V = UΣ` back into the same columns itself. Returns each block's V,
+/// the rotation `J_ij` its V pair still needs.
+pub fn batched_svd_in_place(
+    gpu: &Gpu,
+    blocks: Vec<Vec<&mut [f64]>>,
+    cfg: &OneSidedConfig,
+    threads_per_block: usize,
+    space: MemSpace,
+) -> Result<(Vec<Matrix>, LaunchStats), KernelError> {
+    let kc = svd_kernel(gpu, blocks.len(), threads_per_block, space);
+    let mut items: Vec<_> = blocks.into_iter().map(|a| (a, Matrix::default())).collect();
+    let stats = gpu.launch_over(kc, &mut items, |_, (a, v), ctx| {
+        let svd = svd_in_block(a, cfg, ctx, space)?;
+        svd.rotated_block_into(a);
+        *v = svd.v;
+        Ok(())
+    })?;
+    Ok((items.into_iter().map(|(_, v)| v).collect(), stats))
+}
+
+/// The launch of a batched SVD kernel in `space`: the whole shared-memory
+/// arena per block in SM, none in GM.
+fn svd_kernel(gpu: &Gpu, grid: usize, threads: usize, space: MemSpace) -> KernelConfig {
+    match space {
+        MemSpace::Shared => KernelConfig::new(
+            grid,
+            threads,
+            gpu.device().smem_per_block_bytes,
+            "batched_svd_sm",
+        ),
+        MemSpace::Global => KernelConfig::new(grid, threads, 0, "batched_svd_gm"),
+    }
 }
 
 /// Batched two-sided Jacobi EVD in shared memory (Algorithm 2, line 11).
@@ -69,8 +103,12 @@ mod tests {
     use super::*;
     use crate::onesided::OneSidedConfig;
     use wsvd_gpu_sim::V100;
-    use wsvd_linalg::generate::{random_batch, random_symmetric};
+    use wsvd_linalg::generate::{random_batch, random_symmetric, random_uniform};
     use wsvd_linalg::singular_values;
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
 
     #[test]
     fn batched_svd_sm_matches_reference_per_matrix() {
@@ -124,9 +162,66 @@ mod tests {
     }
 
     #[test]
+    fn in_place_svd_is_bitwise_the_gathered_svd() {
+        // Pair blocks held as columns `2..` of NaN-padded matrices: tall,
+        // ragged (3 + 2 columns) and wide (the transposed path with its
+        // completed V). Each block's rotated columns must be the gathered
+        // kernel's `UΣ`, its V the gathered V, and the launch identical, bit
+        // for bit, in shared and in global memory.
+        let blocks = vec![
+            random_uniform(20, 8, 1),
+            random_uniform(9, 5, 2),
+            random_uniform(6, 10, 3),
+        ];
+        let cfg = OneSidedConfig::default();
+        for space in [MemSpace::Shared, MemSpace::Global] {
+            let gathered = match space {
+                MemSpace::Shared => batched_svd_sm(&Gpu::new(V100), &blocks, &cfg, 128),
+                MemSpace::Global => batched_svd_gm(&Gpu::new(V100), &blocks, &cfg, 128),
+            };
+            let (want, want_stats) = gathered.unwrap();
+            let mut wide: Vec<Matrix> = blocks
+                .iter()
+                .map(|a| {
+                    Matrix::from_fn(a.rows(), a.cols() + 2, |i, j| match j {
+                        2.. => a[(i, j - 2)],
+                        _ => f64::NAN,
+                    })
+                })
+                .collect();
+            let views = wide.iter_mut().map(|w| w.cols_mut().split_off(2)).collect();
+            let (vs, got_stats) =
+                batched_svd_in_place(&Gpu::new(V100), views, &cfg, 128, space).unwrap();
+            for ((w, v), svd) in wide.iter().zip(&vs).zip(&want) {
+                let m = w.rows();
+                let mut rotated = Matrix::zeros(m, svd.v.cols());
+                svd.rotated_block_into(&mut rotated.cols_mut());
+                assert_eq!(bits(&w.as_slice()[2 * m..]), bits(rotated.as_slice()));
+                assert!(w.as_slice()[..2 * m].iter().all(|x| x.is_nan()));
+                assert_eq!(bits(v.as_slice()), bits(svd.v.as_slice()));
+            }
+            let t = |s: &LaunchStats| {
+                let c = &s.totals;
+                (
+                    s.grid,
+                    [
+                        c.flops,
+                        c.gm_load_bytes,
+                        c.gm_store_bytes,
+                        c.gm_transactions,
+                    ],
+                    [c.span_cycles, s.kernel_seconds, s.occupancy].map(f64::to_bits),
+                )
+            };
+            assert_eq!(t(&got_stats), t(&want_stats), "{space:?}");
+        }
+    }
+
+    #[test]
     fn empty_batch_is_ok() {
         let gpu = Gpu::new(V100);
-        let (outs, stats) = batched_svd_sm(&gpu, &[], &OneSidedConfig::default(), 128).unwrap();
+        let none: &[Matrix] = &[];
+        let (outs, stats) = batched_svd_sm(&gpu, none, &OneSidedConfig::default(), 128).unwrap();
         assert!(outs.is_empty());
         assert_eq!(stats.grid, 0);
     }

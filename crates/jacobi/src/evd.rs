@@ -381,19 +381,26 @@ fn rotate_step(b: &mut Matrix, buf: &mut StepBuffers) {
             for ((dp, dq), &rp) in sp.iter_mut().zip(&mut *sq).zip(partner) {
                 (*dp, *dq) = (o_p[rp], o_q[rp]);
             }
-            let (ya, yb, za, zb) = (xa[p], xb[p], xa[q], xb[q]);
+            // Columns `p` and `q` of G are `(c, s)` and `(c, -s)` (in either
+            // order), so `xa[q] == ya` and `xb[q] == -yb` exactly, and
+            // `x * (-y)` is `-(x * y)`: column `q` reuses column `p`'s four
+            // products and subtracts the negated ones (`a - b` is `a + (-b)`
+            // in IEEE arithmetic, signed zeros included).
+            let (ya, yb) = (xa[p], xb[p]);
             let (out_p, out_q) = b.col_pair_mut(p, q);
             let (out_p, out_q) = (&mut out_p[..s], &mut out_q[..s]);
             for r in 0..s {
-                let mut v = xa[r] * ya * o_p[r];
-                v += xa[r] * yb * o_q[r];
-                v += xb[r] * ya * sp[r];
-                v += xb[r] * yb * sq[r];
+                let (k1, k2) = (xa[r] * ya, xa[r] * yb);
+                let (k3, k4) = (xb[r] * ya, xb[r] * yb);
+                let mut v = k1 * o_p[r];
+                v += k2 * o_q[r];
+                v += k3 * sp[r];
+                v += k4 * sq[r];
                 out_p[r] = v;
-                let mut w = xa[r] * za * o_q[r];
-                w += xa[r] * zb * o_p[r];
-                w += xb[r] * za * sq[r];
-                w += xb[r] * zb * sp[r];
+                let mut w = k1 * o_q[r];
+                w -= k2 * o_p[r];
+                w += k3 * sq[r];
+                w -= k4 * sp[r];
                 out_q[r] = w;
             }
         }

@@ -24,7 +24,7 @@ pub mod onesided;
 pub mod ordering;
 pub mod verify;
 
-pub use batch::{batched_evd_sm, batched_svd_gm, batched_svd_sm};
+pub use batch::{batched_evd_sm, batched_svd_gm, batched_svd_in_place, batched_svd_sm};
 pub use evd::{evd_in_block, EvdConfig, EvdVariant, JacobiEvd};
 pub use fits::{
     evd_fits_in_sm, evd_kernel_resource, max_w_for_evd, svd_fits_in_sm, svd_kernel_resource,

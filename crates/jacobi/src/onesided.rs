@@ -19,6 +19,7 @@
 use wsvd_gpu_sim::{BlockCtx, KernelError, SmemBuf};
 use wsvd_linalg::gemm::{col_pair_dots_with, dot};
 use wsvd_linalg::givens::{one_sided_rotation, rotate_columns, rotated_norms, Rotation};
+use wsvd_linalg::matrix::Columns;
 use wsvd_linalg::simd::Isa;
 use wsvd_linalg::Matrix;
 
@@ -433,6 +434,8 @@ fn extract_factors(
 
 /// One-sided Jacobi SVD of one matrix inside one simulated block.
 ///
+/// * `a` is read where it lives (a [`Matrix`], or a pair block's columns in
+///   its task) into the block's one working copy, which the sweeps rotate.
 /// * Tall or square input runs directly; wide input (`m < n`) decomposes the
 ///   transpose (fewer rotations per sweep, §IV-B) and swaps the factors; its
 ///   full `n x n` V is completed with Gram–Schmidt over the null space so
@@ -440,7 +443,7 @@ fn extract_factors(
 /// * `space == Shared` charges the exact working set to the block's arena —
 ///   the call fails with [`KernelError::Smem`] when it does not fit.
 pub fn svd_in_block(
-    a: &Matrix,
+    a: &dyn Columns,
     cfg: &OneSidedConfig,
     ctx: &mut BlockCtx,
     space: MemSpace,
@@ -460,7 +463,7 @@ type SweepsFn = fn(
 /// [`svd_in_block`] running its sweeps through `sweeps` (the tests pass the
 /// portable body).
 fn svd_in_block_by(
-    a: &Matrix,
+    a: &dyn Columns,
     cfg: &OneSidedConfig,
     ctx: &mut BlockCtx,
     space: MemSpace,
@@ -468,9 +471,11 @@ fn svd_in_block_by(
 ) -> Result<JacobiSvd, KernelError> {
     let (m, n) = a.shape();
     if m >= n {
+        // The block's working copy of A (its shared-memory tile).
+        let mut work = Matrix::from_columns(a);
         // Charge the SM working set: matrix + V accumulation + norm caches.
         let bufs = if space == MemSpace::Shared {
-            let a_buf = ctx.gm_load_to_smem(a.as_slice())?;
+            let a_buf = ctx.gm_load_to_smem(work.as_slice())?;
             let v_buf = if cfg.accumulate_v {
                 Some(ctx.smem().alloc(n * n)?)
             } else {
@@ -489,7 +494,6 @@ fn svd_in_block_by(
             v: v_buf.as_ref(),
             norms: n_buf,
         });
-        let mut work = a.clone();
         let cfg = OneSidedConfig {
             accumulate_v: true,
             ..*cfg
@@ -509,7 +513,7 @@ fn svd_in_block_by(
     } else {
         // Wide: decompose A^T (n x m, tall). Accumulated V of A^T is U of A;
         // converged columns of A^T give V of A (thin), completed to square.
-        let at = a.transpose();
+        let at = Matrix::from_fn(n, m, |i, j| a.col(i)[j]);
         let bufs = if space == MemSpace::Shared {
             let a_buf = ctx.gm_load_to_smem(at.as_slice())?;
             let u_buf = ctx.smem().alloc(m * m)?;

@@ -19,7 +19,7 @@
 
 use std::ops::Range;
 
-use crate::matrix::Matrix;
+use crate::matrix::{Columns, Matrix};
 use crate::simd::Isa;
 
 /// Operation applied to a GEMM operand.
@@ -225,16 +225,18 @@ pub fn gram_with<I: Isa>(isa: I, a: &Matrix) -> Matrix {
 }
 
 crate::dispatch! {
-    /// Gram matrix of rows `rows` of `A`, read in place: bit-identical to
-    /// [`gram`] of `a.sub_matrix(rows.start, 0, rows.len(), a.cols())`.
-    pub fn gram_rows(a: &Matrix, rows: Range<usize>) -> Matrix => gram_rows_with
+    /// Gram matrix of rows `rows` of the columns `a` holds, read in place
+    /// (a [`Matrix`], or a pair block's columns in its task): bit-identical
+    /// to [`gram`] of those rows copied out.
+    pub fn gram_rows(a: &dyn Columns, rows: Range<usize>) -> Matrix => gram_rows_with
 }
 
 /// The body of [`gram_rows`] for instruction set `I`.
 #[inline(always)]
-pub fn gram_rows_with<I: Isa>(isa: I, a: &Matrix, rows: Range<usize>) -> Matrix {
-    assert!(rows.end <= a.rows(), "gram_rows range past the last row");
-    gram_of_cols(isa, a.cols(), |j| &a.col(j)[rows.clone()])
+pub fn gram_rows_with<I: Isa>(isa: I, a: &dyn Columns, rows: Range<usize>) -> Matrix {
+    let (m, n) = a.shape();
+    assert!(rows.end <= m, "gram_rows range past the last row");
+    gram_of_cols(isa, n, |j| &a.col(j)[rows.clone()])
 }
 
 /// `B = A^T A` for the `n` columns `col(0..n)`: the upper triangle four

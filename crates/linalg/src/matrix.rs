@@ -179,54 +179,60 @@ impl Matrix {
         }
     }
 
-    /// Copies the column blocks `bi = (start_i, width_i)` and
-    /// `bj = (start_j, width_j)` into one `rows x (width_i + width_j)` pair
-    /// block `A_ij = [A_i, A_j]` (the blocks may differ in width). The block
-    /// is built in the `spare` matrix whose allocation fits it best — the
-    /// smallest that holds it, else the largest — so a loop that returns its
-    /// blocks to `spare` stops allocating once every shape has been seen.
-    pub fn paired_col_blocks_from(
-        &self,
-        bi: (usize, usize),
-        bj: (usize, usize),
-        spare: &mut Vec<Matrix>,
-    ) -> Matrix {
-        let r = self.rows;
-        let need = r * (bi.1 + bj.1);
-        let fit = |m: &Matrix| match m.data.capacity() {
-            c if c >= need => (false, c),
-            c => (true, usize::MAX - c),
-        };
-        let best = spare
-            .iter()
-            .position(|m| m.data.capacity() == need)
-            .or_else(|| (0..spare.len()).min_by_key(|&k| fit(&spare[k])));
-        let mut out = best.map_or_else(Matrix::default, |k| spare.swap_remove(k));
-        out.data.clear();
-        out.data.reserve(need);
-        for (start, width) in [bi, bj] {
-            out.data
-                .extend_from_slice(&self.data[start * r..(start + width) * r]);
-        }
-        out.rows = r;
-        out.cols = bi.1 + bj.1;
-        out
+    /// A copy of the columns `src` holds, wherever they live (for example
+    /// a pair block's columns borrowed in place from its task).
+    pub fn from_columns(src: &dyn Columns) -> Matrix {
+        let mut m = Matrix::default();
+        m.assign_rows(src, 0..src.shape().0);
+        m
     }
 
-    /// Writes a pair block from [`Matrix::paired_col_blocks_from`] back into
-    /// column blocks `bi` and `bj`.
-    pub fn store_paired_col_blocks(
-        &mut self,
-        bi: (usize, usize),
-        bj: (usize, usize),
-        block: &Matrix,
-    ) {
-        assert_eq!(block.rows, self.rows);
-        assert_eq!(block.cols, bi.1 + bj.1);
+    /// Makes `self` a copy of rows `rows` of the columns `src` holds,
+    /// reusing its allocation: a buffer that stages one block after another
+    /// stops allocating once it has held the largest.
+    pub fn assign_rows(&mut self, src: &dyn Columns, rows: std::ops::Range<usize>) {
+        let cols = src.shape().1;
+        self.data.clear();
+        self.data.reserve(rows.len() * cols);
+        for j in 0..cols {
+            self.data.extend_from_slice(&src.col(j)[rows.clone()]);
+        }
+        self.rows = rows.len();
+        self.cols = cols;
+    }
+
+    /// Reorders the columns in place: column `k` becomes the old column
+    /// `order[k]`. `order` must be a permutation of `0..cols`.
+    pub fn permute_cols(&mut self, order: &[usize]) {
+        assert_eq!(order.len(), self.cols, "one source per column");
         let r = self.rows;
-        let (head, tail) = block.data.split_at(bi.1 * r);
-        self.data[bi.0 * r..(bi.0 + bi.1) * r].copy_from_slice(head);
-        self.data[bj.0 * r..(bj.0 + bj.1) * r].copy_from_slice(tail);
+        let mut done = vec![false; self.cols];
+        let mut held = Vec::new();
+        for start in 0..self.cols {
+            if done[start] || order[start] == start {
+                continue;
+            }
+            // Follow the cycle through `start`, holding its first column.
+            held.clear();
+            held.extend_from_slice(self.col(start));
+            let mut k = start;
+            while order[k] != start {
+                self.data
+                    .copy_within(order[k] * r..(order[k] + 1) * r, k * r);
+                done[k] = true;
+                k = order[k];
+            }
+            self.col_mut(k).copy_from_slice(&held);
+            done[k] = true;
+        }
+    }
+
+    /// Keeps the first `cols` columns, dropping the rest in place.
+    pub fn truncate_cols(&mut self, cols: usize) {
+        if cols < self.cols {
+            self.data.truncate(cols * self.rows);
+            self.cols = cols;
+        }
     }
 
     /// Copies the rectangular sub-matrix with top-left `(row, col)`.
@@ -336,12 +342,48 @@ pub fn partition_cols(n: usize, w: usize) -> Vec<(usize, usize)> {
     parts
 }
 
+/// Read access to a block of equal-length columns, wherever they live: a
+/// whole [`Matrix`], or a pair block's columns borrowed in place from its
+/// task (the `Vec<&mut [f64]>` that [`pair_cols_mut`] returns per pair).
+pub trait Columns {
+    /// `(rows, cols)`: the column length and the number of columns.
+    fn shape(&self) -> (usize, usize);
+    /// Column `j`, `shape().0` long.
+    fn col(&self, j: usize) -> &[f64];
+}
+
+impl Columns for Matrix {
+    #[inline]
+    fn shape(&self) -> (usize, usize) {
+        Matrix::shape(self)
+    }
+
+    #[inline]
+    fn col(&self, j: usize) -> &[f64] {
+        Matrix::col(self, j)
+    }
+}
+
+/// Borrowed columns; a block with no columns has no rows.
+impl Columns for Vec<&mut [f64]> {
+    #[inline]
+    fn shape(&self) -> (usize, usize) {
+        (self.first().map_or(0, |c| c.len()), self.len())
+    }
+
+    #[inline]
+    fn col(&self, j: usize) -> &[f64] {
+        self[j]
+    }
+}
+
 /// The columns of pair blocks spread over several matrices, as mutable
 /// slices: for each `(matrix, bi, bj)` of `pairs`, the columns of block
-/// `bi` then of block `bj` (`(start, width)` blocks, as in
-/// [`Matrix::paired_col_blocks_from`]) of `mats[matrix]`, so the pair's new
-/// values can be written in place. Only the requested columns are visited.
-/// Panics if two pairs share a column or a pair names a `None` matrix.
+/// `bi` then of block `bj` (`(start, width)` column blocks) of
+/// `mats[matrix]`, that is the pair block `A_ij = [A_i, A_j]` where it
+/// lives, so that kernels read and write it in place. Only the requested
+/// columns are visited. Panics if two pairs share a column or a pair names
+/// a `None` matrix.
 pub fn pair_cols_mut<'a>(
     mats: impl IntoIterator<Item = Option<&'a mut Matrix>>,
     pairs: impl IntoIterator<Item = (usize, (usize, usize), (usize, usize))>,
@@ -493,54 +535,9 @@ mod tests {
     }
 
     #[test]
-    fn paired_col_blocks_roundtrip() {
-        let m = Matrix::from_fn(4, 8, |i, j| (i + j * 4) as f64);
-        let blk = m.paired_col_blocks_from((0, 2), (6, 2), &mut Vec::new());
-        assert_eq!(blk.shape(), (4, 4));
-        assert_eq!(blk.col(0), m.col(0));
-        assert_eq!(blk.col(3), m.col(7));
-        // Ragged: a 3-wide block paired with the 1-wide tail.
-        let parts = partition_cols(7, 3);
-        assert_eq!(parts, vec![(0, 3), (3, 3), (6, 1)]);
-        let blk = m.paired_col_blocks_from(parts[0], parts[2], &mut Vec::new());
-        assert_eq!(blk.shape(), (4, 4));
-        assert_eq!(blk.col(2), m.col(2));
-        assert_eq!(blk.col(3), m.col(6));
-        let mut m2 = Matrix::zeros(4, 8);
-        m2.store_paired_col_blocks(parts[0], parts[2], &blk);
-        for j in [0, 1, 2, 6] {
-            assert_eq!(m2.col(j), m.col(j));
-        }
-        assert!(m2.col(3).iter().chain(m2.col(7)).all(|&x| x == 0.0));
-    }
-
-    #[test]
-    fn pair_blocks_reuse_the_best_fitting_spare() {
-        let m = Matrix::from_fn(4, 8, |i, j| (i + j * 4) as f64);
-        let mut spare = vec![
-            Matrix::zeros(40, 1),
-            Matrix::zeros(2, 9),
-            Matrix::zeros(1, 3),
-        ];
-        // 16 elements: the 18-element spare is the smallest that holds them.
-        let blk = m.paired_col_blocks_from((0, 2), (6, 2), &mut spare);
-        assert_eq!(blk.shape(), (4, 4));
-        assert_eq!(blk.col(3), m.col(7));
-        assert_eq!(spare.iter().map(Matrix::len).collect::<Vec<_>>(), [40, 3]);
-        // 32 elements: the 40-element spare.
-        let wide = m.paired_col_blocks_from((0, 4), (4, 4), &mut spare);
-        assert_eq!(wide.as_slice(), m.as_slice());
-        // Nothing holds 32 more: the largest left (3 elements) grows.
-        let grown = m.paired_col_blocks_from((0, 4), (4, 4), &mut spare);
-        assert_eq!(grown.as_slice(), m.as_slice());
-        assert!(spare.is_empty());
-    }
-
-    #[test]
     fn pair_cols_are_the_pair_blocks_in_place() {
         let mut a = Matrix::from_fn(3, 7, |i, j| (i + j * 3) as f64);
         let mut b = Matrix::from_fn(2, 4, |i, j| -((i + j * 2) as f64));
-        let want_a = a.paired_col_blocks_from((0, 3), (6, 1), &mut Vec::new());
         let pairs = [
             (0, (0, 3), (6, 1)),
             (2, (2, 2), (0, 1)),
@@ -548,11 +545,37 @@ mod tests {
         ];
         let mut cols = pair_cols_mut([Some(&mut a), None, Some(&mut b)], pairs);
         assert_eq!(cols.iter().map(Vec::len).collect::<Vec<_>>(), [4, 3, 3]);
-        assert_eq!(cols[0].concat(), want_a.as_slice());
+        let want_a: Vec<f64> = (0..9).chain(18..21).map(|x| x as f64).collect();
+        assert_eq!(cols[0].concat(), want_a);
         assert_eq!(cols[1].concat(), [-4.0, -5.0, -6.0, -7.0, 0.0, -1.0]);
+        assert_eq!(Columns::shape(&cols[1]), (2, 3));
+        assert_eq!(Matrix::from_columns(&cols[1]).as_slice(), cols[1].concat());
         cols[2][1][0] = 100.0; // column 4 of `a`, row 0
         drop(cols);
         assert_eq!(a[(0, 4)], 100.0);
+    }
+
+    #[test]
+    fn assigned_columns_reuse_the_buffer() {
+        let mut m = Matrix::from_fn(4, 8, |i, j| (i + j * 4) as f64);
+        let mut buf = Matrix::from_columns(&m);
+        assert_eq!(buf, m);
+        let cap = buf.data.capacity();
+        // A narrower, shorter view: the rows 1..3 of columns 2 and 6.
+        let view: Vec<&mut [f64]> = m
+            .cols_mut()
+            .into_iter()
+            .enumerate()
+            .filter(|&(j, _)| j == 2 || j == 6)
+            .map(|(_, c)| &mut c[1..3])
+            .collect();
+        buf.assign_rows(&view, 0..2);
+        assert_eq!(buf.shape(), (2, 2));
+        assert_eq!(buf.as_slice(), [9.0, 10.0, 25.0, 26.0]);
+        buf.assign_rows(&view, 1..2);
+        assert_eq!(buf.as_slice(), [10.0, 26.0]);
+        assert_eq!(buf.data.capacity(), cap);
+        assert_eq!(Columns::shape(&Vec::<&mut [f64]>::new()), (0, 0));
     }
 
     #[test]
@@ -567,6 +590,23 @@ mod tests {
     fn pair_cols_refuse_a_shared_column() {
         let mut a = Matrix::zeros(2, 4);
         pair_cols_mut([Some(&mut a)], [(0, (0, 2), (2, 1)), (0, (2, 2), (0, 0))]);
+    }
+
+    #[test]
+    fn permute_and_truncate_cols_in_place() {
+        let m = Matrix::from_fn(3, 6, |i, j| (i + 10 * j) as f64);
+        // Two cycles (0 -> 3 -> 1, 2 -> 5) and a fixed point (4).
+        let order = [3, 0, 5, 1, 4, 2];
+        let mut p = m.clone();
+        p.permute_cols(&order);
+        for (k, &j) in order.iter().enumerate() {
+            assert_eq!(p.col(k), m.col(j));
+        }
+        p.truncate_cols(2);
+        assert_eq!(p.shape(), (3, 2));
+        assert_eq!(p.col(1), m.col(0));
+        p.truncate_cols(4);
+        assert_eq!(p.shape(), (3, 2));
     }
 
     #[test]

@@ -7,6 +7,7 @@ use wsvd_linalg::gemm::{
 };
 use wsvd_linalg::generate::{random_uniform, with_spectrum};
 use wsvd_linalg::householder::{bidiagonalize, seeded_orthogonal};
+use wsvd_linalg::matrix::Columns;
 use wsvd_linalg::simd::{Isa, Portable};
 use wsvd_linalg::verify::orthonormality_error;
 use wsvd_linalg::{
@@ -30,7 +31,7 @@ type MatmulRowsFn = fn(&Matrix, std::ops::Range<usize>, &Matrix, &mut [&mut [f64
 const MATMUL_ROWS: [MatmulRowsFn; 2] = [matmul_rows, |a, rows, b, c| {
     matmul_rows_with(Portable, a, rows, b, c)
 }];
-type GramRowsFn = fn(&Matrix, std::ops::Range<usize>) -> Matrix;
+type GramRowsFn = fn(&dyn Columns, std::ops::Range<usize>) -> Matrix;
 const GRAM_ROWS: [GramRowsFn; 2] = [gram_rows, |a, rows| gram_rows_with(Portable, a, rows)];
 
 type Dot4Fn = fn([&[f64]; 4], [&[f64]; 4]) -> [f64; 4];
@@ -315,12 +316,22 @@ fn row_range_kernels_are_bitwise_scalar_on_the_rows() {
                 assert!(same_bits(&got, want.as_slice()), "k={k} rows={rows:?}");
             }
             let want = scalar::gram(&a.sub_matrix(start, 0, len, k));
+            // The same columns borrowed in place, as a pair block's are.
+            let mut borrowed = a.clone();
+            let view = borrowed.cols_mut();
             for kernel in GRAM_ROWS {
                 let got = kernel(&a, rows.clone());
                 assert!(
                     same_bits(got.as_slice(), want.as_slice()),
                     "k={k} rows={rows:?}"
                 );
+                if k > 0 {
+                    let got = kernel(&view, rows.clone());
+                    assert!(
+                        same_bits(got.as_slice(), want.as_slice()),
+                        "k={k} rows={rows:?} borrowed"
+                    );
+                }
             }
         }
     }

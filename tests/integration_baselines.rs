@@ -158,3 +158,33 @@ fn wide_inputs_return_the_factors_of_a() {
         assert!(residual < 1e-10, "{engine}: residual {residual}");
     }
 }
+
+#[test]
+fn batched_api_returns_a_thin_v_for_wide_inputs() {
+    // `WSvd::v` is thin `n x r` for a wide input, on the batched API as on
+    // every other engine; the kernel's square completion stays internal.
+    let gpu = Gpu::new(V100);
+    let a = random_uniform(16, 24, 12);
+    let one = |r: Result<Vec<WSvd>, KernelError>| r.unwrap().pop().unwrap();
+    for (engine, r) in [
+        (
+            "gesvdj_batched",
+            one(gesvdj_batched(&gpu, std::slice::from_ref(&a))),
+        ),
+        (
+            "cusolver_batched_svd",
+            one(cusolver_batched_svd(&gpu, std::slice::from_ref(&a))),
+        ),
+    ] {
+        assert_eq!(r.u.shape(), (16, 16), "{engine}: U");
+        assert_eq!(r.sigma.len(), 16, "{engine}: sigma");
+        let v = r.v.as_ref().expect("V is returned");
+        assert_eq!(v.shape(), (24, 16), "{engine}: V");
+        let mut us = r.u.clone();
+        for (j, &s) in r.sigma.iter().enumerate() {
+            us.col_mut(j).iter_mut().for_each(|x| *x *= s);
+        }
+        let residual = matmul(&us, &v.transpose()).sub(&a).fro_norm() / a.fro_norm();
+        assert!(residual < 1e-10, "{engine}: residual {residual}");
+    }
+}
