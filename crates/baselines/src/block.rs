@@ -11,11 +11,10 @@
 
 use wsvd_batched::gemm::GemmStrategy;
 use wsvd_core::{
-    check_finite, extract_u_sigma, AlphaSelect, Level, Route, WCycleConfig, WCycleOutput,
-    WCycleStats, WSvd,
+    oriented_batch, AlphaSelect, Level, Route, WCycleConfig, WCycleOutput, WCycleStats, WSvd,
 };
 use wsvd_gpu_sim::{Gpu, KernelError};
-use wsvd_jacobi::EvdVariant;
+use wsvd_jacobi::{extract_u_sigma, EvdVariant};
 use wsvd_linalg::matrix::partition_cols;
 use wsvd_linalg::Matrix;
 
@@ -75,17 +74,8 @@ pub fn block_jacobi_svd(
     mats: &[Matrix],
     cfg: &BlockJacobiConfig,
 ) -> Result<WCycleOutput, KernelError> {
-    check_finite(mats)?;
-    let mut tasks: Vec<Matrix> = mats
-        .iter()
-        .map(|a| {
-            if a.rows() < a.cols() {
-                a.transpose()
-            } else {
-                a.clone()
-            }
-        })
-        .collect();
+    let (mut tasks, transposed): (Vec<Matrix>, Vec<bool>) =
+        oriented_batch(mats)?.into_iter().unzip();
     let parts: Vec<Vec<(usize, usize)>> = tasks
         .iter()
         .map(|t| partition_cols(t.cols(), cfg.w.min(t.cols() / 2).max(1)))
@@ -125,10 +115,10 @@ pub fn block_jacobi_svd(
     let results = tasks
         .into_iter()
         .zip(vs)
-        .zip(mats.iter().zip(&stats.sweeps_per_matrix))
-        .map(|((mut u, v), (a, &sweeps))| {
-            let (sigma, order) = extract_u_sigma(&mut u);
-            WSvd::from_level(u, sigma, &order, v, a.rows() < a.cols(), true, sweeps)
+        .zip(transposed.into_iter().zip(&stats.sweeps_per_matrix))
+        .map(|((mut u, mut v), (transposed, &sweeps))| {
+            let sigma = extract_u_sigma(&mut u, v.as_mut());
+            WSvd::oriented(u, sigma, v, transposed, true, sweeps)
         })
         .collect();
     Ok(WCycleOutput { results, stats })

@@ -61,16 +61,7 @@ pub fn gesvdj_batched(gpu: &Gpu, mats: &[Matrix]) -> Result<Vec<WSvd>, KernelErr
     // factorization of A keeps its thin `n x r` leading columns.
     Ok(svds
         .into_iter()
-        .map(|s| {
-            let mut v = s.v;
-            v.truncate_cols(s.sigma.len());
-            WSvd {
-                u: s.u,
-                sigma: s.sigma,
-                v: Some(v),
-                sweeps: s.stats.sweeps,
-            }
-        })
+        .map(|s| WSvd::oriented(s.u, s.sigma, Some(s.v), false, true, s.stats.sweeps))
         .collect())
 }
 

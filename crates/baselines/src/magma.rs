@@ -99,12 +99,7 @@ pub fn magma_gesvd(gpu: &Gpu, a: &Matrix) -> Result<WSvd, KernelError> {
 
     // --- Real numerics ---------------------------------------------------
     let Svd { u, sigma, v } = svd_reference(a).map_err(KernelError::Other)?;
-    Ok(WSvd {
-        u,
-        sigma,
-        v: Some(v),
-        sweeps: 0,
-    })
+    Ok(WSvd::oriented(u, sigma, Some(v), false, true, 0))
 }
 
 /// MAGMA has no batched `gesvd`; batches loop serially over the single API

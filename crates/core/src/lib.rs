@@ -47,4 +47,4 @@ pub use config::{AlphaSelect, Tuning, WCycleConfig};
 pub use level::{Hooks, Level, Rotation, Route};
 pub use stats::{SweepRecord, WCycleStats};
 pub use verify::{effective_width, verify_level, LevelCheck};
-pub use wcycle::{check_finite, extract_u_sigma, wcycle_svd, WCycleOutput, WSvd};
+pub use wcycle::{check_finite, oriented_batch, wcycle_svd, WCycleOutput, WSvd};

@@ -23,8 +23,8 @@ use wsvd_gpu_sim::{Gpu, KernelConfig, KernelError};
 use wsvd_jacobi::batch::batched_svd_sm;
 use wsvd_jacobi::evd::EvdVariant;
 use wsvd_jacobi::fits::svd_fits_in_sm;
-use wsvd_jacobi::onesided::{JacobiSvd, OneSidedConfig};
-use wsvd_linalg::gemm::{dot, matmul};
+use wsvd_jacobi::onesided::{extract_u_sigma, JacobiSvd, OneSidedConfig};
+use wsvd_linalg::gemm::matmul;
 use wsvd_linalg::matrix::partition_cols;
 use wsvd_linalg::verify::orthonormality_error;
 use wsvd_linalg::Matrix;
@@ -39,44 +39,28 @@ use crate::verify::{effective_width, verify_level};
 /// across experiments.
 const SWEEP_BUCKETS: [f64; 6] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
 
-/// The SVD of one input matrix as produced by the W-cycle.
+/// The SVD of one input matrix as produced by the W-cycle (and by the
+/// Jacobi comparators, which share its result type).
 #[derive(Debug)]
 pub struct WSvd {
     /// Left singular vectors, `m x r` (`r = min(m, n)`).
     pub u: Matrix,
     /// Singular values, descending.
     pub sigma: Vec<f64>,
-    /// Right singular vectors (full square for `m >= n` inputs; thin `n x r`
-    /// for wide inputs). `None` when `want_v` was off.
+    /// Right singular vectors, thin `n x r` (square for `m >= n` inputs).
+    /// `None` when `want_v` was off.
     pub v: Option<Matrix>,
     /// W-cycle sweeps this matrix needed (0 when decomposed whole in SM).
     pub sweeps: usize,
 }
 
 impl WSvd {
-    /// The factorization of one task the level engine orthogonalized
-    /// (`columns = UΣ`): `u`, `sigma` and the σ `order` as
-    /// [`extract_u_sigma`] left them, and the task's accumulated V, permuted
-    /// here into σ order in place.
-    pub fn from_level(
-        u: Matrix,
-        sigma: Vec<f64>,
-        order: &[usize],
-        v: Option<Matrix>,
-        transposed: bool,
-        want_v: bool,
-        sweeps: usize,
-    ) -> WSvd {
-        let v = v.map(|mut v| {
-            v.permute_cols(order);
-            v
-        });
-        WSvd::oriented(u, sigma, v, transposed, want_v, sweeps)
-    }
-
-    /// The factors of a decomposed task. The task of a wide input is its
+    /// The factors of one decomposed task, the one way every engine builds
+    /// its result: `u` (`m x r`), `sigma` (length `r`) and the accumulated
+    /// `v`, its columns in σ order. The task of a wide input is its
     /// transpose, `A^T = U_t Σ V_t^T`, so `A = V_t Σ U_t^T`: they swap back.
-    fn oriented(
+    /// V is kept thin (`r` columns) and only when `want_v`.
+    pub fn oriented(
         u: Matrix,
         sigma: Vec<f64>,
         v: Option<Matrix>,
@@ -84,21 +68,17 @@ impl WSvd {
         want_v: bool,
         sweeps: usize,
     ) -> WSvd {
-        if transposed {
-            let v_t = v.expect("wide inputs always accumulate V");
-            WSvd {
-                u: thin(v_t, sigma.len()),
-                sigma,
-                v: want_v.then_some(u),
-                sweeps,
-            }
+        let r = sigma.len();
+        let (u, v) = if transposed {
+            (v.expect("wide inputs always accumulate V"), Some(u))
         } else {
-            WSvd {
-                u,
-                sigma,
-                v: v.filter(|_| want_v),
-                sweeps,
-            }
+            (u, v)
+        };
+        WSvd {
+            u: thin(u, r),
+            sigma,
+            v: v.filter(|_| want_v).map(|v| thin(v, r)),
+            sweeps,
         }
     }
 }
@@ -113,6 +93,24 @@ pub fn check_finite(mats: &[Matrix]) -> Result<(), KernelError> {
         ))),
         None => Ok(()),
     }
+}
+
+/// The one entry of the Jacobi engines: [`check_finite`], then the batch's
+/// working copy in the orientation the sweeps run on. Wide inputs are
+/// transposed (fewer rotations per sweep, §IV-B) and flagged, so their
+/// factors swap back in [`WSvd::oriented`]; tall and square ones are copied.
+pub fn oriented_batch(mats: &[Matrix]) -> Result<Vec<(Matrix, bool)>, KernelError> {
+    check_finite(mats)?;
+    Ok(mats
+        .iter()
+        .map(|a| {
+            if a.rows() < a.cols() {
+                (a.transpose(), true)
+            } else {
+                (a.clone(), false)
+            }
+        })
+        .collect())
 }
 
 /// Batched result: one [`WSvd`] per input plus the run statistics.
@@ -130,7 +128,6 @@ pub fn wcycle_svd(
     mats: &[Matrix],
     cfg: &WCycleConfig,
 ) -> Result<WCycleOutput, KernelError> {
-    check_finite(mats)?;
     let smem = gpu.device().smem_per_block_bytes;
     let traced = gpu.trace().is_enabled();
     let watched = gpu.health().is_enabled();
@@ -139,22 +136,14 @@ pub fn wcycle_svd(
         ..Default::default()
     };
 
-    // Wide inputs are decomposed transposed (§IV-B): fewer rotations per
-    // sweep, and the factors swap back at the end. Very tall inputs are
-    // optionally QR-preconditioned (refs. [5]/[42]): the Jacobi workflow
-    // then runs on the square R factor and U is recovered as Q U_R. These
-    // are the call's one working copy of the batch: each matrix moves on
-    // from here (into the QR inputs, the level-0 group or the level tasks)
-    // and leaves an empty matrix behind.
-    let mut prepared: Vec<(Matrix, bool, Option<Matrix>)> = mats
-        .iter()
-        .map(|a| {
-            if a.rows() < a.cols() {
-                (a.transpose(), true)
-            } else {
-                (a.clone(), false)
-            }
-        })
+    // Wide inputs are decomposed transposed and their factors swap back at
+    // the end. Very tall inputs are optionally QR-preconditioned (refs.
+    // [5]/[42]): the Jacobi workflow then runs on the square R factor and U
+    // is recovered as Q U_R. These are the call's one working copy of the
+    // batch: each matrix moves on from here (into the QR inputs, the level-0
+    // group or the level tasks) and leaves an empty matrix behind.
+    let mut prepared: Vec<(Matrix, bool, Option<Matrix>)> = oriented_batch(mats)?
+        .into_iter()
         .map(|(tall, transposed)| (tall, transposed, None))
         .collect();
     if cfg.qr_precondition {
@@ -252,17 +241,18 @@ pub fn wcycle_svd(
         let outcomes = decompose_level(gpu, &mut tasks, &need_v, 1, 48, cfg, &mut stats)?;
 
         // Final extraction kernel: U = normalize(columns), Σ = column norms,
-        // each task turned into its U in place.
+        // each task turned into its U and its V put in σ order in place.
         let kc = KernelConfig::new(tasks.len(), cfg.kernel_threads, 0, "wcycle_extract");
         let mut extracted: Vec<_> = tasks
             .into_iter()
-            .map(|t| (t, Vec::new(), Vec::new()))
+            .zip(outcomes)
+            .map(|(t, o)| (t, o.v, Vec::new(), o.sweeps))
             .collect();
-        gpu.launch_over(kc, &mut extracted, |_, (t, sigma, order), ctx| {
+        gpu.launch_over(kc, &mut extracted, |_, (t, v, sigma, _), ctx| {
             ctx.count_gm_load(t.len());
             ctx.par_step(t.len(), 2);
             ctx.count_gm_store(t.len());
-            (*sigma, *order) = extract_u_sigma(t);
+            *sigma = extract_u_sigma(t, v.as_mut());
             Ok(())
         })?;
         recover_qr_u(
@@ -271,17 +261,10 @@ pub fn wcycle_svd(
             &prepared,
             extracted.iter_mut().map(|e| &mut e.0),
         )?;
-        for ((&k, (u, sigma, order)), outcome) in rest_idx.iter().zip(extracted).zip(outcomes) {
-            stats.sweeps_per_matrix[k] = outcome.sweeps;
-            slots[k] = Some(WSvd::from_level(
-                u,
-                sigma,
-                &order,
-                outcome.v,
-                prepared[k].1,
-                cfg.want_v,
-                outcome.sweeps,
-            ));
+        for (&k, (u, v, sigma, sweeps)) in rest_idx.iter().zip(extracted) {
+            stats.sweeps_per_matrix[k] = sweeps;
+            let transposed = prepared[k].1;
+            slots[k] = Some(WSvd::oriented(u, sigma, v, transposed, cfg.want_v, sweeps));
         }
     }
 
@@ -784,42 +767,6 @@ fn resolve_plan(
             TailorPlan::new(w.min(w_cap), m_star, 256)
         }
     }
-}
-
-/// Sorted `(U, Σ)` extraction from a converged matrix (`columns = UΣ`),
-/// in place: `conv` becomes U (`m x r`, `r = min(m, n)`), its columns
-/// sorted by descending norm and normalized (a zero column becomes a unit
-/// vector). Returns Σ and the order: column `k` of U was column `order[k]`
-/// of `conv`, which is where V's columns move too.
-pub fn extract_u_sigma(conv: &mut Matrix) -> (Vec<f64>, Vec<usize>) {
-    let order = sigma_order(conv);
-    conv.permute_cols(&order);
-    let (m, n) = conv.shape();
-    let r = m.min(n);
-    conv.truncate_cols(r);
-    let sigma = (0..r)
-        .map(|k| {
-            let col = conv.col_mut(k);
-            let s = dot(col, col).sqrt();
-            if s > 0.0 {
-                col.iter_mut().for_each(|x| *x /= s);
-            } else {
-                col.fill(0.0);
-                col[k] = 1.0;
-            }
-            s
-        })
-        .collect();
-    (sigma, order)
-}
-
-/// Column indices of `conv` in order of descending column norm.
-fn sigma_order(conv: &Matrix) -> Vec<usize> {
-    let n = conv.cols();
-    let norms: Vec<f64> = (0..n).map(|j| dot(conv.col(j), conv.col(j))).collect();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&x, &y| norms[y].total_cmp(&norms[x]));
-    order
 }
 
 /// The first `r` columns of `m` (all of them when it has no more).

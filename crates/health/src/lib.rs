@@ -35,7 +35,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wsvd_metrics::MetricsSink;
 
 /// Watchdog thresholds and the flight-recorder capacity. The defaults are
@@ -283,81 +283,9 @@ impl Serialize for FlightKind {
     }
 }
 
-impl Deserialize for FlightKind {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let field = |k: &str| {
-            v.get(k)
-                .ok_or_else(|| serde::Error::msg(format!("FlightKind missing field `{k}`")))
-        };
-        let s = |k: &str| -> Result<String, serde::Error> {
-            field(k)?
-                .as_str()
-                .map(str::to_string)
-                .ok_or_else(|| serde::Error::msg(format!("FlightKind field `{k}` not a string")))
-        };
-        let u = |k: &str| -> Result<u64, serde::Error> {
-            field(k)?
-                .as_u64()
-                .ok_or_else(|| serde::Error::msg(format!("FlightKind field `{k}` not a u64")))
-        };
-        let f = |k: &str| -> Result<f64, serde::Error> {
-            field(k)?
-                .as_f64()
-                .ok_or_else(|| serde::Error::msg(format!("FlightKind field `{k}` not a number")))
-        };
-        match s("type")?.as_str() {
-            "kernel-launch" => Ok(FlightKind::KernelLaunch {
-                label: s("label")?,
-                grid: u("grid")?,
-                kernel_seconds: f("kernel_seconds")?,
-            }),
-            "plan-selected" => Ok(FlightKind::PlanSelected {
-                level: u("level")?,
-                w: u("w")?,
-                delta: u("delta")?,
-                threads: u("threads")?,
-            }),
-            "sweep-sample" => Ok(FlightKind::SweepSample {
-                level: u("level")?,
-                sweep: u("sweep")?,
-                off_norm: f("off_norm")?,
-                active: u("active")?,
-            }),
-            "metric-delta" => Ok(FlightKind::MetricDelta {
-                key: s("key")?,
-                delta: f("delta")?,
-            }),
-            "shard-sync" => Ok(FlightKind::ShardSync {
-                bytes: u("bytes")?,
-                seconds: f("seconds")?,
-            }),
-            "shard-killed" => Ok(FlightKind::ShardKilled { rank: u("rank")? }),
-            "shard-recovered" => Ok(FlightKind::ShardRecovered { rank: u("rank")? }),
-            "chunk-pulled" => Ok(FlightKind::ChunkPulled {
-                rank: u("rank")?,
-                chunk: u("chunk")?,
-            }),
-            "chunk-stolen" => Ok(FlightKind::ChunkStolen {
-                thief: u("thief")?,
-                victim: u("victim")?,
-                chunk: u("chunk")?,
-            }),
-            "chunk-requeued" => Ok(FlightKind::ChunkRequeued {
-                rank: u("rank")?,
-                chunk: u("chunk")?,
-            }),
-            "checkpoint-taken" => Ok(FlightKind::CheckpointTaken { bytes: u("bytes")? }),
-            "watchdog-fire" => Ok(FlightKind::WatchdogFire { kind: s("kind")? }),
-            other => Err(serde::Error::msg(format!(
-                "unknown FlightKind type `{other}`"
-            ))),
-        }
-    }
-}
-
 /// One flight-recorder entry: a global sequence number, the simulated time
 /// at which the event was recorded, and the event itself.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct FlightEvent {
     /// Global sequence number (total order of recording).
     pub seq: u64,
@@ -462,7 +390,7 @@ impl std::fmt::Display for IncidentKind {
 }
 
 /// The tailoring plan in force when an incident fired.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct PlanChoice {
     /// W-cycle level the plan was selected for.
     pub level: u64,
@@ -477,7 +405,7 @@ pub struct PlanChoice {
 /// A structured incident report: everything needed to understand and replay
 /// one watchdog fire. Serialized as JSON by `repro --health-dump` and the
 /// `ext-health` experiment.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Incident {
     /// Incident class ([`IncidentKind::as_str`]).
     pub kind: String,
@@ -509,7 +437,7 @@ pub struct Incident {
 
 /// Everything `repro --health-dump` writes: the context, the incidents and
 /// the current flight tail (even when no watchdog fired).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct HealthReport {
     /// Current experiment scope.
     pub experiment: String,
@@ -1056,6 +984,7 @@ pub fn global() -> HealthSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::Value;
 
     #[test]
     fn disabled_sink_is_a_strict_noop() {
@@ -1223,21 +1152,33 @@ mod tests {
         assert_eq!(s.summary().get("b"), Some(&1));
     }
 
+    /// The value at `path` (object keys, outermost first) in `v`.
+    fn at<'a>(v: &'a Value, path: &[&str]) -> &'a Value {
+        path.iter()
+            .fold(v, |v, k| v.get(k).unwrap_or_else(|| panic!("no `{k}`")))
+    }
+
     #[test]
     fn incident_json_round_trips() {
         let s = HealthSink::enabled();
         s.set_context("j", 123);
         s.plan_selected(1, 16, 128, 256, 0.5);
         s.nonfinite("gram", 3, "element 7 is NaN", 1.0);
-        let json = s.report_json();
-        let parsed: HealthReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(parsed.incidents.len(), 1);
-        let inc = &parsed.incidents[0];
-        assert_eq!(inc.kind, "non-finite");
-        assert_eq!(inc.seed, 123);
-        assert_eq!(inc.plan.unwrap().w, 16);
-        assert_eq!(inc.flight_tail.len(), 2);
-        assert_eq!(parsed.events_recorded, 2);
+        let report: Value = serde_json::from_str(&s.report_json()).unwrap();
+        let incidents = at(&report, &["incidents"]).as_seq().unwrap();
+        assert_eq!(incidents.len(), 1);
+        let inc = &incidents[0];
+        assert_eq!(at(inc, &["kind"]).as_str(), Some("non-finite"));
+        assert_eq!(at(inc, &["seed"]).as_u64(), Some(123));
+        assert_eq!(at(inc, &["plan", "w"]).as_u64(), Some(16));
+        let tags: Vec<_> = at(inc, &["flight_tail"])
+            .as_seq()
+            .unwrap()
+            .iter()
+            .map(|e| at(e, &["kind", "type"]).as_str().unwrap())
+            .collect();
+        assert_eq!(tags, ["plan-selected", "watchdog-fire"]);
+        assert_eq!(at(&report, &["events_recorded"]).as_u64(), Some(2));
     }
 
     #[test]
@@ -1282,10 +1223,25 @@ mod tests {
                 kind: "stagnation".into(),
             },
         ];
-        for kind in kinds {
-            let v = Serialize::to_value(&kind);
-            let back = FlightKind::from_value(&v).unwrap();
-            assert_eq!(back, kind);
+        let tags = [
+            "kernel-launch",
+            "plan-selected",
+            "sweep-sample",
+            "metric-delta",
+            "shard-sync",
+            "shard-killed",
+            "shard-recovered",
+            "chunk-pulled",
+            "chunk-stolen",
+            "chunk-requeued",
+            "checkpoint-taken",
+            "watchdog-fire",
+        ];
+        for (kind, tag) in kinds.iter().zip(tags) {
+            let json = serde_json::to_string(kind).unwrap();
+            let parsed: Value = serde_json::from_str(&json).unwrap();
+            assert_eq!(at(&parsed, &["type"]).as_str(), Some(tag));
+            assert_eq!(parsed, kind.to_value(), "{tag}: every field survives JSON");
         }
     }
 

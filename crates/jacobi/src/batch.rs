@@ -217,6 +217,78 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the bit patterns of `xs`: a compact pin of exact values.
+    fn digest<'a>(xs: impl IntoIterator<Item = &'a f64>) -> u64 {
+        xs.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+            (h ^ x.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn batched_svd_results_and_launch_stats_are_pinned() {
+        // Tall and wide shapes in one ragged batch (the wide ones run the
+        // transposed path with its completed V). U, Σ and V (digests of
+        // their bit patterns, per matrix) and the launch statistics are
+        // pinned bit for bit, in shared and in global memory: a refactor of
+        // the kernel's staging or extraction must move none of them.
+        let mats = vec![
+            random_uniform(10, 6, 61),
+            random_uniform(6, 10, 62),
+            random_uniform(24, 16, 63),
+            random_uniform(16, 24, 64),
+        ];
+        let want_factors: [[u64; 3]; 4] = [
+            [0x23344fbbcfb53876, 0x720697a30950a66a, 0x8667955642950274],
+            [0xf29290190adb18cb, 0x26d6780718d142cb, 0xf9f8ee62a8b0352f],
+            [0xe0748da3cd6e7605, 0x5ab528ce24c4eb7a, 0x50906c804d1a6fc8],
+            [0x506f045a0576160a, 0xc75806cd0b422de3, 0x5d8857d076776432],
+        ];
+        let want_launch = [
+            (
+                MemSpace::Shared,
+                [475388, 7104, 11776, 590, 1742080],
+                [0x40ceb80000000000, 0x3ed578502f3d6805, 0x3f6999999999999a],
+            ),
+            (
+                MemSpace::Global,
+                [475388, 1114272, 865280, 61861, 1742080],
+                [0x40d1610000000000, 0x3ed87a9b34692a47, 0x3f6999999999999a],
+            ),
+        ];
+        let cfg = OneSidedConfig::default();
+        for (space, counters, times) in want_launch {
+            let gpu = Gpu::new(V100);
+            let (outs, stats) = match space {
+                MemSpace::Shared => batched_svd_sm(&gpu, &mats, &cfg, 128),
+                MemSpace::Global => batched_svd_gm(&gpu, &mats, &cfg, 128),
+            }
+            .unwrap();
+            let factors: Vec<[u64; 3]> = outs
+                .iter()
+                .map(|s| {
+                    [
+                        digest(s.u.as_slice()),
+                        digest(&s.sigma),
+                        digest(s.v.as_slice()),
+                    ]
+                })
+                .collect();
+            assert_eq!(factors, want_factors, "{space:?}");
+            let c = &stats.totals;
+            assert_eq!(stats.grid, 4, "{space:?}");
+            let got = [
+                c.flops,
+                c.gm_load_bytes,
+                c.gm_store_bytes,
+                c.gm_transactions,
+                c.smem_traffic_bytes,
+            ];
+            assert_eq!(got, counters, "{space:?}");
+            let got = [c.span_cycles, stats.kernel_seconds, stats.occupancy].map(f64::to_bits);
+            assert_eq!(got, times, "{space:?}");
+        }
+    }
+
     #[test]
     fn empty_batch_is_ok() {
         let gpu = Gpu::new(V100);

@@ -29,6 +29,8 @@ pub use evd::{evd_in_block, EvdConfig, EvdVariant, JacobiEvd};
 pub use fits::{
     evd_fits_in_sm, evd_kernel_resource, max_w_for_evd, svd_fits_in_sm, svd_kernel_resource,
 };
-pub use onesided::{svd_in_block, JacobiStats, JacobiSvd, MemSpace, OneSidedConfig, SvdSmemLayout};
+pub use onesided::{
+    extract_u_sigma, svd_in_block, JacobiStats, JacobiSvd, MemSpace, OneSidedConfig, SvdSmemLayout,
+};
 pub use ordering::Ordering;
 pub use verify::{verify_ordering, verify_schedule, Coverage, ScheduleProof, ScheduleViolation};

@@ -387,49 +387,40 @@ impl JacobiSvd {
     }
 }
 
-/// Extracts `U` and `Σ` from converged columns (`A_conv = U Σ`), sorting all
-/// factors by descending singular value.
-fn extract_factors(
-    conv: &Matrix,
-    v: Matrix,
-    stats: JacobiStats,
-    coherence_per_sweep: Vec<f64>,
-) -> JacobiSvd {
+/// Sorted `(U, Σ)` extraction from converged columns (`columns = UΣ`), in
+/// place: `conv` becomes U (`m x r`, `r = min(m, n)`), its columns sorted by
+/// descending σ = `sqrt(col · col)` and normalized (a zero column becomes
+/// `e_k`), and `v`'s columns, the accumulated rotations, move into the same
+/// order. Columns whose σ are bitwise equal keep their index order. Returns
+/// Σ. Every Jacobi engine ends here: the kernel, the W-cycle's final
+/// extraction and the block-Jacobi baselines.
+pub fn extract_u_sigma(conv: &mut Matrix, v: Option<&mut Matrix>) -> Vec<f64> {
     let (m, n) = conv.shape();
-    let mut order: Vec<usize> = (0..n).collect();
     let sig: Vec<f64> = (0..n)
         .map(|j| dot(conv.col(j), conv.col(j)).sqrt())
         .collect();
+    let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&x, &y| sig[y].total_cmp(&sig[x]));
-
+    conv.permute_cols(&order);
+    if let Some(v) = v {
+        v.permute_cols(&order);
+    }
     let r = m.min(n);
-    let mut u = Matrix::zeros(m, r);
-    let mut sigma = Vec::with_capacity(r);
-    for (k, &j) in order.iter().take(r).enumerate() {
-        let s = sig[j];
-        sigma.push(s);
-        if s > 0.0 {
-            let src = conv.col(j);
-            let dst = u.col_mut(k);
-            for i in 0..m {
-                dst[i] = src[i] / s;
+    conv.truncate_cols(r);
+    order[..r]
+        .iter()
+        .enumerate()
+        .map(|(k, &j)| {
+            let (s, col) = (sig[j], conv.col_mut(k));
+            if s > 0.0 {
+                col.iter_mut().for_each(|x| *x /= s);
+            } else {
+                col.fill(0.0);
+                col[k] = 1.0;
             }
-        } else if k < m {
-            u[(k, k)] = 1.0; // arbitrary unit vector for a null direction
-        }
-    }
-    // Permute V's columns to match (full square V).
-    let mut vp = Matrix::zeros(v.rows(), v.cols());
-    for (k, &j) in order.iter().enumerate() {
-        vp.col_mut(k).copy_from_slice(v.col(j));
-    }
-    JacobiSvd {
-        u,
-        sigma,
-        v: vp,
-        stats,
-        coherence_per_sweep,
-    }
+            s
+        })
+        .collect()
 }
 
 /// One-sided Jacobi SVD of one matrix inside one simulated block.
@@ -470,90 +461,63 @@ fn svd_in_block_by(
     sweeps: SweepsFn,
 ) -> Result<JacobiSvd, KernelError> {
     let (m, n) = a.shape();
-    if m >= n {
-        // The block's working copy of A (its shared-memory tile).
-        let mut work = Matrix::from_columns(a);
-        // Charge the SM working set: matrix + V accumulation + norm caches.
-        let bufs = if space == MemSpace::Shared {
-            let a_buf = ctx.gm_load_to_smem(work.as_slice())?;
-            let v_buf = if cfg.accumulate_v {
-                Some(ctx.smem().alloc(n * n)?)
-            } else {
-                None
-            };
-            let n_buf = ctx.smem().alloc(2 * n)?;
-            // Staging barrier: the cooperative GM load completes before any
-            // lane reads the SM-resident working set.
-            ctx.sync_threads();
-            Some((a_buf, v_buf, n_buf))
-        } else {
-            None
-        };
-        let layout = bufs.as_ref().map(|(a_buf, v_buf, n_buf)| SvdSmemLayout {
-            a: a_buf,
-            v: v_buf.as_ref(),
-            norms: n_buf,
-        });
-        let cfg = OneSidedConfig {
-            accumulate_v: true,
-            ..*cfg
-        };
-        let out = sweeps(&mut work, &cfg, ctx, space, layout.as_ref());
-        if space == MemSpace::Shared {
-            // Write-back barrier, then the cooperative GM store.
-            ctx.sync_threads();
-            ctx.count_gm_store(m * n + n * n);
-        }
-        Ok(extract_factors(
-            &work,
-            out.v.expect("accumulate_v forced on"),
-            out.stats,
-            out.coherence_per_sweep,
-        ))
+    let wide = m < n;
+    // The block's working copy (its shared-memory tile): A, or A^T (tall)
+    // for a wide input.
+    let mut work = if wide {
+        Matrix::from_fn(n, m, |i, j| a.col(i)[j])
     } else {
-        // Wide: decompose A^T (n x m, tall). Accumulated V of A^T is U of A;
-        // converged columns of A^T give V of A (thin), completed to square.
-        let at = Matrix::from_fn(n, m, |i, j| a.col(i)[j]);
-        let bufs = if space == MemSpace::Shared {
-            let a_buf = ctx.gm_load_to_smem(at.as_slice())?;
-            let u_buf = ctx.smem().alloc(m * m)?;
-            let n_buf = ctx.smem().alloc(2 * m)?;
-            ctx.sync_threads();
-            Some((a_buf, u_buf, n_buf))
+        Matrix::from_columns(a)
+    };
+    let (rows, cols) = work.shape();
+    // Charge the SM working set: matrix + V accumulation + norm caches.
+    let bufs = if space == MemSpace::Shared {
+        let a_buf = ctx.gm_load_to_smem(work.as_slice())?;
+        let v_buf = if wide || cfg.accumulate_v {
+            Some(ctx.smem().alloc(cols * cols)?)
         } else {
             None
         };
-        let layout = bufs.as_ref().map(|(a_buf, u_buf, n_buf)| SvdSmemLayout {
-            a: a_buf,
-            v: Some(u_buf),
-            norms: n_buf,
-        });
-        let mut work = at;
-        let cfg_t = OneSidedConfig {
-            accumulate_v: true,
-            ..*cfg
-        };
-        let out = sweeps(&mut work, &cfg_t, ctx, space, layout.as_ref());
-        if space == MemSpace::Shared {
-            ctx.sync_threads();
-            ctx.count_gm_store(n * m + m * m);
-        }
-        let t = extract_factors(
-            &work,
-            out.v.expect("accumulate_v forced on"),
-            out.stats,
-            out.coherence_per_sweep,
-        );
-        // t.u (n x m) = V of A (thin); t.v (m x m) = U of A.
-        let v_full = complete_orthonormal(&t.u, &t.sigma, ctx);
-        Ok(JacobiSvd {
-            u: t.v,
-            sigma: t.sigma,
-            v: v_full,
-            stats: t.stats,
-            coherence_per_sweep: t.coherence_per_sweep,
-        })
+        let n_buf = ctx.smem().alloc(2 * cols)?;
+        // Staging barrier: the cooperative GM load completes before any
+        // lane reads the SM-resident working set.
+        ctx.sync_threads();
+        Some((a_buf, v_buf, n_buf))
+    } else {
+        None
+    };
+    let layout = bufs.as_ref().map(|(a_buf, v_buf, n_buf)| SvdSmemLayout {
+        a: a_buf,
+        v: v_buf.as_ref(),
+        norms: n_buf,
+    });
+    let cfg = OneSidedConfig {
+        accumulate_v: true,
+        ..*cfg
+    };
+    let out = sweeps(&mut work, &cfg, ctx, space, layout.as_ref());
+    if space == MemSpace::Shared {
+        // Write-back barrier, then the cooperative GM store.
+        ctx.sync_threads();
+        ctx.count_gm_store(rows * cols + cols * cols);
     }
+    let mut v = out.v.expect("accumulate_v forced on");
+    let sigma = extract_u_sigma(&mut work, Some(&mut v));
+    let (u, v) = if wide {
+        // A^T = U_t Σ V_t^T, so A = V_t Σ U_t^T: the accumulated V is U of
+        // A, and the thin U of A^T is V of A, completed to square.
+        let v_full = complete_orthonormal(&work, &sigma, ctx);
+        (v, v_full)
+    } else {
+        (work, v)
+    };
+    Ok(JacobiSvd {
+        u,
+        sigma,
+        v,
+        stats: out.stats,
+        coherence_per_sweep: out.coherence_per_sweep,
+    })
 }
 
 /// Completes a thin `n x r` orthonormal set (columns with tiny singular
@@ -846,6 +810,37 @@ mod tests {
 
     fn bits(m: &Matrix) -> Vec<u64> {
         m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn extraction_keeps_sigma_ties_in_index_order_and_maps_zero_to_e_k() {
+        // Columns 0 and 1 have squared norms 1 and 1 + 2^-52, whose square
+        // roots are both exactly 1.0: tied in σ, they keep their index
+        // order (a squared-norm key would swap them). Column 2 is zero and
+        // becomes the unit vector of its slot.
+        let tiny = 2f64.powi(-26);
+        let mut conv = Matrix::from_rows(
+            4,
+            4,
+            &[
+                1.0, 1.0, 0.0, 0.0, //
+                0.0, tiny, 0.0, 0.0, //
+                0.0, 0.0, 0.0, 3.0, //
+                0.0, 0.0, 0.0, 0.0,
+            ],
+        );
+        let mut v = Matrix::from_fn(4, 4, |i, j| (10 * i + j) as f64);
+        let v0 = v.clone();
+        let sigma = extract_u_sigma(&mut conv, Some(&mut v));
+        assert_eq!(sigma, [3.0, 1.0, 1.0, 0.0]);
+        let order = [3, 0, 1, 2];
+        for (k, &j) in order.iter().enumerate() {
+            assert_eq!(v.col(k), v0.col(j), "V column {k}");
+        }
+        assert_eq!(conv.col(0), [0.0, 0.0, 1.0, 0.0]);
+        assert_eq!(conv.col(1), [1.0, 0.0, 0.0, 0.0]);
+        assert_eq!(conv.col(2), [1.0, tiny, 0.0, 0.0]);
+        assert_eq!(conv.col(3), [0.0, 0.0, 0.0, 1.0], "zero column -> e_3");
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! General matrix multiplication kernels.
 //!
 //! These are the CPU reference kernels underlying the batched GEMM layer.
-//! `gemm` is a cache-blocked triple loop in `jki` order (column-major
+//! [`matmul_rows`] is a cache-blocked loop in `jki` order (column-major
 //! friendly: the innermost loop streams down contiguous columns of `A` and
 //! `C`). [`gram`] and [`matmul`] are the two GEMM shapes that dominate the
-//! W-cycle workflow (Algorithm 1, lines 5 and 7).
+//! W-cycle workflow (Algorithm 1, lines 5 and 7): each is its row-range
+//! kernel run over all rows.
 //!
 //! Summation order is part of every kernel's contract: each output element
 //! is a separate reduction whose terms are added one at a time in ascending
@@ -13,106 +14,24 @@
 //! by reassociating one, so their results are bit-identical to the plain
 //! scalar loops.
 //!
-//! [`gemm`], [`gram`] and [`col_pair_dots`] are dispatched entries
-//! ([`crate::simd`]): each runs its `*_with` body compiled for AVX2 when the
-//! CPU has it, portable otherwise, with the same bits either way.
+//! [`matmul_rows`], [`gram_rows`] and [`col_pair_dots`] are dispatched
+//! entries ([`crate::simd`]): each runs its `*_with` body compiled for AVX2
+//! when the CPU has it, portable otherwise, with the same bits either way.
 
 use std::ops::Range;
 
 use crate::matrix::{Columns, Matrix};
 use crate::simd::Isa;
 
-/// Operation applied to a GEMM operand.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Op {
-    /// Use the matrix as stored.
-    NoTrans,
-    /// Use the transpose of the stored matrix.
-    Trans,
-}
-
-impl Op {
-    fn dims(self, m: &Matrix) -> (usize, usize) {
-        match self {
-            Op::NoTrans => (m.rows(), m.cols()),
-            Op::Trans => (m.cols(), m.rows()),
-        }
-    }
-}
-
 /// Cache-block edge for the k dimension.
 pub const KC: usize = 256;
 
-crate::dispatch! {
-    /// `C = alpha * op_a(A) * op_b(B) + beta * C`.
-    ///
-    /// Panics on dimension mismatch.
-    pub fn gemm(alpha: f64, a: &Matrix, op_a: Op, b: &Matrix, op_b: Op, beta: f64, c: &mut Matrix)
-        => gemm_with
-}
-
-/// The body of [`gemm`] for instruction set `I` (`gemm_with(Portable, ..)`
-/// is the portable copy).
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_with<I: Isa>(
-    _isa: I,
-    alpha: f64,
-    a: &Matrix,
-    op_a: Op,
-    b: &Matrix,
-    op_b: Op,
-    beta: f64,
-    c: &mut Matrix,
-) {
-    let (m, ka) = op_a.dims(a);
-    let (kb, n) = op_b.dims(b);
-    assert_eq!(ka, kb, "gemm inner dimensions differ: {ka} vs {kb}");
-    assert_eq!(c.shape(), (m, n), "gemm output shape mismatch");
-    let k = ka;
-
-    if beta != 1.0 {
-        if beta == 0.0 {
-            c.as_mut_slice().fill(0.0);
-        } else {
-            c.scale(beta);
-        }
-    }
-    if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
-        return;
-    }
-
-    // Materialize op_a(A) column-major once when A is transposed so the inner
-    // loops always stream contiguous columns.
-    let a_eff;
-    let a_ref = match op_a {
-        Op::NoTrans => a,
-        Op::Trans => {
-            a_eff = a.transpose();
-            &a_eff
-        }
-    };
-
-    let b_at = |p: usize, j: usize| match op_b {
-        Op::NoTrans => b[(p, j)],
-        Op::Trans => b[(j, p)],
-    };
-    for k0 in (0..k).step_by(KC) {
-        let k1 = (k0 + KC).min(k);
-        for j in 0..n {
-            let c_col = &mut c.col_mut(j)[..m];
-            accumulate_col(alpha, |q| a_ref.col(q), |p| b_at(p, j), k0..k1, c_col);
-        }
-    }
-}
-
-/// `c_col += alpha * sum(b(p) * a_col(p) for p in ks)`, adding the terms to
+/// `c_col += sum(b(p) * a_col(p) for p in ks)`, adding the terms to
 /// each `c_col[i]` one `p` at a time in ascending order. `a_col(p)` must be
 /// at least `c_col.len()` long; only its first `c_col.len()` entries are
 /// read, so the caller picks the rows.
 #[inline(always)]
 fn accumulate_col<'a>(
-    alpha: f64,
     a_col: impl Fn(usize) -> &'a [f64],
     b: impl Fn(usize) -> f64,
     ks: Range<usize>,
@@ -127,48 +46,46 @@ fn accumulate_col<'a>(
         let bs = [b(p), b(p + 1), b(p + 2), b(p + 3)];
         if bs.contains(&0.0) {
             for (q, &b_q) in (p..p + 4).zip(&bs) {
-                axpy(alpha, b_q, a_col(q), c_col);
+                axpy(b_q, a_col(q), c_col);
             }
         } else {
-            let s = bs.map(|b_q| alpha * b_q);
             let a0 = &a_col(p)[..m];
             let a1 = &a_col(p + 1)[..m];
             let a2 = &a_col(p + 2)[..m];
             let a3 = &a_col(p + 3)[..m];
             for i in 0..m {
                 let mut ci = c_col[i];
-                ci += s[0] * a0[i];
-                ci += s[1] * a1[i];
-                ci += s[2] * a2[i];
-                ci += s[3] * a3[i];
+                ci += bs[0] * a0[i];
+                ci += bs[1] * a1[i];
+                ci += bs[2] * a2[i];
+                ci += bs[3] * a3[i];
                 c_col[i] = ci;
             }
         }
         p += 4;
     }
     for q in p..ks.end {
-        axpy(alpha, b(q), a_col(q), c_col);
+        axpy(b(q), a_col(q), c_col);
     }
 }
 
-/// `c += (alpha * b_pj) * a_col`, skipped entirely when `b_pj` is zero.
+/// `c += b_pj * a_col`, skipped entirely when `b_pj` is zero.
 #[inline(always)]
-fn axpy(alpha: f64, b_pj: f64, a_col: &[f64], c_col: &mut [f64]) {
+fn axpy(b_pj: f64, a_col: &[f64], c_col: &mut [f64]) {
     if b_pj == 0.0 {
         return;
     }
-    let s = alpha * b_pj;
     let a_col = &a_col[..c_col.len()];
     for (ci, &ai) in c_col.iter_mut().zip(a_col) {
-        *ci += s * ai;
+        *ci += b_pj * ai;
     }
 }
 
 crate::dispatch! {
     /// Rows `rows` of `A * B`, written straight into `c_cols`: one slice per
     /// column of `B`, each `rows.len()` long. `A` is read in place. Every
-    /// element is bit-identical to the same element of [`matmul`], because
-    /// each is its own ascending-`p` sum whatever rows are computed with it.
+    /// element is its own ascending-`p` sum, so it is bit-identical whatever
+    /// rows are computed with it.
     pub fn matmul_rows(a: &Matrix, rows: Range<usize>, b: &Matrix, c_cols: &mut [&mut [f64]])
         => matmul_rows_with
 }
@@ -197,37 +114,30 @@ pub fn matmul_rows_with<I: Isa>(
         let k1 = (k0 + KC).min(k);
         for (j, c_col) in c_cols.iter_mut().enumerate() {
             let a_col = |q: usize| &a.col(q)[rows.clone()];
-            accumulate_col(1.0, a_col, |p| b[(p, j)], k0..k1, c_col);
+            accumulate_col(a_col, |p| b[(p, j)], k0..k1, c_col);
         }
     }
 }
 
-/// Convenience: `A * B` as a fresh matrix.
+/// `A * B` as a fresh matrix: [`matmul_rows`] over all rows.
 pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
     let mut c = Matrix::zeros(a.rows(), b.cols());
-    gemm(1.0, a, Op::NoTrans, b, Op::NoTrans, 0.0, &mut c);
+    matmul_rows(a, 0..a.rows(), b, &mut c.cols_mut());
     c
 }
 
-crate::dispatch! {
-    /// Gram matrix `B = A^T A` (first batched GEMM of each W-cycle level).
-    ///
-    /// Exploits symmetry: only the upper triangle is computed, then mirrored.
-    /// Entry `(i, j)` is `a_i · a_j` summed over rows in ascending order, four
-    /// entries of a column at a time.
-    pub fn gram(a: &Matrix) -> Matrix => gram_with
-}
-
-/// The body of [`gram`] for instruction set `I`.
-#[inline(always)]
-pub fn gram_with<I: Isa>(isa: I, a: &Matrix) -> Matrix {
-    gram_of_cols(isa, a.cols(), |j| a.col(j))
+/// Gram matrix `B = A^T A` (first batched GEMM of each W-cycle level):
+/// [`gram_rows`] over all rows.
+pub fn gram(a: &Matrix) -> Matrix {
+    gram_rows(a, 0..a.rows())
 }
 
 crate::dispatch! {
     /// Gram matrix of rows `rows` of the columns `a` holds, read in place
-    /// (a [`Matrix`], or a pair block's columns in its task): bit-identical
-    /// to [`gram`] of those rows copied out.
+    /// (a [`Matrix`], or a pair block's columns in its task). Exploits
+    /// symmetry: only the upper triangle is computed, then mirrored. Entry
+    /// `(i, j)` is `a_i · a_j` summed over the rows in ascending order, four
+    /// entries of a column at a time.
     pub fn gram_rows(a: &dyn Columns, rows: Range<usize>) -> Matrix => gram_rows_with
 }
 
@@ -330,7 +240,7 @@ pub fn col_pair_dots_with<I: Isa>(
     }
 }
 
-/// FLOP count of `C += op(A)*op(B)` with inner dimension `k`: one FMA per
+/// FLOP count of `C += A*B` with inner dimension `k`: one FMA per
 /// `m*n*k` (counted as 2 floating point ops, the convention of the paper's
 /// `num_FMA` model in §IV-D2 uses FMA instructions; we expose both).
 pub fn gemm_flops(m: usize, n: usize, k: usize) -> u64 {
@@ -355,42 +265,10 @@ mod tests {
     }
 
     #[test]
-    fn gemm_trans_a() {
-        let a = Matrix::from_rows(3, 2, &[1., 4., 2., 5., 3., 6.]);
-        let b = Matrix::from_rows(3, 2, &[7., 10., 8., 11., 9., 12.]);
-        let mut c = Matrix::zeros(2, 2);
-        gemm(1.0, &a, Op::Trans, &b, Op::NoTrans, 0.0, &mut c);
-        // A^T is [[1,2,3],[4,5,6]]
-        let expect = Matrix::from_rows(2, 2, &[50., 68., 122., 167.]);
-        assert!(approx_eq(&c, &expect, 1e-12));
-    }
-
-    #[test]
-    fn gemm_trans_b() {
-        let a = Matrix::from_rows(2, 3, &[1., 2., 3., 4., 5., 6.]);
-        let b = Matrix::from_rows(2, 3, &[7., 9., 11., 8., 10., 12.]);
-        let mut c = Matrix::zeros(2, 2);
-        gemm(1.0, &a, Op::NoTrans, &b, Op::Trans, 0.0, &mut c);
-        let expect = Matrix::from_rows(2, 2, &[58., 64., 139., 154.]);
-        assert!(approx_eq(&c, &expect, 1e-12));
-    }
-
-    #[test]
-    fn gemm_alpha_beta() {
-        let a = Matrix::identity(2);
-        let b = Matrix::from_rows(2, 2, &[1., 2., 3., 4.]);
-        let mut c = Matrix::from_rows(2, 2, &[10., 10., 10., 10.]);
-        gemm(2.0, &a, Op::NoTrans, &b, Op::NoTrans, 0.5, &mut c);
-        let expect = Matrix::from_rows(2, 2, &[7., 9., 11., 13.]);
-        assert!(approx_eq(&c, &expect, 1e-12));
-    }
-
-    #[test]
     fn gram_matches_explicit() {
         let a = Matrix::from_fn(5, 3, |i, j| ((i + 1) * (j + 2)) as f64 / 7.0);
         let g = gram(&a);
-        let mut g2 = Matrix::zeros(3, 3);
-        gemm(1.0, &a, Op::Trans, &a, Op::NoTrans, 0.0, &mut g2);
+        let g2 = matmul(&a.transpose(), &a);
         assert!(approx_eq(&g, &g2, 1e-12));
         // Symmetry.
         assert!(approx_eq(&g, &g.transpose(), 0.0 + f64::EPSILON));

@@ -33,7 +33,7 @@ pub mod simd;
 pub mod svd;
 pub mod verify;
 
-pub use gemm::{gemm, gram, matmul, Op};
+pub use gemm::{gram, matmul};
 pub use givens::{one_sided_rotation, rotate_columns, two_sided_rotation, Rotation};
 pub use matrix::Matrix;
 pub use svd::{singular_values, svd_reference, Svd};

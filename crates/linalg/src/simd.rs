@@ -1,13 +1,14 @@
 //! Instruction-set dispatch for the host kernels: one body, compiled twice.
 //!
-//! Each dispatched kernel entry (`gemm`, `gram`, `col_pair_dots`, the
-//! one-sided Jacobi sweeps, the EVD sweeps) is a thin wrapper around an
-//! `#[inline(always)]` body generic over an [`Isa`] token. [`dispatch!`]
-//! writes that wrapper: it compiles the body once as portable code and once
-//! inside a `#[target_feature(enable = "avx2")]` function, and picks the
-//! copy once per call with `is_x86_feature_detected!`. Everything the body
-//! inlines (`dot`, `dot4`, `axpy`, `rotate_columns`) becomes AVX2 code in
-//! the second copy. Non-x86_64 targets build the portable copy only.
+//! Each dispatched kernel entry (`matmul_rows`, `gram_rows`,
+//! `col_pair_dots`, the one-sided Jacobi sweeps, the EVD sweeps) is a thin
+//! wrapper around an `#[inline(always)]` body generic over an [`Isa`]
+//! token. [`dispatch!`] writes that wrapper: it compiles the body once as
+//! portable code and once inside a `#[target_feature(enable = "avx2")]`
+//! function, and picks the copy once per call with
+//! `is_x86_feature_detected!`. Everything the body inlines (`dot`, `dot4`,
+//! `axpy`, `rotate_columns`) becomes AVX2 code in the second copy.
+//! Non-x86_64 targets build the portable copy only.
 //!
 //! Both copies compute the same bits. The bodies are IEEE additions and
 //! multiplications in a fixed order; neither copy enables FMA (a fused

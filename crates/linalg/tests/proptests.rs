@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use wsvd_linalg::gemm::{
-    col_pair_dots, col_pair_dots_with, dot, dot4, gemm_with, gram_rows, gram_rows_with, gram_with,
-    matmul_rows, matmul_rows_with, KC,
+    col_pair_dots, col_pair_dots_with, dot, dot4, gram_rows, gram_rows_with, matmul_rows,
+    matmul_rows_with, KC,
 };
 use wsvd_linalg::generate::{random_uniform, with_spectrum};
 use wsvd_linalg::householder::{bidiagonalize, seeded_orthogonal};
@@ -11,17 +11,18 @@ use wsvd_linalg::matrix::Columns;
 use wsvd_linalg::simd::{Isa, Portable};
 use wsvd_linalg::verify::orthonormality_error;
 use wsvd_linalg::{
-    gemm, gram, matmul, one_sided_rotation, rotate_columns, singular_values, svd_reference, Matrix,
-    Op,
+    gram, matmul, one_sided_rotation, rotate_columns, singular_values, svd_reference, Matrix,
 };
 
 /// Both compiled copies of each dispatched kernel: the public entry (the
 /// AVX2 copy on CPUs that have it) and the portable body.
-type GemmFn = fn(f64, &Matrix, Op, &Matrix, Op, f64, &mut Matrix);
-const GEMMS: [GemmFn; 2] = [gemm, |alpha, a, op_a, b, op_b, beta, c| {
-    gemm_with(Portable, alpha, a, op_a, b, op_b, beta, c)
+type MatmulFn = fn(&Matrix, &Matrix) -> Matrix;
+const MATMULS: [MatmulFn; 2] = [matmul, |a, b| {
+    let mut c = Matrix::zeros(a.rows(), b.cols());
+    matmul_rows_with(Portable, a, 0..a.rows(), b, &mut c.cols_mut());
+    c
 }];
-const GRAMS: [fn(&Matrix) -> Matrix; 2] = [gram, |a| gram_with(Portable, a)];
+const GRAMS: [fn(&Matrix) -> Matrix; 2] = [gram, |a| gram_rows_with(Portable, a, 0..a.rows())];
 type PairDotsFn = fn(&Matrix, &[(usize, usize)], &mut Vec<f64>);
 const PAIR_DOTS: [PairDotsFn; 2] = [col_pair_dots, |a, pairs, out| {
     col_pair_dots_with(Portable, a, pairs, out)
@@ -64,44 +65,22 @@ fn arb_mat(max_m: usize, max_n: usize) -> impl Strategy<Value = Matrix> {
 /// The scalar kernels the optimized ones must match bit for bit: one
 /// reduction at a time, each adding its terms in ascending index order.
 mod scalar {
-    use wsvd_linalg::{Matrix, Op, Rotation};
+    use wsvd_linalg::{Matrix, Rotation};
 
-    pub fn gemm(alpha: f64, a: &Matrix, op_a: Op, b: &Matrix, op_b: Op, beta: f64, c: &mut Matrix) {
-        let (m, n) = c.shape();
-        let k = if op_a == Op::NoTrans {
-            a.cols()
-        } else {
-            a.rows()
-        };
-        if beta != 1.0 {
-            for x in c.as_mut_slice() {
-                *x = if beta == 0.0 { 0.0 } else { *x * beta };
-            }
-        }
-        if alpha == 0.0 {
-            return;
-        }
-        for j in 0..n {
-            for p in 0..k {
-                let b_pj = if op_b == Op::NoTrans {
-                    b[(p, j)]
-                } else {
-                    b[(j, p)]
-                };
+    pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut c = Matrix::zeros(a.rows(), b.cols());
+        for j in 0..b.cols() {
+            for p in 0..a.cols() {
+                let b_pj = b[(p, j)];
                 if b_pj == 0.0 {
                     continue;
                 }
-                let s = alpha * b_pj;
-                for i in 0..m {
-                    let a_ip = if op_a == Op::NoTrans {
-                        a[(i, p)]
-                    } else {
-                        a[(p, i)]
-                    };
-                    c[(i, j)] += s * a_ip;
+                for i in 0..a.rows() {
+                    c[(i, j)] += b_pj * a[(i, p)];
                 }
             }
         }
+        c
     }
 
     pub fn gram(a: &Matrix) -> Matrix {
@@ -159,96 +138,41 @@ fn with_zeros(rows: usize, cols: usize, seed: u64, stride: usize) -> Matrix {
     m
 }
 
-const ALPHAS: [f64; 4] = [1.0, -0.75, 2.5, 0.0];
-const BETAS: [f64; 4] = [0.0, 1.0, 0.5, -1.25];
-
-/// One `gemm` case against the scalar kernel, bit for bit, on both copies.
-fn gemm_matches_scalar(
-    (m, n, k): (usize, usize, usize),
-    (op_a, op_b): (Op, Op),
-    (alpha, beta): (f64, f64),
-    zero_stride: usize,
-    seed: u64,
-) -> bool {
-    GEMMS.iter().all(|&kernel| {
-        gemm_copy_matches_scalar(
-            kernel,
-            (m, n, k),
-            (op_a, op_b),
-            (alpha, beta),
-            zero_stride,
-            seed,
-        )
-    })
-}
-
-fn gemm_copy_matches_scalar(
-    kernel: GemmFn,
-    (m, n, k): (usize, usize, usize),
-    (op_a, op_b): (Op, Op),
-    (alpha, beta): (f64, f64),
-    zero_stride: usize,
-    seed: u64,
-) -> bool {
-    let a = match op_a {
-        Op::NoTrans => random_uniform(m, k, seed),
-        Op::Trans => random_uniform(k, m, seed),
-    };
-    let b = match op_b {
-        Op::NoTrans => with_zeros(k, n, seed ^ 0x5a5a, zero_stride),
-        Op::Trans => with_zeros(n, k, seed ^ 0x5a5a, zero_stride),
-    };
-    let c0 = random_uniform(m, n, seed ^ 0xc0c0);
-    let (mut got, mut want) = (c0.clone(), c0);
-    kernel(alpha, &a, op_a, &b, op_b, beta, &mut got);
-    scalar::gemm(alpha, &a, op_a, &b, op_b, beta, &mut want);
-    same_bits(got.as_slice(), want.as_slice())
+/// One `m x k` by `k x n` product against the scalar kernel, bit for bit,
+/// on both copies.
+fn matmul_matches_scalar((m, n, k): (usize, usize, usize), zero_stride: usize, seed: u64) -> bool {
+    let a = random_uniform(m, k, seed);
+    let b = with_zeros(k, n, seed ^ 0x5a5a, zero_stride);
+    let want = scalar::matmul(&a, &b);
+    MATMULS
+        .iter()
+        .all(|kernel| same_bits(kernel(&a, &b).as_slice(), want.as_slice()))
 }
 
 #[test]
-fn gemm_is_bitwise_scalar_past_the_k_block() {
-    // k > KC = 256 and not a multiple of 4, in every transpose combination.
-    for (t, ops) in OPS.into_iter().enumerate() {
-        for zero_stride in [0, 3, 4] {
-            assert!(gemm_matches_scalar(
-                (5, 3, 256 + 17),
-                ops,
-                (-0.75, 0.5),
-                zero_stride,
-                t as u64
-            ));
-        }
+fn matmul_is_bitwise_scalar_past_the_k_block() {
+    // k > KC = 256 and not a multiple of 4.
+    for (t, zero_stride) in [0, 3, 4].into_iter().enumerate() {
+        assert!(matmul_matches_scalar(
+            (5, 3, 256 + 17),
+            zero_stride,
+            t as u64
+        ));
     }
 }
 
-const OPS: [(Op, Op); 4] = [
-    (Op::NoTrans, Op::NoTrans),
-    (Op::Trans, Op::NoTrans),
-    (Op::NoTrans, Op::Trans),
-    (Op::Trans, Op::Trans),
-];
-
 #[test]
-fn gemm_copies_are_bitwise_scalar_at_every_remainder() {
+fn matmul_copies_are_bitwise_scalar_at_every_remainder() {
     // Inner dimensions at every remainder of the four-`p` groups, and on
     // both sides of the k-block edge; row counts at every remainder of the
     // vectorized `i` loop.
     let ks = LENS.iter().copied().chain([KC - 1, KC + 1]);
     for (t, k) in ks.enumerate() {
-        for (o, &ops) in OPS.iter().enumerate() {
+        for o in 0..4 {
             let m = LENS[(t + o) % LENS.len()];
             for zero_stride in [0, 3] {
-                let case = (
-                    (m, 3, k),
-                    ops,
-                    (-0.75, 0.5),
-                    zero_stride,
-                    (t * 4 + o) as u64,
-                );
-                assert!(
-                    gemm_matches_scalar(case.0, case.1, case.2, case.3, case.4),
-                    "{case:?}"
-                );
+                let case = ((m, 3, k), zero_stride, (t * 4 + o) as u64);
+                assert!(matmul_matches_scalar(case.0, case.1, case.2), "{case:?}");
             }
         }
     }
@@ -303,8 +227,7 @@ fn row_range_kernels_are_bitwise_scalar_on_the_rows() {
     for (t, k) in [0usize, 1, 3, 4, 5, 8, 10, KC + 5].into_iter().enumerate() {
         let a = random_uniform(19, k, 300 + t as u64);
         let b = with_zeros(k, 6, 400 + t as u64, 3);
-        let mut full = Matrix::zeros(19, 6);
-        scalar::gemm(1.0, &a, Op::NoTrans, &b, Op::NoTrans, 0.0, &mut full);
+        let full = scalar::matmul(&a, &b);
         for (start, len) in [(0, 19), (0, 0), (3, 5), (7, 12), (18, 1), (1, 16)] {
             let rows = start..start + len;
             let want = full.sub_matrix(start, 0, len, 6);
@@ -417,19 +340,6 @@ proptest! {
     }
 
     #[test]
-    fn gemm_transpose_flags_agree(
-        m in 1usize..9, k in 1usize..9, n in 1usize..9, seed in any::<u64>()
-    ) {
-        // (A B)^T == B^T A^T via the Op flags.
-        let a = random_uniform(m, k, seed);
-        let b = random_uniform(k, n, seed ^ 0xabcd);
-        let ab = matmul(&a, &b);
-        let mut btat = Matrix::zeros(n, m);
-        gemm(1.0, &b, Op::Trans, &a, Op::Trans, 0.0, &mut btat);
-        prop_assert!(ab.transpose().sub(&btat).max_abs() < 1e-11);
-    }
-
-    #[test]
     fn bidiagonalization_preserves_frobenius(a in arb_mat(20, 12)) {
         prop_assume!(a.rows() >= a.cols());
         let bd = bidiagonalize(&a);
@@ -446,20 +356,11 @@ proptest! {
     }
 
     #[test]
-    fn gemm_is_bitwise_scalar(
+    fn matmul_is_bitwise_scalar(
         dims in (0usize..7, 0usize..6, 0usize..19),
-        ops in (any::<bool>(), any::<bool>()),
-        coef in (0usize..4, 0usize..4),
         case in (0usize..6, any::<u64>()),
     ) {
-        let op = |t: bool| if t { Op::Trans } else { Op::NoTrans };
-        prop_assert!(gemm_matches_scalar(
-            dims,
-            (op(ops.0), op(ops.1)),
-            (ALPHAS[coef.0], BETAS[coef.1]),
-            case.0,
-            case.1
-        ));
+        prop_assert!(matmul_matches_scalar(dims, case.0, case.1));
     }
 
     #[test]
