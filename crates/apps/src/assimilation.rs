@@ -12,12 +12,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wsvd_baselines::magma_batched_svd;
-use wsvd_core::{wcycle_svd, ChunkPayload, RunCheckpoint, WCycleConfig, WCycleStats};
-use wsvd_gpu_sim::cluster::{
-    resume_elastic, run_elastic, size_class_chunks, ElasticConfig, GpuCluster, RecoveryCounters,
-    TaskChunk,
-};
-use wsvd_gpu_sim::{Gpu, KernelError};
+use wsvd_core::{wcycle_svd, WCycleConfig};
+use wsvd_gpu_sim::{Gpu, GpuCluster, KernelError};
 use wsvd_linalg::generate::random_uniform;
 use wsvd_linalg::Matrix;
 
@@ -123,7 +119,7 @@ pub fn analysis_step_with(
     cfg: &WCycleConfig,
 ) -> Result<AnalysisResult, KernelError> {
     let before = gpu.elapsed_seconds();
-    let (factors, _) = factor_batch(gpu, &problem.anomalies, engine, cfg)?;
+    let factors = factor_batch(gpu, &problem.anomalies, engine, cfg)?;
     let svd_seconds = gpu.elapsed_seconds() - before;
     Ok(AnalysisResult {
         weights: weights_from_factors(&factors, &problem.innovations),
@@ -135,38 +131,24 @@ pub fn analysis_step_with(
 type SvdFactors = Vec<(Matrix, Vec<f64>, Matrix)>;
 
 /// Runs the chosen SVD engine over one batch of anomalies, returning
-/// `(U, Σ, V)` per point plus the W-cycle's run stats (the Magma engine
-/// records none).
+/// `(U, Σ, V)` per point.
 fn factor_batch(
     gpu: &Gpu,
     anomalies: &[Matrix],
     engine: SvdEngine,
     cfg: &WCycleConfig,
-) -> Result<(SvdFactors, Option<WCycleStats>), KernelError> {
-    match engine {
-        SvdEngine::WCycle => {
-            let out = wcycle_svd(gpu, anomalies, cfg)?;
-            let factors = out
-                .results
-                .into_iter()
-                .map(|r| {
-                    let v = r.v.expect("want_v on by default");
-                    (r.u, r.sigma, v)
-                })
-                .collect();
-            Ok((factors, Some(out.stats)))
-        }
-        SvdEngine::Magma => Ok((
-            magma_batched_svd(gpu, anomalies)?
-                .into_iter()
-                .map(|r| {
-                    let v = r.v.expect("magma always returns V");
-                    (r.u, r.sigma, v)
-                })
-                .collect(),
-            None,
-        )),
-    }
+) -> Result<SvdFactors, KernelError> {
+    let results = match engine {
+        SvdEngine::WCycle => wcycle_svd(gpu, anomalies, cfg)?.results,
+        SvdEngine::Magma => magma_batched_svd(gpu, anomalies)?,
+    };
+    Ok(results
+        .into_iter()
+        .map(|r| {
+            let v = r.v.expect("both engines return V");
+            (r.u, r.sigma, v)
+        })
+        .collect())
 }
 
 /// The Kalman-style weight update: per point, `g = diag(σ/(σ²+1)) U^T d`
@@ -205,7 +187,7 @@ fn weights_from_factors(
 /// device runs the batched SVD analysis on its shard, and the weights are
 /// gathered with one collective.
 pub fn analysis_step_distributed(
-    cluster: &wsvd_gpu_sim::GpuCluster,
+    cluster: &GpuCluster,
     problem: &AssimilationProblem,
     engine: SvdEngine,
 ) -> Result<AnalysisResult, KernelError> {
@@ -213,59 +195,33 @@ pub fn analysis_step_distributed(
 }
 
 /// Distributed analysis step with an explicit [`WCycleConfig`] for the
-/// per-shard SVDs (see [`analysis_step_with`]).
+/// per-shard SVDs (see [`analysis_step_with`]): contiguous shards, one
+/// batched SVD per rank, one gather of the weights.
 ///
-/// With every rank alive this is the pinned static path: contiguous shards,
-/// one batched SVD per rank, one gather — bit-identical to every release
-/// since the cluster model landed. When a rank is already dead, the dead
-/// rank's shard is *requeued* through the elastic executor and absorbed by
-/// the surviving ranks (replacing the old identity failover, which
-/// reassigned whole shards to a fixed neighbour).
+/// A shard belongs to its rank. If any rank is dead, the step runs the
+/// cluster's health check (one `shard-dead` incident per dead rank) and
+/// returns an error naming the dead ranks; no shard runs.
 pub fn analysis_step_distributed_with(
     cluster: &GpuCluster,
     problem: &AssimilationProblem,
     engine: SvdEngine,
     cfg: &WCycleConfig,
 ) -> Result<AnalysisResult, KernelError> {
+    let dead: Vec<String> = (0..cluster.len())
+        .filter(|&r| !cluster.is_alive(r))
+        .map(|r| r.to_string())
+        .collect();
+    if !dead.is_empty() {
+        cluster.health_check();
+        return Err(KernelError::Other(format!(
+            "analysis step: cluster rank(s) {} dead; their shards cannot run",
+            dead.join(", ")
+        )));
+    }
     let indices: Vec<usize> = (0..problem.anomalies.len()).collect();
-    let shards = cluster.shard(&indices);
-    let n_ranks = shards.len();
-    let alive: Vec<usize> = (0..n_ranks).filter(|&r| cluster.is_alive(r)).collect();
-    if alive.is_empty() {
-        return Err(KernelError::Other(
-            "analysis step: every cluster rank is dead; no shard can run".to_string(),
-        ));
-    }
-    if alive.len() < n_ranks {
-        // Shards become chunks (one per rank, preserving the static batch
-        // compositions); the elastic executor drains the dead ranks' queues
-        // into the requeue pool and the survivors absorb them.
-        let chunks: Vec<TaskChunk> = shards
-            .iter()
-            .enumerate()
-            .map(|(rank, shard)| TaskChunk {
-                id: rank,
-                indices: shard.clone(),
-                size_class: usize::MAX,
-                home_rank: rank,
-                retries: 0,
-                requeued: false,
-            })
-            .filter(|c| !c.indices.is_empty())
-            .collect();
-        let run = run_elastic(cluster, chunks, &ElasticConfig::default(), |gpu, chunk| {
-            run_analysis_chunk(gpu, problem, chunk, engine, cfg)
-        })?;
-        let (weights, gathered_bytes) = scatter_weights(problem.anomalies.len(), &run.completed);
-        cluster.sync(gathered_bytes);
-        return Ok(AnalysisResult {
-            weights,
-            svd_seconds: cluster.elapsed_seconds(),
-        });
-    }
     let mut weights: Vec<Option<Vec<f64>>> = vec![None; problem.anomalies.len()];
     let mut gathered_bytes = 0u64;
-    for (rank, shard) in shards.iter().enumerate() {
+    for (rank, shard) in cluster.shard(&indices).iter().enumerate() {
         if shard.is_empty() {
             continue;
         }
@@ -295,200 +251,10 @@ pub fn analysis_step_distributed_with(
     })
 }
 
-/// Executes one elastic chunk: a batched SVD analysis over the chunk's grid
-/// points on one device, with the per-sweep convergence trajectory recorded
-/// into the payload so a checkpoint carries the partially converged W-cycle
-/// state.
-fn run_analysis_chunk(
-    gpu: &Gpu,
-    problem: &AssimilationProblem,
-    chunk: &TaskChunk,
-    engine: SvdEngine,
-    cfg: &WCycleConfig,
-) -> Result<ChunkPayload, KernelError> {
-    let anomalies: Vec<Matrix> = chunk
-        .indices
-        .iter()
-        .map(|&i| problem.anomalies[i].clone())
-        .collect();
-    let innovations: Vec<Vec<f64>> = chunk
-        .indices
-        .iter()
-        .map(|&i| problem.innovations[i].clone())
-        .collect();
-    let chunk_cfg = WCycleConfig {
-        record_convergence: true,
-        ..cfg.clone()
-    };
-    let (factors, stats) = factor_batch(gpu, &anomalies, engine, &chunk_cfg)?;
-    let weights = weights_from_factors(&factors, &innovations);
-    let (convergence, widths) = stats
-        .map(|s| (s.convergence, s.widths_per_level))
-        .unwrap_or_default();
-    Ok(ChunkPayload {
-        weights,
-        convergence,
-        widths,
-    })
-}
-
-/// Scatters completed chunk payloads back to grid-point order, returning the
-/// full weight table and the gather size in bytes.
-fn scatter_weights(points: usize, completed: &[(TaskChunk, ChunkPayload)]) -> (Vec<Vec<f64>>, u64) {
-    let mut weights: Vec<Option<Vec<f64>>> = vec![None; points];
-    let mut bytes = 0u64;
-    for (chunk, payload) in completed {
-        for (&i, w) in chunk.indices.iter().zip(&payload.weights) {
-            bytes += (w.len() * 8) as u64;
-            weights[i] = Some(w.clone());
-        }
-    }
-    (
-        weights
-            .into_iter()
-            .map(|w| w.expect("all points assigned"))
-            .collect(),
-        bytes,
-    )
-}
-
-/// Outcome of an elastic analysis run: the analysis itself plus the
-/// recovery accounting and, when the run was stopped early, a serializable
-/// checkpoint to resume from.
-#[derive(Debug)]
-pub struct ElasticAnalysis {
-    /// The gathered analysis (empty weights when a checkpoint was taken —
-    /// the run is incomplete by construction).
-    pub result: AnalysisResult,
-    /// Stolen / requeued / retried chunk accounting.
-    pub counters: RecoveryCounters,
-    /// `Some` when the run stopped at the configured checkpoint.
-    pub checkpoint: Option<RunCheckpoint>,
-}
-
-/// The size-class chunking of an assimilation problem for `ranks` devices:
-/// Table-VI caps, chunk target `max(1, points / (4 * ranks))` so each rank
-/// sees several chunks (the granularity stealing and requeue work at).
-pub fn analysis_chunks(problem: &AssimilationProblem, ranks: usize) -> Vec<TaskChunk> {
-    let caps: Vec<usize> = wsvd_datasets::TABLE_VI.iter().map(|g| g.cap).collect();
-    let dims: Vec<(usize, usize)> = problem
-        .anomalies
-        .iter()
-        .map(|a| (a.rows(), a.cols()))
-        .collect();
-    let target = (dims.len() / (4 * ranks)).max(1);
-    size_class_chunks(&dims, &caps, ranks, target)
-}
-
-/// The configuration fingerprint stamped into (and verified against) an
-/// elastic checkpoint: resuming under a different cluster shape, chunking
-/// or engine would break the bit-identity contract, so
-/// [`RunCheckpoint::thaw`] refuses it.
-pub fn analysis_fingerprint(
-    cluster: &GpuCluster,
-    problem: &AssimilationProblem,
-    engine: SvdEngine,
-    cfg: &WCycleConfig,
-) -> String {
-    let engine = match engine {
-        SvdEngine::WCycle => "wcycle",
-        SvdEngine::Magma => "magma",
-    };
-    format!(
-        "{}x{}/points{}/{engine}/tol{:e}/fused{}",
-        cluster.gpu(0).device().name,
-        cluster.len(),
-        problem.anomalies.len(),
-        cfg.tol,
-        cfg.fused,
-    )
-}
-
-/// Elastic distributed analysis: size-class chunks on the shared work
-/// deque, pull/steal scheduling, faults from `ecfg`, and chunk-granular
-/// checkpointing. `workload_seed` is stamped into the checkpoint for seed
-/// provenance.
-pub fn analysis_step_elastic_with(
-    cluster: &GpuCluster,
-    problem: &AssimilationProblem,
-    engine: SvdEngine,
-    cfg: &WCycleConfig,
-    ecfg: &ElasticConfig,
-    workload_seed: u64,
-) -> Result<ElasticAnalysis, KernelError> {
-    let chunks = analysis_chunks(problem, cluster.len());
-    let run = run_elastic(cluster, chunks, ecfg, |gpu, chunk| {
-        run_analysis_chunk(gpu, problem, chunk, engine, cfg)
-    })?;
-    finish_elastic(cluster, problem, engine, cfg, run, workload_seed)
-}
-
-/// Resumes an elastic analysis from a serialized checkpoint on a **fresh**
-/// cluster. The checkpoint's fingerprint must match the current
-/// configuration; the resumed run is bit-identical to one that was never
-/// interrupted.
-pub fn analysis_resume_elastic_with(
-    cluster: &GpuCluster,
-    problem: &AssimilationProblem,
-    engine: SvdEngine,
-    cfg: &WCycleConfig,
-    ecfg: &ElasticConfig,
-    checkpoint: RunCheckpoint,
-) -> Result<ElasticAnalysis, KernelError> {
-    let workload_seed = checkpoint.workload_seed;
-    let fingerprint = analysis_fingerprint(cluster, problem, engine, cfg);
-    let restored = checkpoint.thaw(&fingerprint).map_err(KernelError::Other)?;
-    let run = resume_elastic(cluster, restored, ecfg, |gpu, chunk| {
-        run_analysis_chunk(gpu, problem, chunk, engine, cfg)
-    })?;
-    finish_elastic(cluster, problem, engine, cfg, run, workload_seed)
-}
-
-fn finish_elastic(
-    cluster: &GpuCluster,
-    problem: &AssimilationProblem,
-    engine: SvdEngine,
-    cfg: &WCycleConfig,
-    run: wsvd_gpu_sim::cluster::ElasticRun<ChunkPayload>,
-    workload_seed: u64,
-) -> Result<ElasticAnalysis, KernelError> {
-    let mut counters = run.counters;
-    if let Some(ckpt) = run.checkpoint {
-        // Interrupted on purpose: serialize, no gather (the run is not
-        // done), report how big the checkpoint is.
-        let fingerprint = analysis_fingerprint(cluster, problem, engine, cfg);
-        let frozen = RunCheckpoint::freeze("ext-cluster", workload_seed, &fingerprint, &ckpt);
-        let bytes = frozen.to_json().len() as u64;
-        counters.checkpoint_bytes = bytes;
-        let health = cluster.health();
-        if health.is_enabled() {
-            health.checkpoint_taken(bytes, cluster.elapsed_seconds());
-        }
-        return Ok(ElasticAnalysis {
-            result: AnalysisResult {
-                weights: Vec::new(),
-                svd_seconds: cluster.elapsed_seconds(),
-            },
-            counters,
-            checkpoint: Some(frozen),
-        });
-    }
-    let (weights, gathered_bytes) = scatter_weights(problem.anomalies.len(), &run.completed);
-    cluster.sync(gathered_bytes);
-    Ok(ElasticAnalysis {
-        result: AnalysisResult {
-            weights,
-            svd_seconds: cluster.elapsed_seconds(),
-        },
-        counters,
-        checkpoint: None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsvd_gpu_sim::{GpuCluster, V100, VEGA20};
+    use wsvd_gpu_sim::{V100, VEGA20};
 
     #[test]
     fn problem_generation_sizes_in_range() {
@@ -602,171 +368,29 @@ mod tests {
     }
 
     #[test]
-    fn killed_rank_fails_over_and_fires_one_incident() {
+    fn dead_ranks_are_an_error_naming_them_with_one_incident_each() {
         let p = AssimilationProblem::generate(9, 12, 32, 17);
-        let gpu = Gpu::new(VEGA20);
-        let single = analysis_step(&gpu, &p, SvdEngine::WCycle).unwrap();
-
-        let sink = wsvd_health::HealthSink::enabled();
-        sink.set_context("assimilation-failover", 17);
-        let mut cluster = GpuCluster::new(VEGA20, 3);
-        cluster.set_health(sink.clone());
-        cluster.kill(1);
-        let dist = analysis_step_distributed(&cluster, &p, SvdEngine::WCycle).unwrap();
-        // The surviving ranks cover every grid point with identical numerics.
-        for (a, b) in dist.weights.iter().zip(&single.weights) {
-            for (x, y) in a.iter().zip(b) {
-                assert!((x - y).abs() < 1e-12, "{x} vs {y}");
+        for (ranks, killed, named) in [
+            (3, vec![1], "rank(s) 1 dead"),
+            (2, vec![0, 1], "rank(s) 0, 1 dead"),
+        ] {
+            let sink = wsvd_health::HealthSink::enabled();
+            sink.set_context("assimilation-dead-rank", 17);
+            let mut cluster = GpuCluster::new(VEGA20, ranks);
+            cluster.set_health(sink.clone());
+            for &r in &killed {
+                cluster.kill(r);
+            }
+            let err = analysis_step_distributed(&cluster, &p, SvdEngine::WCycle).unwrap_err();
+            assert!(format!("{err}").contains(named), "{err}");
+            assert_eq!(cluster.elapsed_seconds(), 0.0, "no shard ran");
+            let incidents = sink.incidents();
+            assert_eq!(incidents.len(), killed.len(), "one incident per dead rank");
+            for (inc, r) in incidents.iter().zip(&killed) {
+                assert_eq!(inc.kind, "shard-dead");
+                assert!(inc.detail.contains(&format!("rank {r} ")), "{}", inc.detail);
             }
         }
-        let incidents = sink.incidents();
-        assert_eq!(incidents.len(), 1, "exactly one shard-dead incident");
-        assert_eq!(incidents[0].kind, "shard-dead");
-        assert!(
-            incidents[0].recovered,
-            "the requeued shard completed, so the incident must read recovered"
-        );
-    }
-
-    #[test]
-    fn elastic_analysis_matches_single_device_weights() {
-        let p = AssimilationProblem::generate(9, 12, 32, 17);
-        let gpu = Gpu::new(VEGA20);
-        let single = analysis_step(&gpu, &p, SvdEngine::WCycle).unwrap();
-        let cluster = GpuCluster::new(VEGA20, 3);
-        let run = analysis_step_elastic_with(
-            &cluster,
-            &p,
-            SvdEngine::WCycle,
-            &WCycleConfig::default(),
-            &ElasticConfig::default(),
-            17,
-        )
-        .unwrap();
-        assert!(run.checkpoint.is_none());
-        // Idle ranks may steal even in a fault-free run, but nothing should
-        // have died, requeued, or been lost.
-        assert_eq!(run.counters.requeued_chunks, 0);
-        assert_eq!(run.counters.retried_chunks, 0);
-        assert_eq!(run.counters.unrecovered_chunks, 0);
-        assert_eq!(run.counters.killed_ranks, 0);
-        for (a, b) in run.result.weights.iter().zip(&single.weights) {
-            for (x, y) in a.iter().zip(b) {
-                assert!((x - y).abs() < 1e-12, "{x} vs {y}");
-            }
-        }
-    }
-
-    #[test]
-    fn elastic_checkpoint_resume_is_bit_identical_to_straight_through() {
-        use wsvd_gpu_sim::cluster::FaultPlan;
-        let p = AssimilationProblem::generate(12, 12, 32, 29);
-        let faults = FaultPlan::none().straggler(1, 2.0);
-        let straight = {
-            let cluster = GpuCluster::new(VEGA20, 3);
-            let ecfg = ElasticConfig {
-                faults: faults.clone(),
-                checkpoint_after: None,
-            };
-            analysis_step_elastic_with(
-                &cluster,
-                &p,
-                SvdEngine::WCycle,
-                &WCycleConfig::default(),
-                &ecfg,
-                29,
-            )
-            .unwrap()
-        };
-        // Interrupt after 3 chunks, serialize the checkpoint through JSON,
-        // and resume on a *fresh* cluster.
-        let ckpt = {
-            let cluster = GpuCluster::new(VEGA20, 3);
-            let ecfg = ElasticConfig {
-                faults: faults.clone(),
-                checkpoint_after: Some(3),
-            };
-            let run = analysis_step_elastic_with(
-                &cluster,
-                &p,
-                SvdEngine::WCycle,
-                &WCycleConfig::default(),
-                &ecfg,
-                29,
-            )
-            .unwrap();
-            assert!(
-                run.result.weights.is_empty(),
-                "interrupted run has no gather"
-            );
-            assert!(run.counters.checkpoint_bytes > 0);
-            run.checkpoint.expect("checkpoint requested")
-        };
-        let rehydrated = RunCheckpoint::from_json(&ckpt.to_json()).unwrap();
-        assert_eq!(rehydrated.workload_seed, 29);
-        let cluster = GpuCluster::new(VEGA20, 3);
-        let ecfg = ElasticConfig {
-            faults,
-            checkpoint_after: None,
-        };
-        let resumed = analysis_resume_elastic_with(
-            &cluster,
-            &p,
-            SvdEngine::WCycle,
-            &WCycleConfig::default(),
-            &ecfg,
-            rehydrated,
-        )
-        .unwrap();
-        assert_eq!(straight.result.weights, resumed.result.weights);
-        assert_eq!(
-            straight.result.svd_seconds.to_bits(),
-            resumed.result.svd_seconds.to_bits(),
-            "simulated clock must replay exactly"
-        );
-        assert_eq!(straight.counters, resumed.counters);
-    }
-
-    #[test]
-    fn resume_under_a_different_configuration_is_refused() {
-        let p = AssimilationProblem::generate(8, 12, 24, 31);
-        let cluster = GpuCluster::new(VEGA20, 2);
-        let ecfg = ElasticConfig {
-            faults: wsvd_gpu_sim::cluster::FaultPlan::none(),
-            checkpoint_after: Some(2),
-        };
-        let run = analysis_step_elastic_with(
-            &cluster,
-            &p,
-            SvdEngine::WCycle,
-            &WCycleConfig::default(),
-            &ecfg,
-            31,
-        )
-        .unwrap();
-        let ckpt = run.checkpoint.unwrap();
-        // Resuming on a 3-rank cluster changes the fingerprint: refused.
-        let other = GpuCluster::new(VEGA20, 3);
-        let err = analysis_resume_elastic_with(
-            &other,
-            &p,
-            SvdEngine::WCycle,
-            &WCycleConfig::default(),
-            &ElasticConfig::default(),
-            ckpt,
-        )
-        .unwrap_err();
-        assert!(format!("{err}").contains("fingerprint"));
-    }
-
-    #[test]
-    fn all_ranks_dead_is_an_error() {
-        let p = AssimilationProblem::generate(4, 10, 20, 5);
-        let cluster = GpuCluster::new(VEGA20, 2);
-        cluster.kill(0);
-        cluster.kill(1);
-        let err = analysis_step_distributed(&cluster, &p, SvdEngine::WCycle).unwrap_err();
-        assert!(format!("{err}").contains("every cluster rank is dead"));
     }
 
     #[test]

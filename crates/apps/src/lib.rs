@@ -15,9 +15,8 @@ pub mod compression;
 pub mod filters;
 
 pub use assimilation::{
-    analysis_chunks, analysis_fingerprint, analysis_resume_elastic_with, analysis_step,
-    analysis_step_distributed, analysis_step_distributed_with, analysis_step_elastic_with,
-    analysis_step_with, AnalysisResult, AssimilationProblem, ElasticAnalysis, SvdEngine,
+    analysis_step, analysis_step_distributed, analysis_step_distributed_with, analysis_step_with,
+    AnalysisResult, AssimilationProblem, SvdEngine,
 };
 pub use compression::{compress, synthetic_image, tile_image, Compressed};
 pub use filters::{separate_filter_bank, synthetic_filter_bank, SeparableFilter};

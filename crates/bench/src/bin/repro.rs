@@ -14,7 +14,6 @@
 //!   repro --prom FILE [...]          # export the registry as Prometheus text
 //!   repro --health [<id> ...]        # numerical-health watchdogs + flight recorder
 //!   repro --health-dump FILE [...]   # also write the full health report as JSON
-//!   repro --cluster-faults [...]     # elastic-cluster fault drill (default: ext-cluster)
 //! ```
 //!
 //! `--trace FILE` records every simulated kernel launch, W-cycle sweep and
@@ -56,13 +55,6 @@
 //! writes the full [`wsvd_health::HealthReport`] — incidents, ring-buffer
 //! tail, metrics snapshot and replayable seeds — as JSON.
 //!
-//! `--cluster-faults` runs the elastic-cluster fault drill (defaults the id
-//! list to `ext-cluster`): work-stealing, mid-batch kills and
-//! checkpoint/resume on a simulated multi-GPU cluster. After the experiments
-//! run, the process exits non-zero if any chunk of work was left
-//! unrecovered — a retry budget exhausted or every rank dead — anywhere in
-//! the invocation.
-//!
 //! `--fused` makes every W-cycle run record its per-level launches into a
 //! [`wsvd_gpu_sim::LaunchGraph`], paying the driver's launch overhead once
 //! per level instead of once per kernel (back-to-back same-shape launches
@@ -90,7 +82,6 @@ fn main() {
     let mut prom_out: Option<String> = None;
     let mut health = false;
     let mut health_dump: Option<String> = None;
-    let mut cluster_faults = false;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -119,16 +110,11 @@ fn main() {
             "--prom" => prom_out = Some(it.next().expect("--prom needs a file")),
             "--health" => health = true,
             "--health-dump" => health_dump = Some(it.next().expect("--health-dump needs a file")),
-            "--cluster-faults" => cluster_faults = true,
             other => ids.push(other.to_string()),
         }
     }
-    if ids.is_empty() && !run_all && check_dir.is_none() {
-        if sanitize {
-            ids.push("fig7".to_string());
-        } else if cluster_faults {
-            ids.push("ext-cluster".to_string());
-        }
+    if ids.is_empty() && !run_all && check_dir.is_none() && sanitize {
+        ids.push("fig7".to_string());
     }
     // The certificate store stays outside the session (its type lives in
     // wsvd-core); installing it makes certification required.
@@ -185,7 +171,7 @@ fn main() {
         eprintln!(
             "usage: repro --all | <id>... [--scale reduced|full] [--json DIR] [--certify] \
              [--fused] [--report] [--bench-out FILE] [--prom FILE] [--health] \
-             [--health-dump FILE] [--cluster-faults]"
+             [--health-dump FILE]"
         );
         eprintln!("known ids:");
         for (id, _) in &experiments {
@@ -261,8 +247,8 @@ fn main() {
     };
 
     // The exit tail, shared by both modes: write out what the sinks
-    // recorded, then fail on health incidents, sanitizer violations on the
-    // session's devices, or cluster work left unrecovered.
+    // recorded, then fail on health incidents or sanitizer violations on the
+    // session's devices.
     if let Some(path) = &trace_path {
         let events = session.trace.events();
         let processes = session.trace.processes();
@@ -333,18 +319,7 @@ fn main() {
         }
         sink.incident_count() > 0
     };
-    // The cluster fault drill's contract: every requeued chunk must have
-    // landed somewhere.
-    let unrecovered = cluster_faults && {
-        let lost = session.tally.unrecovered();
-        if lost > 0 {
-            eprintln!("wsvd-cluster: {lost} chunk(s) of work left unrecovered");
-        } else {
-            eprintln!("wsvd-cluster: all injected faults recovered; no work lost");
-        }
-        lost > 0
-    };
-    if failed || violations || unhealthy || unrecovered {
+    if failed || violations || unhealthy {
         std::process::exit(1);
     }
 }

@@ -16,8 +16,8 @@
 //! fresh snapshot is gated against the *previous* baseline. `--accept
 //! PREFIX` (repeatable) waives value drift on series whose key starts with
 //! PREFIX — for a release that intentionally changes existing behavior
-//! (e.g. PR 8 rerouting dead-shard failover through the elastic requeue
-//! changed ext-health's killed-shard launch counts); missing/extra series
+//! (e.g. a dead rank's shard no longer running changes ext-health's
+//! killed-shard launch counts); missing/extra series
 //! under an accepted prefix still violate, and the waiver should pin the
 //! narrowest possible keys. With `--gate` the process exits non-zero when
 //! any violation is found — CI regenerates a fresh snapshot and gates it

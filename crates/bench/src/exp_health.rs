@@ -78,9 +78,9 @@ fn stall_run(seed: u64) -> HealthSink {
     sink
 }
 
-/// Kills one shard of a 4-GPU analysis step: the collective barrier detects
-/// the dead rank (one `shard-dead` incident) and the surviving ranks absorb
-/// its grid points.
+/// Kills one shard of a 4-GPU analysis step: the step's health check
+/// detects the dead rank (one `shard-dead` incident) and the step fails,
+/// since no other rank takes over its grid points.
 fn shard_run(seed: u64) -> HealthSink {
     let sink = HealthSink::enabled();
     sink.set_context("ext-health", seed);
@@ -88,7 +88,8 @@ fn shard_run(seed: u64) -> HealthSink {
     cluster.set_health(sink.clone());
     cluster.kill(2);
     let p = AssimilationProblem::generate(8, 12, 32, seed);
-    analysis_step_distributed(&cluster, &p, SvdEngine::WCycle).unwrap();
+    analysis_step_distributed(&cluster, &p, SvdEngine::WCycle)
+        .expect_err("a dead rank's shard cannot run");
     sink
 }
 

@@ -11,7 +11,6 @@
 pub mod exp_accuracy;
 pub mod exp_apps;
 pub mod exp_baselines;
-pub mod exp_cluster;
 pub mod exp_extensions;
 pub mod exp_health;
 pub mod exp_kernels;
@@ -62,7 +61,6 @@ pub fn all_experiments() -> Vec<(&'static str, Experiment)> {
         ("ext-metrics", exp_extensions::ext_metrics),
         ("ext-certify", exp_extensions::ext_certify),
         ("ext-health", exp_health::ext_health),
-        ("ext-cluster", exp_cluster::ext_cluster),
         ("ext-serve", exp_serve::ext_serve),
         ("ext-tail", exp_tail::ext_tail),
     ]

@@ -62,12 +62,10 @@ pub struct WCycleConfig {
     /// Pair ordering for block-level rotations.
     pub ordering: Ordering,
     /// QR-precondition very tall inputs (refs. \[5\]/\[42\] of the paper):
-    /// when `m >= qr_aspect_threshold * n`, factor `A = Q R` first, run the
-    /// Jacobi workflow on the square `R`, and recover `U = Q U_R`. Cuts the
-    /// per-rotation column length from `m` to `n`.
+    /// when `m >= 3 n`, factor `A = Q R` first, run the Jacobi workflow on
+    /// the square `R`, and recover `U = Q U_R`. Cuts the per-rotation column
+    /// length from `m` to `n`.
     pub qr_precondition: bool,
-    /// Aspect ratio `m / n` above which the QR preconditioner engages.
-    pub qr_aspect_threshold: usize,
     /// Use *dynamic ordering* (Bečka–Okša–Vajteršic, the paper's ref. \[12\]):
     /// each sweep schedules block pairs by descending off-diagonal weight
     /// `||A_i^T A_j||_F / (||A_i||_F ||A_j||_F)` instead of the static
@@ -94,15 +92,6 @@ pub struct WCycleConfig {
     /// non-converging run for the stagnation watchdog. Leave `None` in
     /// production.
     pub inner_tol_override: Option<f64>,
-    /// Record the per-sweep convergence trajectory (level, sweep, off-norm,
-    /// active tasks) into
-    /// [`WCycleStats::convergence`](crate::WCycleStats). The same samples
-    /// the trace/health sinks observe, but surfaced as *data* so a cluster
-    /// checkpoint can carry the partially converged sweep state of its
-    /// completed chunks. Off by default: the extra coherence reductions are
-    /// host-side and uncharged, but recording is opt-in to keep default
-    /// stats identical to earlier releases.
-    pub record_convergence: bool,
 }
 
 impl Default for WCycleConfig {
@@ -119,12 +108,10 @@ impl Default for WCycleConfig {
             want_v: true,
             ordering: Ordering::RoundRobin,
             qr_precondition: false,
-            qr_aspect_threshold: 3,
             dynamic_ordering: false,
             kernel_threads: 256,
             fused: wsvd_gpu_sim::Session::current().fused,
             inner_tol_override: None,
-            record_convergence: false,
         }
     }
 }

@@ -83,8 +83,8 @@ pub(crate) fn inner_tol(cfg: &WCycleConfig) -> f64 {
 
 /// One run of the sweep loop over a batch. Of `cfg` it reads the sweep
 /// settings (`tol`, `max_sweeps`, `inner_tol_override`, `ordering`,
-/// `dynamic_ordering`, `record_convergence`) and the rotation kernels'
-/// (`alpha`, `cache_norms`, `kernel_threads`).
+/// `dynamic_ordering`) and the rotation kernels' (`alpha`, `cache_norms`,
+/// `kernel_threads`).
 pub struct Level<'a> {
     /// Level number (1-based) the rotations are tallied under.
     pub level: usize,
@@ -107,7 +107,7 @@ pub struct Hooks<'h> {
     pub recurse: &'h mut Recurse<'h>,
     /// Receives each sweep's record and how many pair blocks each
     /// [`Rotation`] kernel took in it (indexed by `Rotation as usize`).
-    pub sweep_done: &'h mut dyn FnMut(&mut WCycleStats, SweepRecord, [u64; 4]),
+    pub sweep_done: &'h mut dyn FnMut(SweepRecord, [u64; 4]),
 }
 
 /// The recursion hook's type (see [`Hooks::recurse`]).
@@ -144,8 +144,8 @@ impl Level<'_> {
         // rotations launch.
         let verify_schedules =
             cfg.dynamic_ordering && (gpu.sanitize_enabled() || crate::certify::store().is_some());
-        let measure_coherence = hooks.is_some()
-            && (gpu.trace().is_enabled() || gpu.health().is_enabled() || cfg.record_convergence);
+        let measure_coherence =
+            hooks.is_some() && (gpu.trace().is_enabled() || gpu.health().is_enabled());
         let smem = gpu.device().smem_per_block_bytes;
         let mut sweeps = vec![0usize; tasks.len()];
         let mut active: Vec<bool> = tasks.iter().map(|t| t.cols() >= 2).collect();
@@ -347,7 +347,7 @@ impl Level<'_> {
                     off_norm: coherence,
                     active: active.iter().filter(|&&a| a).count() as u64,
                 };
-                (hooks.sweep_done)(stats, rec, sweep_blocks);
+                (hooks.sweep_done)(rec, sweep_blocks);
             }
         }
         Ok(sweeps)

@@ -27,7 +27,6 @@
 #![warn(missing_docs)]
 
 pub mod certify;
-pub mod checkpoint;
 pub mod config;
 pub mod level;
 pub mod stats;
@@ -38,10 +37,6 @@ pub use certify::{
     build_schedule_atlas, certify_claim, check_level_with, install_store, CertificateStore,
     CertifiedLevel, CertifyError, DeviceCertificates, FamilyKey, PlanCertificate, PlanClaim,
     PlanOrigin, ScheduleAtlas,
-};
-pub use checkpoint::{
-    ChunkPayload, ChunkRecord, ChunkState, CounterState, RankQueueState, RunCheckpoint,
-    CHECKPOINT_VERSION,
 };
 pub use config::{AlphaSelect, Tuning, WCycleConfig};
 pub use level::{Hooks, Level, Rotation, Route};

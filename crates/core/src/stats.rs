@@ -1,14 +1,9 @@
 //! Aggregate statistics of a W-cycle run.
 
-use serde::{Deserialize, Serialize};
-
 /// One per-sweep convergence sample of a W-cycle level. The W-cycle builds
 /// it once per sweep and sends it to every view that is on: the trace's
-/// `wcycle/sweep` instant, the health watchdogs and, under the config's
-/// `record_convergence` flag, [`WCycleStats::convergence`] — the
-/// off-diagonal tracker state a cluster checkpoint serializes for its
-/// completed chunks.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+/// `wcycle/sweep` instant and the health watchdogs.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SweepRecord {
     /// W-cycle level (0 = whole-matrix SM kernel batch).
     pub level: u64,
@@ -42,9 +37,6 @@ pub struct WCycleStats {
     pub sweeps_per_matrix: Vec<usize>,
     /// Column-block widths chosen per level.
     pub widths_per_level: Vec<usize>,
-    /// Per-sweep convergence trajectory, in recording order (empty unless
-    /// the config's `record_convergence` is set).
-    pub convergence: Vec<SweepRecord>,
 }
 
 impl WCycleStats {

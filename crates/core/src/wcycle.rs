@@ -39,6 +39,10 @@ use crate::verify::{effective_width, verify_level};
 /// across experiments.
 const SWEEP_BUCKETS: [f64; 6] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
 
+/// Aspect ratio `m / n` at and above which `qr_precondition` factors a tall
+/// input before the Jacobi workflow.
+const QR_ASPECT_THRESHOLD: usize = 3;
+
 /// The SVD of one input matrix as produced by the W-cycle (and by the
 /// Jacobi comparators, which share its result type).
 #[derive(Debug)]
@@ -151,7 +155,7 @@ pub fn wcycle_svd(
             .iter()
             .enumerate()
             .filter(|(_, (tall, _, _))| {
-                tall.cols() >= 2 && tall.rows() >= cfg.qr_aspect_threshold.max(2) * tall.cols()
+                tall.cols() >= 2 && tall.rows() >= QR_ASPECT_THRESHOLD * tall.cols()
             })
             .map(|(k, _)| k)
             .collect();
@@ -194,7 +198,7 @@ pub fn wcycle_svd(
             cache_norms: cfg.cache_norms,
             accumulate_v: true,
             ordering: cfg.ordering,
-            record_coherence: traced || watched || cfg.record_convergence,
+            record_coherence: traced || watched,
             ..Default::default()
         };
         let t_pre = gpu.elapsed_seconds();
@@ -210,7 +214,7 @@ pub fn wcycle_svd(
                 let detail = SweepDetail::Kernel {
                     matrices: svds.len(),
                 };
-                emit_sweep(gpu, cfg, &mut stats, rec, ts, detail);
+                emit_sweep(gpu, rec, ts, detail);
             }
         }
         stats.level0_sm_svds = svds.len();
@@ -390,16 +394,8 @@ enum SweepDetail {
 }
 
 /// Sends one sweep's record, at simulated time `ts`, to every view that is
-/// on: the `wcycle/sweep` trace instant, the health watchdogs and
-/// [`WCycleStats::convergence`] (under `cfg.record_convergence`).
-fn emit_sweep(
-    gpu: &Gpu,
-    cfg: &WCycleConfig,
-    stats: &mut WCycleStats,
-    rec: SweepRecord,
-    ts: f64,
-    detail: SweepDetail,
-) {
+/// on: the `wcycle/sweep` trace instant and the health watchdogs.
+fn emit_sweep(gpu: &Gpu, rec: SweepRecord, ts: f64, detail: SweepDetail) {
     let trace = gpu.trace();
     if trace.is_enabled() {
         let mut args = vec![("level", rec.level.into()), ("sweep", rec.sweep.into())];
@@ -431,9 +427,6 @@ fn emit_sweep(
             rec.active as usize,
             ts,
         );
-    }
-    if cfg.record_convergence {
-        stats.convergence.push(rec);
     }
 }
 
@@ -571,14 +564,14 @@ fn decompose_level(
             .map(|o| o.v.expect("recursion always accumulates V"))
             .collect())
     };
-    let mut sweep_done = |stats: &mut WCycleStats, rec, blocks: [u64; 4]| {
+    let mut sweep_done = |rec, blocks: [u64; 4]| {
         let detail = SweepDetail::Blocks {
             rotations: blocks.iter().sum(),
             ga: blocks[Rotation::SmSvd as usize],
             gb: blocks[Rotation::GramEvd as usize],
             gc: blocks[Rotation::Recurse as usize],
         };
-        emit_sweep(gpu, cfg, stats, rec, gpu.elapsed_seconds(), detail);
+        emit_sweep(gpu, rec, gpu.elapsed_seconds(), detail);
     };
     let engine = Level {
         level,

@@ -6,26 +6,10 @@
 //! independently (makespan = slowest shard), and every collective step pays
 //! a latency + bandwidth synchronization cost.
 //!
-//! Beyond the static [`GpuCluster::shard`] split, the submodules grow the
-//! cluster into an elastic execution layer (ROADMAP item 5, DESIGN.md §13):
-//!
-//! * [`queue`] — size-class-aware task chunks and the shared work deque
-//!   devices pull from (idle devices steal from the slowest rank);
-//! * [`fault`] — a deterministic, seedable [`FaultPlan`] (kills, transient
-//!   stalls, slow-device straggler factors);
-//! * [`elastic`] — the elastic executor: pull/steal scheduling, death
-//!   detection at chunk-pull boundaries, bounded-retry requeue of a dead
-//!   rank's work, and chunk-granular checkpoint/resume.
-
-pub mod elastic;
-pub mod fault;
-pub mod queue;
-
-pub use elastic::{
-    resume_elastic, run_elastic, ElasticCheckpoint, ElasticConfig, ElasticRun, RecoveryCounters,
-};
-pub use fault::{FaultPlan, Kill, Stall, Straggler};
-pub use queue::{size_class_chunks, QueueSnapshot, TaskChunk, WorkQueue, DEFAULT_SIZE_CLASS_CAPS};
+//! The split is static ([`GpuCluster::shard`]): a shard belongs to its rank
+//! for the whole run. A rank can be marked dead ([`GpuCluster::kill`]) to
+//! exercise the `shard-dead` health incident; nothing moves its work to
+//! another rank.
 
 use std::cell::Cell;
 
@@ -37,9 +21,9 @@ use crate::session::Session;
 
 /// A homogeneous group of simulated GPUs.
 ///
-/// One thread drives a cluster (the elastic executor's discrete-event loop,
-/// whose checkpoint/resume bit-identity depends on it), so its clocks and
-/// kill latches are plain cells and the type is `!Sync`:
+/// A cluster is driven from one thread: its ranks run their shards one
+/// after another on the caller's thread and meet at [`GpuCluster::sync`].
+/// So its clocks and kill latches are plain cells and the type is `!Sync`:
 ///
 /// ```compile_fail,E0277
 /// fn assert_sync<T: Sync>() {}
@@ -108,10 +92,9 @@ impl GpuCluster {
         self.session.health = sink;
     }
 
-    /// Marks rank `rank` unresponsive (fault injection for ROADMAP item 5).
-    /// The rank's accumulated time stays in the makespan — a dead shard is a
-    /// straggler, not a discount — and the next collective's health check
-    /// reports it.
+    /// Marks rank `rank` unresponsive (fault injection). The rank's
+    /// accumulated time stays in the makespan — a dead shard is a straggler,
+    /// not a discount — and the next collective's health check reports it.
     pub fn kill(&self, rank: usize) {
         self.killed[rank].set(true);
         self.session
@@ -122,28 +105,6 @@ impl GpuCluster {
     /// True while `rank` has not been killed.
     pub fn is_alive(&self, rank: usize) -> bool {
         !self.killed[rank].get()
-    }
-
-    /// Checkpoint-resume restore of a dead rank: marks it killed *and*
-    /// already-reported, so a resumed run neither re-runs its work nor fires
-    /// a duplicate `shard-dead` incident (the incident belongs to the run
-    /// that observed the death, before the checkpoint was taken).
-    pub fn restore_killed(&self, rank: usize) {
-        self.killed[rank].set(true);
-        self.dead_reported[rank].set(true);
-    }
-
-    /// Checkpoint-resume restore of the collective clock. Only meaningful on
-    /// a fresh cluster (it overwrites, not accumulates).
-    pub fn restore_sync_seconds(&self, seconds: f64) {
-        self.sync_seconds.set(seconds);
-    }
-
-    /// Per-rank simulated clocks, rank order (checkpointed by the elastic
-    /// executor; restore each via [`Gpu::add_host_seconds`] on a fresh
-    /// cluster).
-    pub fn rank_seconds(&self) -> Vec<f64> {
-        self.gpus.iter().map(|g| g.elapsed_seconds()).collect()
     }
 
     /// Detects killed ranks the way a real collective does — by their
@@ -229,18 +190,6 @@ impl GpuCluster {
             .fold(0.0f64, f64::max);
         slowest + self.elapsed_sync_seconds()
     }
-
-    /// Parallel efficiency vs a hypothetical single device doing all work:
-    /// `sum(work) / (count * makespan)`.
-    pub fn parallel_efficiency(&self) -> f64 {
-        let total: f64 = self.gpus.iter().map(|g| g.elapsed_seconds()).sum();
-        let makespan = self.elapsed_seconds();
-        if makespan > 0.0 {
-            total / (self.gpus.len() as f64 * makespan)
-        } else {
-            1.0
-        }
-    }
 }
 
 #[cfg(test)]
@@ -264,8 +213,7 @@ mod tests {
     #[test]
     fn one_device_shard_is_the_identity_split() {
         // Compat pin: single-device runs must see the whole batch, in
-        // order, as one shard — the elastic chunking layers above rely on
-        // this staying the degenerate case.
+        // order, as one shard.
         let c = GpuCluster::new(VEGA20, 1);
         let items: Vec<usize> = (0..17).collect();
         let shards = c.shard(&items);
@@ -289,26 +237,6 @@ mod tests {
         c.sync(1_000_000);
         let expect_sync = 30e-6 + 1e6 / 25e9;
         assert!((c.elapsed_seconds() - (t0 + expect_sync)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn efficiency_is_one_when_balanced_half_when_one_idle() {
-        let work = |gpu: &Gpu| {
-            let kc = KernelConfig::new(2, 256, 1024, "w");
-            gpu.launch_collect(kc, |_, ctx| {
-                ctx.par_step(50_000, 2);
-                Ok(())
-            })
-            .unwrap();
-        };
-        let balanced = GpuCluster::new(VEGA20, 2);
-        work(balanced.gpu(0));
-        work(balanced.gpu(1));
-        assert!((balanced.parallel_efficiency() - 1.0).abs() < 1e-9);
-
-        let skewed = GpuCluster::new(VEGA20, 2);
-        work(skewed.gpu(0));
-        assert!((skewed.parallel_efficiency() - 0.5).abs() < 1e-9);
     }
 
     #[test]

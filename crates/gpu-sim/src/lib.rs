@@ -33,11 +33,7 @@ pub mod session;
 pub mod smem;
 pub mod stream;
 
-pub use cluster::{
-    resume_elastic, run_elastic, size_class_chunks, ElasticCheckpoint, ElasticConfig, ElasticRun,
-    FaultPlan, GpuCluster, QueueSnapshot, RecoveryCounters, TaskChunk, WorkQueue,
-    DEFAULT_SIZE_CLASS_CAPS,
-};
+pub use cluster::GpuCluster;
 pub use counters::{BlockCounters, LaunchStats, Timeline};
 pub use device::{DeviceSpec, A100, ALL_DEVICES, P100, TITAN_X, V100, VEGA20};
 pub use graph::{GraphStats, LaunchGraph};

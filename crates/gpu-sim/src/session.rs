@@ -2,8 +2,7 @@
 //!
 //! A [`Session`] bundles the telemetry sinks (trace, metrics, health), the
 //! sanitize mode, the fused-pipeline default and a shared tally of what the
-//! invocation's exit code depends on (sanitizer violations, unrecovered
-//! cluster chunks). A host such as `repro` builds one from its flags and
+//! invocation's exit code depends on (sanitizer violations). A host such as `repro` builds one from its flags and
 //! [`Session::install`]s it before the first device exists; every
 //! [`crate::Gpu`] and [`crate::GpuCluster`] then copies
 //! [`Session::current`] at construction time. Devices built with an explicit
@@ -46,7 +45,6 @@ pub struct Tally(Arc<Counts>);
 #[derive(Default)]
 struct Counts {
     violations: AtomicU64,
-    unrecovered: AtomicU64,
 }
 
 impl Tally {
@@ -55,18 +53,8 @@ impl Tally {
         self.0.violations.load(Ordering::Relaxed)
     }
 
-    /// Cluster chunks abandoned after retry exhaustion or total cluster
-    /// death, on clusters sharing this tally.
-    pub fn unrecovered(&self) -> u64 {
-        self.0.unrecovered.load(Ordering::Relaxed)
-    }
-
     pub(crate) fn add_violations(&self, n: u64) {
         self.0.violations.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_unrecovered(&self, n: u64) {
-        self.0.unrecovered.fetch_add(n, Ordering::Relaxed);
     }
 }
 

@@ -141,41 +141,6 @@ pub enum FlightKind {
         /// The killed rank.
         rank: u64,
     },
-    /// A dead rank's orphaned work was fully absorbed by the survivors
-    /// (elastic recovery completed; flips its incident to `recovered`).
-    ShardRecovered {
-        /// The recovered rank.
-        rank: u64,
-    },
-    /// An elastic device pulled a task chunk from the work deque.
-    ChunkPulled {
-        /// The pulling rank.
-        rank: u64,
-        /// The chunk id.
-        chunk: u64,
-    },
-    /// An idle elastic device stole a chunk from another rank's remainder.
-    ChunkStolen {
-        /// The stealing rank.
-        thief: u64,
-        /// The rank stolen from.
-        victim: u64,
-        /// The chunk id.
-        chunk: u64,
-    },
-    /// A chunk moved to the requeue pool (its rank died, or it was part of
-    /// a dead rank's drained remainder).
-    ChunkRequeued {
-        /// The rank the chunk was lost from.
-        rank: u64,
-        /// The chunk id.
-        chunk: u64,
-    },
-    /// A checkpoint of an elastic run was serialized.
-    CheckpointTaken {
-        /// Serialized size in bytes.
-        bytes: u64,
-    },
     /// A watchdog fired (the marker lands in the tail of its own incident).
     WatchdogFire {
         /// The incident kind string (see [`IncidentKind::as_str`]).
@@ -192,11 +157,6 @@ impl FlightKind {
             FlightKind::MetricDelta { .. } => "metric-delta",
             FlightKind::ShardSync { .. } => "shard-sync",
             FlightKind::ShardKilled { .. } => "shard-killed",
-            FlightKind::ShardRecovered { .. } => "shard-recovered",
-            FlightKind::ChunkPulled { .. } => "chunk-pulled",
-            FlightKind::ChunkStolen { .. } => "chunk-stolen",
-            FlightKind::ChunkRequeued { .. } => "chunk-requeued",
-            FlightKind::CheckpointTaken { .. } => "checkpoint-taken",
             FlightKind::WatchdogFire { .. } => "watchdog-fire",
         }
     }
@@ -251,29 +211,6 @@ impl Serialize for FlightKind {
             }
             FlightKind::ShardKilled { rank } => {
                 push("rank", serde::Value::U64(*rank));
-            }
-            FlightKind::ShardRecovered { rank } => {
-                push("rank", serde::Value::U64(*rank));
-            }
-            FlightKind::ChunkPulled { rank, chunk } => {
-                push("rank", serde::Value::U64(*rank));
-                push("chunk", serde::Value::U64(*chunk));
-            }
-            FlightKind::ChunkStolen {
-                thief,
-                victim,
-                chunk,
-            } => {
-                push("thief", serde::Value::U64(*thief));
-                push("victim", serde::Value::U64(*victim));
-                push("chunk", serde::Value::U64(*chunk));
-            }
-            FlightKind::ChunkRequeued { rank, chunk } => {
-                push("rank", serde::Value::U64(*rank));
-                push("chunk", serde::Value::U64(*chunk));
-            }
-            FlightKind::CheckpointTaken { bytes } => {
-                push("bytes", serde::Value::U64(*bytes));
             }
             FlightKind::WatchdogFire { kind } => {
                 push("kind", serde::Value::Str(kind.clone()));
@@ -429,10 +366,6 @@ pub struct Incident {
     pub flight_tail: Vec<FlightEvent>,
     /// Metrics-registry snapshot at fire time (empty when metrics are off).
     pub metrics: wsvd_metrics::Snapshot,
-    /// Whether the condition was later recovered from (today: a dead rank
-    /// whose orphaned chunks were fully absorbed by the surviving ranks —
-    /// see [`HealthSink::shard_recovered`]). Fires as `false`.
-    pub recovered: bool,
 }
 
 /// Everything `repro --health-dump` writes: the context, the incidents and
@@ -784,8 +717,8 @@ impl HealthSink {
     }
 
     /// Dead-shard report (called by the cluster's health check when a
-    /// killed rank is first detected — at a collective barrier or, on the
-    /// elastic path, at a chunk-pull boundary). Latched per rank, so two
+    /// killed rank is first detected — at a collective barrier, or before a
+    /// distributed step that cannot run its shard). Latched per rank, so two
     /// dead ranks produce two incidents but repeated checks of one rank do
     /// not.
     pub fn shard_dead(&self, rank: usize, t_sim: f64) {
@@ -793,78 +726,9 @@ impl HealthSink {
             self.fire_keyed(
                 IncidentKind::ShardDead,
                 &format!("rank{rank}"),
-                &format!("rank {rank} unresponsive at a collective or chunk-pull boundary"),
+                &format!("rank {rank} unresponsive at a cluster health check"),
                 t_sim,
             );
-        }
-    }
-
-    /// Marks rank `rank`'s `shard-dead` incident recovered: the elastic
-    /// executor absorbed all of the dead rank's orphaned work, so the
-    /// incident documents a survived fault, not a lost run. Also drops a
-    /// `shard-recovered` marker in the flight tail.
-    pub fn shard_recovered(&self, rank: usize, t_sim: f64) {
-        let Some(i) = &self.inner else { return };
-        i.recorder
-            .record(t_sim, FlightKind::ShardRecovered { rank: rank as u64 });
-        let needle = format!("rank {rank} ");
-        let mut st = i.state.lock();
-        for inc in st
-            .incidents
-            .iter_mut()
-            .filter(|inc| inc.kind == IncidentKind::ShardDead.as_str())
-        {
-            if inc.detail.contains(&needle) {
-                inc.recovered = true;
-            }
-        }
-    }
-
-    /// Records an elastic chunk pull.
-    pub fn chunk_pulled(&self, rank: usize, chunk: usize, t_sim: f64) {
-        if let Some(i) = &self.inner {
-            i.recorder.record(
-                t_sim,
-                FlightKind::ChunkPulled {
-                    rank: rank as u64,
-                    chunk: chunk as u64,
-                },
-            );
-        }
-    }
-
-    /// Records an elastic work steal.
-    pub fn chunk_stolen(&self, thief: usize, victim: usize, chunk: usize, t_sim: f64) {
-        if let Some(i) = &self.inner {
-            i.recorder.record(
-                t_sim,
-                FlightKind::ChunkStolen {
-                    thief: thief as u64,
-                    victim: victim as u64,
-                    chunk: chunk as u64,
-                },
-            );
-        }
-    }
-
-    /// Records a chunk landing in the requeue pool.
-    pub fn chunk_requeued(&self, rank: usize, chunk: usize, t_sim: f64) {
-        if let Some(i) = &self.inner {
-            i.recorder.record(
-                t_sim,
-                FlightKind::ChunkRequeued {
-                    rank: rank as u64,
-                    chunk: chunk as u64,
-                },
-            );
-        }
-    }
-
-    /// Records a serialized checkpoint of an elastic run.
-    pub fn checkpoint_taken(&self, bytes: u64, t_sim: f64) {
-        if let Some(i) = &self.inner {
-            i.recorder
-                .record(t_sim, FlightKind::CheckpointTaken { bytes });
         }
     }
 
@@ -901,7 +765,6 @@ impl HealthSink {
             plan: st.plan,
             flight_tail: i.recorder.tail(),
             metrics: st.metrics.snapshot(),
-            recovered: false,
         };
         st.incidents.push(incident);
     }
@@ -998,11 +861,6 @@ mod tests {
         s.batch_check(0, Some(1.0), 1.0, 0.0);
         s.nonfinite("k", 0, "NaN", 0.0);
         s.shard_dead(2, 0.0);
-        s.shard_recovered(2, 0.0);
-        s.chunk_pulled(0, 1, 0.0);
-        s.chunk_stolen(0, 1, 2, 0.0);
-        s.chunk_requeued(1, 2, 0.0);
-        s.checkpoint_taken(4096, 0.0);
         assert_eq!(s.events_recorded(), 0);
         assert_eq!(s.incident_count(), 0);
         assert!(s.tail().is_empty());
@@ -1115,31 +973,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_recovered_flips_only_the_matching_incident() {
-        let s = HealthSink::enabled();
-        s.set_context("rec", 9);
-        s.shard_dead(2, 0.0);
-        s.shard_dead(13, 1.0); // "rank 1" must not match "rank 13"
-        assert!(s.incidents().iter().all(|i| !i.recovered));
-        s.shard_recovered(1, 2.0); // no rank-1 incident: nothing flips
-        assert!(s.incidents().iter().all(|i| !i.recovered));
-        s.shard_recovered(2, 3.0);
-        let incidents = s.incidents();
-        let by_rank = |needle: &str| {
-            incidents
-                .iter()
-                .find(|i| i.detail.contains(needle))
-                .unwrap()
-        };
-        assert!(by_rank("rank 2 ").recovered);
-        assert!(!by_rank("rank 13 ").recovered);
-        assert!(s
-            .tail()
-            .iter()
-            .any(|e| matches!(e.kind, FlightKind::ShardRecovered { rank: 2 })));
-    }
-
-    #[test]
     fn new_experiment_scope_unlatches() {
         let s = HealthSink::enabled();
         s.set_context("a", 1);
@@ -1183,7 +1016,7 @@ mod tests {
 
     #[test]
     fn flight_kinds_round_trip_through_serde() {
-        let kinds = vec![
+        let kinds = [
             FlightKind::KernelLaunch {
                 label: "k".into(),
                 grid: 7,
@@ -1210,15 +1043,6 @@ mod tests {
                 seconds: 3e-5,
             },
             FlightKind::ShardKilled { rank: 2 },
-            FlightKind::ShardRecovered { rank: 2 },
-            FlightKind::ChunkPulled { rank: 1, chunk: 5 },
-            FlightKind::ChunkStolen {
-                thief: 3,
-                victim: 0,
-                chunk: 7,
-            },
-            FlightKind::ChunkRequeued { rank: 0, chunk: 7 },
-            FlightKind::CheckpointTaken { bytes: 8192 },
             FlightKind::WatchdogFire {
                 kind: "stagnation".into(),
             },
@@ -1230,11 +1054,6 @@ mod tests {
             "metric-delta",
             "shard-sync",
             "shard-killed",
-            "shard-recovered",
-            "chunk-pulled",
-            "chunk-stolen",
-            "chunk-requeued",
-            "checkpoint-taken",
             "watchdog-fire",
         ];
         for (kind, tag) in kinds.iter().zip(tags) {

@@ -1,8 +1,7 @@
 //! Admission batching into Table VI size-class buckets.
 //!
 //! Each accepted request joins the pending bucket of the smallest Table VI
-//! cap its dimensions fit under ([`wsvd_batched::size_class`] — the same
-//! classification the elastic cluster scheduler chunks by). A bucket
+//! cap its dimensions fit under ([`wsvd_batched::size_class`]). A bucket
 //! becomes ready to dispatch when it fills to the policy's effective cap,
 //! or when its **oldest** request has waited `max_wait_us` (the deadline
 //! the server's event loop fires). Requests larger than every cap are

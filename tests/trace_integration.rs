@@ -147,11 +147,10 @@ fn repeated_seeded_runs_export_identical_traces() {
     );
 }
 
-/// The three per-sweep views of one run — the trace's `wcycle/sweep`
-/// instants, the health flight recorder's `SweepSample`s and
-/// `WCycleStats::convergence` — carry the same (level, sweep, coherence,
-/// active) sequence, bitwise and in order, on a batch that mixes level-0
-/// kernel sweeps with multilevel block sweeps.
+/// The two per-sweep views of one run — the trace's `wcycle/sweep` instants
+/// and the health flight recorder's `SweepSample`s — carry the same (level,
+/// sweep, coherence, active) sequence, bitwise and in order, on a batch that
+/// mixes level-0 kernel sweeps with multilevel block sweeps.
 #[test]
 fn sweep_views_agree_bitwise() {
     let trace = TraceSink::enabled();
@@ -163,19 +162,7 @@ fn sweep_views_agree_bitwise() {
     gpu.set_health(health.clone());
     let mut mats = random_batch(3, 24, 24, 7);
     mats.extend(random_batch(1, 96, 96, 9));
-    let cfg = WCycleConfig {
-        record_convergence: true,
-        ..Default::default()
-    };
-    let out = wcycle_svd(&gpu, &mats, &cfg).unwrap();
-    let stats: Vec<(u64, u64, u64, u64)> = out
-        .stats
-        .convergence
-        .iter()
-        .map(|r| (r.level, r.sweep, r.off_norm.to_bits(), r.active))
-        .collect();
-    assert!(stats.iter().any(|r| r.0 == 0), "level-0 sweeps recorded");
-    assert!(stats.iter().any(|r| r.0 >= 1), "multilevel sweeps recorded");
+    wcycle_svd(&gpu, &mats, &WCycleConfig::default()).unwrap();
 
     let arg = |e: &Event, name: &str| {
         e.args
@@ -205,7 +192,8 @@ fn sweep_views_agree_bitwise() {
             )
         })
         .collect();
-    assert_eq!(traced, stats, "trace sweep instants vs stats.convergence");
+    assert!(traced.iter().any(|r| r.0 == 0), "level-0 sweeps traced");
+    assert!(traced.iter().any(|r| r.0 >= 1), "multilevel sweeps traced");
 
     assert!(
         health.events_recorded() < 1 << 16,
@@ -224,5 +212,8 @@ fn sweep_views_agree_bitwise() {
             _ => None,
         })
         .collect();
-    assert_eq!(sampled, stats, "health sweep samples vs stats.convergence");
+    assert_eq!(
+        sampled, traced,
+        "health sweep samples vs trace sweep instants"
+    );
 }
