@@ -1,11 +1,12 @@
 //! Ahead-of-time plan-space certification.
 //!
-//! The runtime sanitizer ([`crate::verify::verify_level`]) proves a level
-//! sound *per launch*; this module proves whole plan *families* sound *once*,
-//! ahead of time, and stores the result in a [`CertificateStore`] that
-//! `decompose_level` consults at plan-selection time. A certified plan skips
-//! the per-launch static re-verification; an uncertified plan is a hard
-//! error before any kernel launches.
+//! The runtime sanitizer ([`wsvd_core::verify_level`]) proves a level sound
+//! *per launch*, under `--sanitize`; this module proves whole plan
+//! *families* sound *once*, ahead of time, and collects the proofs in a
+//! [`CertificateStore`]. Nothing consults the store at run time:
+//! [`crate::plan_space::sweep_reachability`] drives the real auto-tuner and
+//! checks every plan it selects against the store with [`check_level_with`],
+//! which is what shows every reachable plan is certified.
 //!
 //! # Why a family certificate is sound
 //!
@@ -28,15 +29,14 @@
 //! the task's *block count* — never on the matrix entries and not on `m`
 //! beyond the predicates' own guards. So a certificate proving 1–4 for all
 //! block counts up to a bound covers every launch the family can make, and
-//! the runtime check reduces to: family present, ordering covered, per-task
-//! block count within the certified bound.
+//! checking a level's plan against the store reduces to: family present,
+//! ordering covered, per-task block count within the certified bound.
 //!
 //! Dynamically generated schedules (`WCycleConfig::dynamic_ordering`) carry
-//! no static proof by construction; certified runs keep the per-sweep
-//! runtime schedule check for them, exactly as the sanitizer does.
+//! no static proof by construction; the sanitizer checks each one per sweep
+//! at run time.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
 
 use serde::Serialize;
 use wsvd_batched::gemm::gemm_kernel_resource;
@@ -46,7 +46,7 @@ use wsvd_jacobi::fits::{evd_kernel_resource, max_w_for_evd, svd_kernel_resource,
 use wsvd_jacobi::ordering::{Ordering, Schedule};
 use wsvd_jacobi::verify::{verify_ordering, verify_schedule, Coverage};
 
-use crate::verify::effective_width;
+use wsvd_core::effective_width;
 
 /// How a plan family entered the certified set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -106,7 +106,7 @@ pub struct PlanClaim {
 }
 
 impl PlanClaim {
-    /// The claim the runtime actually makes for `(w, threads)` on a device:
+    /// The claim a level actually makes for `(w, threads)` on a device:
     /// terminality is computed, not asserted.
     pub fn for_device(w: usize, threads: usize, origin: PlanOrigin, device: &DeviceSpec) -> Self {
         Self {
@@ -235,13 +235,14 @@ pub fn build_schedule_atlas(max_blocks: usize) -> Result<ScheduleAtlas, CertifyE
 pub struct DeviceCertificates {
     /// Device marketing name (the store lookup key).
     pub device: String,
-    /// Per-block arena the proofs assumed; a runtime mismatch invalidates.
+    /// Per-block arena the proofs assumed; a device with another arena is
+    /// not covered.
     pub smem_per_block_bytes: usize,
     /// Certified families keyed by [`FamilyKey::id`].
     pub families: BTreeMap<String, PlanCertificate>,
 }
 
-/// The machine-readable certificate store consulted at plan-selection time.
+/// The machine-readable certificate store: every certified family, per device.
 #[derive(Clone, Debug, Serialize)]
 pub struct CertificateStore {
     /// Shared schedule proofs.
@@ -358,35 +359,7 @@ pub fn certify_claim(
     })
 }
 
-/// The installed certificate store. It stays process-wide rather than in
-/// the device's `wsvd_gpu_sim::Session` because its type lives in this
-/// crate, above gpu-sim.
-static STORE: OnceLock<Arc<CertificateStore>> = OnceLock::new();
-
-/// Installs the process-wide certificate store: from then on every W-cycle
-/// level's selected plan must hold a certificate covering its ordering and
-/// block counts, a miss is a hard error before launch, and certified levels
-/// skip the per-launch `verify_level` re-verification. Returns `false` if a
-/// store was already installed (the first one wins).
-pub fn install_store(store: Arc<CertificateStore>) -> bool {
-    STORE.set(store).is_ok()
-}
-
-/// The installed store, if any.
-pub fn store() -> Option<Arc<CertificateStore>> {
-    STORE.get().cloned()
-}
-
-/// What the runtime consultation proved for one level.
-#[derive(Clone, Copy, Debug)]
-pub struct CertifiedLevel {
-    /// Tasks whose block counts were checked against the certificate.
-    pub tasks_checked: usize,
-    /// Largest per-task block count seen.
-    pub max_task_blocks: usize,
-}
-
-/// Consults `store` for one level: the selected plan's family must be
+/// Checks one level's plan against `store`: the selected plan's family must be
 /// certified on this device, the configured ordering must be covered by the
 /// atlas, and every task's block count must be within the proven bound.
 pub fn check_level_with(
@@ -395,7 +368,7 @@ pub fn check_level_with(
     plan: &TailorPlan,
     sizes: &[(usize, usize)],
     ordering: Ordering,
-) -> Result<CertifiedLevel, String> {
+) -> Result<(), String> {
     let dev = store
         .devices
         .get(device.name)
@@ -420,17 +393,11 @@ pub fn check_level_with(
     if !store.atlas.orderings.iter().any(|o| o == &oname) {
         return Err(format!("ordering {oname} is not covered by the atlas"));
     }
-    let mut tasks_checked = 0usize;
-    let mut max_task_blocks = 0usize;
     for &(m, n) in sizes {
         if n < 2 {
             continue;
         }
-        let w = effective_width(m, n, plan.w, device.smem_per_block_bytes);
-        let blocks = n.div_ceil(w);
-        if blocks < 2 {
-            continue;
-        }
+        let blocks = n.div_ceil(effective_width(m, n, plan.w, device.smem_per_block_bytes));
         if blocks > store.atlas.max_blocks {
             return Err(format!(
                 "task {m}x{n} needs {blocks} column blocks but schedules are only proven up \
@@ -438,13 +405,8 @@ pub fn check_level_with(
                 store.atlas.max_blocks
             ));
         }
-        tasks_checked += 1;
-        max_task_blocks = max_task_blocks.max(blocks);
     }
-    Ok(CertifiedLevel {
-        tasks_checked,
-        max_task_blocks,
-    })
+    Ok(())
 }
 
 #[cfg(test)]
@@ -532,16 +494,15 @@ mod tests {
             },
         );
         let plan = TailorPlan::new(16, 64, 256);
-        let ok = check_level_with(
+        // w_eff = 16: 4 blocks, and exactly the proven bound of 32.
+        check_level_with(
             &store,
             &V100,
             &plan,
-            &[(64, 64), (8, 1)],
+            &[(64, 64), (8, 1), (512, 512)],
             Ordering::RoundRobin,
         )
         .unwrap();
-        assert_eq!(ok.tasks_checked, 1);
-        assert_eq!(ok.max_task_blocks, 4);
 
         // Uncertified family: hard error.
         let other = TailorPlan::new(24, 64, 256);

@@ -131,7 +131,7 @@ fn wall_clock_scope(rel: &str) -> bool {
 fn hashmap_scope(rel: &str) -> bool {
     let files = [
         "crates/batched/src/autotune.rs",
-        "crates/core/src/certify.rs",
+        "crates/analyze/src/certify.rs",
         "crates/bench/src/metrics_report.rs",
     ];
     files.contains(&rel)

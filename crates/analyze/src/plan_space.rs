@@ -2,7 +2,7 @@
 //!
 //! The auto-tuner's plan space is finite and small once quotiented by the
 //! certificate key `(w, threads)` (δ never touches a kernel's resource
-//! demands — see `wsvd_core::certify`):
+//! demands — see [`crate::certify`]):
 //!
 //! * the candidate table ([`candidate_plans`]) contributes the families
 //!   `(48,256)`, `(24,256)`, `(16,256)`, `(8,128)` whatever the sizes;
@@ -24,12 +24,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use wsvd_batched::autotune::{auto_tune_with_w_cap, scored_candidates, V100_TLP_THRESHOLD};
-use wsvd_batched::models::TailorPlan;
-use wsvd_core::certify::{
+use crate::certify::{
     build_schedule_atlas, certify_claim, check_level_with, CertificateStore, CertifyError,
     DeviceCertificates, FamilyKey, PlanClaim, PlanOrigin,
 };
+use wsvd_batched::autotune::{auto_tune_with_w_cap, scored_candidates, V100_TLP_THRESHOLD};
+use wsvd_batched::models::TailorPlan;
 use wsvd_gpu_sim::{DeviceSpec, ALL_DEVICES};
 use wsvd_jacobi::ordering::Ordering;
 

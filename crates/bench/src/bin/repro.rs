@@ -6,8 +6,8 @@
 //!   repro <id> [<id> ...] [--scale reduced|full] [--json DIR] [--trace FILE]
 //!   repro --all [--scale reduced|full] [--json DIR] [--trace FILE]
 //!   repro --check DIR [<id> ...]     # regression-compare against stored JSON
+//!   repro --all --check DIR          # ... every experiment; a missing DIR/<id>.json fails
 //!   repro --sanitize [<id> ...]      # run under the wsvd-sanitizer (default: fig7)
-//!   repro --certify [<id> ...]       # require ahead-of-time plan certificates
 //!   repro --fused [<id> ...]         # run with the fused launch pipeline on
 //!   repro --report [<id> ...]        # per-kernel profiler report (wsvd-metrics)
 //!   repro --bench-out FILE [...]     # write a perf snapshot for wsvd-bench-diff
@@ -25,13 +25,6 @@
 //! memory races, barrier divergence, leaked buffers) and static schedule /
 //! shared-memory verification for every simulated launch, then exits
 //! non-zero if any violation was reported. Equivalent to `WSVD_SANITIZE=1`.
-//!
-//! `--certify` builds wsvd-analyze's ahead-of-time certificate store (every
-//! auto-tuner-reachable and pinned plan family proven safe on every device
-//! model) and requires it: a W-cycle level whose selected plan has no
-//! certificate is a hard error before any kernel launches, and certified
-//! levels skip the sanitizer's per-launch static re-verification. Simulated
-//! time and numerics are bit-identical with certification on or off.
 //!
 //! `--report` turns on the wsvd-metrics registry (a strict no-op otherwise:
 //! simulated time and numerics are bit-identical with metrics off) and, after
@@ -66,6 +59,10 @@ use std::io::Write;
 use wsvd_bench::{all_experiments, Report, Scale};
 use wsvd_gpu_sim::{SanitizeMode, Session};
 
+const USAGE: &str = "usage: repro --list | --all | <id>... [--scale reduced|full] [--json DIR] \
+                     [--check DIR] [--trace FILE] [--sanitize] [--fused] [--report] \
+                     [--bench-out FILE] [--prom FILE] [--health] [--health-dump FILE]";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Reduced;
@@ -75,7 +72,6 @@ fn main() {
     let mut ids: Vec<String> = Vec::new();
     let mut run_all = false;
     let mut sanitize = false;
-    let mut certify = false;
     let mut fused = false;
     let mut report = false;
     let mut bench_out: Option<String> = None;
@@ -103,37 +99,21 @@ fn main() {
             "--check" => check_dir = Some(it.next().expect("--check needs a directory")),
             "--trace" => trace_path = Some(it.next().expect("--trace needs a file")),
             "--sanitize" => sanitize = true,
-            "--certify" => certify = true,
             "--fused" => fused = true,
             "--report" => report = true,
             "--bench-out" => bench_out = Some(it.next().expect("--bench-out needs a file")),
             "--prom" => prom_out = Some(it.next().expect("--prom needs a file")),
             "--health" => health = true,
             "--health-dump" => health_dump = Some(it.next().expect("--health-dump needs a file")),
-            other => ids.push(other.to_string()),
+            flag if flag.starts_with("--") => {
+                eprintln!("unknown flag '{flag}'\n{USAGE}");
+                std::process::exit(2);
+            }
+            id => ids.push(id.to_string()),
         }
     }
     if ids.is_empty() && !run_all && check_dir.is_none() && sanitize {
         ids.push("fig7".to_string());
-    }
-    // The certificate store stays outside the session (its type lives in
-    // wsvd-core); installing it makes certification required.
-    if certify {
-        let store = wsvd_analyze::plan_space::certify_all_devices(
-            wsvd_analyze::plan_space::DEFAULT_MAX_BLOCKS,
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("wsvd-analyze: plan-space certification failed: {e}");
-            std::process::exit(1);
-        });
-        eprintln!(
-            "wsvd-analyze: {} plan certificates installed ({} devices, schedules proven to \
-             {} blocks); certification required for every selected plan",
-            store.len(),
-            store.devices.len(),
-            store.atlas.max_blocks
-        );
-        wsvd_core::certify::install_store(std::sync::Arc::new(store));
     }
     // Every `Gpu` copies the installed session when it is built, so the
     // flags become one session before any experiment runs. Sinks stay
@@ -168,11 +148,7 @@ fn main() {
                 .collect();
         }
     } else if ids.is_empty() {
-        eprintln!(
-            "usage: repro --all | <id>... [--scale reduced|full] [--json DIR] [--certify] \
-             [--fused] [--report] [--bench-out FILE] [--prom FILE] [--health] \
-             [--health-dump FILE]"
-        );
+        eprintln!("{USAGE}");
         eprintln!("known ids:");
         for (id, _) in &experiments {
             eprintln!("  {id}");
@@ -186,6 +162,20 @@ fn main() {
         eprintln!("unknown experiment '{id}' (try --list)");
         std::process::exit(2);
     }
+    // Regression mode: every id named (or `--all`) needs its stored
+    // baseline, read before any experiment runs.
+    let baselines: Option<Vec<Report>> = check_dir.as_ref().map(|dir| {
+        ids.iter()
+            .map(|id| {
+                let path = format!("{dir}/{id}.json");
+                let stored = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+                    eprintln!("no baseline for '{id}': cannot read {path}: {e}");
+                    std::process::exit(1);
+                });
+                serde_json::from_str(&stored).expect("baseline parse")
+            })
+            .collect()
+    });
     let run = |id: &str| -> Report {
         let (_, f) = experiments
             .iter()
@@ -196,17 +186,10 @@ fn main() {
         f(scale)
     };
 
-    // Regression mode: re-run and compare against stored baselines.
-    let failed = if let Some(dir) = &check_dir {
+    let failed = if let Some(baselines) = &baselines {
         let mut failed = false;
-        for id in &ids {
-            let path = format!("{dir}/{id}.json");
-            let Ok(stored) = std::fs::read_to_string(&path) else {
-                println!("{id:>12}  SKIP (no baseline at {path})");
-                continue;
-            };
-            let baseline: Report = serde_json::from_str(&stored).expect("baseline parse");
-            match run(id).diff(&baseline) {
+        for (id, baseline) in ids.iter().zip(baselines) {
+            match run(id).diff(baseline) {
                 None => println!("{id:>12}  PASS"),
                 Some(d) => {
                     println!("{id:>12}  DIFF: {d}");

@@ -554,10 +554,10 @@ pub fn ext_fused(scale: Scale) -> Report {
 /// artifact. Static analysis is scale-independent: both scales emit the
 /// same deterministic counts (no timings, no randomness).
 pub fn ext_certify(scale: Scale) -> Report {
+    use wsvd_analyze::certify::PlanOrigin;
     use wsvd_analyze::plan_space::{
         certify_all_devices, planted_rejections, sweep_reachability, DEFAULT_MAX_BLOCKS,
     };
-    use wsvd_core::certify::PlanOrigin;
 
     let mut rep = Report::new(
         "ext-certify",

@@ -38,11 +38,7 @@ fn run_cell(trace: &Trace, policy: BatchPolicy, slo_e2e_us: f64) -> ServeSummary
     let sink = MetricsSink::enabled();
     sink.set_experiment("ext-serve");
     let gpu = Gpu::new(V100);
-    let cfg = ServeConfig {
-        policy,
-        slo_e2e_us,
-        fused: true,
-    };
+    let cfg = ServeConfig { policy, slo_e2e_us };
     let outcome = serve_trace(&gpu, trace, &cfg, &sink).expect("finite seeded payloads");
     summarize(&sink.snapshot(), "ext-serve", &outcome)
 }

@@ -52,7 +52,6 @@ fn run_cell(trace: &Trace, policy: BatchPolicy) -> (TailReport, f64) {
     let cfg = ServeConfig {
         policy,
         slo_e2e_us: 1.0e6,
-        fused: true,
     };
     let outcome =
         serve_trace(&gpu, trace, &cfg, &MetricsSink::disabled()).expect("finite seeded payloads");

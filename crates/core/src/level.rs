@@ -138,12 +138,10 @@ impl Level<'_> {
     ) -> Result<Vec<usize>, KernelError> {
         let cfg = self.cfg;
         let inner_tol = inner_tol(cfg);
-        // Dynamically generated sweeps carry no static proof (and no
-        // certificate — the schedule is data-dependent): under the
-        // sanitizer or a certificate store each is checked before its
+        // Dynamically generated sweeps carry no static proof (the schedule
+        // is data-dependent): under the sanitizer each is checked before its
         // rotations launch.
-        let verify_schedules =
-            cfg.dynamic_ordering && (gpu.sanitize_enabled() || crate::certify::store().is_some());
+        let verify_schedules = cfg.dynamic_ordering && gpu.sanitize_enabled();
         let measure_coherence =
             hooks.is_some() && (gpu.trace().is_enabled() || gpu.health().is_enabled());
         let smem = gpu.device().smem_per_block_bytes;

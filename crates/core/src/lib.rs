@@ -26,18 +26,12 @@
 
 #![warn(missing_docs)]
 
-pub mod certify;
 pub mod config;
 pub mod level;
 pub mod stats;
 pub mod verify;
 pub mod wcycle;
 
-pub use certify::{
-    build_schedule_atlas, certify_claim, check_level_with, install_store, CertificateStore,
-    CertifiedLevel, CertifyError, DeviceCertificates, FamilyKey, PlanCertificate, PlanClaim,
-    PlanOrigin, ScheduleAtlas,
-};
 pub use config::{AlphaSelect, Tuning, WCycleConfig};
 pub use level::{Hooks, Level, Rotation, Route};
 pub use stats::{SweepRecord, WCycleStats};

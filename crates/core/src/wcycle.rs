@@ -466,42 +466,7 @@ fn decompose_level(
     if watched {
         health.plan_selected(level, plan.w, plan.delta, plan.threads, level_t0);
     }
-    let sanitizing = gpu.sanitize_enabled();
-    // Ahead-of-time certification: once a store is installed the selected
-    // plan's family must hold a certificate for this device covering the
-    // configured ordering and every task's block count — a miss is a hard
-    // error before any launch. A certified level skips the per-launch
-    // `verify_level` re-verification below (the certificate already proves
-    // its non-tautological obligations once, for the whole family).
-    let certified = match crate::certify::store() {
-        Some(store) => {
-            let cert =
-                crate::certify::check_level_with(&store, gpu.device(), &plan, &sizes, cfg.ordering)
-                    .map_err(|e| {
-                        KernelError::Other(format!(
-                            "wsvd-analyze: uncertified plan at level {level}: {e}"
-                        ))
-                    })?;
-            if traced {
-                trace.instant(
-                    gpu.trace_pid(),
-                    "certify",
-                    "plan-certified",
-                    level_t0,
-                    vec![
-                        ("level", level.into()),
-                        ("w", plan.w.into()),
-                        ("threads", plan.threads.into()),
-                        ("tasks_checked", cert.tasks_checked.into()),
-                        ("max_task_blocks", cert.max_task_blocks.into()),
-                    ],
-                );
-            }
-            true
-        }
-        None => false,
-    };
-    if sanitizing && !certified {
+    if gpu.sanitize_enabled() {
         // Static half of the wsvd-sanitizer: prove the selected plan's
         // schedules and shared-memory working sets sound before any launch.
         let check = verify_level(&sizes, &plan, cfg.ordering, smem).map_err(|e| {

@@ -190,7 +190,6 @@ fn main() -> ExitCode {
     let cfg = ServeConfig {
         policy,
         slo_e2e_us: args.slo_e2e_us.or(args.slo_p99_us).unwrap_or(1.0e6),
-        fused: true,
     };
     let sink = MetricsSink::enabled();
     let mut violated = false;

@@ -54,7 +54,8 @@ use crate::batcher::{Admission, Admit, BatchPolicy, Pending};
 use crate::traffic::Trace;
 
 /// Server configuration: the admission policy plus the SLO target the
-/// violation counter is scored against.
+/// violation counter is scored against. Every bucket runs through the fused
+/// [`wsvd_gpu_sim::LaunchGraph`] path.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Admission batching policy.
@@ -62,9 +63,6 @@ pub struct ServeConfig {
     /// End-to-end latency SLO in simulated microseconds; every request
     /// whose `end_to_end_us` exceeds it increments `slo_violations`.
     pub slo_e2e_us: f64,
-    /// Dispatch buckets through the fused [`wsvd_gpu_sim::LaunchGraph`]
-    /// path (the service default; off reproduces the serial launch path).
-    pub fused: bool,
 }
 
 impl Default for ServeConfig {
@@ -72,7 +70,6 @@ impl Default for ServeConfig {
         ServeConfig {
             policy: BatchPolicy::high_throughput(),
             slo_e2e_us: 1.0e6,
-            fused: true,
         }
     }
 }
@@ -212,7 +209,7 @@ pub fn serve_trace(
     sink: &MetricsSink,
 ) -> Result<ServeOutcome, KernelError> {
     let wcfg = WCycleConfig {
-        fused: cfg.fused,
+        fused: true,
         ..WCycleConfig::default()
     };
     let mut adm = Admission::new(cfg.policy);

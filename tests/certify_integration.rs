@@ -1,45 +1,29 @@
 //! Integration tests for wsvd-analyze's ahead-of-time plan certification:
 //!
 //! * property: every plan the auto-tuner can select for a random size
-//!   multiset holds a certificate, and the runtime consultation accepts it
-//!   (zero false rejections over the reachable plan space);
-//! * agreement: with a store installed, runs are bit-identical with
-//!   the sanitizer on and off, and a certified plan never trips the runtime
-//!   sanitizer on the fig7/fig9 shapes;
-//! * enforcement: an uncertified plan family is a hard error before any
-//!   kernel launches.
-//!
-//! This file owns the process-global certificate store: every test that
-//! simulates work goes through [`require_certification`], which installs it
-//! under [`GATE`], so installation never races a test expecting none.
+//!   multiset holds a certificate, and the level check accepts it (zero
+//!   false rejections over the reachable plan space);
+//! * agreement: the plans a real W-cycle selects on the fig7/fig9 shapes
+//!   are certified, and those runs are clean and bit-identical with the
+//!   run-time sanitizer on and off.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
 use wcycle_svd::batched::autotune::{auto_tune_with_w_cap, V100_TLP_THRESHOLD};
 use wcycle_svd::batched::models::TailorPlan;
-use wcycle_svd::core::certify::{self, CertificateStore};
 use wcycle_svd::gpu::{Gpu, SanitizeMode, ALL_DEVICES, V100};
 use wcycle_svd::jacobi::ordering::Ordering;
 use wcycle_svd::linalg::generate::random_batch;
-use wcycle_svd::{wcycle_svd, Tuning, WCycleConfig};
+use wcycle_svd::{wcycle_svd, WCycleConfig};
+use wsvd_analyze::certify::{check_level_with, CertificateStore};
 use wsvd_analyze::plan_space::{certify_all_devices, DEFAULT_MAX_BLOCKS};
+use wsvd_trace::{ArgValue, TraceSink};
 
-fn store() -> &'static Arc<CertificateStore> {
-    static STORE: OnceLock<Arc<CertificateStore>> = OnceLock::new();
-    STORE.get_or_init(|| {
-        Arc::new(certify_all_devices(DEFAULT_MAX_BLOCKS).expect("plan space certifies"))
-    })
-}
-
-/// Held while installing the store, and by the test that needs it absent.
-static GATE: Mutex<()> = Mutex::new(());
-
-/// Installs the store, which makes certification required (once).
-fn require_certification() {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    certify::install_store(store().clone());
+fn store() -> &'static CertificateStore {
+    static STORE: OnceLock<CertificateStore> = OnceLock::new();
+    STORE.get_or_init(|| certify_all_devices(DEFAULT_MAX_BLOCKS).expect("plan space certifies"))
 }
 
 proptest! {
@@ -62,7 +46,7 @@ proptest! {
                 "plan (w={}, T={}) uncertified on {}",
                 plan.w, plan.threads, device.name
             );
-            let checked = certify::check_level_with(
+            let checked = check_level_with(
                 store(), device, &plan, &sizes, Ordering::RoundRobin,
             );
             prop_assert!(
@@ -75,13 +59,22 @@ proptest! {
     }
 }
 
+/// The `u64` argument `key` of a trace event, if it has one.
+fn arg_u64(args: &[(&'static str, ArgValue)], key: &str) -> Option<u64> {
+    args.iter().find_map(|(k, v)| match v {
+        ArgValue::U64(u) if *k == key => Some(*u),
+        _ => None,
+    })
+}
+
 /// Certified runs agree with the sanitizer: on the fig7 and fig9 shapes,
-/// simulated time and singular values are bit-identical with hazard
-/// checking on and off, and the sanitizer stays clean — a certified plan
-/// never trips a runtime check.
+/// every block-Jacobi plan the W-cycle selects (read from its `autotune`
+/// trace instants; the fig9 squares recurse, so there are some) holds a
+/// certificate, simulated time and singular values are
+/// bit-identical with hazard checking on and off, and the sanitizer stays
+/// clean -- a certified plan never trips a run-time check.
 #[test]
 fn certified_runs_agree_with_sanitizer() {
-    require_certification();
     let shapes: &[(usize, usize, usize)] = &[
         // fig7 shapes (m, n, batch).
         (8, 32, 6),
@@ -91,12 +84,31 @@ fn certified_runs_agree_with_sanitizer() {
         (64, 64, 3),
         (128, 128, 2),
     ];
+    let mut plans_checked = 0;
     for &(m, n, batch) in shapes {
         let mats = random_batch(batch, m, n, (m * 1000 + n) as u64);
         let cfg = WCycleConfig::default();
 
-        let plain = Gpu::new(V100);
+        let sink = TraceSink::enabled();
+        let plain = Gpu::with_trace(V100, sink.clone());
         let a = wcycle_svd(&plain, &mats, &cfg).unwrap();
+
+        // Level-0 instants pick threads per pair and carry no `w`.
+        let plans: Vec<(u64, u64)> = sink
+            .events()
+            .iter()
+            .filter(|e| e.track == "autotune" && e.name == "plan")
+            .filter_map(|e| Some((arg_u64(&e.args, "w")?, arg_u64(&e.args, "threads")?)))
+            .collect();
+        plans_checked += plans.len();
+        for (w, threads) in plans {
+            assert!(
+                store()
+                    .lookup(V100.name, w as usize, threads as usize)
+                    .is_some(),
+                "{m}x{n}: selected plan (w={w}, T={threads}) is uncertified"
+            );
+        }
 
         let sanitized = Gpu::with_sanitize(V100, SanitizeMode::Full);
         let b = wcycle_svd(&sanitized, &mats, &cfg).unwrap();
@@ -123,48 +135,5 @@ fn certified_runs_agree_with_sanitizer() {
             rep.violations
         );
     }
-}
-
-/// Enforcement: a plan family outside the certified space (64 threads per
-/// block is in no tier) is a hard error before any kernel launches.
-#[test]
-fn uncertified_plan_is_a_hard_error_before_launch() {
-    require_certification();
-    let gpu = Gpu::new(V100);
-    let mats = random_batch(2, 64, 64, 7);
-    let cfg = WCycleConfig {
-        tuning: Tuning::Fixed(TailorPlan::new(16, 32, 64)),
-        ..WCycleConfig::default()
-    };
-    let err = wcycle_svd(&gpu, &mats, &cfg).unwrap_err();
-    let msg = err.to_string();
-    assert!(
-        msg.contains("uncertified plan") && msg.contains("not certified"),
-        "expected a certification error, got: {msg}"
-    );
-    // Nothing launched: the error fired at plan-selection time.
-    assert_eq!(
-        gpu.elapsed_seconds(),
-        0.0,
-        "uncertified plan must be rejected before any launch"
-    );
-}
-
-/// Certification is opt-in: until a store is installed, nothing consults
-/// one, so even a plan family outside the certified space runs. (Every
-/// other integration suite exercises the W-cycle this way too; pin it here,
-/// where the store may already be installed by another test, in which case
-/// there is nothing left to check.)
-#[test]
-fn certification_is_opt_in() {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    if certify::store().is_some() {
-        return;
-    }
-    let gpu = Gpu::new(V100);
-    let cfg = WCycleConfig {
-        tuning: Tuning::Fixed(TailorPlan::new(16, 32, 64)),
-        ..WCycleConfig::default()
-    };
-    wcycle_svd(&gpu, &random_batch(2, 64, 64, 7), &cfg).expect("uncertified plan runs");
+    assert!(plans_checked > 0, "no block-Jacobi plan was selected");
 }
