@@ -96,7 +96,7 @@ const SINK_PRODUCERS: [&str; 14] = [
     "plan_selected",
     "metric_delta",
     "shard_sync",
-    "sweep_sample",
+    "not_converged",
     "batch_check",
     "nonfinite",
 ];

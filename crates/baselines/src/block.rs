@@ -111,14 +111,14 @@ pub fn block_jacobi_svd(
         cfg: &sweep_cfg,
     };
     let mut stats = WCycleStats::default();
-    stats.sweeps_per_matrix = engine.run(gpu, &mut tasks, &mut vs, &mut stats, None)?;
+    let status = engine.run(gpu, &mut tasks, &mut vs, &mut stats, None)?;
     let results = tasks
         .into_iter()
         .zip(vs)
-        .zip(transposed.into_iter().zip(&stats.sweeps_per_matrix))
-        .map(|((mut u, mut v), (transposed, &sweeps))| {
+        .zip(transposed.into_iter().zip(status))
+        .map(|((mut u, mut v), (transposed, (sweeps, converged)))| {
             let sigma = extract_u_sigma(&mut u, v.as_mut());
-            WSvd::oriented(u, sigma, v, transposed, true, sweeps)
+            WSvd::oriented(u, sigma, v, transposed, true, sweeps, converged)
         })
         .collect();
     Ok(WCycleOutput { results, stats })

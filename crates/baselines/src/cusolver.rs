@@ -61,7 +61,10 @@ pub fn gesvdj_batched(gpu: &Gpu, mats: &[Matrix]) -> Result<Vec<WSvd>, KernelErr
     // factorization of A keeps its thin `n x r` leading columns.
     Ok(svds
         .into_iter()
-        .map(|s| WSvd::oriented(s.u, s.sigma, Some(s.v), false, true, s.stats.sweeps))
+        .map(|s| {
+            let (sweeps, converged) = (s.stats.sweeps, s.stats.converged);
+            WSvd::oriented(s.u, s.sigma, Some(s.v), false, true, sweeps, converged)
+        })
         .collect())
 }
 

@@ -98,8 +98,10 @@ pub fn magma_gesvd(gpu: &Gpu, a: &Matrix) -> Result<WSvd, KernelError> {
     }
 
     // --- Real numerics ---------------------------------------------------
+    // The bidiagonal QR either converges or returns `Err`: an `Ok` result
+    // is converged.
     let Svd { u, sigma, v } = svd_reference(a).map_err(KernelError::Other)?;
-    Ok(WSvd::oriented(u, sigma, Some(v), false, true, 0))
+    Ok(WSvd::oriented(u, sigma, Some(v), false, true, 0, true))
 }
 
 /// MAGMA has no batched `gesvd`; batches loop serially over the single API

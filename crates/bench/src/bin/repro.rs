@@ -39,10 +39,11 @@
 //! exports the same registry in Prometheus text exposition format.
 //!
 //! `--health` arms the wsvd-health watchdogs (another strict no-op when off):
-//! NaN/Inf guards at kernel boundaries, per-sweep stagnation/divergence
-//! detection, per-batch residual/orthogonality drift monitors, dead-shard
-//! detection at cluster barriers, and an always-on flight recorder whose tail
-//! is embedded in every structured incident. After the experiments run a
+//! NaN/Inf guards at kernel boundaries, a `not-converged` incident for a
+//! matrix the W-cycle returns unconverged, per-batch residual/orthogonality
+//! drift monitors, dead-shard detection at cluster barriers, and an
+//! always-on flight recorder whose tail is embedded in every structured
+//! incident. After the experiments run a
 //! per-experiment summary is printed and the process exits non-zero if any
 //! incident fired. `--health-dump FILE` (implies `--health`) additionally
 //! writes the full [`wsvd_health::HealthReport`] — incidents, ring-buffer

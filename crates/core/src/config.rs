@@ -83,15 +83,6 @@ pub struct WCycleConfig {
     /// [`wsvd_gpu_sim::Session::current`]'s `fused` (off unless
     /// `repro --fused`).
     pub fused: bool,
-    /// Overrides the tolerance handed to *inner* (recursive) levels and the
-    /// SM rotation kernels, which normally run at `tol * 1e-2`. Inner
-    /// generators must run tighter than the outer convergence test or a
-    /// level's coherence plateaus just above `tol` — which is exactly why
-    /// this knob exists: fault-injection tests (the `ext-health` planted
-    /// stagnation row) set it *looser* than `tol` to produce a genuine
-    /// non-converging run for the stagnation watchdog. Leave `None` in
-    /// production.
-    pub inner_tol_override: Option<f64>,
 }
 
 impl Default for WCycleConfig {
@@ -111,7 +102,6 @@ impl Default for WCycleConfig {
             dynamic_ordering: false,
             kernel_threads: 256,
             fused: wsvd_gpu_sim::Session::current().fused,
-            inner_tol_override: None,
         }
     }
 }

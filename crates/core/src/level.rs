@@ -74,17 +74,14 @@ impl Route {
 /// The tolerance of the rotation generators inside a level whose sweep
 /// boundary tests at `cfg.tol`. It must be tighter than `tol`, or the
 /// level's coherence plateaus just above it (each pair block would keep up
-/// to `tol` of residual coherence internally); the override exists to
-/// break this on purpose (see `WCycleConfig::inner_tol_override`).
+/// to `tol` of residual coherence internally).
 pub(crate) fn inner_tol(cfg: &WCycleConfig) -> f64 {
-    cfg.inner_tol_override
-        .unwrap_or((cfg.tol * 1e-2).max(1e-15))
+    (cfg.tol * 1e-2).max(1e-15)
 }
 
 /// One run of the sweep loop over a batch. Of `cfg` it reads the sweep
-/// settings (`tol`, `max_sweeps`, `inner_tol_override`, `ordering`,
-/// `dynamic_ordering`) and the rotation kernels' (`alpha`, `cache_norms`,
-/// `kernel_threads`).
+/// settings (`tol`, `max_sweeps`, `ordering`, `dynamic_ordering`) and the
+/// rotation kernels' (`alpha`, `cache_norms`, `kernel_threads`).
 pub struct Level<'a> {
     /// Level number (1-based) the rotations are tallied under.
     pub level: usize,
@@ -126,8 +123,10 @@ struct PairRef {
 impl Level<'_> {
     /// Orthogonalizes every task's columns by block rotations: on return
     /// each task's columns are `UΣ` (unsorted) and each present V holds the
-    /// accumulated rotations. Returns the sweeps each task ran. Without
-    /// `hooks` the route must not recurse and no sweep is reported.
+    /// accumulated rotations. Returns, per task, the sweeps it ran and
+    /// whether it converged, i.e. left the loop on the sweep-boundary test
+    /// rather than at `max_sweeps`. Without `hooks` the route must not
+    /// recurse and no sweep is reported.
     pub fn run(
         &self,
         gpu: &Gpu,
@@ -135,15 +134,14 @@ impl Level<'_> {
         vs: &mut [Option<Matrix>],
         stats: &mut WCycleStats,
         mut hooks: Option<Hooks<'_>>,
-    ) -> Result<Vec<usize>, KernelError> {
+    ) -> Result<Vec<(usize, bool)>, KernelError> {
         let cfg = self.cfg;
         let inner_tol = inner_tol(cfg);
         // Dynamically generated sweeps carry no static proof (the schedule
         // is data-dependent): under the sanitizer each is checked before its
         // rotations launch.
         let verify_schedules = cfg.dynamic_ordering && gpu.sanitize_enabled();
-        let measure_coherence =
-            hooks.is_some() && (gpu.trace().is_enabled() || gpu.health().is_enabled());
+        let measure_coherence = hooks.is_some() && gpu.trace().is_enabled();
         let smem = gpu.device().smem_per_block_bytes;
         let mut sweeps = vec![0usize; tasks.len()];
         let mut active: Vec<bool> = tasks.iter().map(|t| t.cols() >= 2).collect();
@@ -348,7 +346,7 @@ impl Level<'_> {
                 (hooks.sweep_done)(rec, sweep_blocks);
             }
         }
-        Ok(sweeps)
+        Ok(sweeps.into_iter().zip(active.iter().map(|a| !a)).collect())
     }
 }
 

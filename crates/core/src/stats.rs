@@ -1,8 +1,7 @@
 //! Aggregate statistics of a W-cycle run.
 
 /// One per-sweep convergence sample of a W-cycle level. The W-cycle builds
-/// it once per sweep and sends it to every view that is on: the trace's
-/// `wcycle/sweep` instant and the health watchdogs.
+/// it once per sweep for the trace's `wcycle/sweep` instant.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SweepRecord {
     /// W-cycle level (0 = whole-matrix SM kernel batch).
@@ -33,8 +32,6 @@ pub struct WCycleStats {
     pub max_level: usize,
     /// Block rotations applied, per level (index = level - 1).
     pub rotations_per_level: Vec<u64>,
-    /// W-cycle sweeps per input matrix (0 for Level-0 matrices).
-    pub sweeps_per_matrix: Vec<usize>,
     /// Column-block widths chosen per level.
     pub widths_per_level: Vec<usize>,
 }

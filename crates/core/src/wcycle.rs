@@ -54,8 +54,16 @@ pub struct WSvd {
     /// Right singular vectors, thin `n x r` (square for `m >= n` inputs).
     /// `None` when `want_v` was off.
     pub v: Option<Matrix>,
-    /// W-cycle sweeps this matrix needed (0 when decomposed whole in SM).
+    /// Sweeps the engine ran on this matrix: the SM kernel's for a matrix
+    /// decomposed whole (level 0, `gesvdj_batched`), the top level's block
+    /// sweeps otherwise, 0 for the non-Jacobi `magma_like`.
     pub sweeps: usize,
+    /// Whether the engine's own convergence test passed within its sweep
+    /// cap (Algorithm 2's "exits the workflow"): the SM kernel's verdict
+    /// for a matrix decomposed whole, the top level's sweep-boundary test
+    /// otherwise, always true for `magma_like`. Read host-side from what
+    /// the sweeps computed anyway; never charged to the cost model.
+    pub converged: bool,
 }
 
 impl WSvd {
@@ -63,7 +71,8 @@ impl WSvd {
     /// its result: `u` (`m x r`), `sigma` (length `r`) and the accumulated
     /// `v`, its columns in σ order. The task of a wide input is its
     /// transpose, `A^T = U_t Σ V_t^T`, so `A = V_t Σ U_t^T`: they swap back.
-    /// V is kept thin (`r` columns) and only when `want_v`.
+    /// V is kept thin (`r` columns) and only when `want_v`. `sweeps` and
+    /// `converged` are the engine's own status for the task.
     pub fn oriented(
         u: Matrix,
         sigma: Vec<f64>,
@@ -71,6 +80,7 @@ impl WSvd {
         transposed: bool,
         want_v: bool,
         sweeps: usize,
+        converged: bool,
     ) -> WSvd {
         let r = sigma.len();
         let (u, v) = if transposed {
@@ -83,6 +93,7 @@ impl WSvd {
             sigma,
             v: v.filter(|_| want_v).map(|v| thin(v, r)),
             sweeps,
+            converged,
         }
     }
 }
@@ -133,12 +144,7 @@ pub fn wcycle_svd(
     cfg: &WCycleConfig,
 ) -> Result<WCycleOutput, KernelError> {
     let smem = gpu.device().smem_per_block_bytes;
-    let traced = gpu.trace().is_enabled();
-    let watched = gpu.health().is_enabled();
-    let mut stats = WCycleStats {
-        sweeps_per_matrix: vec![0; mats.len()],
-        ..Default::default()
-    };
+    let mut stats = WCycleStats::default();
 
     // Wide inputs are decomposed transposed and their factors swap back at
     // the end. Very tall inputs are optionally QR-preconditioned (refs.
@@ -194,11 +200,12 @@ pub fn wcycle_svd(
         trace_alpha_plan(gpu, &cfg.alpha, m_star, group.len(), threads_per_pair);
         let one_sided = OneSidedConfig {
             tol: cfg.tol,
+            max_sweeps: cfg.max_sweeps,
             threads_per_pair,
             cache_norms: cfg.cache_norms,
             accumulate_v: true,
             ordering: cfg.ordering,
-            record_coherence: traced || watched,
+            record_coherence: gpu.trace().is_enabled(),
             ..Default::default()
         };
         let t_pre = gpu.elapsed_seconds();
@@ -223,10 +230,11 @@ pub fn wcycle_svd(
         level_metrics(gpu, 0, t_pre, svds.iter().map(|o| o.stats.sweeps));
         recover_qr_u(gpu, &fit_idx, &prepared, svds.iter_mut().map(|s| &mut s.u))?;
         for (&k, svd) in fit_idx.iter().zip(svds) {
-            let (transposed, sweeps) = (prepared[k].1, svd.stats.sweeps);
-            let v = Some(svd.v);
+            let (u, sigma, v) = (svd.u, svd.sigma, Some(svd.v));
+            let (sweeps, converged) = (svd.stats.sweeps, svd.stats.converged);
+            let transposed = prepared[k].1;
             slots[k] = Some(WSvd::oriented(
-                svd.u, svd.sigma, v, transposed, cfg.want_v, sweeps,
+                u, sigma, v, transposed, cfg.want_v, sweeps, converged,
             ));
         }
     }
@@ -250,7 +258,7 @@ pub fn wcycle_svd(
         let mut extracted: Vec<_> = tasks
             .into_iter()
             .zip(outcomes)
-            .map(|(t, o)| (t, o.v, Vec::new(), o.sweeps))
+            .map(|(t, o)| (t, o.v, Vec::new(), o.status))
             .collect();
         gpu.launch_over(kc, &mut extracted, |_, (t, v, sigma, _), ctx| {
             ctx.count_gm_load(t.len());
@@ -265,10 +273,11 @@ pub fn wcycle_svd(
             &prepared,
             extracted.iter_mut().map(|e| &mut e.0),
         )?;
-        for (&k, (u, v, sigma, sweeps)) in rest_idx.iter().zip(extracted) {
-            stats.sweeps_per_matrix[k] = sweeps;
+        for (&k, (u, v, sigma, (sweeps, converged))) in rest_idx.iter().zip(extracted) {
             let transposed = prepared[k].1;
-            slots[k] = Some(WSvd::oriented(u, sigma, v, transposed, cfg.want_v, sweeps));
+            slots[k] = Some(WSvd::oriented(
+                u, sigma, v, transposed, cfg.want_v, sweeps, converged,
+            ));
         }
     }
 
@@ -278,17 +287,20 @@ pub fn wcycle_svd(
         .collect();
     // `tol == 0` is the explicit truncated-run mode (run exactly
     // `max_sweeps`, converged or not — the accuracy experiments use it to
-    // chart error vs sweep count), so the convergence contract the drift
-    // monitors enforce is waived there.
+    // chart error vs sweep count), so the convergence contract the health
+    // checks enforce is waived there.
     if cfg.tol > 0.0 {
         health_batch_checks(gpu, mats, &results);
     }
     Ok(WCycleOutput { results, stats })
 }
 
-/// End-of-run drift monitors: per matrix, the orthogonality error of the
-/// numerically significant left singular directions and (when V is
-/// available) the relative reconstruction residual, both fed to
+/// End-of-run health checks, per matrix. An unconverged matrix goes to
+/// [`not_converged`](wsvd_health::HealthSink::not_converged) and nothing
+/// else: its factors make no accuracy promise. A converged one goes to the
+/// drift monitors: the orthogonality error of the numerically significant
+/// left singular directions and (when V is available) the relative
+/// reconstruction residual, both fed to
 /// [`batch_check`](wsvd_health::HealthSink::batch_check). Directions with
 /// `sigma <= sigma_max * eps * max(m, n)` carry no reliable basis — on
 /// rank-deficient or extremely ill-conditioned inputs (the Table-VII
@@ -304,6 +316,10 @@ fn health_batch_checks(gpu: &Gpu, mats: &[Matrix], results: &[WSvd]) {
     }
     let t_sim = gpu.elapsed_seconds();
     for (k, (a, r)) in mats.iter().zip(results).enumerate() {
+        if !r.converged {
+            health.not_converged(k, r.sweeps, t_sim);
+            continue;
+        }
         let sigma_max = r.sigma.first().copied().unwrap_or(0.0);
         if !sigma_max.is_finite() || sigma_max <= 0.0 {
             continue;
@@ -393,8 +409,8 @@ enum SweepDetail {
     },
 }
 
-/// Sends one sweep's record, at simulated time `ts`, to every view that is
-/// on: the `wcycle/sweep` trace instant and the health watchdogs.
+/// Sends one sweep's record, at simulated time `ts`, to the `wcycle/sweep`
+/// trace instant.
 fn emit_sweep(gpu: &Gpu, rec: SweepRecord, ts: f64, detail: SweepDetail) {
     let trace = gpu.trace();
     if trace.is_enabled() {
@@ -418,23 +434,14 @@ fn emit_sweep(gpu: &Gpu, rec: SweepRecord, ts: f64, detail: SweepDetail) {
         }
         trace.instant(gpu.trace_pid(), "wcycle", "sweep", ts, args);
     }
-    let health = gpu.health();
-    if health.is_enabled() {
-        health.sweep_sample(
-            rec.level as usize,
-            rec.sweep as usize,
-            rec.off_norm,
-            rec.active as usize,
-            ts,
-        );
-    }
 }
 
 /// Outcome of decomposing one task at a level: the matrix itself has been
-/// orthogonalized in place (columns = `UΣ`, unsorted).
+/// orthogonalized in place (columns = `UΣ`, unsorted). `status` is the
+/// level engine's (sweeps, converged) for the task.
 struct LevelOutcome {
     v: Option<Matrix>,
-    sweeps: usize,
+    status: (usize, bool),
 }
 
 /// Orthogonalizes every task's columns via block rotations at `level`,
@@ -550,7 +557,8 @@ fn decompose_level(
         recurse: &mut recurse,
         sweep_done: &mut sweep_done,
     };
-    let sweeps = engine.run(gpu, tasks, &mut vs, stats, Some(hooks))?;
+    let status = engine.run(gpu, tasks, &mut vs, stats, Some(hooks))?;
+    let sweeps = status.iter().map(|&(s, _)| s);
 
     if traced {
         let now = gpu.elapsed_seconds();
@@ -565,10 +573,7 @@ fn decompose_level(
                 ("w", plan.w.into()),
                 ("delta", plan.delta.into()),
                 ("threads", plan.threads.into()),
-                (
-                    "max_sweeps_used",
-                    sweeps.iter().copied().max().unwrap_or(0).into(),
-                ),
+                ("max_sweeps_used", sweeps.clone().max().unwrap_or(0).into()),
             ],
         );
     }
@@ -577,7 +582,7 @@ fn decompose_level(
     // chosen plan, keyed by W-cycle level. All values are already computed
     // by the algorithm (or are host-side reads of simulated time), so with
     // the sink disabled nothing here runs and the run stays bit-identical.
-    level_metrics(gpu, level, level_t0, sweeps.iter().copied());
+    level_metrics(gpu, level, level_t0, sweeps);
     let metrics = gpu.metrics();
     if metrics.is_enabled() {
         metrics.gauge_set("wcycle", Some(level), "plan_w", plan.w as f64);
@@ -597,8 +602,8 @@ fn decompose_level(
 
     Ok(vs
         .into_iter()
-        .zip(sweeps)
-        .map(|(v, sweeps)| LevelOutcome { v, sweeps })
+        .zip(status)
+        .map(|(v, status)| LevelOutcome { v, status })
         .collect())
 }
 
@@ -1328,55 +1333,72 @@ mod tests {
     }
 
     #[test]
-    fn loosened_inner_tol_fires_exactly_one_stagnation_incident() {
-        // `inner_tol_override` looser than `tol` breaks the invariant that
-        // inner generators out-resolve the outer test: each sweep leaves the
-        // level's coherence stuck just above `tol`, the textbook stagnation
-        // the watchdog exists for.
-        let sink = wsvd_health::HealthSink::enabled();
-        sink.set_context("stagnation", 43);
-        let mut gpu = Gpu::new(V100);
-        gpu.set_health(sink.clone());
-        let mats = random_batch(1, 96, 96, 43);
+    fn level0_sweep_cap_reports_not_converged() {
         let cfg = WCycleConfig {
             tol: 1e-12,
-            inner_tol_override: Some(1e-4),
-            max_sweeps: 12,
+            max_sweeps: 1,
             ..WCycleConfig::default()
         };
-        wcycle_svd(&gpu, &mats, &cfg).unwrap();
-        let incidents = sink.incidents();
-        let stagnations: Vec<_> = incidents
-            .iter()
-            .filter(|i| i.kind == "stagnation")
-            .collect();
+        let out = run(&[random_uniform(24, 24, 3)], &cfg);
+        assert_eq!(out.stats.level0_sm_svds, 1);
+        let r = &out.results[0];
+        assert_eq!((r.sweeps, r.converged), (1, false));
+    }
+
+    /// A watched run of the `ext-health` planted-cap scenario: one 96x96
+    /// matrix, capped at two multilevel sweeps.
+    fn capped_run(seed: u64, cfg: &WCycleConfig) -> (wsvd_health::HealthSink, WCycleOutput) {
+        let sink = wsvd_health::HealthSink::enabled();
+        sink.set_context("cap", seed);
+        let mut gpu = Gpu::new(V100);
+        gpu.set_health(sink.clone());
+        let out = wcycle_svd(&gpu, &random_batch(1, 96, 96, seed), cfg).unwrap();
+        (sink, out)
+    }
+
+    #[test]
+    fn sweep_cap_fires_one_not_converged_incident_that_replays() {
+        let cfg = WCycleConfig {
+            tol: 1e-12,
+            max_sweeps: 2,
+            ..WCycleConfig::default()
+        };
+        let (sink, out) = capped_run(43, &cfg);
         assert_eq!(
-            stagnations.len(),
-            1,
-            "expected exactly one stagnation incident, got {incidents:?}"
+            (out.results[0].sweeps, out.results[0].converged),
+            (2, false)
         );
-        let inc = stagnations[0];
+        let incidents = sink.incidents();
+        assert_eq!(incidents.len(), 1, "{incidents:?}");
+        let inc = &incidents[0];
+        assert_eq!(inc.kind, "not-converged");
+        assert_eq!(inc.detail, "matrix 0: not converged after 2 sweep(s)");
         assert_eq!(inc.seed, 43, "incident must carry the replayable seed");
-        assert!(inc.level.is_some());
+        assert_eq!(inc.level, Some(1));
         assert!(
             inc.plan.is_some(),
             "the in-force plan is part of the report"
         );
         assert!(!inc.flight_tail.is_empty());
 
-        // Replay: regenerating from the embedded seed and re-running the
-        // same config deterministically reproduces the stagnation.
-        let replay_sink = wsvd_health::HealthSink::enabled();
-        replay_sink.set_context("replay", inc.seed);
-        let mut replay_gpu = Gpu::new(V100);
-        replay_gpu.set_health(replay_sink.clone());
-        let replay_mats = random_batch(1, 96, 96, inc.seed);
-        wcycle_svd(&replay_gpu, &replay_mats, &cfg).unwrap();
-        let replayed = replay_sink.incidents();
-        assert_eq!(
-            replayed.iter().filter(|i| i.kind == "stagnation").count(),
-            1,
-            "replay must reproduce the stagnation"
-        );
+        // Regenerating from the embedded seed and re-running the same config
+        // reproduces the incident.
+        let (replay, _) = capped_run(inc.seed, &cfg);
+        let kinds: Vec<String> = replay.incidents().into_iter().map(|i| i.kind).collect();
+        assert_eq!(kinds, ["not-converged"]);
+    }
+
+    #[test]
+    fn truncated_run_raises_no_incident() {
+        // `tol == 0` runs exactly `max_sweeps` by design: unconverged, yet
+        // no incident.
+        let cfg = WCycleConfig {
+            tol: 0.0,
+            max_sweeps: 2,
+            ..WCycleConfig::default()
+        };
+        let (sink, out) = capped_run(43, &cfg);
+        assert!(!out.results[0].converged);
+        assert_eq!(sink.incident_count(), 0, "{:?}", sink.incidents());
     }
 }

@@ -5,21 +5,20 @@
 //! *scheduling* and *hazards*; this crate observes *numerics* — the
 //! quantities the paper's correctness claims actually rest on:
 //!
-//! * **Watchdogs.** Per-sweep off-diagonal-norm decay per W-cycle level
-//!   (stagnation: a level whose off-norm stops shrinking for `k` consecutive
-//!   sweeps fires; divergence: an off-norm exploding between sweeps fires
-//!   immediately), NaN/Inf detection at simulated kernel boundaries, final
-//!   residual / orthogonality drift ceilings, and dead-shard detection on
-//!   the cluster model.
+//! * **Watchdogs.** The per-matrix convergence status the engines return
+//!   (a matrix that hit its sweep cap is `not-converged`), NaN/Inf
+//!   detection at simulated kernel boundaries, final residual /
+//!   orthogonality drift ceilings, and dead-shard detection on the cluster
+//!   model.
 //! * **Flight recorder.** A bounded log of the most recent events (kernel
-//!   launches, auto-tuner plan selections, sweep convergence samples,
-//!   metric deltas, cluster collectives), kept under one lock. With the sink
-//!   disabled every recording method returns after a single `Option` check.
+//!   launches, auto-tuner plan selections, metric deltas, cluster
+//!   collectives), kept under one lock. With the sink disabled every
+//!   recording method returns after a single `Option` check.
 //! * **Incidents.** When a watchdog fires, the sink assembles a structured,
 //!   JSON-serializable [`Incident`]: the trigger, the flight-recorder tail,
 //!   a metrics [`Snapshot`](wsvd_metrics::Snapshot), the chosen tailoring
-//!   plan, the level/sweep position, and the RNG seed of the workload so the
-//!   incident is deterministically replayable.
+//!   plan and its level, and the RNG seed of the workload so the incident is
+//!   deterministically replayable.
 //!
 //! Design rules mirror `wsvd-trace` / `wsvd-metrics`: the default sink is a
 //! strict no-op, all watchdog state lives host-side (nothing is charged to
@@ -38,55 +37,16 @@ use parking_lot::Mutex;
 use serde::Serialize;
 use wsvd_metrics::MetricsSink;
 
-/// Watchdog thresholds and the flight-recorder capacity. The defaults are
-/// tuned so every clean experiment in the repro suite stays green (see
-/// DESIGN.md §11 for the derivation of each value).
-#[derive(Clone, Copy, Debug)]
-pub struct WatchdogConfig {
-    /// Flight-recorder ring capacity (events retained).
-    pub ring_capacity: usize,
-    /// Consecutive sweeps a level's off-norm may fail to shrink by
-    /// [`WatchdogConfig::min_decay`] before the stagnation watchdog fires.
-    pub stall_sweeps: usize,
-    /// Per-sweep shrink factor the off-norm must beat to count as progress
-    /// (`next < min_decay * prev`). Healthy Jacobi *plateaus* near 1 in the
-    /// pre-asymptotic phase but still chips off a little coherence every
-    /// sweep; a genuinely stagnating level (inner rotations too loose to
-    /// out-resolve the outer test) repeats essentially the same value. The
-    /// default therefore demands only 0.1% progress per sweep — tight
-    /// enough that a frozen level fails it, loose enough that the natural
-    /// plateau passes.
-    pub min_decay: f64,
-    /// Off-norm growth ratio between consecutive sweeps that fires the
-    /// divergence watchdog immediately (healthy sweeps never grow the
-    /// off-norm by orders of magnitude above round-off).
-    pub divergence_factor: f64,
-    /// Off-norms at or below this value are round-off noise: they arm
-    /// neither the stagnation nor the divergence watchdog (near
-    /// convergence, coherence wobbles by orders of magnitude around the
-    /// machine floor without meaning anything).
-    pub watch_floor: f64,
-    /// Ceiling on the per-matrix orthogonality error `||U^T U - I||_max`
-    /// over the numerically significant singular directions.
-    pub orthogonality_ceiling: f64,
-    /// Ceiling on the per-matrix relative reconstruction residual
-    /// `||A - U S V^T||_max / sigma_max`.
-    pub residual_ceiling: f64,
-}
+/// Flight-recorder ring capacity (events retained).
+const RING_CAPACITY: usize = 256;
 
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig {
-            ring_capacity: 256,
-            stall_sweeps: 6,
-            min_decay: 0.999,
-            divergence_factor: 1e3,
-            watch_floor: 1e-9,
-            orthogonality_ceiling: 1e-8,
-            residual_ceiling: 1e-8,
-        }
-    }
-}
+/// Ceiling on the per-matrix orthogonality error `||U^T U - I||_max` over
+/// the numerically significant singular directions.
+const ORTHOGONALITY_CEILING: f64 = 1e-8;
+
+/// Ceiling on the per-matrix relative reconstruction residual
+/// `||A - U S V^T||_max / sigma_max`.
+const RESIDUAL_CEILING: f64 = 1e-8;
 
 /// One event kind in the flight recorder.
 #[derive(Clone, Debug, PartialEq)]
@@ -110,17 +70,6 @@ pub enum FlightKind {
         delta: u64,
         /// Chosen threads per block.
         threads: u64,
-    },
-    /// One per-sweep convergence sample of a W-cycle level.
-    SweepSample {
-        /// W-cycle level.
-        level: u64,
-        /// Sweep number within the level (1-based).
-        sweep: u64,
-        /// Maximum normalized column coherence over the level's tasks.
-        off_norm: f64,
-        /// Tasks still unconverged after this sweep.
-        active: u64,
     },
     /// A metrics-registry delta worth keeping in the flight tail.
     MetricDelta {
@@ -153,7 +102,6 @@ impl FlightKind {
         match self {
             FlightKind::KernelLaunch { .. } => "kernel-launch",
             FlightKind::PlanSelected { .. } => "plan-selected",
-            FlightKind::SweepSample { .. } => "sweep-sample",
             FlightKind::MetricDelta { .. } => "metric-delta",
             FlightKind::ShardSync { .. } => "shard-sync",
             FlightKind::ShardKilled { .. } => "shard-killed",
@@ -189,17 +137,6 @@ impl Serialize for FlightKind {
                 push("w", serde::Value::U64(*w));
                 push("delta", serde::Value::U64(*delta));
                 push("threads", serde::Value::U64(*threads));
-            }
-            FlightKind::SweepSample {
-                level,
-                sweep,
-                off_norm,
-                active,
-            } => {
-                push("level", serde::Value::U64(*level));
-                push("sweep", serde::Value::U64(*sweep));
-                push("off_norm", serde::Value::F64(*off_norm));
-                push("active", serde::Value::U64(*active));
             }
             FlightKind::MetricDelta { key, delta } => {
                 push("key", serde::Value::Str(key.clone()));
@@ -294,10 +231,8 @@ impl FlightRecorder {
 pub enum IncidentKind {
     /// A kernel boundary produced NaN/Inf.
     NonFinite,
-    /// A level's off-norm stopped shrinking for `stall_sweeps` sweeps.
-    Stagnation,
-    /// A level's off-norm exploded between sweeps.
-    Divergence,
+    /// A matrix reached its engine's sweep cap unconverged.
+    NotConverged,
     /// Final `||U^T U - I||` exceeded the ceiling.
     OrthogonalityDrift,
     /// Final relative reconstruction residual exceeded the ceiling.
@@ -311,8 +246,7 @@ impl IncidentKind {
     pub fn as_str(&self) -> &'static str {
         match self {
             IncidentKind::NonFinite => "non-finite",
-            IncidentKind::Stagnation => "stagnation",
-            IncidentKind::Divergence => "divergence",
+            IncidentKind::NotConverged => "not-converged",
             IncidentKind::OrthogonalityDrift => "orthogonality-drift",
             IncidentKind::ResidualDrift => "residual-drift",
             IncidentKind::ShardDead => "shard-dead",
@@ -353,10 +287,8 @@ pub struct Incident {
     /// RNG seed of the workload — regenerating the inputs from this seed
     /// and re-running deterministically reproduces the incident.
     pub seed: u64,
-    /// W-cycle level position, when applicable.
+    /// W-cycle level of the plan in force, when one had been selected.
     pub level: Option<u64>,
-    /// Sweep position within the level, when applicable.
-    pub sweep: Option<u64>,
     /// Simulated seconds at fire time.
     pub t_sim: f64,
     /// The tailoring plan in force, when one had been selected.
@@ -386,28 +318,18 @@ pub struct HealthReport {
     pub flight_tail: Vec<FlightEvent>,
 }
 
-/// Per-level stagnation/divergence tracker.
-#[derive(Clone, Copy, Debug, Default)]
-struct StallTracker {
-    last: f64,
-    stalled: usize,
-}
-
 struct State {
     experiment: String,
     seed: u64,
     plan: Option<PlanChoice>,
     level: Option<u64>,
-    sweep: Option<u64>,
     incidents: Vec<Incident>,
     suppressed: u64,
     fired: BTreeSet<String>,
-    stall: BTreeMap<u64, StallTracker>,
     metrics: MetricsSink,
 }
 
 struct Inner {
-    config: WatchdogConfig,
     recorder: FlightRecorder,
     state: Mutex<State>,
 }
@@ -417,8 +339,8 @@ struct Inner {
 ///
 /// `HealthSink::default()` is **disabled**: every method returns after one
 /// `Option` check. Producers guard any computation done *only* for health
-/// (e.g. computing an off-norm that tracing has not already computed)
-/// behind [`HealthSink::is_enabled`], so with the sink off, simulated time
+/// (e.g. the final factors' orthogonality error) behind
+/// [`HealthSink::is_enabled`], so with the sink off, simulated time
 /// and numerics are bit-identical to a build without the crate. An enabled
 /// sink is also purely observational: nothing it does is charged to the
 /// simulator's cost model.
@@ -428,29 +350,20 @@ pub struct HealthSink {
 }
 
 impl HealthSink {
-    /// A recording sink with default watchdog thresholds. Incident
-    /// snapshots stay empty until [`HealthSink::set_metrics`] connects a
-    /// metrics registry.
+    /// A recording sink. Incident snapshots stay empty until
+    /// [`HealthSink::set_metrics`] connects a metrics registry.
     pub fn enabled() -> Self {
-        Self::with_config(WatchdogConfig::default())
-    }
-
-    /// A recording sink with explicit thresholds.
-    pub fn with_config(config: WatchdogConfig) -> Self {
         HealthSink {
             inner: Some(Arc::new(Inner {
-                recorder: FlightRecorder::new(config.ring_capacity),
-                config,
+                recorder: FlightRecorder::new(RING_CAPACITY),
                 state: Mutex::new(State {
                     experiment: String::new(),
                     seed: 0,
                     plan: None,
                     level: None,
-                    sweep: None,
                     incidents: Vec::new(),
                     suppressed: 0,
                     fired: BTreeSet::new(),
-                    stall: BTreeMap::new(),
                     metrics: MetricsSink::default(),
                 }),
             })),
@@ -469,21 +382,14 @@ impl HealthSink {
         self.inner.is_some()
     }
 
-    /// The active watchdog thresholds (defaults when disabled).
-    pub fn config(&self) -> WatchdogConfig {
-        self.inner.as_ref().map(|i| i.config).unwrap_or_default()
-    }
-
     /// Sets the experiment scope and workload seed stamped into subsequent
-    /// incidents, and resets the per-level stagnation trackers (a new
-    /// workload starts fresh). Incident latches are keyed per experiment,
-    /// so a new scope may fire the same kind again.
+    /// incidents. Incident latches are keyed per experiment, so a new scope
+    /// may fire the same kind again.
     pub fn set_context(&self, experiment: &str, seed: u64) {
         if let Some(i) = &self.inner {
             let mut st = i.state.lock();
             st.experiment = experiment.to_string();
             st.seed = seed;
-            st.stall.clear();
         }
     }
 
@@ -589,81 +495,15 @@ impl HealthSink {
         }
     }
 
-    /// One per-sweep convergence sample: runs the level-aware stagnation
-    /// and divergence watchdogs. `sweep` is 1-based within the level;
-    /// `active` counts tasks still unconverged *after* this sweep (samples
-    /// with `active == 0` close out the level's tracker).
-    pub fn sweep_sample(
-        &self,
-        level: usize,
-        sweep: usize,
-        off_norm: f64,
-        active: usize,
-        t_sim: f64,
-    ) {
-        let Some(i) = &self.inner else { return };
-        i.recorder.record(
-            t_sim,
-            FlightKind::SweepSample {
-                level: level as u64,
-                sweep: sweep as u64,
-                off_norm,
-                active: active as u64,
-            },
-        );
-        let cfg = i.config;
-        let mut st = i.state.lock();
-        st.level = Some(level as u64);
-        st.sweep = Some(sweep as u64);
-        if active == 0 {
-            st.stall.remove(&(level as u64));
-            return;
-        }
-        if sweep <= 1 {
-            // A fresh `decompose_level` call (recursion re-enters the same
-            // level repeatedly): restart the tracker.
-            st.stall.insert(
-                level as u64,
-                StallTracker {
-                    last: off_norm,
-                    stalled: 0,
-                },
+    /// Convergence-status report: `matrix` of a converging run (`tol > 0`)
+    /// came back from its engine unconverged after `sweeps` sweeps.
+    pub fn not_converged(&self, matrix: usize, sweeps: usize, t_sim: f64) {
+        if self.inner.is_some() {
+            self.fire(
+                IncidentKind::NotConverged,
+                &format!("matrix {matrix}: not converged after {sweeps} sweep(s)"),
+                t_sim,
             );
-            return;
-        }
-        let tr = st.stall.entry(level as u64).or_default();
-        let prev = tr.last;
-        if off_norm <= cfg.watch_floor {
-            // Round-off territory: nothing down here is a meaningful signal.
-            tr.last = off_norm;
-            tr.stalled = 0;
-            return;
-        }
-        if prev > cfg.watch_floor && off_norm > prev * cfg.divergence_factor {
-            tr.last = off_norm;
-            let detail = format!(
-                "level {level} off-norm grew {prev:.3e} -> {off_norm:.3e} \
-                 (> {}x) at sweep {sweep}",
-                cfg.divergence_factor
-            );
-            drop(st);
-            self.fire(IncidentKind::Divergence, &detail, t_sim);
-            return;
-        }
-        if prev > cfg.watch_floor && off_norm > prev * cfg.min_decay {
-            tr.stalled += 1;
-        } else {
-            tr.stalled = 0;
-        }
-        tr.last = off_norm;
-        if tr.stalled >= cfg.stall_sweeps {
-            let stalled = tr.stalled;
-            let detail = format!(
-                "level {level} off-norm stuck at {off_norm:.3e} for {stalled} \
-                 consecutive sweeps (through sweep {sweep}, {active} task(s) active)"
-            );
-            drop(st);
-            self.fire(IncidentKind::Stagnation, &detail, t_sim);
         }
     }
 
@@ -677,26 +517,26 @@ impl HealthSink {
         orthogonality: f64,
         t_sim: f64,
     ) {
-        let Some(i) = &self.inner else { return };
-        let cfg = i.config;
-        if orthogonality > cfg.orthogonality_ceiling {
+        if self.inner.is_none() {
+            return;
+        }
+        if orthogonality > ORTHOGONALITY_CEILING {
             self.fire(
                 IncidentKind::OrthogonalityDrift,
                 &format!(
                     "matrix {matrix}: ||U^T U - I|| = {orthogonality:.3e} \
-                     exceeds ceiling {:.1e}",
-                    cfg.orthogonality_ceiling
+                     exceeds ceiling {ORTHOGONALITY_CEILING:.1e}"
                 ),
                 t_sim,
             );
         }
         if let Some(r) = residual {
-            if r > cfg.residual_ceiling {
+            if r > RESIDUAL_CEILING {
                 self.fire(
                     IncidentKind::ResidualDrift,
                     &format!(
-                        "matrix {matrix}: relative residual {r:.3e} exceeds ceiling {:.1e}",
-                        cfg.residual_ceiling
+                        "matrix {matrix}: relative residual {r:.3e} exceeds \
+                         ceiling {RESIDUAL_CEILING:.1e}"
                     ),
                     t_sim,
                 );
@@ -760,7 +600,6 @@ impl HealthSink {
             experiment: st.experiment.clone(),
             seed: st.seed,
             level: st.level,
-            sweep: st.sweep,
             t_sim,
             plan: st.plan,
             flight_tail: i.recorder.tail(),
@@ -856,8 +695,7 @@ mod tests {
         s.set_context("e", 7);
         s.kernel_launch("k", 4, 1e-6, 0.0);
         s.plan_selected(1, 8, 64, 256, 0.0);
-        s.sweep_sample(1, 1, 0.5, 3, 0.0);
-        s.sweep_sample(1, 2, 0.5, 3, 0.0);
+        s.not_converged(0, 40, 0.0);
         s.batch_check(0, Some(1.0), 1.0, 0.0);
         s.nonfinite("k", 0, "NaN", 0.0);
         s.shard_dead(2, 0.0);
@@ -881,74 +719,31 @@ mod tests {
     }
 
     #[test]
-    fn stagnation_fires_once_after_k_stuck_sweeps() {
-        let s = HealthSink::with_config(WatchdogConfig {
-            stall_sweeps: 3,
-            ..Default::default()
-        });
+    fn not_converged_fires_once_per_experiment() {
+        let s = HealthSink::enabled();
         s.set_context("t", 99);
         s.plan_selected(1, 8, 64, 256, 0.0);
-        // Healthy decay, then a plateau.
-        let series = [1e-1, 1e-2, 9.9e-3, 9.9e-3, 9.9e-3, 9.9e-3, 9.9e-3];
-        for (k, &x) in series.iter().enumerate() {
-            s.sweep_sample(1, k + 1, x, 2, k as f64);
-        }
+        s.batch_check(0, Some(1e-13), 1e-14, 0.5); // within the ceilings
+        assert_eq!(s.incident_count(), 0);
+        s.not_converged(3, 40, 1.0);
         assert_eq!(s.incident_count(), 1, "{:?}", s.incidents());
         let inc = &s.incidents()[0];
-        assert_eq!(inc.kind, "stagnation");
-        assert_eq!(inc.seed, 99);
-        assert_eq!(inc.experiment, "t");
+        assert_eq!(inc.kind, "not-converged");
+        assert_eq!(inc.detail, "matrix 3: not converged after 40 sweep(s)");
+        assert_eq!((inc.experiment.as_str(), inc.seed), ("t", 99));
         assert_eq!(inc.level, Some(1));
         assert_eq!(inc.plan.unwrap().w, 8);
         assert!(matches!(
             inc.flight_tail.last().unwrap().kind,
             FlightKind::WatchdogFire { .. }
         ));
-        // Further stuck sweeps are suppressed cascades, not new incidents.
-        s.sweep_sample(1, 8, 9.9e-3, 2, 8.0);
-        assert_eq!(s.incident_count(), 1);
-        assert!(s.suppressed() >= 1);
-    }
-
-    #[test]
-    fn healthy_decay_and_convergence_stay_green() {
-        let s = HealthSink::enabled();
-        s.set_context("green", 1);
-        let mut x = 1.0;
-        for k in 0..12 {
-            x *= 0.5;
-            s.sweep_sample(1, k + 1, x, 1, k as f64);
-        }
-        s.sweep_sample(1, 13, 0.0, 0, 13.0); // converged: closes the tracker
-        s.batch_check(0, Some(1e-13), 1e-14, 14.0);
-        assert_eq!(s.incident_count(), 0, "{:?}", s.incidents());
-    }
-
-    #[test]
-    fn divergence_fires_immediately() {
-        let s = HealthSink::enabled();
-        s.set_context("d", 3);
-        s.sweep_sample(2, 1, 1e-6, 1, 0.0);
-        s.sweep_sample(2, 2, 1e-2, 1, 1.0);
-        assert_eq!(s.incident_count(), 1);
-        assert_eq!(s.incidents()[0].kind, "divergence");
-        assert_eq!(s.incidents()[0].sweep, Some(2));
-    }
-
-    #[test]
-    fn recursion_reentry_resets_the_level_tracker() {
-        let s = HealthSink::with_config(WatchdogConfig {
-            stall_sweeps: 2,
-            ..Default::default()
-        });
-        s.set_context("r", 5);
-        // Three separate 2-sweep visits to level 2 (as recursion does);
-        // each alone is too short to stall even though the values repeat.
-        for visit in 0..3 {
-            s.sweep_sample(2, 1, 1e-3, 1, visit as f64);
-            s.sweep_sample(2, 2, 1e-3, 1, visit as f64 + 0.5);
-        }
-        assert_eq!(s.incident_count(), 0);
+        // Further unconverged matrices are suppressed cascades, not new
+        // incidents, until a new experiment scope unlatches the kind.
+        s.not_converged(4, 40, 2.0);
+        assert_eq!((s.incident_count(), s.suppressed()), (1, 1));
+        s.set_context("u", 100);
+        s.not_converged(0, 40, 3.0);
+        assert_eq!(s.incident_count(), 2);
     }
 
     #[test]
@@ -1028,12 +823,6 @@ mod tests {
                 delta: 64,
                 threads: 256,
             },
-            FlightKind::SweepSample {
-                level: 2,
-                sweep: 3,
-                off_norm: 0.25,
-                active: 4,
-            },
             FlightKind::MetricDelta {
                 key: "wcycle/L1/level_seconds".into(),
                 delta: 0.5,
@@ -1044,13 +833,12 @@ mod tests {
             },
             FlightKind::ShardKilled { rank: 2 },
             FlightKind::WatchdogFire {
-                kind: "stagnation".into(),
+                kind: "not-converged".into(),
             },
         ];
         let tags = [
             "kernel-launch",
             "plan-selected",
-            "sweep-sample",
             "metric-delta",
             "shard-sync",
             "shard-killed",

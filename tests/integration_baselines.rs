@@ -5,10 +5,11 @@
 use wcycle_svd::baselines::{
     batched_dp_direct, batched_dp_gram, block_jacobi_svd, cusolver_batched_svd, gesvdj,
     gesvdj_batched, gesvdj_serial_batch, magma_batched_svd, magma_gesvd, BlockJacobiConfig,
+    RotationSource,
 };
 use wcycle_svd::gpu::{Gpu, KernelError, V100};
 use wcycle_svd::linalg::generate::{random_batch, random_uniform};
-use wcycle_svd::linalg::{matmul, singular_values};
+use wcycle_svd::linalg::{matmul, singular_values, Matrix};
 use wcycle_svd::{wcycle_svd, WCycleConfig, WSvd};
 
 fn assert_close(got: &[f64], want: &[f64], tol: f64, engine: &str) {
@@ -186,5 +187,71 @@ fn batched_api_returns_a_thin_v_for_wide_inputs() {
         }
         let residual = matmul(&us, &v.transpose()).sub(&a).fro_norm() / a.fro_norm();
         assert!(residual < 1e-10, "{engine}: residual {residual}");
+    }
+}
+
+/// Level-0 and multilevel matrices, tall and wide: two of at most 32x32
+/// (level 0, and the batched API's range) and two that descend the W-cycle.
+fn mixed_batch() -> Vec<Matrix> {
+    vec![
+        random_uniform(24, 24, 31),
+        random_uniform(16, 30, 32),
+        random_uniform(96, 96, 33),
+        random_uniform(64, 110, 34),
+    ]
+}
+
+fn block_cfg(rotation: RotationSource) -> BlockJacobiConfig {
+    BlockJacobiConfig {
+        rotation,
+        ..Default::default()
+    }
+}
+
+#[test]
+fn every_engine_reports_converged_on_a_clean_batch() {
+    let gpu = Gpu::new(V100);
+    let mats = mixed_batch();
+    let all_converged = |engine: &str, rs: &[WSvd]| {
+        for (k, r) in rs.iter().enumerate() {
+            assert!(
+                r.converged,
+                "{engine}: matrix {k} after {} sweeps",
+                r.sweeps
+            );
+        }
+    };
+    let wc = wcycle_svd(&gpu, &mats, &WCycleConfig::default()).unwrap();
+    assert_eq!(wc.stats.level0_sm_svds, 2, "two matrices stay at level 0");
+    assert!(wc.stats.max_level >= 1, "two matrices descend");
+    all_converged("wcycle", &wc.results);
+    for rotation in [RotationSource::DirectSvd, RotationSource::GramEvd] {
+        let out = block_jacobi_svd(&gpu, &mats, &block_cfg(rotation)).unwrap();
+        all_converged(&format!("block_jacobi {rotation:?}"), &out.results);
+    }
+    all_converged("gesvdj_batched", &gesvdj_batched(&gpu, &mats[..2]).unwrap());
+    all_converged("magma", &magma_batched_svd(&gpu, &mats).unwrap());
+}
+
+#[test]
+fn sweep_cap_reports_not_converged() {
+    let gpu = Gpu::new(V100);
+    let a = random_uniform(96, 96, 33);
+    let cfg = WCycleConfig {
+        max_sweeps: 2,
+        ..WCycleConfig::default()
+    };
+    let wc = wcycle_svd(&gpu, std::slice::from_ref(&a), &cfg).unwrap();
+    assert_eq!(wc.stats.level0_sm_svds, 0, "the multilevel path");
+    let r = &wc.results[0];
+    assert_eq!((r.sweeps, r.converged), (2, false), "wcycle");
+    for rotation in [RotationSource::DirectSvd, RotationSource::GramEvd] {
+        let cfg = BlockJacobiConfig {
+            max_sweeps: 1,
+            ..block_cfg(rotation)
+        };
+        let out = block_jacobi_svd(&gpu, std::slice::from_ref(&a), &cfg).unwrap();
+        let r = &out.results[0];
+        assert_eq!((r.sweeps, r.converged), (1, false), "{rotation:?}");
     }
 }
