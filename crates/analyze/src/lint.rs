@@ -84,7 +84,7 @@ pub const RULES: [&str; 6] = [
 ];
 
 const SINK_RECEIVERS: [&str; 4] = ["trace", "metrics", "health", "sink"];
-const SINK_PRODUCERS: [&str; 14] = [
+const SINK_PRODUCERS: [&str; 11] = [
     "span",
     "instant",
     "counter",
@@ -92,10 +92,7 @@ const SINK_PRODUCERS: [&str; 14] = [
     "counter_add",
     "gauge_set",
     "observe",
-    "kernel_launch",
     "plan_selected",
-    "metric_delta",
-    "shard_sync",
     "not_converged",
     "batch_check",
     "nonfinite",

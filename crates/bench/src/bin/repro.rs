@@ -12,7 +12,7 @@
 //!   repro --report [<id> ...]        # per-kernel profiler report (wsvd-metrics)
 //!   repro --bench-out FILE [...]     # write a perf snapshot for wsvd-bench-diff
 //!   repro --prom FILE [...]          # export the registry as Prometheus text
-//!   repro --health [<id> ...]        # numerical-health watchdogs + flight recorder
+//!   repro --health [<id> ...]        # numerical-health watchdogs + incident reports
 //!   repro --health-dump FILE [...]   # also write the full health report as JSON
 //! ```
 //!
@@ -41,13 +41,13 @@
 //! `--health` arms the wsvd-health watchdogs (another strict no-op when off):
 //! NaN/Inf guards at kernel boundaries, a `not-converged` incident for a
 //! matrix the W-cycle returns unconverged, per-batch residual/orthogonality
-//! drift monitors, dead-shard detection at cluster barriers, and an
-//! always-on flight recorder whose tail is embedded in every structured
-//! incident. After the experiments run a
-//! per-experiment summary is printed and the process exits non-zero if any
-//! incident fired. `--health-dump FILE` (implies `--health`) additionally
-//! writes the full [`wsvd_health::HealthReport`] — incidents, ring-buffer
-//! tail, metrics snapshot and replayable seeds — as JSON.
+//! drift monitors and dead-shard detection at cluster barriers. After the
+//! experiments run a per-experiment summary is printed and the process exits
+//! non-zero if any incident fired. `--health-dump FILE` (implies `--health`)
+//! additionally writes the full [`wsvd_health::HealthReport`] — incidents,
+//! each with its metrics snapshot, plan in force and replayable seed — as
+//! JSON. The event timeline around an incident is the `--trace FILE` export
+//! of the same run, where `t_sim` is the simulated time on the device's track.
 //!
 //! `--fused` makes every W-cycle run record its per-level launches into a
 //! [`wsvd_gpu_sim::LaunchGraph`], paying the driver's launch overhead once
@@ -283,8 +283,7 @@ fn main() {
             eprintln!("wrote health report to {path}");
         }
         eprintln!(
-            "wsvd-health: {} flight event(s) recorded, {} incident(s) ({} suppressed repeat(s))",
-            sink.events_recorded(),
+            "wsvd-health: {} incident(s) ({} suppressed repeat(s))",
             sink.incident_count(),
             sink.suppressed(),
         );

@@ -467,11 +467,10 @@ fn decompose_level(
     stats.note_width(level, plan.w);
     let trace = gpu.trace().clone();
     let traced = trace.is_enabled();
-    let health = gpu.health().clone();
-    let watched = health.is_enabled();
     let level_t0 = gpu.elapsed_seconds();
-    if watched {
-        health.plan_selected(level, plan.w, plan.delta, plan.threads, level_t0);
+    let health = gpu.health();
+    if health.is_enabled() {
+        health.plan_selected(level, plan.w, plan.delta, plan.threads);
     }
     if gpu.sanitize_enabled() {
         // Static half of the wsvd-sanitizer: prove the selected plan's
@@ -588,16 +587,6 @@ fn decompose_level(
         metrics.gauge_set("wcycle", Some(level), "plan_w", plan.w as f64);
         metrics.gauge_set("wcycle", Some(level), "plan_delta", plan.delta as f64);
         metrics.gauge_set("wcycle", Some(level), "plan_threads", plan.threads as f64);
-    }
-    if watched {
-        // Mirror the level's headline delta into the flight recorder so an
-        // incident's tail shows where simulated time went.
-        let now = gpu.elapsed_seconds();
-        health.metric_delta(
-            &format!("wcycle/L{level}/level_seconds"),
-            now - level_t0,
-            now,
-        );
     }
 
     Ok(vs
@@ -1326,10 +1315,6 @@ mod tests {
                 .map(|i| (i.kind.clone(), i.detail.clone()))
                 .collect::<Vec<_>>()
         );
-        assert!(
-            sink.events_recorded() > 0,
-            "the flight recorder still observed the run"
-        );
     }
 
     #[test]
@@ -1379,7 +1364,6 @@ mod tests {
             inc.plan.is_some(),
             "the in-force plan is part of the report"
         );
-        assert!(!inc.flight_tail.is_empty());
 
         // Regenerating from the embedded seed and re-running the same config
         // reproduces the incident.

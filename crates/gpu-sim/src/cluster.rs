@@ -97,9 +97,6 @@ impl GpuCluster {
     /// not a discount — and the next collective's health check reports it.
     pub fn kill(&self, rank: usize) {
         self.killed[rank].set(true);
-        self.session
-            .health
-            .shard_killed(rank, self.elapsed_seconds());
     }
 
     /// True while `rank` has not been killed.
@@ -109,8 +106,9 @@ impl GpuCluster {
 
     /// Detects killed ranks the way a real collective does — by their
     /// absence at the barrier. Fires one `shard-dead` incident per killed
-    /// rank (latched). Called from [`GpuCluster::sync`] when health is on;
-    /// callers running collective-free phases may also call it directly.
+    /// rank (latched); a no-op with health off. Called from every
+    /// [`GpuCluster::sync`]; callers running collective-free phases may also
+    /// call it directly.
     pub fn health_check(&self) {
         if !self.session.health.is_enabled() {
             return;
@@ -168,12 +166,7 @@ impl GpuCluster {
                 vec![("bytes", bytes.into())],
             );
         }
-        if self.session.health.is_enabled() {
-            self.session
-                .health
-                .shard_sync(bytes, secs, self.elapsed_seconds());
-            self.health_check();
-        }
+        self.health_check();
     }
 
     /// Total time spent in collectives.
@@ -261,14 +254,6 @@ mod tests {
         assert_eq!(incidents.len(), 1);
         assert_eq!(incidents[0].kind, "shard-dead");
         assert!(incidents[0].detail.contains("rank 2"));
-        // The flight tail holds the kill marker and both collectives.
-        let tail = health.tail();
-        assert!(tail
-            .iter()
-            .any(|e| matches!(e.kind, wsvd_health::FlightKind::ShardKilled { rank: 2 })));
-        assert!(tail
-            .iter()
-            .any(|e| matches!(e.kind, wsvd_health::FlightKind::ShardSync { .. })));
     }
 
     #[test]

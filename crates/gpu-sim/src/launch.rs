@@ -662,16 +662,12 @@ impl Gpu {
         if self.session.metrics.is_enabled() {
             self.record_metrics(cfg.label, &stats);
         }
-        if self.session.health.is_enabled() {
+        // Blocks check finiteness only under an enabled health sink.
+        if let Some((block, detail)) = nonfinite {
             let now = self.timeline.lock().seconds;
             self.session
                 .health
-                .kernel_launch(cfg.label, cfg.grid, stats.kernel_seconds, now);
-            if let Some((block, detail)) = nonfinite {
-                self.session
-                    .health
-                    .nonfinite(cfg.label, block, &detail, now);
-            }
+                .nonfinite(cfg.label, block, &detail, now);
         }
         Ok(stats)
     }
@@ -1434,11 +1430,6 @@ mod tests {
         assert!(incidents[0].detail.contains("'poisoned', block 2"));
         assert!(incidents[0].detail.contains("element 5"));
         assert_eq!(incidents[0].seed, 17);
-        // The launch itself landed in the flight tail too.
-        assert!(health.tail().iter().any(|e| matches!(
-            &e.kind,
-            wsvd_health::FlightKind::KernelLaunch { label, .. } if label == "poisoned"
-        )));
     }
 
     #[test]

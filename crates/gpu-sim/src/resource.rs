@@ -34,8 +34,8 @@ pub enum BarrierDiscipline {
     Divergent,
 }
 
-// The serde shim derives only named-field structs; enums map to strings by
-// hand (same idiom as `FlightKind` in wsvd-health).
+// The serde shim derives only named-field structs, so this enum maps to a
+// string by hand.
 impl Serialize for BarrierDiscipline {
     fn to_value(&self) -> serde::Value {
         serde::Value::Str(
