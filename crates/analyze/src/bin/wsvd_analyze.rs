@@ -19,7 +19,7 @@ use std::process::ExitCode;
 
 use wsvd_analyze::interleave::{
     self, pool_no_touch_after_return, PoolLocal, PoolState, POOL_SUBMITTER,
-    POOL_SUBMITTER_WAIT_FIRST, POOL_WORKER, POOL_WORKER_SPLIT_REGISTER,
+    POOL_SUBMITTER_WAIT_FIRST, POOL_WORKER, POOL_WORKER_SPLIT_OWNER, POOL_WORKER_SPLIT_REGISTER,
 };
 use wsvd_analyze::lint::{lint_source, lint_workspace};
 use wsvd_analyze::plan_space::{
@@ -112,22 +112,26 @@ fn run_self_test(root: &Path) -> Result<(), String> {
         }
     }
 
-    // 3. The interleaving checker must prove the pool's job protocol and
-    //    catch both planted bugs.
-    let pool = |submitter, worker| {
+    // 3. The interleaving checker must prove the pool's job protocol, on a
+    //    job of three owners and on an inline single-owner job, and catch
+    //    every planted bug.
+    let pool = |job: PoolState, submitter, worker| {
         interleave::explore(
-            &PoolState::published(2),
-            &[PoolLocal::default(), PoolLocal::default()],
+            &job,
+            &PoolLocal::pair(),
             [submitter, worker],
             &pool_no_touch_after_return,
         )
     };
-    let sound = pool(POOL_SUBMITTER, POOL_WORKER);
-    if !sound.holds() {
-        return Err(format!(
-            "self-test: pool job protocol violated: {:?}",
-            sound.violations
-        ));
+    let inline = PoolState::new(&[&[0, 1, 2]], &[1]);
+    for (what, job) in [("owned", PoolState::three_owners()), ("inline", inline)] {
+        let sound = pool(job, POOL_SUBMITTER, POOL_WORKER);
+        if !sound.holds() {
+            return Err(format!(
+                "self-test: {what} pool job protocol violated: {:?}",
+                sound.violations
+            ));
+        }
     }
     for (bug, submitter, worker) in [
         (
@@ -140,8 +144,9 @@ fn run_self_test(root: &Path) -> Result<(), String> {
             POOL_SUBMITTER,
             POOL_WORKER_SPLIT_REGISTER,
         ),
+        ("split owner", POOL_SUBMITTER, POOL_WORKER_SPLIT_OWNER),
     ] {
-        if pool(submitter, worker).holds() {
+        if pool(PoolState::three_owners(), submitter, worker).holds() {
             return Err(format!(
                 "self-test: planted {bug} in pool job went unnoticed (vacuous checker)"
             ));

@@ -2,25 +2,28 @@
 //!
 //! The block-worker pool's job protocol (the vendored `rayon` shim) is the
 //! workspace's one concurrent protocol, and its correctness argument — a
-//! job's borrowed closure is never reached after its submitter returns —
-//! lives in comments. `loom` is not vendorable, so this module implements
+//! job's borrowed closure is never reached after its submitter returns,
+//! every index runs exactly once, and an owner's indices never split across
+//! threads — lives in comments. `loom` is not vendorable, so this module implements
 //! the small fragment needed to *prove* it: the protocol is modelled as two
 //! threads of atomic steps over a shared state, and a depth-first search
 //! enumerates **every** interleaving, checking an invariant at each
 //! terminal state.
 //!
 //! A step is a plain function `fn(&mut S, &mut L) -> Step`; `Step::Goto`
-//! expresses retry back-edges and `Step::Blocked` a blocking wait (a
-//! condition-variable wait whose condition is false); a state in which
-//! every unfinished thread is blocked is reported as a deadlock.
-//! Exploration clones the state at each branch point, so models stay small
-//! (the pool model has ≤ 5 steps per thread and 57 distinct executions).
+//! expresses retry back-edges, `Step::Again` a loop on one op, and
+//! `Step::Blocked` a blocking wait (a condition-variable wait whose
+//! condition is false); a state in which every unfinished thread is blocked
+//! is reported as a deadlock. Exploration clones the state at each branch
+//! point, so models stay small (the pool model runs a three-owner job of
+//! four indices in at most 13 steps, 1246 distinct executions).
 //!
 //! The checker itself is validated by *planted-bug* models: the same
 //! protocol with its ordering broken (waiting for idle before unpublishing;
-//! checking "published" and registering in two steps) must exhibit a
-//! violating interleaving. A checker that passes those models would be
-//! vacuous, and the tests fail.
+//! checking "published" and registering in two steps) or its claims too
+//! fine (stealing the rest of an owner another thread has started) must
+//! exhibit a violating interleaving. A checker that passes those models
+//! would be vacuous, and the tests fail.
 
 /// Outcome of executing one atomic step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -29,6 +32,8 @@ pub enum Step {
     Next,
     /// Jump to op `0`-based index — a loop back-edge.
     Goto(usize),
+    /// Run this op again: a loop of one op.
+    Again,
     /// Terminate this thread early.
     Done,
     /// The step cannot fire in this state (a blocking wait): the thread
@@ -60,7 +65,8 @@ impl Exploration {
 
 /// Per-execution step budget: a `Goto` loop that cannot be broken by the
 /// other thread's progress would otherwise run the DFS forever. The pool
-/// model's claim loop runs at most `len + 1` times, so 16 is generous;
+/// model's claim loops run at most `owners + len + 2` times between them
+/// and its other ops 4, so 16 is enough;
 /// exceeding it is reported as a violation (a livelock is a bug too). The
 /// budget also bounds the whole search at `2^16` paths in the worst case —
 /// combined with [`MAX_VIOLATIONS`] pruning, a livelocking model terminates
@@ -73,7 +79,7 @@ const STEP_BUDGET: usize = 16;
 const MAX_VIOLATIONS: usize = 64;
 
 /// A terminal-state invariant: checked once per complete interleaving.
-pub type Invariant<S, L> = dyn Fn(&S, &[L; 2]) -> Result<(), String>;
+pub type Invariant<'a, S, L> = dyn Fn(&S, &[L; 2]) -> Result<(), String> + 'a;
 
 /// Runs every interleaving of the two thread programs from `shared` /
 /// `locals`, checking `invariant` at each terminal state. The search is
@@ -83,7 +89,7 @@ pub fn explore<S: Clone, L: Clone>(
     shared: &S,
     locals: &[L; 2],
     programs: [&[Op<S, L>]; 2],
-    invariant: &Invariant<S, L>,
+    invariant: &Invariant<'_, S, L>,
 ) -> Exploration {
     let mut out = Exploration {
         executions: 0,
@@ -111,7 +117,7 @@ fn dfs<S: Clone, L: Clone>(
     pc: [usize; 2],
     steps: usize,
     schedule: &mut String,
-    invariant: &Invariant<S, L>,
+    invariant: &Invariant<'_, S, L>,
     out: &mut Exploration,
 ) {
     if out.violations.len() >= MAX_VIOLATIONS {
@@ -139,6 +145,7 @@ fn dfs<S: Clone, L: Clone>(
         next_pc[t] = match step {
             Step::Next => pc[t] + 1,
             Step::Goto(i) => i,
+            Step::Again => pc[t],
             Step::Done => programs[t].len(),
             Step::Blocked => continue,
         };
@@ -167,19 +174,27 @@ fn dfs<S: Clone, L: Clone>(
 // Model: block-worker pool job protocol.
 // ---------------------------------------------------------------------------
 
-/// Shared state of one pool job: the submitter (thread A) has published it
-/// and races one worker (thread B). `returned` and `late_touch` record the
-/// property under test.
+/// Shared state of one pool job: the submitter (thread A, home thread 0) has
+/// built it and races one worker (thread B, home thread 1). The job's
+/// indices are grouped by owner, and each group queued on its owner's home
+/// thread. `returned` and `late_touch` record the property under test.
 #[derive(Clone, Debug, Default)]
 pub struct PoolState {
     /// The job is in the pool's queue.
     pub published: bool,
     /// Workers registered on the job.
     pub active: usize,
-    /// The `fetch_add` next-index counter.
-    pub next: usize,
-    /// Number of indices.
-    pub len: usize,
+    /// Each owner's indices, ascending.
+    pub groups: Vec<Vec<usize>>,
+    /// Per home thread, the groups queued there, most indices first (ties:
+    /// first index first).
+    pub queues: [Vec<usize>; 2],
+    /// Per home thread, the part `start..end` of its queue not yet claimed:
+    /// its own thread claims the front, the other the back.
+    pub unclaimed: [(usize, usize); 2],
+    /// Per thread, the group it is running and the position of the next
+    /// index of it to run.
+    pub running: [Option<(usize, usize)>; 2],
     /// The submitter has returned: the job's borrows are dead.
     pub returned: bool,
     /// The first worker step that touched the job after the return.
@@ -187,13 +202,37 @@ pub struct PoolState {
 }
 
 impl PoolState {
-    /// A published job of `len` indices, nothing claimed yet.
-    pub fn published(len: usize) -> Self {
+    /// The job of the indices `owners` lists per owner, owner `o` homed on
+    /// thread `homes[o]`, as `submit` builds it: published, unless it has a
+    /// single owner, which runs inline on the submitter and is never
+    /// published.
+    pub fn new(owners: &[&[usize]], homes: &[usize]) -> Self {
+        let mut order: Vec<usize> = (0..owners.len()).collect();
+        order.sort_by_key(|&o| {
+            (
+                std::cmp::Reverse(owners[o].len()),
+                owners[o].first().copied(),
+            )
+        });
+        let mut queues = [Vec::new(), Vec::new()];
+        let inline = owners.len() == 1;
+        for o in order {
+            queues[if inline { 0 } else { homes[o] }].push(o);
+        }
         PoolState {
-            published: true,
-            len,
+            published: !inline,
+            groups: owners.iter().map(|g| g.to_vec()).collect(),
+            unclaimed: [(0, queues[0].len()), (0, queues[1].len())],
+            queues,
             ..Self::default()
         }
+    }
+
+    /// The two-thread job the proofs run: indices 0 and 2 belong to owner
+    /// 0, index 1 to owner 1 and index 3 to owner 2; owners 0 and 2 are
+    /// homed on the submitter, owner 1 on the worker.
+    pub fn three_owners() -> Self {
+        Self::new(&[&[0, 2], &[1], &[3]], &[0, 1, 0])
     }
 
     fn touch(&mut self, what: &'static str) {
@@ -201,30 +240,73 @@ impl PoolState {
             self.late_touch = Some(what);
         }
     }
+
+    /// Claims an unclaimed group for thread `me`: the front of its own
+    /// queue, else the back of the other thread's.
+    fn claim(&mut self, me: usize) -> Option<usize> {
+        let (start, end) = &mut self.unclaimed[me];
+        if start < end {
+            *start += 1;
+            return Some(self.queues[me][*start - 1]);
+        }
+        let (start, end) = &mut self.unclaimed[1 - me];
+        if start < end {
+            *end -= 1;
+            return Some(self.queues[1 - me][*end]);
+        }
+        None
+    }
+
+    /// Runs the next index of thread `me`'s group into `ran`.
+    fn run_next(&mut self, me: usize, ran: &mut Vec<usize>) -> bool {
+        let Some((g, k)) = self.running[me] else {
+            return false;
+        };
+        ran.push(self.groups[g][k]);
+        self.running[me] = (k + 1 < self.groups[g].len()).then_some((g, k + 1));
+        true
+    }
 }
 
-/// Per-thread state: the indices this thread ran.
+/// Per-thread state: the thread's home and the indices it ran.
 #[derive(Clone, Debug, Default)]
 pub struct PoolLocal {
-    /// Indices claimed (and run) by this thread.
-    pub claimed: Vec<usize>,
+    /// Home thread: 0 for the submitter, 1 for the worker.
+    pub me: usize,
+    /// Indices run by this thread, in order.
+    pub ran: Vec<usize>,
 }
 
-/// One `next.fetch_add(1)`; runs the index if it is in range.
-fn pool_claim_one(s: &mut PoolState, l: &mut PoolLocal) -> bool {
-    let i = s.next;
-    s.next += 1;
-    if i < s.len {
-        l.claimed.push(i);
+impl PoolLocal {
+    /// The submitter's and the worker's initial local state.
+    pub fn pair() -> [PoolLocal; 2] {
+        [0, 1].map(|me| PoolLocal {
+            me,
+            ran: Vec::new(),
+        })
     }
-    i < s.len
 }
 
-/// Submitter step: claim indices until none are left (`claim_all`); the
-/// program's first op.
+/// One step of `claim_all`: run the next index of the group in hand, or
+/// claim a whole group when none is in hand. False once nothing is left.
+fn pool_claim_step(s: &mut PoolState, l: &mut PoolLocal) -> bool {
+    if s.run_next(l.me, &mut l.ran) {
+        return true;
+    }
+    match s.claim(l.me) {
+        Some(g) => {
+            s.running[l.me] = Some((g, 0));
+            true
+        }
+        None => false,
+    }
+}
+
+/// Submitter step: claim and run until no group is left (`claim_all`);
+/// the program's first op.
 pub fn pool_submitter_claim(s: &mut PoolState, l: &mut PoolLocal) -> Step {
-    if pool_claim_one(s, l) {
-        Step::Goto(0)
+    if pool_claim_step(s, l) {
+        Step::Again
     } else {
         Step::Next
     }
@@ -273,12 +355,27 @@ pub fn pool_worker_register(s: &mut PoolState, _l: &mut PoolLocal) -> Step {
     Step::Next
 }
 
-/// Worker step: claim and run at most one index. A worker program repeats
-/// it once per index it may win.
+/// Worker step: one step of `claim_all` as home thread 1, repeated until
+/// nothing is left.
 pub fn pool_worker_claim(s: &mut PoolState, l: &mut PoolLocal) -> Step {
     s.touch("claim");
-    pool_claim_one(s, l);
-    Step::Next
+    if pool_claim_step(s, l) {
+        Step::Again
+    } else {
+        Step::Next
+    }
+}
+
+/// The planted fine-grained steal: a worker that finds no unclaimed group
+/// takes the next index of the group the submitter is running, splitting
+/// that owner across threads.
+pub fn pool_worker_claim_splitting(s: &mut PoolState, l: &mut PoolLocal) -> Step {
+    s.touch("claim");
+    if pool_claim_step(s, l) || s.run_next(1 - l.me, &mut l.ran) {
+        Step::Again
+    } else {
+        Step::Next
+    }
 }
 
 /// Worker step: deregister (`active -= 1` under the job's lock).
@@ -305,18 +402,16 @@ pub fn pool_worker_register_late(s: &mut PoolState, _l: &mut PoolLocal) -> Step 
 }
 
 /// The pool's submitter: claim until exhausted, unpublish, wait for idle,
-/// return.
+/// return. An inline job runs the same program; it was never published.
 pub const POOL_SUBMITTER: &[Op<PoolState, PoolLocal>] = &[
     pool_submitter_claim,
     pool_unpublish,
     pool_wait_idle_and_return,
 ];
 
-/// The pool's worker on a two-index job: register, claim twice,
-/// deregister.
+/// The pool's worker: register, claim until exhausted, deregister.
 pub const POOL_WORKER: &[Op<PoolState, PoolLocal>] = &[
     pool_worker_register,
-    pool_worker_claim,
     pool_worker_claim,
     pool_worker_deregister,
 ];
@@ -333,12 +428,20 @@ pub const POOL_WORKER_SPLIT_REGISTER: &[Op<PoolState, PoolLocal>] = &[
     pool_worker_check_published,
     pool_worker_register_late,
     pool_worker_claim,
-    pool_worker_claim,
+    pool_worker_deregister,
+];
+
+/// Planted bug: the worker steals single indices of a started owner.
+pub const POOL_WORKER_SPLIT_OWNER: &[Op<PoolState, PoolLocal>] = &[
+    pool_worker_register,
+    pool_worker_claim_splitting,
     pool_worker_deregister,
 ];
 
 /// Invariant of the pool model: the submitter returned, no worker touched
-/// the job after that, and every index ran exactly once.
+/// the job after that, every index ran exactly once, each owner's indices
+/// ran on one thread in ascending order, and a single-owner job ran on the
+/// submitter.
 pub fn pool_no_touch_after_return(s: &PoolState, l: &[PoolLocal; 2]) -> Result<(), String> {
     if !s.returned {
         return Err("submitter never returned".into());
@@ -348,13 +451,30 @@ pub fn pool_no_touch_after_return(s: &PoolState, l: &[PoolLocal; 2]) -> Result<(
             "worker {what} touched the job after the submitter returned"
         ));
     }
-    let mut ran: Vec<usize> = l.iter().flat_map(|t| t.claimed.iter().copied()).collect();
+    let mut ran: Vec<usize> = l.iter().flat_map(|t| t.ran.iter().copied()).collect();
     ran.sort_unstable();
-    if ran != (0..s.len).collect::<Vec<_>>() {
-        return Err(format!(
-            "indices run {ran:?}, want each of 0..{} once",
-            s.len
-        ));
+    let mut want: Vec<usize> = s.groups.concat();
+    want.sort_unstable();
+    if ran != want {
+        return Err(format!("indices run {ran:?}, want each of {want:?} once"));
+    }
+    for (o, group) in s.groups.iter().enumerate() {
+        let on: Vec<usize> = (0..2)
+            .filter(|&t| l[t].ran.iter().any(|i| group.contains(i)))
+            .collect();
+        if on.len() > 1 {
+            return Err(format!("owner {o} split across both threads"));
+        }
+        let order: Vec<usize> = on
+            .iter()
+            .flat_map(|&t| l[t].ran.iter().filter(|i| group.contains(i)).copied())
+            .collect();
+        if &order != group {
+            return Err(format!("owner {o} ran {order:?}, want {group:?}"));
+        }
+    }
+    if s.groups.len() == 1 && !l[1].ran.is_empty() {
+        return Err("the worker ran part of an inline single-owner job".into());
     }
     Ok(())
 }
@@ -378,24 +498,65 @@ mod tests {
         );
     }
 
-    fn explore_pool(
+    fn explore_job(
+        job: PoolState,
         submitter: &[Op<PoolState, PoolLocal>],
         worker: &[Op<PoolState, PoolLocal>],
     ) -> Exploration {
         explore(
-            &PoolState::published(2),
-            &[PoolLocal::default(), PoolLocal::default()],
+            &job,
+            &PoolLocal::pair(),
             [submitter, worker],
             &pool_no_touch_after_return,
         )
+    }
+
+    fn explore_pool(
+        submitter: &[Op<PoolState, PoolLocal>],
+        worker: &[Op<PoolState, PoolLocal>],
+    ) -> Exploration {
+        explore_job(PoolState::three_owners(), submitter, worker)
     }
 
     #[test]
     fn pool_job_is_never_touched_after_its_submitter_returns() {
         let r = explore_pool(POOL_SUBMITTER, POOL_WORKER);
         assert!(r.holds(), "{:?}", r.violations);
-        // Across these, the worker wins zero, one or both indices.
-        assert_eq!(r.executions, 57);
+        assert_eq!(r.executions, 1246);
+    }
+
+    #[test]
+    fn each_owner_runs_whole_on_one_thread_in_every_interleaving() {
+        // The submitter's queue holds owners 0 and 2, the worker's owner 1.
+        // Every way of splitting the owners that whole-owner claims allow
+        // occurs, and the invariant holds in each. A thread claims its own
+        // queue before it steals, and steals from the back: the worker runs
+        // nothing, its own owner, that and owner 2, or all three.
+        let split = std::cell::RefCell::new(std::collections::BTreeSet::new());
+        let r = explore(
+            &PoolState::three_owners(),
+            &PoolLocal::pair(),
+            [POOL_SUBMITTER, POOL_WORKER],
+            &|s, l| {
+                let mut worker = l[1].ran.clone();
+                worker.sort_unstable();
+                split.borrow_mut().insert(worker);
+                pool_no_touch_after_return(s, l)
+            },
+        );
+        assert!(r.holds(), "{:?}", r.violations);
+        let want: [&[usize]; 4] = [&[], &[0, 1, 2, 3], &[1], &[1, 3]];
+        assert_eq!(split.into_inner().into_iter().collect::<Vec<_>>(), want);
+    }
+
+    #[test]
+    fn a_single_owner_job_runs_inline_and_no_worker_touches_it() {
+        let r = explore_job(
+            PoolState::new(&[&[0, 1, 2]], &[1]),
+            POOL_SUBMITTER,
+            POOL_WORKER,
+        );
+        assert!(r.holds(), "{:?}", r.violations);
     }
 
     #[test]
@@ -425,6 +586,22 @@ mod tests {
             r.violations
                 .iter()
                 .any(|v| v.contains("worker register touched the job after the submitter returned")),
+            "{:?}",
+            r.violations
+        );
+    }
+
+    #[test]
+    fn stealing_from_a_started_owner_splits_it() {
+        let r = explore_pool(POOL_SUBMITTER, POOL_WORKER_SPLIT_OWNER);
+        assert!(
+            !r.holds(),
+            "checker is vacuous: the split owner went unnoticed"
+        );
+        assert!(
+            r.violations
+                .iter()
+                .any(|v| v.contains("owner 0 split across both threads")),
             "{:?}",
             r.violations
         );

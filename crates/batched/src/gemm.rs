@@ -17,8 +17,8 @@
 use std::borrow::Borrow;
 
 use wsvd_gpu_sim::{
-    BarrierDiscipline, Gpu, KernelConfig, KernelError, KernelResource, LaunchStats, ScheduleFamily,
-    SmemRequirement,
+    BarrierDiscipline, Gpu, KernelConfig, KernelError, KernelResource, LaunchStats, Owners,
+    ScheduleFamily, SmemRequirement,
 };
 use wsvd_linalg::gemm::{gram_rows, matmul_rows};
 use wsvd_linalg::matrix::Columns;
@@ -203,10 +203,23 @@ pub fn batched_gram<A: Columns + Sync>(
     blocks: &[A],
     strategy: GemmStrategy,
 ) -> Result<(Vec<Matrix>, LaunchStats), KernelError> {
+    batched_gram_owned(gpu, blocks, strategy, None)
+}
+
+/// [`batched_gram`] with the owner of each input block (see
+/// [`Owners`]): every launch block runs on the host thread of the owner of
+/// the GEMM it computes — under [`GemmStrategy::Tailored`], of its first
+/// segment's GEMM.
+pub fn batched_gram_owned<A: Columns + Sync>(
+    gpu: &Gpu,
+    blocks: &[A],
+    strategy: GemmStrategy,
+    owners: Option<Owners<'_>>,
+) -> Result<(Vec<Matrix>, LaunchStats), KernelError> {
     match strategy {
         GemmStrategy::OneBlockPerGemm { threads } => {
             let kc = gemm_cfg(gpu, blocks.len(), threads, "batched_gram");
-            gpu.launch_collect(kc, |b, ctx| {
+            gpu.launch_collect_owned(kc, owners, |b, ctx| {
                 let a = &blocks[b];
                 let (m, n) = a.shape();
                 ctx.count_gm_load(m * n);
@@ -227,7 +240,11 @@ pub fn batched_gram<A: Columns + Sync>(
                 .iter()
                 .all(|b| b.len() == 1 && b[0].rows == rows[b[0].gemm]);
             let kc = gemm_cfg(gpu, assignment.len(), plan.threads, "tailored_gram_partial");
-            let (partials, stats1) = gpu.launch_collect(kc, |b, ctx| {
+            let of = owners.map(|o| first_segment_owners(&assignment, o));
+            let segment_owners = owners
+                .zip(of.as_deref())
+                .map(|(o, of)| Owners::new(of, o.placement()));
+            let (partials, stats1) = gpu.launch_collect_owned(kc, segment_owners, |b, ctx| {
                 let mut out: Vec<(usize, Matrix)> = Vec::with_capacity(assignment[b].len());
                 for seg in &assignment[b] {
                     let a = &blocks[seg.gemm];
@@ -263,7 +280,7 @@ pub fn batched_gram<A: Columns + Sync>(
                 }
             }
             let kc2 = gemm_cfg(gpu, blocks.len(), plan.threads, "tailored_gram_reduce");
-            let (grams, stats2) = gpu.launch_collect(kc2, |g, ctx| {
+            let (grams, stats2) = gpu.launch_collect_owned(kc2, owners, |g, ctx| {
                 let parts = &per_gemm[g];
                 let n = blocks[g].shape().1;
                 let mut acc = Matrix::zeros(n, n);
@@ -291,7 +308,7 @@ pub fn batched_update<J: Borrow<Matrix> + Sync>(
     strategy: GemmStrategy,
 ) -> Result<LaunchStats, KernelError> {
     let cols = blocks.iter_mut().map(Matrix::cols_mut).collect();
-    batched_update_cols(gpu, cols, rotations, strategy)
+    batched_update_cols(gpu, cols, rotations, strategy, None)
 }
 
 /// Batched right-updates `A_k <- A_k J_k` of blocks held as columns,
@@ -308,17 +325,21 @@ pub fn batched_update<J: Borrow<Matrix> + Sync>(
 /// over a row of `A_k` and a column of `J_k`, so the result is
 /// bit-identical to the product of the whole block, and each block still
 /// charges exactly its own segments' counters and guards its own values.
+///
+/// `owners`, when given, names the owner of each `A_k`, placed as in
+/// [`batched_gram_owned`].
 pub fn batched_update_cols<J: Borrow<Matrix> + Sync>(
     gpu: &Gpu,
     mut blocks: Vec<Vec<&mut [f64]>>,
     rotations: &[J],
     strategy: GemmStrategy,
+    owners: Option<Owners<'_>>,
 ) -> Result<LaunchStats, KernelError> {
     assert_eq!(blocks.len(), rotations.len());
     match strategy {
         GemmStrategy::OneBlockPerGemm { threads } => {
             let kc = gemm_cfg(gpu, blocks.len(), threads, "batched_update");
-            gpu.launch_over(kc, &mut blocks, |b, a, ctx| {
+            gpu.launch_over_owned(kc, owners, &mut blocks, |b, a, ctx| {
                 let (m, n) = Columns::shape(a);
                 ctx.count_gm_load(m * n + n * n);
                 ctx.par_step(m * n, 2 * n as u64);
@@ -333,8 +354,12 @@ pub fn batched_update_cols<J: Borrow<Matrix> + Sync>(
             let assignment = tailor_assignment(&rows, plan.delta);
             check_assignment(gpu, &rows, &assignment)?;
             let kc = gemm_cfg(gpu, assignment.len(), plan.threads, "tailored_update");
+            let of = owners.map(|o| first_segment_owners(&assignment, o));
+            let segment_owners = owners
+                .zip(of.as_deref())
+                .map(|(o, of)| Owners::new(of, o.placement()));
             let mut pieces = segment_pieces(&assignment, blocks);
-            gpu.launch_over(kc, &mut pieces, |_, segs, ctx| {
+            gpu.launch_over_owned(kc, segment_owners, &mut pieces, |_, segs, ctx| {
                 let mut stage = Matrix::default();
                 for (seg, a) in segs.iter_mut() {
                     let n = a.len();
@@ -364,6 +389,15 @@ fn update_staged(a: &mut [&mut [f64]], j: &Matrix, stage: &mut Matrix) {
         stage.assign_rows(&out, 0..rows.len());
         matmul_rows(stage, 0..rows.len(), j, &mut out);
     }
+}
+
+/// The owner of each tailored block: that of its first segment's GEMM (a
+/// block packing residuals of several GEMMs runs with its first).
+fn first_segment_owners(assignment: &[Vec<Segment>], owners: Owners<'_>) -> Vec<usize> {
+    assignment
+        .iter()
+        .map(|segs| owners.of()[segs[0].gemm])
+        .collect()
 }
 
 /// One block's share of the tailored update's outputs: per segment, the
@@ -642,7 +676,7 @@ mod tests {
                 })
                 .collect();
             let cols = wide.iter_mut().map(|w| w.cols_mut().split_off(3)).collect();
-            batched_update_cols(&gpu, cols, &borrowed, strategy).unwrap();
+            batched_update_cols(&gpu, cols, &borrowed, strategy, None).unwrap();
             for ((w, a), j) in wide.iter().zip(&orig).zip(&js) {
                 let want = matmul(a, j);
                 for c in 0..10 {
@@ -720,7 +754,8 @@ mod tests {
             let want_stats = batched_update(&Gpu::new(V100), &mut want, &js, strategy).unwrap();
             let mut wide = padded(&orig);
             let views = wide.iter_mut().map(|w| w.cols_mut().split_off(3)).collect();
-            let got_stats = batched_update_cols(&Gpu::new(V100), views, &js, strategy).unwrap();
+            let got_stats =
+                batched_update_cols(&Gpu::new(V100), views, &js, strategy, None).unwrap();
             for (w, a) in wide.iter().zip(&want) {
                 assert_eq!(
                     bits_of(&w.as_slice()[3 * a.rows()..]),

@@ -21,8 +21,9 @@ pub use autotune::{
     candidate_plans, scored_candidates, PlanCache, TuneTelemetry, V100_TLP_THRESHOLD,
 };
 pub use gemm::{
-    batched_gram, batched_update, batched_update_cols, gemm_kernel_resource, gemm_smem_requirement,
-    tailor_assignment, verify_tailor_assignment, GemmStrategy, Segment, GEMM_SMEM_BYTES,
+    batched_gram, batched_gram_owned, batched_update, batched_update_cols, gemm_kernel_resource,
+    gemm_smem_requirement, tailor_assignment, verify_tailor_assignment, GemmStrategy, Segment,
+    GEMM_SMEM_BYTES,
 };
 pub use models::{ai_gram, ai_update, tlp, TailorPlan};
 

@@ -2,7 +2,8 @@
 //! timing model that converts counters into simulated time.
 //!
 //! A launch executes its blocks as rayon tasks (the simulator's stand-in for
-//! SM scheduling). Each block records work/span and memory counters into a
+//! SM scheduling), all of one owner's blocks on one host thread when the
+//! launch names owners. Each block records work/span and memory counters into a
 //! [`BlockCounters`]; afterwards a list scheduler places the block durations
 //! onto the device's resident-block slots and the makespan becomes the
 //! simulated kernel time. Wall-clock never enters the model, so results are
@@ -13,6 +14,7 @@ use std::collections::BinaryHeap;
 
 use parking_lot::Mutex;
 use rayon::prelude::*;
+use rayon::Owners;
 use wsvd_health::HealthSink;
 use wsvd_metrics::MetricsSink;
 use wsvd_trace::TraceSink;
@@ -475,10 +477,32 @@ impl Gpu {
 
     /// Launches a kernel whose blocks each mutate one item of `items`
     /// (`cfg.grid` must equal `items.len()`), the dominant pattern for
-    /// batched kernels (one matrix per block).
+    /// batched kernels (one matrix per block). Each block is its own owner
+    /// (see [`Gpu::launch_over_owned`]).
     pub fn launch_over<T, F>(
         &self,
         cfg: KernelConfig,
+        items: &mut [T],
+        f: F,
+    ) -> Result<LaunchStats, KernelError>
+    where
+        T: Send,
+        F: Fn(usize, &mut T, &mut BlockCtx) -> Result<(), KernelError> + Sync,
+    {
+        self.launch_over_owned(cfg, None, items, f)
+    }
+
+    /// [`Gpu::launch_over`] with the owner of each block: the task whose
+    /// data it reads and writes. All of an owner's blocks run on one host
+    /// thread, the owner's home under its [`Placement`](crate::Placement), so a task's data
+    /// stays in one core's cache from launch to launch (and a launch whose
+    /// blocks all have one owner runs on the caller). Which thread runs a
+    /// block never enters the model: items, counters and simulated time are
+    /// bitwise those of the unowned launch.
+    pub fn launch_over_owned<T, F>(
+        &self,
+        cfg: KernelConfig,
+        owners: Option<Owners<'_>>,
         items: &mut [T],
         f: F,
     ) -> Result<LaunchStats, KernelError>
@@ -497,6 +521,7 @@ impl Gpu {
         let results: Vec<Result<BlockOutput, KernelError>> = items
             .par_iter_mut()
             .enumerate()
+            .with_owners(owners)
             .map(|(b, item)| {
                 let mut ctx = BlockCtx::new(&self.device, &cfg, sanitize, guard);
                 f(b, item, &mut ctx)?;
@@ -507,10 +532,26 @@ impl Gpu {
     }
 
     /// Launches a kernel whose blocks produce values (inputs captured by the
-    /// closure); returns the per-block outputs in grid order.
+    /// closure); returns the per-block outputs in grid order. Each block is
+    /// its own owner (see [`Gpu::launch_collect_owned`]).
     pub fn launch_collect<R, F>(
         &self,
         cfg: KernelConfig,
+        f: F,
+    ) -> Result<(Vec<R>, LaunchStats), KernelError>
+    where
+        R: Send,
+        F: Fn(usize, &mut BlockCtx) -> Result<R, KernelError> + Sync,
+    {
+        self.launch_collect_owned(cfg, None, f)
+    }
+
+    /// [`Gpu::launch_collect`] with the owner of each block, placed as in
+    /// [`Gpu::launch_over_owned`].
+    pub fn launch_collect_owned<R, F>(
+        &self,
+        cfg: KernelConfig,
+        owners: Option<Owners<'_>>,
         f: F,
     ) -> Result<(Vec<R>, LaunchStats), KernelError>
     where
@@ -522,6 +563,7 @@ impl Gpu {
         let guard = self.session.health.is_enabled();
         let results: Vec<Result<(R, BlockOutput), KernelError>> = (0..cfg.grid)
             .into_par_iter()
+            .with_owners(owners)
             .map(|b| {
                 let mut ctx = BlockCtx::new(&self.device, &cfg, sanitize, guard);
                 let r = f(b, &mut ctx)?;
@@ -1134,6 +1176,73 @@ mod tests {
             assert_eq!(*x, b as f64);
         }
         assert_eq!(gpu.timeline().launches, 1);
+    }
+
+    #[test]
+    fn owned_launches_are_bitwise_the_unowned_ones() {
+        // 29 blocks of uneven float work over 5 unevenly weighted owners,
+        // scattered through the grid, and over one owner (the inline path):
+        // items, outputs and launch statistics must be those of the unowned
+        // launch, bit for bit, for both entry points.
+        let grid = 29;
+        let scattered: Vec<usize> = (0..grid).map(|b| (b * 7 + b / 5) % 5).collect();
+        let one = vec![3; grid];
+        let placement = crate::Placement::by_weight(&[9, 1, 4, 4, 2]);
+        let cfg = KernelConfig::new(grid, 96, 2048, "owned");
+        let work = |b: usize, ctx: &mut BlockCtx| {
+            let n = 50 + 37 * (b % 6);
+            ctx.count_gm_load(n);
+            ctx.par_step(n, 3 + b as u64 % 4);
+            ctx.team_reduce(2, 32, n);
+            ctx.count_gm_store(b + 1);
+            (0..n).fold(b as f64 + 0.5, |a, k| (a * 1.000_1).sin() + k as f64 / 7.0)
+        };
+        let stats_bits = |s: &LaunchStats| {
+            let c = &s.totals;
+            (
+                [s.grid, s.threads_per_block, s.smem_bytes_per_block],
+                [
+                    c.flops,
+                    c.gm_load_bytes,
+                    c.gm_store_bytes,
+                    c.gm_transactions,
+                    c.smem_traffic_bytes,
+                ],
+                [
+                    c.span_cycles,
+                    s.kernel_seconds,
+                    s.overhead_seconds,
+                    s.occupancy,
+                ]
+                .map(f64::to_bits),
+            )
+        };
+        let run = |owners: Option<Owners<'_>>| {
+            let gpu = Gpu::new(V100);
+            let mut items = vec![0.0f64; grid];
+            let over = gpu
+                .launch_over_owned(cfg, owners, &mut items, |b, x, ctx| {
+                    *x = work(b, ctx);
+                    Ok(())
+                })
+                .unwrap();
+            let (outs, collect) = gpu
+                .launch_collect_owned(cfg, owners, |b, ctx| Ok(work(b, ctx)))
+                .unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            (
+                bits(&items),
+                bits(&outs),
+                stats_bits(&over),
+                stats_bits(&collect),
+                gpu.elapsed_seconds().to_bits(),
+            )
+        };
+        let unowned = run(None);
+        assert_eq!(unowned.0, unowned.1);
+        for of in [&scattered, &one] {
+            assert_eq!(run(Some(Owners::new(of, &placement))), unowned, "{of:?}");
+        }
     }
 
     #[test]

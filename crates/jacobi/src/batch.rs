@@ -6,7 +6,7 @@
 //! concurrently under the simulator's scheduler, so large batches raise
 //! occupancy exactly as in Fig. 11(a).
 
-use wsvd_gpu_sim::{Gpu, KernelConfig, KernelError, LaunchStats};
+use wsvd_gpu_sim::{Gpu, KernelConfig, KernelError, LaunchStats, Owners};
 use wsvd_linalg::matrix::Columns;
 use wsvd_linalg::Matrix;
 
@@ -24,8 +24,20 @@ pub fn batched_svd_sm<A: Columns + Sync>(
     cfg: &OneSidedConfig,
     threads_per_block: usize,
 ) -> Result<(Vec<JacobiSvd>, LaunchStats), KernelError> {
+    batched_svd_sm_owned(gpu, mats, cfg, threads_per_block, None)
+}
+
+/// [`batched_svd_sm`] with the owner of each matrix: all of an owner's
+/// blocks run on its host thread (see [`Owners`]).
+pub fn batched_svd_sm_owned<A: Columns + Sync>(
+    gpu: &Gpu,
+    mats: &[A],
+    cfg: &OneSidedConfig,
+    threads_per_block: usize,
+    owners: Option<Owners<'_>>,
+) -> Result<(Vec<JacobiSvd>, LaunchStats), KernelError> {
     let kc = svd_kernel(gpu, mats.len(), threads_per_block, MemSpace::Shared);
-    gpu.launch_collect(kc, |b, ctx| {
+    gpu.launch_collect_owned(kc, owners, |b, ctx| {
         svd_in_block(&mats[b], cfg, ctx, MemSpace::Shared)
     })
 }
@@ -49,17 +61,19 @@ pub fn batched_svd_gm<A: Columns + Sync>(
 /// in its task) into its working matrix, decomposes it in `space` as
 /// [`batched_svd_sm`] / [`batched_svd_gm`] do, and writes the rotated block
 /// `A_ij V = UΣ` back into the same columns itself. Returns each block's V,
-/// the rotation `J_ij` its V pair still needs.
+/// the rotation `J_ij` its V pair still needs. `owners`, when given, names
+/// the owner of each block (see [`Owners`]).
 pub fn batched_svd_in_place(
     gpu: &Gpu,
     blocks: Vec<Vec<&mut [f64]>>,
     cfg: &OneSidedConfig,
     threads_per_block: usize,
     space: MemSpace,
+    owners: Option<Owners<'_>>,
 ) -> Result<(Vec<Matrix>, LaunchStats), KernelError> {
     let kc = svd_kernel(gpu, blocks.len(), threads_per_block, space);
     let mut items: Vec<_> = blocks.into_iter().map(|a| (a, Matrix::default())).collect();
-    let stats = gpu.launch_over(kc, &mut items, |_, (a, v), ctx| {
+    let stats = gpu.launch_over_owned(kc, owners, &mut items, |_, (a, v), ctx| {
         let svd = svd_in_block(a, cfg, ctx, space)?;
         svd.rotated_block_into(a);
         *v = svd.v;
@@ -89,13 +103,24 @@ pub fn batched_evd_sm(
     cfg: &EvdConfig,
     threads_per_block: usize,
 ) -> Result<(Vec<JacobiEvd>, LaunchStats), KernelError> {
+    batched_evd_sm_owned(gpu, mats, cfg, threads_per_block, None)
+}
+
+/// [`batched_evd_sm`] with the owner of each matrix (see [`Owners`]).
+pub fn batched_evd_sm_owned(
+    gpu: &Gpu,
+    mats: &[Matrix],
+    cfg: &EvdConfig,
+    threads_per_block: usize,
+    owners: Option<Owners<'_>>,
+) -> Result<(Vec<JacobiEvd>, LaunchStats), KernelError> {
     let kc = KernelConfig::new(
         mats.len(),
         threads_per_block,
         gpu.device().smem_per_block_bytes,
         "batched_evd_sm",
     );
-    gpu.launch_collect(kc, |b, ctx| evd_in_block(&mats[b], cfg, ctx))
+    gpu.launch_collect_owned(kc, owners, |b, ctx| evd_in_block(&mats[b], cfg, ctx))
 }
 
 #[cfg(test)]
@@ -191,7 +216,7 @@ mod tests {
                 .collect();
             let views = wide.iter_mut().map(|w| w.cols_mut().split_off(2)).collect();
             let (vs, got_stats) =
-                batched_svd_in_place(&Gpu::new(V100), views, &cfg, 128, space).unwrap();
+                batched_svd_in_place(&Gpu::new(V100), views, &cfg, 128, space, None).unwrap();
             for ((w, v), svd) in wide.iter().zip(&vs).zip(&want) {
                 let m = w.rows();
                 let mut rotated = Matrix::zeros(m, svd.v.cols());
