@@ -123,7 +123,7 @@ fn run_self_test(root: &Path) -> Result<(), String> {
             &pool_no_touch_after_return,
         )
     };
-    let inline = PoolState::new(&[&[0, 1, 2]], &[1]);
+    let inline = PoolState::new(&[&[0, 1, 2]]);
     for (what, job) in [("owned", PoolState::three_owners()), ("inline", inline)] {
         let sound = pool(job, POOL_SUBMITTER, POOL_WORKER);
         if !sound.holds() {

@@ -16,7 +16,7 @@
 //! condition is false); a state in which every unfinished thread is blocked
 //! is reported as a deadlock. Exploration clones the state at each branch
 //! point, so models stay small (the pool model runs a three-owner job of
-//! four indices in at most 13 steps, 1246 distinct executions).
+//! four indices in at most 13 steps, 1266 distinct executions).
 //!
 //! The checker itself is validated by *planted-bug* models: the same
 //! protocol with its ordering broken (waiting for idle before unpublishing;
@@ -174,24 +174,21 @@ fn dfs<S: Clone, L: Clone>(
 // Model: block-worker pool job protocol.
 // ---------------------------------------------------------------------------
 
-/// Shared state of one pool job: the submitter (thread A, home thread 0) has
-/// built it and races one worker (thread B, home thread 1). The job's
-/// indices are grouped by owner, and each group queued on its owner's home
-/// thread. `returned` and `late_touch` record the property under test.
+/// Shared state of one pool job: the submitter (thread A) has built it and
+/// races one worker (thread B). The job's indices are grouped by owner,
+/// in claim order (most indices first), and claimed whole through one
+/// shared next-group counter. `returned` and `late_touch` record the property
+/// under test.
 #[derive(Clone, Debug, Default)]
 pub struct PoolState {
     /// The job is in the pool's queue.
     pub published: bool,
     /// Workers registered on the job.
     pub active: usize,
-    /// Each owner's indices, ascending.
+    /// Each owner's indices, ascending; owners in claim order.
     pub groups: Vec<Vec<usize>>,
-    /// Per home thread, the groups queued there, most indices first (ties:
-    /// first index first).
-    pub queues: [Vec<usize>; 2],
-    /// Per home thread, the part `start..end` of its queue not yet claimed:
-    /// its own thread claims the front, the other the back.
-    pub unclaimed: [(usize, usize); 2],
+    /// The next group to claim (`fetch_add` on the job's counter).
+    pub next: usize,
     /// Per thread, the group it is running and the position of the next
     /// index of it to run.
     pub running: [Option<(usize, usize)>; 2],
@@ -202,37 +199,22 @@ pub struct PoolState {
 }
 
 impl PoolState {
-    /// The job of the indices `owners` lists per owner, owner `o` homed on
-    /// thread `homes[o]`, as `submit` builds it: published, unless it has a
+    /// The job of the indices `owners` lists per owner (owners in claim
+    /// order), as `submit` builds it: published, unless it has a
     /// single owner, which runs inline on the submitter and is never
     /// published.
-    pub fn new(owners: &[&[usize]], homes: &[usize]) -> Self {
-        let mut order: Vec<usize> = (0..owners.len()).collect();
-        order.sort_by_key(|&o| {
-            (
-                std::cmp::Reverse(owners[o].len()),
-                owners[o].first().copied(),
-            )
-        });
-        let mut queues = [Vec::new(), Vec::new()];
-        let inline = owners.len() == 1;
-        for o in order {
-            queues[if inline { 0 } else { homes[o] }].push(o);
-        }
+    pub fn new(owners: &[&[usize]]) -> Self {
         PoolState {
-            published: !inline,
+            published: owners.len() > 1,
             groups: owners.iter().map(|g| g.to_vec()).collect(),
-            unclaimed: [(0, queues[0].len()), (0, queues[1].len())],
-            queues,
             ..Self::default()
         }
     }
 
     /// The two-thread job the proofs run: indices 0 and 2 belong to owner
-    /// 0, index 1 to owner 1 and index 3 to owner 2; owners 0 and 2 are
-    /// homed on the submitter, owner 1 on the worker.
+    /// 0, index 1 to owner 1 and index 3 to owner 2.
     pub fn three_owners() -> Self {
-        Self::new(&[&[0, 2], &[1], &[3]], &[0, 1, 0])
+        Self::new(&[&[0, 2], &[1], &[3]])
     }
 
     fn touch(&mut self, what: &'static str) {
@@ -241,20 +223,11 @@ impl PoolState {
         }
     }
 
-    /// Claims an unclaimed group for thread `me`: the front of its own
-    /// queue, else the back of the other thread's.
-    fn claim(&mut self, me: usize) -> Option<usize> {
-        let (start, end) = &mut self.unclaimed[me];
-        if start < end {
-            *start += 1;
-            return Some(self.queues[me][*start - 1]);
-        }
-        let (start, end) = &mut self.unclaimed[1 - me];
-        if start < end {
-            *end -= 1;
-            return Some(self.queues[1 - me][*end]);
-        }
-        None
+    /// Claims the next unclaimed group, if any.
+    fn claim(&mut self) -> Option<usize> {
+        let g = self.next;
+        self.next += 1;
+        (g < self.groups.len()).then_some(g)
     }
 
     /// Runs the next index of thread `me`'s group into `ran`.
@@ -268,10 +241,10 @@ impl PoolState {
     }
 }
 
-/// Per-thread state: the thread's home and the indices it ran.
+/// Per-thread state: which thread it is and the indices it ran.
 #[derive(Clone, Debug, Default)]
 pub struct PoolLocal {
-    /// Home thread: 0 for the submitter, 1 for the worker.
+    /// 0 for the submitter, 1 for the worker.
     pub me: usize,
     /// Indices run by this thread, in order.
     pub ran: Vec<usize>,
@@ -293,7 +266,7 @@ fn pool_claim_step(s: &mut PoolState, l: &mut PoolLocal) -> bool {
     if s.run_next(l.me, &mut l.ran) {
         return true;
     }
-    match s.claim(l.me) {
+    match s.claim() {
         Some(g) => {
             s.running[l.me] = Some((g, 0));
             true
@@ -355,8 +328,7 @@ pub fn pool_worker_register(s: &mut PoolState, _l: &mut PoolLocal) -> Step {
     Step::Next
 }
 
-/// Worker step: one step of `claim_all` as home thread 1, repeated until
-/// nothing is left.
+/// Worker step: one step of `claim_all`, repeated until nothing is left.
 pub fn pool_worker_claim(s: &mut PoolState, l: &mut PoolLocal) -> Step {
     s.touch("claim");
     if pool_claim_step(s, l) {
@@ -522,16 +494,14 @@ mod tests {
     fn pool_job_is_never_touched_after_its_submitter_returns() {
         let r = explore_pool(POOL_SUBMITTER, POOL_WORKER);
         assert!(r.holds(), "{:?}", r.violations);
-        assert_eq!(r.executions, 1246);
+        assert_eq!(r.executions, 1266);
     }
 
     #[test]
     fn each_owner_runs_whole_on_one_thread_in_every_interleaving() {
-        // The submitter's queue holds owners 0 and 2, the worker's owner 1.
-        // Every way of splitting the owners that whole-owner claims allow
-        // occurs, and the invariant holds in each. A thread claims its own
-        // queue before it steals, and steals from the back: the worker runs
-        // nothing, its own owner, that and owner 2, or all three.
+        // Whole-owner claims from one counter let the worker run any subset
+        // of the three owners, and the invariant holds in each; every
+        // subset occurs.
         let split = std::cell::RefCell::new(std::collections::BTreeSet::new());
         let r = explore(
             &PoolState::three_owners(),
@@ -545,17 +515,22 @@ mod tests {
             },
         );
         assert!(r.holds(), "{:?}", r.violations);
-        let want: [&[usize]; 4] = [&[], &[0, 1, 2, 3], &[1], &[1, 3]];
+        let want: [&[usize]; 8] = [
+            &[],
+            &[0, 1, 2],
+            &[0, 1, 2, 3],
+            &[0, 2],
+            &[0, 2, 3],
+            &[1],
+            &[1, 3],
+            &[3],
+        ];
         assert_eq!(split.into_inner().into_iter().collect::<Vec<_>>(), want);
     }
 
     #[test]
     fn a_single_owner_job_runs_inline_and_no_worker_touches_it() {
-        let r = explore_job(
-            PoolState::new(&[&[0, 1, 2]], &[1]),
-            POOL_SUBMITTER,
-            POOL_WORKER,
-        );
+        let r = explore_job(PoolState::new(&[&[0, 1, 2]]), POOL_SUBMITTER, POOL_WORKER);
         assert!(r.holds(), "{:?}", r.violations);
     }
 

@@ -17,8 +17,8 @@
 use std::borrow::Borrow;
 
 use wsvd_gpu_sim::{
-    BarrierDiscipline, Gpu, KernelConfig, KernelError, KernelResource, LaunchStats, Owners,
-    ScheduleFamily, SmemRequirement,
+    BarrierDiscipline, Gpu, KernelConfig, KernelError, KernelResource, LaunchStats, ScheduleFamily,
+    SmemRequirement,
 };
 use wsvd_linalg::gemm::{gram_rows, matmul_rows};
 use wsvd_linalg::matrix::Columns;
@@ -207,14 +207,14 @@ pub fn batched_gram<A: Columns + Sync>(
 }
 
 /// [`batched_gram`] with the owner of each input block (see
-/// [`Owners`]): every launch block runs on the host thread of the owner of
-/// the GEMM it computes — under [`GemmStrategy::Tailored`], of its first
-/// segment's GEMM.
+/// [`Gpu::launch_collect_owned`]): every launch block runs on the host
+/// thread of the owner of the GEMM it computes — under
+/// [`GemmStrategy::Tailored`], of its first segment's GEMM.
 pub fn batched_gram_owned<A: Columns + Sync>(
     gpu: &Gpu,
     blocks: &[A],
     strategy: GemmStrategy,
-    owners: Option<Owners<'_>>,
+    owners: Option<&[usize]>,
 ) -> Result<(Vec<Matrix>, LaunchStats), KernelError> {
     match strategy {
         GemmStrategy::OneBlockPerGemm { threads } => {
@@ -241,10 +241,7 @@ pub fn batched_gram_owned<A: Columns + Sync>(
                 .all(|b| b.len() == 1 && b[0].rows == rows[b[0].gemm]);
             let kc = gemm_cfg(gpu, assignment.len(), plan.threads, "tailored_gram_partial");
             let of = owners.map(|o| first_segment_owners(&assignment, o));
-            let segment_owners = owners
-                .zip(of.as_deref())
-                .map(|(o, of)| Owners::new(of, o.placement()));
-            let (partials, stats1) = gpu.launch_collect_owned(kc, segment_owners, |b, ctx| {
+            let (partials, stats1) = gpu.launch_collect_owned(kc, of.as_deref(), |b, ctx| {
                 let mut out: Vec<(usize, Matrix)> = Vec::with_capacity(assignment[b].len());
                 for seg in &assignment[b] {
                     let a = &blocks[seg.gemm];
@@ -326,14 +323,14 @@ pub fn batched_update<J: Borrow<Matrix> + Sync>(
 /// bit-identical to the product of the whole block, and each block still
 /// charges exactly its own segments' counters and guards its own values.
 ///
-/// `owners`, when given, names the owner of each `A_k`, placed as in
+/// `owners`, when given, names the owner of each `A_k`, grouped as in
 /// [`batched_gram_owned`].
 pub fn batched_update_cols<J: Borrow<Matrix> + Sync>(
     gpu: &Gpu,
     mut blocks: Vec<Vec<&mut [f64]>>,
     rotations: &[J],
     strategy: GemmStrategy,
-    owners: Option<Owners<'_>>,
+    owners: Option<&[usize]>,
 ) -> Result<LaunchStats, KernelError> {
     assert_eq!(blocks.len(), rotations.len());
     match strategy {
@@ -355,11 +352,8 @@ pub fn batched_update_cols<J: Borrow<Matrix> + Sync>(
             check_assignment(gpu, &rows, &assignment)?;
             let kc = gemm_cfg(gpu, assignment.len(), plan.threads, "tailored_update");
             let of = owners.map(|o| first_segment_owners(&assignment, o));
-            let segment_owners = owners
-                .zip(of.as_deref())
-                .map(|(o, of)| Owners::new(of, o.placement()));
             let mut pieces = segment_pieces(&assignment, blocks);
-            gpu.launch_over_owned(kc, segment_owners, &mut pieces, |_, segs, ctx| {
+            gpu.launch_over_owned(kc, of.as_deref(), &mut pieces, |_, segs, ctx| {
                 let mut stage = Matrix::default();
                 for (seg, a) in segs.iter_mut() {
                     let n = a.len();
@@ -393,11 +387,8 @@ fn update_staged(a: &mut [&mut [f64]], j: &Matrix, stage: &mut Matrix) {
 
 /// The owner of each tailored block: that of its first segment's GEMM (a
 /// block packing residuals of several GEMMs runs with its first).
-fn first_segment_owners(assignment: &[Vec<Segment>], owners: Owners<'_>) -> Vec<usize> {
-    assignment
-        .iter()
-        .map(|segs| owners.of()[segs[0].gemm])
-        .collect()
+fn first_segment_owners(assignment: &[Vec<Segment>], owners: &[usize]) -> Vec<usize> {
+    assignment.iter().map(|segs| owners[segs[0].gemm]).collect()
 }
 
 /// One block's share of the tailored update's outputs: per segment, the

@@ -13,7 +13,7 @@
 //! telemetry) stays with its caller, behind [`Hooks`].
 
 use wsvd_batched::gemm::{batched_gram_owned, batched_update_cols, GemmStrategy};
-use wsvd_gpu_sim::{Gpu, KernelError, Owners, Placement};
+use wsvd_gpu_sim::{Gpu, KernelError};
 use wsvd_jacobi::batch::{batched_evd_sm_owned, batched_svd_in_place};
 use wsvd_jacobi::evd::{EvdConfig, EvdVariant};
 use wsvd_jacobi::fits::{evd_fits_in_sm, svd_fits_in_sm};
@@ -77,20 +77,6 @@ impl Route {
 /// to `tol` of residual coherence internally).
 pub(crate) fn inner_tol(cfg: &WCycleConfig) -> f64 {
     (cfg.tol * 1e-2).max(1e-15)
-}
-
-/// The host-thread placement of a batch's tasks, by each task's share of a
-/// sweep's work (`rows x cols²`). A pure function of the task shapes, so
-/// the level and the extraction after it start from the same homes.
-pub(crate) fn task_placement(tasks: &[Matrix]) -> Placement {
-    let weights: Vec<u64> = tasks
-        .iter()
-        .map(|t| {
-            let (m, n) = (t.rows() as u64, t.cols() as u64);
-            m.saturating_mul(n).saturating_mul(n)
-        })
-        .collect();
-    Placement::by_weight(&weights)
 }
 
 /// One run of the sweep loop over a batch. Of `cfg` it reads the sweep
@@ -161,9 +147,6 @@ impl Level<'_> {
         let mut active: Vec<bool> = tasks.iter().map(|t| t.cols() >= 2).collect();
         // The step's pair references, kept across steps.
         let mut refs: Vec<PairRef> = Vec::new();
-        // Every launch names each pair block's task as its owner, so a
-        // task's columns stay on one host thread through the level.
-        let placement = task_placement(tasks);
 
         for round in 0..cfg.max_sweeps {
             if !active.iter().any(|&a| a) {
@@ -220,6 +203,8 @@ impl Level<'_> {
                 }
                 stats.add_rotations(self.level, refs.len() as u64);
                 let pair_at = |r: &PairRef| (r.task, r.bi, r.bj);
+                // Every launch names each block's task as its owner, so one
+                // host thread runs all of a task's blocks in a launch.
                 let tasks_of =
                     |idx: &[usize]| -> Vec<usize> { idx.iter().map(|&i| refs[i].task).collect() };
 
@@ -265,14 +250,13 @@ impl Level<'_> {
                         ..Default::default()
                     };
                     let of = tasks_of(idx);
-                    let owners = Some(Owners::new(&of, &placement));
                     let (js, _) = batched_svd_in_place(
                         gpu,
                         sub,
                         &one_sided,
                         cfg.kernel_threads,
                         space,
-                        owners,
+                        Some(&of),
                     )?;
                     for (&i, j) in idx.iter().zip(js) {
                         rotations[i] = Some(j);
@@ -285,7 +269,7 @@ impl Level<'_> {
                 let gram_blocks = take(&gb);
                 let gram_of = tasks_of(&gb);
                 if !gb.is_empty() {
-                    let owners = Some(Owners::new(&gram_of, &placement));
+                    let owners = Some(&gram_of[..]);
                     let (grams, _) = batched_gram_owned(gpu, &gram_blocks, self.strategy, owners)?;
                     let evd_cfg = EvdConfig {
                         tol: 1e-15,
@@ -338,8 +322,7 @@ impl Level<'_> {
                 let mut upd = gram_blocks;
                 let mut upd_of = gram_of;
                 if !fused && !upd.is_empty() {
-                    let owners = Some(Owners::new(&upd_of, &placement));
-                    batched_update_cols(gpu, upd, &upd_js, self.strategy, owners)?;
+                    batched_update_cols(gpu, upd, &upd_js, self.strategy, Some(&upd_of))?;
                     (upd, upd_js, upd_of) = (Vec::new(), Vec::new(), Vec::new());
                 }
                 if !upd.is_empty() || !v_refs.is_empty() {
@@ -349,8 +332,7 @@ impl Level<'_> {
                         vs.iter_mut().map(Option::as_mut),
                         v_refs.iter().map(|&i| pair_at(&refs[i])),
                     ));
-                    let owners = Some(Owners::new(&upd_of, &placement));
-                    batched_update_cols(gpu, upd, &upd_js, self.strategy, owners)?;
+                    batched_update_cols(gpu, upd, &upd_js, self.strategy, Some(&upd_of))?;
                 }
             }
 

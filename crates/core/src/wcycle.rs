@@ -19,8 +19,8 @@
 use wsvd_batched::autotune::{auto_tune_with_w_cap_traced, TuneTelemetry};
 use wsvd_batched::gemm::GemmStrategy;
 use wsvd_batched::models::TailorPlan;
-use wsvd_gpu_sim::{Gpu, KernelConfig, KernelError, Owners};
-use wsvd_jacobi::batch::batched_svd_sm_owned;
+use wsvd_gpu_sim::{Gpu, KernelConfig, KernelError};
+use wsvd_jacobi::batch::batched_svd_sm;
 use wsvd_jacobi::evd::EvdVariant;
 use wsvd_jacobi::fits::svd_fits_in_sm;
 use wsvd_jacobi::onesided::{extract_u_sigma, JacobiSvd, OneSidedConfig};
@@ -30,7 +30,7 @@ use wsvd_linalg::verify::orthonormality_error;
 use wsvd_linalg::Matrix;
 
 use crate::config::{AlphaSelect, Tuning, WCycleConfig};
-use crate::level::{self, task_placement, Hooks, Level, Rotation, Route};
+use crate::level::{self, Hooks, Level, Rotation, Route};
 use crate::stats::{SweepRecord, WCycleStats};
 use crate::verify::{effective_width, verify_level};
 
@@ -209,12 +209,7 @@ pub fn wcycle_svd(
             ..Default::default()
         };
         let t_pre = gpu.elapsed_seconds();
-        // Each matrix is its own owner, placed by its share of the work.
-        let placement = task_placement(&group);
-        let of: Vec<usize> = (0..group.len()).collect();
-        let owners = Some(Owners::new(&of, &placement));
-        let (mut svds, _) =
-            batched_svd_sm_owned(gpu, &group, &one_sided, cfg.kernel_threads, owners)?;
+        let (mut svds, _) = batched_svd_sm(gpu, &group, &one_sided, cfg.kernel_threads)?;
         if one_sided.record_coherence {
             // The launch spans `[t_pre, t_post]` in simulated time; sweep
             // `s` of `S` is placed at the matching fraction of it.
@@ -258,18 +253,14 @@ pub fn wcycle_svd(
         let outcomes = decompose_level(gpu, &mut tasks, &need_v, 1, 48, cfg, &mut stats)?;
 
         // Final extraction kernel: U = normalize(columns), Σ = column norms,
-        // each task turned into its U and its V put in σ order in place, on
-        // its task's home thread.
+        // each task turned into its U and its V put in σ order in place.
         let kc = KernelConfig::new(tasks.len(), cfg.kernel_threads, 0, "wcycle_extract");
-        let placement = task_placement(&tasks);
-        let of: Vec<usize> = (0..tasks.len()).collect();
         let mut extracted: Vec<_> = tasks
             .into_iter()
             .zip(outcomes)
             .map(|(t, o)| (t, o.v, Vec::new(), o.status))
             .collect();
-        let owners = Some(Owners::new(&of, &placement));
-        gpu.launch_over_owned(kc, owners, &mut extracted, |_, (t, v, sigma, _), ctx| {
+        gpu.launch_over(kc, &mut extracted, |_, (t, v, sigma, _), ctx| {
             ctx.count_gm_load(t.len());
             ctx.par_step(t.len(), 2);
             ctx.count_gm_store(t.len());

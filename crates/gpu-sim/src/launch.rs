@@ -14,7 +14,6 @@ use std::collections::BinaryHeap;
 
 use parking_lot::Mutex;
 use rayon::prelude::*;
-use rayon::Owners;
 use wsvd_health::HealthSink;
 use wsvd_metrics::MetricsSink;
 use wsvd_trace::TraceSink;
@@ -492,17 +491,17 @@ impl Gpu {
         self.launch_over_owned(cfg, None, items, f)
     }
 
-    /// [`Gpu::launch_over`] with the owner of each block: the task whose
-    /// data it reads and writes. All of an owner's blocks run on one host
-    /// thread, the owner's home under its [`Placement`](crate::Placement), so a task's data
-    /// stays in one core's cache from launch to launch (and a launch whose
-    /// blocks all have one owner runs on the caller). Which thread runs a
-    /// block never enters the model: items, counters and simulated time are
-    /// bitwise those of the unowned launch.
+    /// [`Gpu::launch_over`] with the owner of each block (`owners[b]`, say
+    /// the batch index of the task whose data block `b` reads and writes).
+    /// All of an owner's blocks run on one host thread, in grid order, so a
+    /// task's data stays in one core's cache through the launch (and a
+    /// launch whose blocks all have one owner runs on the caller). Which
+    /// thread runs a block never enters the model: items, counters and
+    /// simulated time are bitwise those of the unowned launch.
     pub fn launch_over_owned<T, F>(
         &self,
         cfg: KernelConfig,
-        owners: Option<Owners<'_>>,
+        owners: Option<&[usize]>,
         items: &mut [T],
         f: F,
     ) -> Result<LaunchStats, KernelError>
@@ -546,12 +545,12 @@ impl Gpu {
         self.launch_collect_owned(cfg, None, f)
     }
 
-    /// [`Gpu::launch_collect`] with the owner of each block, placed as in
+    /// [`Gpu::launch_collect`] with the owner of each block, grouped as in
     /// [`Gpu::launch_over_owned`].
     pub fn launch_collect_owned<R, F>(
         &self,
         cfg: KernelConfig,
-        owners: Option<Owners<'_>>,
+        owners: Option<&[usize]>,
         f: F,
     ) -> Result<(Vec<R>, LaunchStats), KernelError>
     where
@@ -1180,14 +1179,13 @@ mod tests {
 
     #[test]
     fn owned_launches_are_bitwise_the_unowned_ones() {
-        // 29 blocks of uneven float work over 5 unevenly weighted owners,
-        // scattered through the grid, and over one owner (the inline path):
+        // 29 blocks of uneven float work over 5 owners scattered through
+        // the grid, and over one owner (the inline path):
         // items, outputs and launch statistics must be those of the unowned
         // launch, bit for bit, for both entry points.
         let grid = 29;
         let scattered: Vec<usize> = (0..grid).map(|b| (b * 7 + b / 5) % 5).collect();
         let one = vec![3; grid];
-        let placement = crate::Placement::by_weight(&[9, 1, 4, 4, 2]);
         let cfg = KernelConfig::new(grid, 96, 2048, "owned");
         let work = |b: usize, ctx: &mut BlockCtx| {
             let n = 50 + 37 * (b % 6);
@@ -1217,7 +1215,7 @@ mod tests {
                 .map(f64::to_bits),
             )
         };
-        let run = |owners: Option<Owners<'_>>| {
+        let run = |owners: Option<&[usize]>| {
             let gpu = Gpu::new(V100);
             let mut items = vec![0.0f64; grid];
             let over = gpu
@@ -1241,7 +1239,7 @@ mod tests {
         let unowned = run(None);
         assert_eq!(unowned.0, unowned.1);
         for of in [&scattered, &one] {
-            assert_eq!(run(Some(Owners::new(of, &placement))), unowned, "{of:?}");
+            assert_eq!(run(Some(of)), unowned, "{of:?}");
         }
     }
 

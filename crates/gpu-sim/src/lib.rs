@@ -9,7 +9,7 @@
 //! * **static shared memory per block** (48 KiB) enforced by a real
 //!   allocator ([`SharedMem`]) — the predicate driving Algorithm 2;
 //! * **thread-level parallelism**: blocks execute as rayon tasks (one
-//!   owner's blocks on one host thread, see [`Owners`]), and each
+//!   owner's blocks on one host thread, see [`Gpu::launch_over_owned`]), and each
 //!   records a work/span estimate given its internal thread assignment
 //!   ([`BlockCtx::team_step`] / [`BlockCtx::team_reduce`]);
 //! * **global-memory traffic**: coalesced transaction counts (Fig. 11b);
@@ -40,9 +40,6 @@ pub use device::{DeviceSpec, A100, ALL_DEVICES, P100, TITAN_X, V100, VEGA20};
 pub use graph::{GraphStats, LaunchGraph};
 pub use launch::{BlockCtx, BlockPlacement, Gpu, KernelConfig, KernelError, OCCUPANCY_BUCKETS};
 pub use profile::{time_share_percent, KernelDerived, KernelObservation};
-/// Block owners and their host-thread placement, for owned launches
-/// ([`Gpu::launch_over_owned`], [`Gpu::launch_collect_owned`]).
-pub use rayon::{Owners, Placement};
 pub use resource::{
     BarrierDiscipline, KernelResource, ResourceFit, ResourceViolation, ScheduleFamily,
 };

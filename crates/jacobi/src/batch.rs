@@ -6,7 +6,7 @@
 //! concurrently under the simulator's scheduler, so large batches raise
 //! occupancy exactly as in Fig. 11(a).
 
-use wsvd_gpu_sim::{Gpu, KernelConfig, KernelError, LaunchStats, Owners};
+use wsvd_gpu_sim::{Gpu, KernelConfig, KernelError, LaunchStats};
 use wsvd_linalg::matrix::Columns;
 use wsvd_linalg::Matrix;
 
@@ -24,20 +24,8 @@ pub fn batched_svd_sm<A: Columns + Sync>(
     cfg: &OneSidedConfig,
     threads_per_block: usize,
 ) -> Result<(Vec<JacobiSvd>, LaunchStats), KernelError> {
-    batched_svd_sm_owned(gpu, mats, cfg, threads_per_block, None)
-}
-
-/// [`batched_svd_sm`] with the owner of each matrix: all of an owner's
-/// blocks run on its host thread (see [`Owners`]).
-pub fn batched_svd_sm_owned<A: Columns + Sync>(
-    gpu: &Gpu,
-    mats: &[A],
-    cfg: &OneSidedConfig,
-    threads_per_block: usize,
-    owners: Option<Owners<'_>>,
-) -> Result<(Vec<JacobiSvd>, LaunchStats), KernelError> {
     let kc = svd_kernel(gpu, mats.len(), threads_per_block, MemSpace::Shared);
-    gpu.launch_collect_owned(kc, owners, |b, ctx| {
+    gpu.launch_collect(kc, |b, ctx| {
         svd_in_block(&mats[b], cfg, ctx, MemSpace::Shared)
     })
 }
@@ -62,14 +50,14 @@ pub fn batched_svd_gm<A: Columns + Sync>(
 /// [`batched_svd_sm`] / [`batched_svd_gm`] do, and writes the rotated block
 /// `A_ij V = UΣ` back into the same columns itself. Returns each block's V,
 /// the rotation `J_ij` its V pair still needs. `owners`, when given, names
-/// the owner of each block (see [`Owners`]).
+/// the owner of each block (see [`Gpu::launch_over_owned`]).
 pub fn batched_svd_in_place(
     gpu: &Gpu,
     blocks: Vec<Vec<&mut [f64]>>,
     cfg: &OneSidedConfig,
     threads_per_block: usize,
     space: MemSpace,
-    owners: Option<Owners<'_>>,
+    owners: Option<&[usize]>,
 ) -> Result<(Vec<Matrix>, LaunchStats), KernelError> {
     let kc = svd_kernel(gpu, blocks.len(), threads_per_block, space);
     let mut items: Vec<_> = blocks.into_iter().map(|a| (a, Matrix::default())).collect();
@@ -106,13 +94,14 @@ pub fn batched_evd_sm(
     batched_evd_sm_owned(gpu, mats, cfg, threads_per_block, None)
 }
 
-/// [`batched_evd_sm`] with the owner of each matrix (see [`Owners`]).
+/// [`batched_evd_sm`] with the owner of each matrix (see
+/// [`Gpu::launch_collect_owned`]).
 pub fn batched_evd_sm_owned(
     gpu: &Gpu,
     mats: &[Matrix],
     cfg: &EvdConfig,
     threads_per_block: usize,
-    owners: Option<Owners<'_>>,
+    owners: Option<&[usize]>,
 ) -> Result<(Vec<JacobiEvd>, LaunchStats), KernelError> {
     let kc = KernelConfig::new(
         mats.len(),

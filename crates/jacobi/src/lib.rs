@@ -26,7 +26,6 @@ pub mod verify;
 
 pub use batch::{
     batched_evd_sm, batched_evd_sm_owned, batched_svd_gm, batched_svd_in_place, batched_svd_sm,
-    batched_svd_sm_owned,
 };
 pub use evd::{evd_in_block, EvdConfig, EvdVariant, JacobiEvd};
 pub use fits::{
