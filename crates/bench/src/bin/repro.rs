@@ -201,6 +201,9 @@ fn main() {
         failed
     } else {
         let mut reports: Vec<Report> = Vec::new();
+        // The copy of the host kernels this CPU runs, so host timings from
+        // different machines can be told apart.
+        let tier = wsvd_linalg::simd::tier().name();
         for id in &ids {
             let start = std::time::Instant::now();
             let cpu_start = cpu_seconds();
@@ -209,11 +212,12 @@ fn main() {
             let wall = start.elapsed().as_secs_f64();
             match cpu_start.zip(cpu_seconds()) {
                 Some(((u0, s0), (u1, s1))) => println!(
-                    "   (regenerated in {wall:.1} s wall-clock, {:.1} s user + {:.1} s sys CPU)\n",
+                    "   (regenerated in {wall:.1} s wall-clock, {:.1} s user + {:.1} s sys CPU, \
+                     {tier} kernels)\n",
                     u1 - u0,
                     s1 - s0
                 ),
-                None => println!("   (regenerated in {wall:.1} s wall-clock)\n"),
+                None => println!("   (regenerated in {wall:.1} s wall-clock, {tier} kernels)\n"),
             }
             reports.push(rep);
         }

@@ -186,6 +186,7 @@ impl BlockCtx {
     /// f64 elements: bytes, transactions, and span are all charged here so
     /// loads and stores can never diverge (or double-count) in how they are
     /// modelled.
+    #[inline]
     fn count_gm(&mut self, n: usize, store: bool) {
         let bytes = (n * 8) as u64;
         if store {
@@ -202,11 +203,13 @@ impl BlockCtx {
     }
 
     /// Counts a coalesced global-memory load of `n` f64 elements.
+    #[inline]
     pub fn count_gm_load(&mut self, n: usize) {
         self.count_gm(n, false);
     }
 
     /// Counts a coalesced global-memory store of `n` f64 elements.
+    #[inline]
     pub fn count_gm_store(&mut self, n: usize) {
         self.count_gm(n, true);
     }
@@ -261,6 +264,7 @@ impl BlockCtx {
     /// Records an element-wise parallel step over `items` work items, each
     /// costing `ops` scalar floating-point operations, distributed over the
     /// block's threads.
+    #[inline]
     pub fn par_step(&mut self, items: usize, ops: u64) {
         self.counters.flops += items as u64 * ops;
         self.counters.smem_traffic_bytes += items as u64 * 16; // 2 operands
@@ -271,6 +275,7 @@ impl BlockCtx {
     /// Records a parallel step executed by a sub-team of `team` threads
     /// (e.g. the α-warp column-pair teams of §IV-B1). `teams` such teams run
     /// concurrently if they fit in the block; extra teams serialize.
+    #[inline]
     pub fn team_step(&mut self, teams: usize, team: usize, items_per_team: usize, ops: u64) {
         let team = team.max(1);
         self.counters.flops += (teams * items_per_team) as u64 * ops;
@@ -284,6 +289,7 @@ impl BlockCtx {
     /// Records a tree reduction of `len` values by a team of `team` threads
     /// (inner products): `len/team` serial accumulation plus `log2(team)`
     /// combine steps. `teams` reductions proceed concurrently.
+    #[inline]
     pub fn team_reduce(&mut self, teams: usize, team: usize, len: usize) {
         let team = team.max(1);
         self.counters.flops += (teams * len) as u64 * 2; // multiply + add
@@ -297,6 +303,7 @@ impl BlockCtx {
 
     /// Records a strictly serial section of `ops` scalar operations
     /// (single-thread work; the enemy of Challenge 1).
+    #[inline]
     pub fn serial_step(&mut self, ops: u64) {
         self.counters.flops += ops;
         self.counters.span_cycles += ops as f64;

@@ -16,7 +16,7 @@
 
 use wsvd_gpu_sim::{BlockCtx, KernelError, SmemBuf};
 use wsvd_linalg::givens::{two_sided_rotation, Rotation};
-use wsvd_linalg::simd::Isa;
+use wsvd_linalg::simd::{self, Isa, Tier};
 use wsvd_linalg::Matrix;
 
 use crate::ordering::{round_robin, Schedule};
@@ -88,20 +88,16 @@ pub fn evd_in_block(
     cfg: &EvdConfig,
     ctx: &mut BlockCtx,
 ) -> Result<JacobiEvd, KernelError> {
-    evd_in_block_by(b, cfg, ctx, evd_sweeps)
+    evd_in_block_on(b, cfg, ctx, simd::tier())
 }
 
-/// The signature of [`evd_sweeps`].
-type EvdSweepsFn =
-    fn(&mut Matrix, &mut Matrix, &EvdConfig, &mut BlockCtx, &EvdSmemLayout<'_>) -> (usize, bool);
-
-/// [`evd_in_block`] running its sweeps through `sweeps` (the tests pass the
-/// portable body).
-fn evd_in_block_by(
+/// [`evd_in_block`] running its sweeps on the copy compiled for `tier`,
+/// which this CPU must run (the tests run every copy it has).
+fn evd_in_block_on(
     b: &Matrix,
     cfg: &EvdConfig,
     ctx: &mut BlockCtx,
-    sweeps: EvdSweepsFn,
+    tier: Tier,
 ) -> Result<JacobiEvd, KernelError> {
     let (s, s2) = b.shape();
     assert_eq!(s, s2, "EVD requires a square matrix");
@@ -127,7 +123,8 @@ fn evd_in_block_by(
 
     let mut work = b.clone();
     let mut j = Matrix::identity(s);
-    let (sweeps, converged) = sweeps(&mut work, &mut j, cfg, ctx, &lay);
+    let (sweeps, converged) = evd_sweeps_on(tier, &mut work, &mut j, cfg, ctx, &lay)
+        .expect("evd_in_block_on runs a tier this CPU has");
     // Write-back barrier, then the cooperative GM store.
     ctx.sync_threads();
     ctx.count_gm_store(2 * s * s); // write back Λ diagnostics and J
@@ -160,7 +157,7 @@ wsvd_linalg::dispatch! {
         cfg: &EvdConfig,
         ctx: &mut BlockCtx,
         lay: &EvdSmemLayout<'_>,
-    ) -> (usize, bool) => evd_sweeps_with
+    ) -> (usize, bool) => evd_sweeps_with, evd_sweeps_on
 }
 
 /// The body of [`evd_sweeps`] for instruction set `I`.
@@ -478,7 +475,6 @@ mod tests {
     use super::*;
     use wsvd_gpu_sim::{Gpu, KernelConfig, V100};
     use wsvd_linalg::generate::{random_spd, random_symmetric};
-    use wsvd_linalg::simd::Portable;
     use wsvd_linalg::svd::evd_residual;
     use wsvd_linalg::verify::orthonormality_error;
 
@@ -536,18 +532,25 @@ mod tests {
                     cs[q] = r;
                 }
                 let old = b.clone();
-                // Both compiled copies of the step must meet the oracle.
-                let (mut portable, mut portable_buf) = (b.clone(), StepBuffers::new(s));
-                portable_buf.load(rots.iter().copied());
-                rotate_step(&mut portable, &mut portable_buf);
+                // Every compiled copy of the step must meet the oracle, and
+                // so must the entry with the sweep's one buffer.
+                let want = |r, c| combined_element(&old, r, c, &partner, &cs).to_bits();
+                for tier in Tier::ALL.into_iter().filter(|t| t.available()) {
+                    let (mut got, mut got_buf) = (b.clone(), StepBuffers::new(s));
+                    got_buf.load(rots.iter().copied());
+                    rotate_step_on(tier, &mut got, &mut got_buf).expect("available tier");
+                    for c in 0..s {
+                        for r in 0..s {
+                            let case = format!("{tier:?} s={s} ({r},{c})");
+                            assert_eq!(got[(r, c)].to_bits(), want(r, c), "{case}");
+                        }
+                    }
+                }
                 buf.load(rots);
                 rotate_step_dispatched(&mut b, &mut buf);
                 for c in 0..s {
                     for r in 0..s {
-                        let want = combined_element(&old, r, c, &partner, &cs);
-                        assert_eq!(b[(r, c)].to_bits(), want.to_bits(), "s={s} ({r},{c})");
-                        let got = portable[(r, c)];
-                        assert_eq!(got.to_bits(), want.to_bits(), "s={s} ({r},{c}) portable");
+                        assert_eq!(b[(r, c)].to_bits(), want(r, c), "s={s} ({r},{c})");
                     }
                 }
             }
@@ -560,17 +563,17 @@ mod tests {
     }
 
     wsvd_linalg::dispatch! {
-        /// `rotate_step` through the dispatch, so its AVX2 copy meets the
-        /// scalar oracle too.
-        fn rotate_step_dispatched(b: &mut Matrix, buf: &mut StepBuffers) => rotate_step_with
+        /// `rotate_step` through the dispatch, so each compiled copy meets
+        /// the scalar oracle.
+        fn rotate_step_dispatched(b: &mut Matrix, buf: &mut StepBuffers)
+            => rotate_step_with, rotate_step_on
     }
 
     #[test]
     fn dispatched_and_portable_kernels_are_bitwise_equal() {
-        // The public entry (the AVX2 copy on CPUs that have it) against the
-        // portable body, on even and odd widths, for both variants.
-        let portable: EvdSweepsFn =
-            |work, j, cfg, ctx, lay| evd_sweeps_with(Portable, work, j, cfg, ctx, lay);
+        // Each copy this CPU runs (AVX2 and AVX-512 where it has them)
+        // against the portable body, on even and odd widths, for both
+        // variants.
         for s in [2usize, 3, 7, 8, 9, 16, 31, 33, 44] {
             let b = random_symmetric(s, 300 + s as u64);
             for variant in [EvdVariant::Parallel, EvdVariant::Sequential] {
@@ -578,27 +581,23 @@ mod tests {
                     variant,
                     ..Default::default()
                 };
-                let run = |sweeps: EvdSweepsFn| {
+                let run = |tier: Tier| {
                     let kc = KernelConfig::new(1, 256, 48 * 1024, "isa-evd");
                     let (mut out, stats) = Gpu::new(V100)
-                        .launch_collect(kc, |_, ctx| evd_in_block_by(&b, &cfg, ctx, sweeps))
+                        .launch_collect(kc, |_, ctx| evd_in_block_on(&b, &cfg, ctx, tier))
                         .unwrap();
                     (out.pop().unwrap(), stats)
                 };
-                let ((x, xs), (y, ys)) = (run(evd_sweeps), run(portable));
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&x.lambda), bits(&y.lambda), "s={s} {variant:?}");
-                assert_eq!(
-                    bits(x.j.as_slice()),
-                    bits(y.j.as_slice()),
-                    "s={s} {variant:?}"
-                );
-                assert_eq!((x.sweeps, x.converged), (y.sweeps, y.converged));
-                assert_eq!(
-                    xs.seconds().to_bits(),
-                    ys.seconds().to_bits(),
-                    "s={s} {variant:?}"
-                );
+                let (y, ys) = run(Tier::Portable);
+                for tier in Tier::ALL.into_iter().filter(|t| t.available()) {
+                    let (x, xs) = run(tier);
+                    let case = format!("{tier:?} s={s} {variant:?}");
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&x.lambda), bits(&y.lambda), "{case}");
+                    assert_eq!(bits(x.j.as_slice()), bits(y.j.as_slice()), "{case}");
+                    assert_eq!((x.sweeps, x.converged), (y.sweeps, y.converged), "{case}");
+                    assert_eq!(xs.seconds().to_bits(), ys.seconds().to_bits(), "{case}");
+                }
             }
         }
     }

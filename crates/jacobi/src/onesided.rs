@@ -20,7 +20,7 @@ use wsvd_gpu_sim::{BlockCtx, KernelError, SmemBuf};
 use wsvd_linalg::gemm::{col_pair_dots_with, dot};
 use wsvd_linalg::givens::{one_sided_rotation, rotate_columns, rotated_norms, Rotation};
 use wsvd_linalg::matrix::Columns;
-use wsvd_linalg::simd::Isa;
+use wsvd_linalg::simd::{self, Isa, Tier};
 use wsvd_linalg::Matrix;
 
 use crate::ordering::Ordering;
@@ -145,7 +145,7 @@ wsvd_linalg::dispatch! {
         ctx: &mut BlockCtx,
         space: MemSpace,
         layout: Option<&SvdSmemLayout<'_>>,
-    ) -> SweepOutcome => one_sided_sweeps_with
+    ) -> SweepOutcome => one_sided_sweeps_with, one_sided_sweeps_in_on
 }
 
 /// The body of [`one_sided_sweeps_in`] for instruction set `I`.
@@ -284,8 +284,14 @@ fn one_sided_sweeps_with<I: Isa>(
                 }
 
                 let denom = (aii * ajj).sqrt();
-                let coherence = if denom > 0.0 { aij.abs() / denom } else { 0.0 };
-                max_coherence = max_coherence.max(coherence);
+                // Only an exact zero product is skipped: a NaN norm makes
+                // the coherence NaN, which never reads as converged.
+                let coherence = if denom > 0.0 || denom.is_nan() {
+                    aij.abs() / denom
+                } else {
+                    0.0
+                };
+                max_coherence = max_carrying_nan(max_coherence, coherence);
                 if coherence <= cfg.tol {
                     continue;
                 }
@@ -346,6 +352,18 @@ fn one_sided_sweeps_with<I: Isa>(
         v,
         stats,
         coherence_per_sweep,
+    }
+}
+
+/// `a.max(b)`, except that a NaN in either is the result: a NaN coherence
+/// must keep the sweep loop from reporting convergence, and `f64::max`
+/// would drop it.
+#[inline(always)]
+fn max_carrying_nan(a: f64, b: f64) -> f64 {
+    if a.is_nan() || b.is_nan() {
+        f64::NAN
+    } else {
+        a.max(b)
     }
 }
 
@@ -439,26 +457,17 @@ pub fn svd_in_block(
     ctx: &mut BlockCtx,
     space: MemSpace,
 ) -> Result<JacobiSvd, KernelError> {
-    svd_in_block_by(a, cfg, ctx, space, one_sided_sweeps_in)
+    svd_in_block_on(a, cfg, ctx, space, simd::tier())
 }
 
-/// The signature of [`one_sided_sweeps_in`].
-type SweepsFn = fn(
-    &mut Matrix,
-    &OneSidedConfig,
-    &mut BlockCtx,
-    MemSpace,
-    Option<&SvdSmemLayout<'_>>,
-) -> SweepOutcome;
-
-/// [`svd_in_block`] running its sweeps through `sweeps` (the tests pass the
-/// portable body).
-fn svd_in_block_by(
+/// [`svd_in_block`] running its sweeps on the copy compiled for `tier`,
+/// which this CPU must run (the tests run every copy it has).
+fn svd_in_block_on(
     a: &dyn Columns,
     cfg: &OneSidedConfig,
     ctx: &mut BlockCtx,
     space: MemSpace,
-    sweeps: SweepsFn,
+    tier: Tier,
 ) -> Result<JacobiSvd, KernelError> {
     let (m, n) = a.shape();
     let wide = m < n;
@@ -495,7 +504,8 @@ fn svd_in_block_by(
         accumulate_v: true,
         ..*cfg
     };
-    let out = sweeps(&mut work, &cfg, ctx, space, layout.as_ref());
+    let out = one_sided_sweeps_in_on(tier, &mut work, &cfg, ctx, space, layout.as_ref())
+        .expect("svd_in_block_on runs a tier this CPU has");
     if space == MemSpace::Shared {
         // Write-back barrier, then the cooperative GM store.
         ctx.sync_threads();
@@ -567,7 +577,6 @@ mod tests {
     use super::*;
     use wsvd_gpu_sim::{Gpu, KernelConfig, V100};
     use wsvd_linalg::generate::{random_uniform, with_spectrum};
-    use wsvd_linalg::simd::Portable;
     use wsvd_linalg::svd::singular_values;
     use wsvd_linalg::verify::{max_column_coherence, orthonormality_error};
 
@@ -613,6 +622,27 @@ mod tests {
         assert!(reconstruct(&svd, 12, 12).sub(&a).max_abs() < 1e-9);
         assert!(orthonormality_error(&svd.u) < 1e-10);
         assert!(orthonormality_error(&svd.v) < 1e-10);
+    }
+
+    #[test]
+    fn nan_column_is_never_converged() {
+        // A NaN column's norm and dots are NaN: its coherence must be NaN
+        // and must survive the per-sweep maximum, so the kernel runs its
+        // whole budget and says it did not converge.
+        let mut a = random_uniform(6, 4, 1);
+        a.col_mut(2).fill(f64::NAN);
+        for cache_norms in [true, false] {
+            let cfg = OneSidedConfig {
+                cache_norms,
+                ..Default::default()
+            };
+            let svd = run_one(&a, &cfg, MemSpace::Shared);
+            assert!(!svd.stats.converged, "cache_norms={cache_norms}");
+            assert_eq!(
+                svd.stats.sweeps, cfg.max_sweeps,
+                "cache_norms={cache_norms}"
+            );
+        }
     }
 
     #[test]
@@ -845,11 +875,9 @@ mod tests {
 
     #[test]
     fn dispatched_and_portable_kernels_are_bitwise_equal() {
-        // The public entry (the AVX2 copy on CPUs that have it) against the
-        // portable body: tall, wide, square and odd-width inputs, with and
-        // without the norm cache, in both memory spaces.
-        let portable: SweepsFn =
-            |a, cfg, ctx, space, lay| one_sided_sweeps_with(Portable, a, cfg, ctx, space, lay);
+        // Each copy this CPU runs (AVX2 and AVX-512 where it has them)
+        // against the portable body: tall, wide, square and odd-width
+        // inputs, with and without the norm cache, in both memory spaces.
         let shapes = [
             (24, 8),
             (9, 16),
@@ -868,31 +896,34 @@ mod tests {
                         record_coherence: true,
                         ..Default::default()
                     };
-                    let run = |sweeps: SweepsFn| {
+                    let run = |tier: Tier| {
                         let kc = KernelConfig::new(1, 128, 48 * 1024, "isa-svd");
                         let (mut out, stats) = Gpu::new(V100)
                             .launch_collect(kc, |_, ctx| {
-                                svd_in_block_by(&a, &cfg, ctx, space, sweeps)
+                                svd_in_block_on(&a, &cfg, ctx, space, tier)
                             })
                             .unwrap();
                         (out.pop().unwrap(), stats)
                     };
-                    let ((x, xs), (y, ys)) = (run(one_sided_sweeps_in), run(portable));
-                    let case = format!("{m}x{n} cache={cache_norms} {space:?}");
-                    assert_eq!(bits(&x.u), bits(&y.u), "{case}");
-                    assert_eq!(bits(&x.v), bits(&y.v), "{case}");
-                    let sig =
-                        |s: &JacobiSvd| s.sigma.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(sig(&x), sig(&y), "{case}");
-                    let coh = |s: &JacobiSvd| {
-                        s.coherence_per_sweep
-                            .iter()
-                            .map(|x| x.to_bits())
-                            .collect::<Vec<_>>()
-                    };
-                    assert_eq!(coh(&x), coh(&y), "{case}");
-                    assert_eq!(x.stats, y.stats, "{case}");
-                    assert_eq!(xs.seconds().to_bits(), ys.seconds().to_bits(), "{case}");
+                    let (y, ys) = run(Tier::Portable);
+                    for tier in Tier::ALL.into_iter().filter(|t| t.available()) {
+                        let (x, xs) = run(tier);
+                        let case = format!("{tier:?} {m}x{n} cache={cache_norms} {space:?}");
+                        assert_eq!(bits(&x.u), bits(&y.u), "{case}");
+                        assert_eq!(bits(&x.v), bits(&y.v), "{case}");
+                        let sig =
+                            |s: &JacobiSvd| s.sigma.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(sig(&x), sig(&y), "{case}");
+                        let coh = |s: &JacobiSvd| {
+                            s.coherence_per_sweep
+                                .iter()
+                                .map(|x| x.to_bits())
+                                .collect::<Vec<_>>()
+                        };
+                        assert_eq!(coh(&x), coh(&y), "{case}");
+                        assert_eq!(x.stats, y.stats, "{case}");
+                        assert_eq!(xs.seconds().to_bits(), ys.seconds().to_bits(), "{case}");
+                    }
                 }
             }
         }

@@ -15,8 +15,9 @@
 //! scalar loops.
 //!
 //! [`matmul_rows`], [`gram_rows`] and [`col_pair_dots`] are dispatched
-//! entries ([`crate::simd`]): each runs its `*_with` body compiled for AVX2
-//! when the CPU has it, portable otherwise, with the same bits either way.
+//! entries ([`crate::simd`]): each runs its `*_with` body compiled for
+//! AVX-512F or AVX2 when the CPU has it, portable otherwise, with the same
+//! bits every way.
 
 use std::ops::Range;
 
@@ -87,12 +88,12 @@ crate::dispatch! {
     /// element is its own ascending-`p` sum, so it is bit-identical whatever
     /// rows are computed with it.
     pub fn matmul_rows(a: &Matrix, rows: Range<usize>, b: &Matrix, c_cols: &mut [&mut [f64]])
-        => matmul_rows_with
+        => matmul_rows_with, matmul_rows_on
 }
 
 /// The body of [`matmul_rows`] for instruction set `I`.
 #[inline(always)]
-pub fn matmul_rows_with<I: Isa>(
+fn matmul_rows_with<I: Isa>(
     _isa: I,
     a: &Matrix,
     rows: Range<usize>,
@@ -138,12 +139,12 @@ crate::dispatch! {
     /// symmetry: only the upper triangle is computed, then mirrored. Entry
     /// `(i, j)` is `a_i · a_j` summed over the rows in ascending order, four
     /// entries of a column at a time.
-    pub fn gram_rows(a: &dyn Columns, rows: Range<usize>) -> Matrix => gram_rows_with
+    pub fn gram_rows(a: &dyn Columns, rows: Range<usize>) -> Matrix => gram_rows_with, gram_rows_on
 }
 
 /// The body of [`gram_rows`] for instruction set `I`.
 #[inline(always)]
-pub fn gram_rows_with<I: Isa>(isa: I, a: &dyn Columns, rows: Range<usize>) -> Matrix {
+fn gram_rows_with<I: Isa>(isa: I, a: &dyn Columns, rows: Range<usize>) -> Matrix {
     let (m, n) = a.shape();
     assert!(rows.end <= m, "gram_rows range past the last row");
     gram_of_cols(isa, n, |j| &a.col(j)[rows.clone()])
@@ -216,7 +217,7 @@ crate::dispatch! {
     /// `out` in pair order and computed four pairs at a time by [`dot4`]; each
     /// value is bit-identical to `dot(a.col(i), a.col(j))`.
     pub fn col_pair_dots(a: &Matrix, pairs: &[(usize, usize)], out: &mut Vec<f64>)
-        => col_pair_dots_with
+        => col_pair_dots_with, col_pair_dots_on
 }
 
 /// The body of [`col_pair_dots`] for instruction set `I`.

@@ -16,7 +16,8 @@
 //! * seeded workload generators ([`generate`]) and verification helpers
 //!   ([`verify`]);
 //! * the instruction-set dispatch of the host kernels ([`simd`],
-//!   [`dispatch!`]): one body compiled twice, portable and AVX2.
+//!   [`dispatch!`]): one body compiled three times, portable, AVX2 and
+//!   AVX-512F.
 
 #![warn(missing_docs)]
 

@@ -59,7 +59,9 @@ pub fn max_column_coherence(a: &Matrix) -> f64 {
 /// round-off floor — couplings at machine-noise level cannot be reduced
 /// further and contribute below-eps absolute error to the spectrum). The
 /// second clause is what lets matrices with condition numbers approaching
-/// `1/eps` (Table VII's `flower_7_1`) terminate.
+/// `1/eps` (Table VII's `flower_7_1`) terminate. A NaN anywhere in a pair's
+/// test fails it: both bounds are checked as `<=`, which NaN never meets.
+#[allow(clippy::neg_cmp_op_on_partial_ord)] // `x > bound` would pass a NaN
 pub fn columns_converged(a: &Matrix, tol: f64) -> bool {
     let n = a.cols();
     let (mut pairs, mut dots) = (Vec::new(), Vec::new());
@@ -74,7 +76,7 @@ pub fn columns_converged(a: &Matrix, tol: f64) -> bool {
         col_pair_dots(a, &pairs, &mut dots);
         for (i, &dij) in dots.iter().enumerate() {
             let aij = dij.abs();
-            if aij > tol * norms[i] * norms[j] && aij > floor {
+            if !(aij <= tol * norms[i] * norms[j]) && !(aij <= floor) {
                 return false;
             }
         }
@@ -163,6 +165,15 @@ mod tests {
         let a = Matrix::from_rows(2, 2, &[1.0, 1.0, 0.0, 1.0]);
         assert!(!columns_converged(&a, 1e-12));
         assert!(columns_converged(&a, 0.9)); // coherence 1/sqrt(2) < 0.9
+    }
+
+    #[test]
+    fn columns_converged_fails_on_nan() {
+        // A NaN dot meets neither bound, so the pair is not converged.
+        let mut a = crate::generate::random_uniform(6, 4, 1);
+        a.col_mut(2).fill(f64::NAN);
+        assert!(!columns_converged(&a, 1e-12));
+        assert!(!columns_converged(&a, 2.0));
     }
 
     #[test]

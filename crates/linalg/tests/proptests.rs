@@ -2,38 +2,69 @@
 
 use proptest::prelude::*;
 use wsvd_linalg::gemm::{
-    col_pair_dots, col_pair_dots_with, dot, dot4, gram_rows, gram_rows_with, matmul_rows,
-    matmul_rows_with, KC,
+    col_pair_dots, col_pair_dots_on, dot, dot4, gram_rows, gram_rows_on, matmul_rows,
+    matmul_rows_on, KC,
 };
 use wsvd_linalg::generate::{random_uniform, with_spectrum};
 use wsvd_linalg::householder::{bidiagonalize, seeded_orthogonal};
 use wsvd_linalg::matrix::Columns;
-use wsvd_linalg::simd::{Isa, Portable};
+use wsvd_linalg::simd::{Isa, Portable, Tier};
 use wsvd_linalg::verify::orthonormality_error;
 use wsvd_linalg::{
     gram, matmul, one_sided_rotation, rotate_columns, singular_values, svd_reference, Matrix,
 };
 
-/// Both compiled copies of each dispatched kernel: the public entry (the
-/// AVX2 copy on CPUs that have it) and the portable body.
-type MatmulFn = fn(&Matrix, &Matrix) -> Matrix;
-const MATMULS: [MatmulFn; 2] = [matmul, |a, b| {
-    let mut c = Matrix::zeros(a.rows(), b.cols());
-    matmul_rows_with(Portable, a, 0..a.rows(), b, &mut c.cols_mut());
-    c
-}];
-const GRAMS: [fn(&Matrix) -> Matrix; 2] = [gram, |a| gram_rows_with(Portable, a, 0..a.rows())];
-type PairDotsFn = fn(&Matrix, &[(usize, usize)], &mut Vec<f64>);
-const PAIR_DOTS: [PairDotsFn; 2] = [col_pair_dots, |a, pairs, out| {
-    col_pair_dots_with(Portable, a, pairs, out)
-}];
+/// Every compiled copy of the dispatched kernels this CPU runs: the
+/// portable body, and the AVX2 and AVX-512 copies where it has them.
+fn tiers() -> impl Iterator<Item = Tier> {
+    Tier::ALL.into_iter().filter(|t| t.available())
+}
 
-type MatmulRowsFn = fn(&Matrix, std::ops::Range<usize>, &Matrix, &mut [&mut [f64]]);
-const MATMUL_ROWS: [MatmulRowsFn; 2] = [matmul_rows, |a, rows, b, c| {
-    matmul_rows_with(Portable, a, rows, b, c)
-}];
-type GramRowsFn = fn(&dyn Columns, std::ops::Range<usize>) -> Matrix;
-const GRAM_ROWS: [GramRowsFn; 2] = [gram_rows, |a, rows| gram_rows_with(Portable, a, rows)];
+/// Each kernel's public entry followed by each of its compiled copies.
+fn entry_and_copies<F: ?Sized>(entry: Box<F>, copy: impl Fn(Tier) -> Box<F>) -> Vec<Box<F>> {
+    std::iter::once(entry).chain(tiers().map(copy)).collect()
+}
+
+type MatmulFn = dyn Fn(&Matrix, &Matrix) -> Matrix;
+fn matmuls() -> Vec<Box<MatmulFn>> {
+    entry_and_copies(Box::new(matmul), |tier| {
+        Box::new(move |a, b| {
+            let mut c = Matrix::zeros(a.rows(), b.cols());
+            matmul_rows_on(tier, a, 0..a.rows(), b, &mut c.cols_mut()).expect("available tier");
+            c
+        })
+    })
+}
+
+type GramFn = dyn Fn(&Matrix) -> Matrix;
+fn grams() -> Vec<Box<GramFn>> {
+    entry_and_copies(Box::new(gram), |tier| {
+        Box::new(move |a| gram_rows_on(tier, a, 0..a.rows()).expect("available tier"))
+    })
+}
+
+type PairDotsFn = dyn Fn(&Matrix, &[(usize, usize)], &mut Vec<f64>);
+fn pair_dots() -> Vec<Box<PairDotsFn>> {
+    entry_and_copies(Box::new(col_pair_dots), |tier| {
+        Box::new(move |a, pairs, out| {
+            col_pair_dots_on(tier, a, pairs, out).expect("available tier")
+        })
+    })
+}
+
+type MatmulRowsFn = dyn Fn(&Matrix, std::ops::Range<usize>, &Matrix, &mut [&mut [f64]]);
+fn matmul_rows_copies() -> Vec<Box<MatmulRowsFn>> {
+    entry_and_copies(Box::new(matmul_rows), |tier| {
+        Box::new(move |a, rows, b, c| matmul_rows_on(tier, a, rows, b, c).expect("available tier"))
+    })
+}
+
+type GramRowsFn = dyn Fn(&dyn Columns, std::ops::Range<usize>) -> Matrix;
+fn gram_rows_copies() -> Vec<Box<GramRowsFn>> {
+    entry_and_copies(Box::new(gram_rows), |tier| {
+        Box::new(move |a, rows| gram_rows_on(tier, a, rows).expect("available tier"))
+    })
+}
 
 type Dot4Fn = fn([&[f64]; 4], [&[f64]; 4]) -> [f64; 4];
 
@@ -139,12 +170,12 @@ fn with_zeros(rows: usize, cols: usize, seed: u64, stride: usize) -> Matrix {
 }
 
 /// One `m x k` by `k x n` product against the scalar kernel, bit for bit,
-/// on both copies.
+/// through the entry and every compiled copy.
 fn matmul_matches_scalar((m, n, k): (usize, usize, usize), zero_stride: usize, seed: u64) -> bool {
     let a = random_uniform(m, k, seed);
     let b = with_zeros(k, n, seed ^ 0x5a5a, zero_stride);
     let want = scalar::matmul(&a, &b);
-    MATMULS
+    matmuls()
         .iter()
         .all(|kernel| same_bits(kernel(&a, &b).as_slice(), want.as_slice()))
 }
@@ -196,7 +227,7 @@ fn gram_and_pair_dots_copies_are_bitwise_scalar_at_every_remainder() {
         for n in [1, 4, 5, 9, 10] {
             let sub = a.col_block(0, n);
             let want = scalar::gram(&sub);
-            for kernel in GRAMS {
+            for kernel in grams() {
                 assert!(
                     same_bits(kernel(&sub).as_slice(), want.as_slice()),
                     "m={m} n={n}"
@@ -204,7 +235,7 @@ fn gram_and_pair_dots_copies_are_bitwise_scalar_at_every_remainder() {
             }
         }
         for count in 0..=pairs.len() {
-            for kernel in PAIR_DOTS {
+            for kernel in pair_dots() {
                 let mut got = vec![f64::NAN; 2];
                 kernel(&a, &pairs[..count], &mut got);
                 assert_eq!(got.len(), count);
@@ -231,7 +262,7 @@ fn row_range_kernels_are_bitwise_scalar_on_the_rows() {
         for (start, len) in [(0, 19), (0, 0), (3, 5), (7, 12), (18, 1), (1, 16)] {
             let rows = start..start + len;
             let want = full.sub_matrix(start, 0, len, 6);
-            for kernel in MATMUL_ROWS {
+            for kernel in matmul_rows_copies() {
                 let mut got = vec![f64::NAN; len * 6];
                 let mut cols: Vec<&mut [f64]> = got.chunks_mut(len.max(1)).collect();
                 cols.resize_with(6, || &mut []);
@@ -242,7 +273,7 @@ fn row_range_kernels_are_bitwise_scalar_on_the_rows() {
             // The same columns borrowed in place, as a pair block's are.
             let mut borrowed = a.clone();
             let view = borrowed.cols_mut();
-            for kernel in GRAM_ROWS {
+            for kernel in gram_rows_copies() {
                 let got = kernel(&a, rows.clone());
                 assert!(
                     same_bits(got.as_slice(), want.as_slice()),
@@ -367,7 +398,7 @@ proptest! {
     fn gram_is_bitwise_scalar(m in 0usize..20, n in 0usize..14, seed in any::<u64>()) {
         let a = random_uniform(m, n, seed);
         let want = scalar::gram(&a);
-        for kernel in GRAMS {
+        for kernel in grams() {
             prop_assert!(same_bits(kernel(&a).as_slice(), want.as_slice()));
         }
     }
@@ -411,7 +442,7 @@ proptest! {
         let a = random_uniform(dims.0, dims.1, seed);
         let pairs: Vec<(usize, usize)> =
             pairs.iter().map(|&(i, j)| (i % dims.1, j % dims.1)).collect();
-        for kernel in PAIR_DOTS {
+        for kernel in pair_dots() {
             let mut got = vec![f64::NAN; 3];
             kernel(&a, &pairs, &mut got);
             prop_assert_eq!(got.len(), pairs.len());

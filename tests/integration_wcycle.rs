@@ -210,3 +210,18 @@ fn deterministic_across_runs() {
     assert_eq!(s1, s2, "numerics must be bit-identical");
     assert_eq!(t1, t2, "simulated time must be deterministic");
 }
+
+#[test]
+fn overflow_to_nan_is_not_converged() {
+    // Scaled by 1e300 the multilevel route overflows and its columns turn
+    // NaN. The sweep-boundary test must fail on them: the call uses its
+    // whole sweep budget and reports that it did not converge.
+    let gpu = Gpu::new(V100);
+    let mut a = random_uniform(64, 64, 3);
+    a.as_mut_slice().iter_mut().for_each(|x| *x *= 1e300);
+    let cfg = WCycleConfig::default();
+    let wc = wcycle_svd(&gpu, std::slice::from_ref(&a), &cfg).unwrap();
+    let r = &wc.results[0];
+    assert!(r.sigma.iter().any(|s| s.is_nan()), "the input overflows");
+    assert_eq!((r.sweeps, r.converged), (cfg.max_sweeps, false));
+}
