@@ -182,8 +182,7 @@ fn main() {
             .iter()
             .find(|(e, _)| *e == id)
             .expect("ids are known");
-        session.metrics.set_experiment(id);
-        session.health.set_context(id, 0);
+        session.set_experiment(id);
         f(scale)
     };
 

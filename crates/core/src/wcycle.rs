@@ -61,8 +61,9 @@ pub struct WSvd {
     /// Whether the engine's own convergence test passed within its sweep
     /// cap (Algorithm 2's "exits the workflow"): the SM kernel's verdict
     /// for a matrix decomposed whole, the top level's sweep-boundary test
-    /// otherwise, always true for `magma_like`. Read host-side from what
-    /// the sweeps computed anyway; never charged to the cost model.
+    /// otherwise, always true for `magma_like`; false whenever a σ is not
+    /// finite. Read host-side from what the sweeps computed anyway; never
+    /// charged to the cost model.
     pub converged: bool,
 }
 
@@ -72,7 +73,8 @@ impl WSvd {
     /// `v`, its columns in σ order. The task of a wide input is its
     /// transpose, `A^T = U_t Σ V_t^T`, so `A = V_t Σ U_t^T`: they swap back.
     /// V is kept thin (`r` columns) and only when `want_v`. `sweeps` and
-    /// `converged` are the engine's own status for the task.
+    /// `converged` are the engine's own status for the task; a non-finite
+    /// σ (an input that overflowed) is never converged.
     pub fn oriented(
         u: Matrix,
         sigma: Vec<f64>,
@@ -83,6 +85,7 @@ impl WSvd {
         converged: bool,
     ) -> WSvd {
         let r = sigma.len();
+        let converged = converged && sigma.iter().all(|s| s.is_finite());
         let (u, v) = if transposed {
             (v.expect("wide inputs always accumulate V"), Some(u))
         } else {

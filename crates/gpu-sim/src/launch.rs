@@ -309,11 +309,6 @@ impl BlockCtx {
         self.counters.span_cycles += ops as f64;
     }
 
-    /// Adds raw FLOPs without span (already accounted elsewhere).
-    pub fn add_flops(&mut self, flops: u64) {
-        self.counters.flops += flops;
-    }
-
     /// Retires the block: returns its counters plus, when sanitizing, the
     /// hazard tracker's findings (any bytes still charged to the arena at
     /// this point were leaked by the kernel body), plus any non-finite

@@ -2,8 +2,10 @@
 //!
 //! A [`Session`] bundles the telemetry sinks (trace, metrics, health), the
 //! sanitize mode, the fused-pipeline default and a shared tally of what the
-//! invocation's exit code depends on (sanitizer violations). A host such as `repro` builds one from its flags and
-//! [`Session::install`]s it before the first device exists; every
+//! invocation's exit code depends on (sanitizer violations). A host such as
+//! `repro` builds one from its flags, [`Session::install`]s it before the
+//! first device exists and scopes it to each experiment in turn with
+//! [`Session::set_experiment`]; every
 //! [`crate::Gpu`] and [`crate::GpuCluster`] then copies
 //! [`Session::current`] at construction time. Devices built with an explicit
 //! session (tests, planted-bug experiments) keep their findings to
@@ -63,17 +65,26 @@ impl Tally {
 static INSTALLED: OnceLock<Session> = OnceLock::new();
 
 impl Session {
-    /// Installs `session` as the one [`Session::current`] hands out and as
-    /// the process-wide health sink, with its health incidents snapshotting
-    /// its metrics. Returns `false` if a session was already installed (the
-    /// first one wins). Devices copy the session when they are built, so
-    /// install before building the first one.
+    /// Installs `session` as the one [`Session::current`] hands out, with
+    /// its health incidents snapshotting its metrics. Returns `false` if a
+    /// session was already installed (the first one wins). Devices copy the
+    /// session when they are built, so install before building the first
+    /// one.
     pub fn install(session: Session) -> bool {
         if INSTALLED.set(session.clone()).is_err() {
             return false;
         }
         session.health.set_metrics(session.metrics.clone());
-        wsvd_health::install_global(session.health)
+        true
+    }
+
+    /// Scopes every sink to experiment `id`: metrics series are keyed by
+    /// it, health incidents carry it (with replay seed 0), and devices
+    /// built from now on name their trace process `"<id> · <device>"`.
+    pub fn set_experiment(&self, id: &str) {
+        self.metrics.set_experiment(id);
+        self.health.set_context(id, 0);
+        self.trace.set_scope(id);
     }
 
     /// The installed session, or, before any install, disabled sinks with
@@ -90,5 +101,60 @@ impl Session {
                 ..Session::default()
             }
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::device::V100;
+    use crate::launch::KernelConfig;
+    use crate::{Gpu, GpuCluster};
+
+    #[test]
+    fn experiment_scope_reaches_every_sink_and_device() {
+        let session = Session {
+            trace: TraceSink::enabled(),
+            metrics: MetricsSink::enabled(),
+            health: HealthSink::enabled(),
+            ..Session::default()
+        };
+        let devices = [
+            "Tesla V100",
+            "cluster interconnect",
+            "Tesla V100 rank 0",
+            "Tesla V100 rank 1",
+        ];
+        let (mut names, mut fired) = (Vec::new(), Vec::new());
+        for exp in ["fig7", "ext-health"] {
+            session.set_experiment(exp);
+            let gpu = Gpu::with_session(V100, session.clone());
+            let cluster = GpuCluster::with_session(V100, 2, session.clone());
+            for g in [&gpu, cluster.gpu(0)] {
+                let cfg = KernelConfig::new(1, 64, 1024, "scoped");
+                g.launch_collect(cfg, |_, ctx| {
+                    ctx.guard_finite(&[f64::NAN]);
+                    Ok(())
+                })
+                .unwrap();
+            }
+            cluster.kill(1);
+            cluster.sync(1_000);
+            names.extend(devices.map(|d| format!("{exp} · {d}")));
+            fired.extend([(exp, "non-finite", 0), (exp, "shard-dead", 0)]);
+        }
+        // Each experiment's devices carry its prefix, so none share a name.
+        let processes: Vec<String> = session.trace.processes().into_iter().map(|p| p.1).collect();
+        assert_eq!(processes, names);
+        assert_eq!(
+            session.metrics.snapshot().experiments(),
+            ["ext-health", "fig7"]
+        );
+        let incidents = session.health.incidents();
+        let got: Vec<(&str, &str, u64)> = incidents
+            .iter()
+            .map(|i| (i.experiment.as_str(), i.kind.as_str(), i.seed))
+            .collect();
+        assert_eq!(got, fired);
     }
 }

@@ -13,10 +13,14 @@
 //! * **Incidents.** When a watchdog fires, the sink assembles a structured,
 //!   JSON-serializable [`Incident`]: the trigger, its simulated time, a
 //!   metrics [`Snapshot`](wsvd_metrics::Snapshot), the chosen tailoring plan
-//!   and its level, and the RNG seed of the workload so the incident is
-//!   deterministically replayable. The event timeline around an incident is
-//!   the trace of the same run, where `t_sim` is the simulated time on the
-//!   device's track.
+//!   and its level, and the replay seed the experiment set with
+//!   [`HealthSink::set_context`], so the incident is deterministically
+//!   replayable. The event timeline around an incident is the trace of the
+//!   same run, where `t_sim` is the simulated time on the device's track.
+//!
+//! A sink is a value, never a global: each device copies the one in the
+//! `wsvd_gpu_sim::Session` it is built under, and the numerics crates below
+//! the simulator report nothing to it.
 //!
 //! Design rules mirror `wsvd-trace` / `wsvd-metrics`: the default sink is a
 //! strict no-op, all watchdog state lives host-side (nothing is charged to
@@ -29,7 +33,7 @@
 #![warn(missing_docs)]
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use serde::Serialize;
@@ -101,8 +105,10 @@ pub struct Incident {
     pub detail: String,
     /// Experiment scope the incident fired under.
     pub experiment: String,
-    /// RNG seed of the workload — regenerating the inputs from this seed
-    /// and re-running deterministically reproduces the incident.
+    /// Replay seed of the scope the incident fired under (what the
+    /// experiment passed to [`HealthSink::set_context`]) — regenerating the
+    /// inputs from this seed and re-running deterministically reproduces
+    /// the incident.
     pub seed: u64,
     /// W-cycle level of the plan in force, when one had been selected.
     pub level: Option<u64>,
@@ -186,14 +192,6 @@ impl HealthSink {
             let mut st = i.lock();
             st.experiment = experiment.to_string();
             st.seed = seed;
-        }
-    }
-
-    /// Updates only the workload seed (called by the data generators, so
-    /// incidents always carry the seed of the most recent generation).
-    pub fn note_seed(&self, seed: u64) {
-        if let Some(i) = &self.inner {
-            i.lock().seed = seed;
         }
     }
 
@@ -366,24 +364,6 @@ impl HealthSink {
     }
 }
 
-/// The process-wide health sink. Devices take theirs from the
-/// `wsvd_gpu_sim::Session` they are built under; this copy exists because
-/// `wsvd-linalg`'s generators note each workload seed into it, and linalg
-/// sits below gpu-sim in the crate graph.
-static GLOBAL: OnceLock<HealthSink> = OnceLock::new();
-
-/// Installs `sink` as the process-wide sink that [`global`] hands out.
-/// Returns `false` if a sink was already installed (the first one wins).
-/// `wsvd_gpu_sim::Session::install` is the only caller.
-pub fn install_global(sink: HealthSink) -> bool {
-    GLOBAL.set(sink).is_ok()
-}
-
-/// The installed global sink, or a disabled one if none was installed.
-pub fn global() -> HealthSink {
-    GLOBAL.get().cloned().unwrap_or_default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,11 +491,5 @@ mod tests {
                 "metrics"
             ]
         );
-    }
-
-    #[test]
-    fn global_defaults_to_disabled() {
-        // Nothing in this test binary installs a global sink.
-        assert!(!global().is_enabled());
     }
 }

@@ -11,14 +11,6 @@ use rand::{Rng, SeedableRng};
 
 /// Uniform random matrix with entries in `(-1, 1)`.
 pub fn random_uniform(rows: usize, cols: usize, seed: u64) -> Matrix {
-    wsvd_health::global().note_seed(seed);
-    uniform_core(rows, cols, seed)
-}
-
-/// [`random_uniform`] without the health-seed note: batch generators derive
-/// per-matrix seeds from their own batch seed, and incidents must carry the
-/// *workload* seed (the one a replay needs), not the last derived one.
-fn uniform_core(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut rng = StdRng::seed_from_u64(seed);
     Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-1.0..1.0))
 }
@@ -40,7 +32,6 @@ pub fn random_spd(n: usize, seed: u64) -> Matrix {
 /// Matrix with a prescribed singular-value spectrum:
 /// `A = U diag(sigma) V^T` with seeded orthogonal `U`, `V`.
 pub fn with_spectrum(rows: usize, cols: usize, sigma: &[f64], seed: u64) -> Matrix {
-    wsvd_health::global().note_seed(seed);
     let r = rows.min(cols);
     assert!(
         sigma.len() == r,
@@ -78,10 +69,9 @@ pub fn with_condition_number(rows: usize, cols: usize, cond: f64, seed: u64) -> 
 
 /// A batch of `count` random matrices of the same size, distinct seeds.
 pub fn random_batch(count: usize, rows: usize, cols: usize, seed: u64) -> Vec<Matrix> {
-    wsvd_health::global().note_seed(seed);
     (0..count)
         .map(|k| {
-            uniform_core(
+            random_uniform(
                 rows,
                 cols,
                 seed.wrapping_add((k as u64).wrapping_mul(0x2545f4914f6cdd1d)),
@@ -92,28 +82,14 @@ pub fn random_batch(count: usize, rows: usize, cols: usize, seed: u64) -> Vec<Ma
 
 /// A batch with per-matrix sizes drawn from `sizes` (cycled), random entries.
 pub fn mixed_size_batch(sizes: &[(usize, usize)], count: usize, seed: u64) -> Vec<Matrix> {
-    wsvd_health::global().note_seed(seed);
     (0..count)
         .map(|k| {
             let (m, n) = sizes[k % sizes.len()];
-            uniform_core(
+            random_uniform(
                 m,
                 n,
                 seed.wrapping_add((k as u64).wrapping_mul(0x9e3779b97f4a7c15)),
             )
-        })
-        .collect()
-}
-
-/// Mixed sizes sampled uniformly from `[min_dim, max_dim]` for both axes.
-pub fn random_size_batch(count: usize, min_dim: usize, max_dim: usize, seed: u64) -> Vec<Matrix> {
-    wsvd_health::global().note_seed(seed);
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..count)
-        .map(|k| {
-            let m = rng.gen_range(min_dim..=max_dim);
-            let n = rng.gen_range(min_dim..=max_dim);
-            uniform_core(m, n, seed.wrapping_add(1 + k as u64))
         })
         .collect()
 }
@@ -181,14 +157,5 @@ mod tests {
         assert_eq!(b[0].shape(), (4, 4));
         assert_eq!(b[1].shape(), (6, 2));
         assert_eq!(b[4].shape(), (4, 4));
-    }
-
-    #[test]
-    fn random_size_batch_respects_bounds() {
-        let b = random_size_batch(20, 3, 9, 77);
-        assert!(b.iter().all(|m| {
-            let (r, c) = m.shape();
-            (3..=9).contains(&r) && (3..=9).contains(&c)
-        }));
     }
 }

@@ -163,11 +163,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns its column-major data.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Copies columns `[start, start + width)` into a new matrix.
     pub fn col_block(&self, start: usize, width: usize) -> Matrix {
         assert!(start + width <= self.cols);

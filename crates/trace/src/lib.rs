@@ -113,6 +113,8 @@ struct Inner {
     /// Human names for pids, in registration order.
     processes: Vec<(u32, String)>,
     next_pid: AtomicU32,
+    /// Experiment scope prefixed to process names registered under it.
+    scope: String,
 }
 
 /// A cheaply clonable handle that event producers record into.
@@ -149,15 +151,30 @@ impl TraceSink {
         self.inner.is_some()
     }
 
-    /// Allocates a fresh pid and registers its display name. Returns 0 on a
-    /// disabled sink (no id is consumed, keeping enabled runs reproducible).
+    /// Sets the experiment scope: processes registered from now on are
+    /// named `"<scope> · <name>"`, so the devices of two experiments in one
+    /// trace never share a name. An empty scope (the default) keeps bare
+    /// names.
+    pub fn set_scope(&self, scope: &str) {
+        if let Some(m) = &self.inner {
+            m.lock().unwrap_or_else(|e| e.into_inner()).scope = scope.to_string();
+        }
+    }
+
+    /// Allocates a fresh pid and registers its display name, prefixed by
+    /// the current scope. Returns 0 on a disabled sink (no id is consumed,
+    /// keeping enabled runs reproducible).
     pub fn register_process(&self, name: &str) -> u32 {
         match &self.inner {
             None => 0,
             Some(m) => {
                 let mut inner = m.lock().unwrap_or_else(|e| e.into_inner());
                 let pid = inner.next_pid.fetch_add(1, Ordering::Relaxed);
-                inner.processes.push((pid, name.to_string()));
+                let name = match inner.scope.as_str() {
+                    "" => name.to_string(),
+                    scope => format!("{scope} · {name}"),
+                };
+                inner.processes.push((pid, name));
                 pid
             }
         }

@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: the W-cycle SVD against the independent
 //! two-stage reference oracle, across sizes, shapes, devices and configs.
 
+use wcycle_svd::baselines::gesvdj_batched;
 use wcycle_svd::gpu::{Gpu, ALL_DEVICES, V100};
 use wcycle_svd::linalg::generate::{
     mixed_size_batch, random_batch, random_uniform, with_condition_number, with_spectrum,
@@ -217,11 +218,26 @@ fn overflow_to_nan_is_not_converged() {
     // NaN. The sweep-boundary test must fail on them: the call uses its
     // whole sweep budget and reports that it did not converge.
     let gpu = Gpu::new(V100);
-    let mut a = random_uniform(64, 64, 3);
-    a.as_mut_slice().iter_mut().for_each(|x| *x *= 1e300);
+    let overflowed = |n| {
+        let mut a = random_uniform(n, n, 3);
+        a.as_mut_slice().iter_mut().for_each(|x| *x *= 1e300);
+        a
+    };
     let cfg = WCycleConfig::default();
+    let a = overflowed(64);
     let wc = wcycle_svd(&gpu, std::slice::from_ref(&a), &cfg).unwrap();
     let r = &wc.results[0];
     assert!(r.sigma.iter().any(|s| s.is_nan()), "the input overflows");
     assert_eq!((r.sweeps, r.converged), (cfg.max_sweeps, false));
+    // At 32x32 the level-0 kernel's Frobenius norm overflows instead, so
+    // deflation drops every column and one sweep returns σ = inf: the
+    // non-finite σ alone says the result is not converged, on both engines
+    // that decompose a matrix whole.
+    let a = overflowed(32);
+    let wc = wcycle_svd(&gpu, std::slice::from_ref(&a), &cfg).unwrap();
+    let gj = gesvdj_batched(&gpu, std::slice::from_ref(&a)).unwrap();
+    for (engine, r) in [("wcycle_svd", &wc.results[0]), ("gesvdj_batched", &gj[0])] {
+        assert!(r.sigma.iter().any(|s| s.is_infinite()), "{engine}");
+        assert!(!r.converged, "{engine}: sweeps {}", r.sweeps);
+    }
 }
