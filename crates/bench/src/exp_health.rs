@@ -14,9 +14,9 @@
 //!   `incident.seed` and checks the same incident fires again).
 //!
 //! The experiment deliberately builds *local* [`HealthSink`]s and installs
-//! them per-GPU rather than reusing the process-global sink: planted faults
-//! are scenery, not real incidents, and must not trip `repro --health`'s
-//! non-zero exit for the run that hosts them.
+//! them per-GPU rather than using the installed `Session`'s sink: planted
+//! faults are scenery, not real incidents, and must not trip
+//! `repro --health`'s non-zero exit for the run that hosts them.
 
 use wsvd_apps::assimilation::{analysis_step_distributed, AssimilationProblem, SvdEngine};
 use wsvd_batched::{batched_gram, GemmStrategy};

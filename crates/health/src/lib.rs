@@ -14,9 +14,10 @@
 //!   JSON-serializable [`Incident`]: the trigger, its simulated time, a
 //!   metrics [`Snapshot`](wsvd_metrics::Snapshot), the chosen tailoring plan
 //!   and its level, and the replay seed the experiment set with
-//!   [`HealthSink::set_context`], so the incident is deterministically
-//!   replayable. The event timeline around an incident is the trace of the
-//!   same run, where `t_sim` is the simulated time on the device's track.
+//!   [`HealthSink::set_context`] (`0` when the scope set none), so an
+//!   incident under a seeded scope is deterministically replayable. The
+//!   event timeline around an incident is the trace of the same run, where
+//!   `t_sim` is the simulated time on the device's track.
 //!
 //! A sink is a value, never a global: each device copies the one in the
 //! `wsvd_gpu_sim::Session` it is built under, and the numerics crates below
@@ -105,10 +106,12 @@ pub struct Incident {
     pub detail: String,
     /// Experiment scope the incident fired under.
     pub experiment: String,
-    /// Replay seed of the scope the incident fired under (what the
-    /// experiment passed to [`HealthSink::set_context`]) — regenerating the
-    /// inputs from this seed and re-running deterministically reproduces
-    /// the incident.
+    /// Replay seed of the scope the incident fired under: what the
+    /// experiment passed to [`HealthSink::set_context`]. `0` means the
+    /// scope set no replay seed (`wsvd_gpu_sim::Session::set_experiment`
+    /// stamps `0`); only an experiment that passes its workload seed to
+    /// `set_context` fires incidents that regenerating the inputs from
+    /// this seed reproduces.
     pub seed: u64,
     /// W-cycle level of the plan in force, when one had been selected.
     pub level: Option<u64>,

@@ -241,6 +241,13 @@ pub fn col_pair_dots_with<I: Isa>(
     }
 }
 
+/// FLOP count of `C += A*B` with inner dimension `k`: one FMA per
+/// `m*n*k` (counted as 2 floating point ops, the convention of the paper's
+/// `num_FMA` model in §IV-D2 uses FMA instructions; we expose both).
+pub fn gemm_flops(m: usize, n: usize, k: usize) -> u64 {
+    2 * (m as u64) * (n as u64) * (k as u64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,5 +298,10 @@ mod tests {
     #[test]
     fn dot_basic() {
         assert_eq!(dot(&[1., 2., 3.], &[4., 5., 6.]), 32.0);
+    }
+
+    #[test]
+    fn flops_count() {
+        assert_eq!(gemm_flops(2, 3, 4), 48);
     }
 }

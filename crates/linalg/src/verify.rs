@@ -107,6 +107,18 @@ pub fn column_orthogonality_residual(a: &Matrix) -> f64 {
     s.sqrt()
 }
 
+/// Asserts two spectra agree to `tol` (absolute on each value), with a
+/// readable panic message. For use in integration tests.
+pub fn assert_spectra_close(got: &[f64], want: &[f64], tol: f64) {
+    assert_eq!(got.len(), want.len(), "spectrum length mismatch");
+    for (k, (g, w)) in got.iter().zip(want).enumerate() {
+        assert!(
+            (g - w).abs() <= tol * (1.0 + w.abs()),
+            "singular value {k}: got {g}, want {w} (tol {tol})"
+        );
+    }
+}
+
 /// Relative gap between two spectra: `max_k |g_k - w_k| / (1 + |w_k|)`.
 pub fn spectrum_distance(got: &[f64], want: &[f64]) -> f64 {
     got.iter()
@@ -285,5 +297,11 @@ mod tests {
     fn spectrum_distance_zero_for_equal() {
         assert_eq!(spectrum_distance(&[1.0, 2.0], &[1.0, 2.0]), 0.0);
         assert!(spectrum_distance(&[1.0, 2.1], &[1.0, 2.0]) > 0.0);
+    }
+
+    #[test]
+    #[should_panic]
+    fn assert_spectra_close_panics_on_gap() {
+        assert_spectra_close(&[1.0], &[2.0], 1e-6);
     }
 }

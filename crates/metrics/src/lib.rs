@@ -242,6 +242,18 @@ impl MetricsSink {
         }
     }
 
+    /// The current experiment scope (empty when unset or disabled).
+    pub fn experiment(&self) -> String {
+        match &self.inner {
+            None => String::new(),
+            Some(m) => m
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .experiment
+                .clone(),
+        }
+    }
+
     /// Adds `delta` to the counter `(experiment, kernel, level, name)`.
     /// Counters are monotone sums over a run; record increments, not
     /// cumulative process-wide values.
@@ -597,6 +609,7 @@ mod tests {
         s.gauge_set("k", None, "g", 2.0);
         s.observe("k", None, "h", &[1.0], 0.5);
         assert!(s.snapshot().is_empty());
+        assert_eq!(s.experiment(), "");
     }
 
     #[test]

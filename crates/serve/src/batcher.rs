@@ -137,6 +137,11 @@ impl Admission {
         std::mem::take(&mut self.pending[class])
     }
 
+    /// Whether any bucket still holds requests.
+    pub fn has_pending(&self) -> bool {
+        self.pending.iter().any(|b| !b.is_empty())
+    }
+
     /// Requests currently waiting in the bucket of `class`.
     pub fn pending_len(&self, class: usize) -> usize {
         self.pending[class].len()
@@ -181,7 +186,7 @@ mod tests {
         assert_eq!(adm.admit(req(2, 2, 16)), Admit::Full(0));
         let bucket = adm.take(0);
         assert_eq!(bucket.len(), 3);
-        assert_eq!(adm.pending_len(0), 0);
+        assert!(!adm.has_pending());
     }
 
     #[test]
