@@ -1,14 +1,16 @@
 //! Exhaustive two-thread interleaving exploration.
 //!
-//! The block-worker pool's job protocol (the vendored `rayon` shim) is the
-//! workspace's one concurrent protocol, and its correctness argument — a
-//! job's borrowed closure is never reached after its submitter returns,
-//! every index runs exactly once, and an owner's indices never split across
-//! threads — lives in comments. `loom` is not vendorable, so this module implements
-//! the small fragment needed to *prove* it: the protocol is modelled as two
-//! threads of atomic steps over a shared state, and a depth-first search
-//! enumerates **every** interleaving, checking an invariant at each
-//! terminal state.
+//! The block-worker pool's job protocol is the workspace's one concurrent
+//! protocol. The pool is the vendored `rayon` crate; its `map` and
+//! `map_mut`, which run every kernel launch, hand any job that does not run
+//! inline to one `submit`, so one model covers both. The protocol's
+//! correctness argument — a job's borrowed closure is never reached after
+//! its submitter returns, every index runs exactly once, and an owner's
+//! indices never split across threads — lives in comments. `loom` is not
+//! vendorable, so this module implements the small fragment needed to
+//! *prove* it: the protocol is modelled as two threads of atomic steps over
+//! a shared state, and a depth-first search enumerates **every**
+//! interleaving, checking an invariant at each terminal state.
 //!
 //! A step is a plain function `fn(&mut S, &mut L) -> Step`; `Step::Goto`
 //! expresses retry back-edges, `Step::Again` a loop on one op, and

@@ -18,7 +18,7 @@ pub mod models;
 pub use alpha::{alpha_gcf, DecisionTree, TPP_CANDIDATES};
 pub use autotune::{
     auto_tune, auto_tune_with_w_cap, auto_tune_with_w_cap_traced, calibrate_threshold,
-    candidate_plans, scored_candidates, PlanCache, TuneTelemetry, V100_TLP_THRESHOLD,
+    candidate_plans, scored_candidates, PlanCache, V100_TLP_THRESHOLD,
 };
 pub use gemm::{
     batched_gram, batched_gram_owned, batched_update, batched_update_cols, gemm_kernel_resource,

@@ -16,7 +16,7 @@
 //! * Sweeps repeat until all column blocks are mutually orthogonal; each
 //!   converged matrix exits the workflow.
 
-use wsvd_batched::autotune::{auto_tune_with_w_cap_traced, TuneTelemetry};
+use wsvd_batched::autotune::auto_tune_with_w_cap_traced;
 use wsvd_batched::gemm::GemmStrategy;
 use wsvd_batched::models::TailorPlan;
 use wsvd_gpu_sim::{Gpu, KernelConfig, KernelError};
@@ -704,18 +704,9 @@ fn resolve_plan(
 ) -> TailorPlan {
     let m_star = sizes.iter().map(|&(m, _)| m).max().unwrap_or(8);
     match &cfg.tuning {
-        Tuning::Auto { threshold } => auto_tune_with_w_cap_traced(
-            sizes,
-            *threshold,
-            w_cap,
-            &TuneTelemetry {
-                trace: gpu.trace().clone(),
-                metrics: gpu.metrics().clone(),
-                pid: gpu.trace_pid(),
-                level,
-                now: gpu.elapsed_seconds(),
-            },
-        ),
+        Tuning::Auto { threshold } => {
+            auto_tune_with_w_cap_traced(sizes, *threshold, w_cap, gpu, level)
+        }
         Tuning::Fixed(p) => TailorPlan::new(p.w.min(w_cap), p.delta, p.threads),
         Tuning::Widths(ws) => {
             let w = *ws.get(level - 1).or_else(|| ws.last()).unwrap_or(&8);

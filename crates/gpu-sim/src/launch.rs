@@ -1,19 +1,18 @@
 //! Kernel launch machinery: block contexts, parallel execution, and the
 //! timing model that converts counters into simulated time.
 //!
-//! A launch executes its blocks as rayon tasks (the simulator's stand-in for
-//! SM scheduling), all of one owner's blocks on one host thread when the
-//! launch names owners. Each block records work/span and memory counters into a
-//! [`BlockCounters`]; afterwards a list scheduler places the block durations
-//! onto the device's resident-block slots and the makespan becomes the
-//! simulated kernel time. Wall-clock never enters the model, so results are
+//! A launch executes its blocks on the host's block-worker pool (the
+//! simulator's stand-in for SM scheduling), all of one owner's blocks on one
+//! host thread when the launch names owners. Each block records work/span
+//! and memory counters into a [`BlockCounters`]; afterwards a list
+//! scheduler places the block durations onto the device's resident-block
+//! slots and the makespan becomes the simulated kernel time. Wall-clock never enters the model, so results are
 //! deterministic and machine-independent.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use parking_lot::Mutex;
-use rayon::prelude::*;
 use wsvd_health::HealthSink;
 use wsvd_metrics::MetricsSink;
 use wsvd_trace::TraceSink;
@@ -516,20 +515,12 @@ impl Gpu {
             items.len(),
             "grid must match item count in launch_over"
         );
-        self.check_cfg(&cfg);
-        let sanitize = self.session.sanitize;
-        let guard = self.session.health.is_enabled();
-        let results: Vec<Result<BlockOutput, KernelError>> = items
-            .par_iter_mut()
-            .enumerate()
-            .with_owners(owners)
-            .map(|(b, item)| {
-                let mut ctx = BlockCtx::new(&self.device, &cfg, sanitize, guard);
-                f(b, item, &mut ctx)?;
-                Ok(ctx.into_parts())
+        self.launch_blocks(cfg, |cfg| {
+            rayon::map_mut(items, owners, |b, item| {
+                self.run_block(cfg, |ctx| f(b, item, ctx))
             })
-            .collect();
-        self.finish(cfg, results)
+        })
+        .map(|(_, stats)| stats)
     }
 
     /// Launches a kernel whose blocks produce values (inputs captured by the
@@ -559,30 +550,20 @@ impl Gpu {
         R: Send,
         F: Fn(usize, &mut BlockCtx) -> Result<R, KernelError> + Sync,
     {
-        self.check_cfg(&cfg);
-        let sanitize = self.session.sanitize;
-        let guard = self.session.health.is_enabled();
-        let results: Vec<Result<(R, BlockOutput), KernelError>> = (0..cfg.grid)
-            .into_par_iter()
-            .with_owners(owners)
-            .map(|b| {
-                let mut ctx = BlockCtx::new(&self.device, &cfg, sanitize, guard);
-                let r = f(b, &mut ctx)?;
-                Ok((r, ctx.into_parts()))
-            })
-            .collect();
-        let mut outs = Vec::with_capacity(cfg.grid);
-        let mut counters = Vec::with_capacity(cfg.grid);
-        for r in results {
-            let (out, c) = r?;
-            outs.push(out);
-            counters.push(Ok(c));
-        }
-        let stats = self.finish(cfg, counters)?;
-        Ok((outs, stats))
+        self.launch_blocks(cfg, |cfg| {
+            rayon::map(cfg.grid, owners, |b| self.run_block(cfg, |ctx| f(b, ctx)))
+        })
     }
 
-    fn check_cfg(&self, cfg: &KernelConfig) {
+    /// The body every launch runs: checks `cfg`, runs its blocks through
+    /// `blocks` (each block under [`Gpu::run_block`], outputs in grid
+    /// order), then returns the block outputs and the retired launch's
+    /// stats, or the first failing block's error in grid order.
+    fn launch_blocks<R>(
+        &self,
+        cfg: KernelConfig,
+        blocks: impl FnOnce(&KernelConfig) -> Vec<Result<(R, BlockOutput), KernelError>>,
+    ) -> Result<(Vec<R>, LaunchStats), KernelError> {
         assert!(
             cfg.smem_bytes_per_block <= self.device.smem_per_block_bytes,
             "kernel '{}' requests {} B of shared memory; device '{}' provides {} B per block",
@@ -596,20 +577,36 @@ impl Gpu {
             "kernel '{}' has zero threads",
             cfg.label
         );
+        let results = blocks(&cfg);
+        let mut outs = Vec::with_capacity(results.len());
+        let mut parts = Vec::with_capacity(results.len());
+        for r in results {
+            let (out, p) = r?;
+            outs.push(out);
+            parts.push(p);
+        }
+        Ok((outs, self.finish(cfg, parts)))
+    }
+
+    /// Runs one block's `body` in a fresh [`BlockCtx`] and retires it.
+    fn run_block<R>(
+        &self,
+        cfg: &KernelConfig,
+        body: impl FnOnce(&mut BlockCtx) -> Result<R, KernelError>,
+    ) -> Result<(R, BlockOutput), KernelError> {
+        let guard = self.session.health.is_enabled();
+        let mut ctx = BlockCtx::new(&self.device, cfg, self.session.sanitize, guard);
+        let r = body(&mut ctx)?;
+        Ok((r, ctx.into_parts()))
     }
 
     /// Converts per-block counters into simulated time and records the
     /// launch; sanitized blocks additionally report their hazard findings.
-    fn finish(
-        &self,
-        cfg: KernelConfig,
-        results: Vec<Result<BlockOutput, KernelError>>,
-    ) -> Result<LaunchStats, KernelError> {
-        let mut blocks = Vec::with_capacity(results.len());
-        let mut outcomes = Vec::with_capacity(results.len());
+    fn finish(&self, cfg: KernelConfig, parts: Vec<BlockOutput>) -> LaunchStats {
+        let mut blocks = Vec::with_capacity(parts.len());
+        let mut outcomes = Vec::with_capacity(parts.len());
         let mut nonfinite = None;
-        for (b, r) in results.into_iter().enumerate() {
-            let (c, o, nf) = r?;
+        for (b, (c, o, nf)) in parts.into_iter().enumerate() {
             blocks.push(c);
             outcomes.push(o);
             if nonfinite.is_none() {
@@ -712,7 +709,7 @@ impl Gpu {
                 .health
                 .nonfinite(cfg.label, block, &detail, now);
         }
-        Ok(stats)
+        stats
     }
 
     /// Mirrors one launch's [`LaunchStats`] — the *same* object the timeline

@@ -8,10 +8,11 @@
 //!
 //! * **static shared memory per block** (48 KiB) enforced by a real
 //!   allocator ([`SharedMem`]) — the predicate driving Algorithm 2;
-//! * **thread-level parallelism**: blocks execute as rayon tasks (one
-//!   owner's blocks on one host thread, see [`Gpu::launch_over_owned`]), and each
-//!   records a work/span estimate given its internal thread assignment
-//!   ([`BlockCtx::team_step`] / [`BlockCtx::team_reduce`]);
+//! * **thread-level parallelism**: blocks execute on the host's
+//!   block-worker pool (one owner's blocks on one host thread, see
+//!   [`Gpu::launch_over_owned`]), and each records a work/span estimate
+//!   given its internal thread assignment ([`BlockCtx::team_step`] /
+//!   [`BlockCtx::team_reduce`]);
 //! * **global-memory traffic**: coalesced transaction counts (Fig. 11b);
 //! * **occupancy** and resident-block limits (Fig. 11a);
 //! * a **roofline timing model** with list scheduling of block durations

@@ -123,13 +123,10 @@ pub struct Incident {
     pub metrics: wsvd_metrics::Snapshot,
 }
 
-/// Everything `repro --health-dump` writes: the context and the incidents.
+/// Everything `repro --health-dump` writes. Each incident names its own
+/// experiment and replay seed; the report adds no scope of its own.
 #[derive(Clone, Debug, Default, Serialize)]
 pub struct HealthReport {
-    /// Current experiment scope.
-    pub experiment: String,
-    /// Current workload seed.
-    pub seed: u64,
     /// Incidents suppressed as cascades of an already-reported kind.
     pub suppressed: u64,
     /// All incidents, in fire order.
@@ -357,8 +354,6 @@ impl HealthSink {
         let report = self.inner.as_ref().map_or_else(HealthReport::default, |i| {
             let st = i.lock();
             HealthReport {
-                experiment: st.experiment.clone(),
-                seed: st.seed,
                 suppressed: st.suppressed,
                 incidents: st.incidents.clone(),
             }
@@ -383,9 +378,6 @@ mod tests {
         s.nonfinite("k", 0, "NaN", 0.0);
         s.shard_dead(2, 0.0);
         assert_eq!(s.incident_count(), 0);
-        let report: Value = serde_json::from_str(&s.report_json()).unwrap();
-        assert_eq!(at(&report, &["experiment"]).as_str(), Some(""));
-        assert_eq!(at(&report, &["seed"]).as_u64(), Some(0));
     }
 
     #[test]
@@ -468,10 +460,7 @@ mod tests {
         s.plan_selected(1, 16, 128, 256);
         s.nonfinite("gram", 3, "element 7 is NaN", 1.0);
         let report: Value = serde_json::from_str(&s.report_json()).unwrap();
-        assert_eq!(
-            keys(&report),
-            ["experiment", "seed", "suppressed", "incidents"]
-        );
+        assert_eq!(keys(&report), ["suppressed", "incidents"]);
         let incidents = at(&report, &["incidents"]).as_seq().unwrap();
         assert_eq!(incidents.len(), 1);
         let inc = &incidents[0];

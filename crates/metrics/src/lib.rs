@@ -16,8 +16,8 @@
 //!   sink off, simulated time and numerics are bit-identical to a build
 //!   without the crate.
 //! * **Determinism.** All recording happens in the host-side serial
-//!   orchestration code (kernel *bodies* run under rayon, but launches retire
-//!   serially), and the registry stores everything in `BTreeMap`s — two
+//!   orchestration code (kernel *bodies* run on the worker pool, but
+//!   launches retire serially), and the registry stores everything in `BTreeMap`s — two
 //!   identical runs produce byte-identical [`Snapshot`] JSON.
 //! * **Per-run deltas.** Counters backed by process-cumulative state (the
 //!   autotune plan cache) are recorded as *increments*, and
@@ -239,18 +239,6 @@ impl MetricsSink {
         if let Some(m) = &self.inner {
             let mut reg = m.lock().unwrap_or_else(|e| e.into_inner());
             reg.experiment = id.to_string();
-        }
-    }
-
-    /// The current experiment scope (empty when unset or disabled).
-    pub fn experiment(&self) -> String {
-        match &self.inner {
-            None => String::new(),
-            Some(m) => m
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .experiment
-                .clone(),
         }
     }
 
@@ -609,7 +597,6 @@ mod tests {
         s.gauge_set("k", None, "g", 2.0);
         s.observe("k", None, "h", &[1.0], 0.5);
         assert!(s.snapshot().is_empty());
-        assert_eq!(s.experiment(), "");
     }
 
     #[test]

@@ -107,7 +107,7 @@ fn without_plan_cache(snap: &Snapshot) -> Snapshot {
     s
 }
 
-/// Histogram determinism under rayon: block bodies run on a thread pool, but
+/// Histogram determinism under the worker pool: block bodies run on threads, but
 /// all metric recording happens on the host-serial timeline, so two identical
 /// seeded runs must serialize to byte-identical JSON.
 #[test]
